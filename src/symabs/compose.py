@@ -360,11 +360,14 @@ class ComponentRelation:
     def eps_tilde(self) -> float:
         return math.sqrt(self.theta / self.gamma)
 
-    def value(self, x, xhat) -> float:
-        return float(self.cert.value(x, xhat)) / self.kappa
+    def value(self, x, xhat) -> Array:
+        """S_i(x, xhat) / kappa_i; broadcasts over leading axes of x and
+        xhat like the certificate's score, so a stack of representatives
+        of shape (n, dim) gives n values."""
+        return self.cert.value(x, xhat) / self.kappa
 
     def contains(self, x, xhat) -> bool:
-        return self.value(x, xhat) <= self.theta
+        return bool(self.value(x, xhat) <= self.theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -365,25 +366,40 @@ def _parse_grid_header(line: str) -> UniformGrid:
                        cells_per_dim=cells, sigma=float(fields["sigma"]))
 
 
+def _read_int_rows(fh, path, columns: int) -> Array:
+    """The rest of an artifact file as an (n, columns) int64 array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is n = 0
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if rows.size == 0:
+        return rows.reshape(0, columns)
+    if rows.shape[1] != columns:
+        raise ConfigError(f"{path}: rows have {rows.shape[1]} fields, "
+                          f"expected {columns}")
+    return rows
+
+
 def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
+    n_s, n_u, n_d = fts.n_states, fts.n_inputs, fts.n_dists
+    index = np.indices((n_s, n_u, n_d)).reshape(3, -1)
+    body = np.vstack([index, fts.table[:n_s].reshape(-1)]).T
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_grid_header("state_grid", fts.state_grid))
         fh.write(_grid_header("dist_grid", fts.dist_grid))
         inputs = ";".join(",".join(repr(float(v)) for v in row)
                           for row in fts.inputs)
         fh.write(f"# inputs [{inputs}]\n")
-        fh.write(f"# counts states={fts.n_states} inputs={fts.n_inputs} "
-                 f"dists={fts.n_dists}\n")
+        fh.write(f"# counts states={n_s} inputs={n_u} dists={n_d}\n")
         fh.write("state,input,dist,successor\n")
-        n_s, n_u, n_d = fts.n_states, fts.n_inputs, fts.n_dists
-        for s in range(n_s):
-            for u in range(n_u):
-                row = fts.table[s, u]
-                for d in range(n_d):
-                    fh.write(f"{s},{u},{d},{row[d]}\n")
+        fh.write(("%d,%d,%d,%d\n" * body.shape[0]) % tuple(body.ravel().tolist()))
 
 
 def read_abstraction(path) -> FiniteTransitionSystem:
+    """Parse an abstraction file; every (state, input, dist) triple must
+    appear exactly once, with its successor a cell or the sink."""
     with open(path, "r", encoding="utf-8") as fh:
         state_grid = _parse_grid_header(fh.readline())
         dist_grid = _parse_grid_header(fh.readline())
@@ -397,10 +413,18 @@ def read_abstraction(path) -> FiniteTransitionSystem:
         header = fh.readline().strip()
         if header != "state,input,dist,successor":
             raise ConfigError(f"unexpected abstraction header {header!r}")
-        table = np.full((n_s + 1, n_u, n_d), n_s, dtype=np.int64)
-        for line in fh:
-            s, u, d, nxt = (int(v) for v in line.split(","))
-            table[s, u, d] = nxt
+        rows = _read_int_rows(fh, path, 4)
+    if rows.shape[0] != n_s * n_u * n_d:
+        raise ConfigError(f"{path}: {rows.shape[0]} transitions, expected "
+                          f"{n_s * n_u * n_d}")
+    if np.any(rows < 0) or np.any(rows >= [n_s, n_u, n_d, n_s + 1]):
+        raise ConfigError(f"{path}: transition index out of range")
+    table = np.full((n_s + 1, n_u, n_d), -1, dtype=np.int64)
+    s, u, d, nxt = rows.T
+    table[s, u, d] = nxt
+    if np.any(table[:n_s] < 0):  # as many rows as triples, so one repeats
+        raise ConfigError(f"{path}: repeated (state, input, dist) row")
+    table[n_s] = n_s
     return FiniteTransitionSystem(table=table, state_grid=state_grid,
                                   dist_grid=dist_grid, inputs=inputs)
 
@@ -414,17 +438,23 @@ def write_controller(path, ctrl: ControllerTable) -> None:
 
 
 def read_controller(path, fts: FiniteTransitionSystem) -> ControllerTable:
-    winning = np.zeros(fts.n_states + 1, dtype=bool)
-    chosen = np.full(fts.n_states + 1, -1, dtype=np.int64)
+    """Parse a controller file; each winning state appears once, with an
+    input index of fts."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # comment
         header = fh.readline().strip()
         if header != "state,input":
             raise ConfigError(f"unexpected controller header {header!r}")
-        for line in fh:
-            s, u = (int(v) for v in line.split(","))
-            winning[s] = True
-            chosen[s] = u
+        rows = _read_int_rows(fh, path, 2)
+    if np.any(rows < 0) or np.any(rows >= [fts.n_states, fts.n_inputs]):
+        raise ConfigError(f"{path}: state or input index out of range")
+    s, u = rows.T
+    winning = np.zeros(fts.n_states + 1, dtype=bool)
+    winning[s] = True
+    if np.count_nonzero(winning) != s.size:
+        raise ConfigError(f"{path}: repeated state row")
+    chosen = np.full(fts.n_states + 1, -1, dtype=np.int64)
+    chosen[s] = u
     return ControllerTable(winning=winning, chosen=chosen, fts=fts)
 
 

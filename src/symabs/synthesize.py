@@ -10,11 +10,11 @@ picks the V-minimizing winning cell and plays its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, RefinementError
+from .errors import CapacityError, ConfigError, RefinementError
 from .model import BlackBoxSystem, InterconnectionTopology
 from .quantize import AbstractPoint, UniformGrid, abstract_transition, trivial_grid
 
@@ -161,31 +161,36 @@ def safety_synthesis(fts: FiniteTransitionSystem, safe) -> ControllerTable:
 class RefinedController:
     """Concrete feedback from an abstract controller through the relation.
 
-    `relation` needs value(x, xhat) and a theta threshold; winning cells are
-    ranked by V(x, center), ties to the lower index.
+    `relation` needs value(x, xhat) and a theta threshold; value must
+    broadcast over a stack of representatives, shape (n, dim) -> (n,).
+    Winning cells are ranked by V(x, center), ties to the lower index.
     """
 
     table: ControllerTable
     relation: object
     state_grid: UniformGrid
+    _winning: Array = field(init=False, repr=False)
+    _centers: Array = field(init=False, repr=False)
+
+    def __post_init__(self):
+        win = self.table.winning_states
+        object.__setattr__(self, "_winning", win)
+        object.__setattr__(self, "_centers",
+                           self.state_grid.all_representatives()[win])
 
     def select(self, x) -> tuple[int, int]:
         """(winning cell index, input index) for the concrete state x."""
         x = np.asarray(x, dtype=float).reshape(self.state_grid.dim)
-        win = self.table.winning_states
-        if win.size == 0:
+        if self._winning.size == 0:
             raise RefinementError("controller has an empty winning set", state=x)
-        best_cell = -1
-        best_val = np.inf
-        for s in win:
-            val = float(self.relation.value(x, self.state_grid.representative(int(s))))
-            if val < best_val:
-                best_val = val
-                best_cell = int(s)
-        if best_val > self.relation.theta:
+        vals = self.relation.value(x, self._centers)
+        k = int(np.argmin(vals))
+        best_val = float(vals[k])
+        if not best_val <= self.relation.theta:  # NaN is never related
             raise RefinementError(
                 f"no winning cell is related to the state (min V = {best_val:.6g} "
                 f"> theta = {self.relation.theta:.6g})", state=x)
+        best_cell = int(self._winning[k])
         return best_cell, self.table.input_index(best_cell)
 
     def __call__(self, x) -> Array:
@@ -243,6 +248,13 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     if horizon < 0:
         raise ValueError("horizon must be non-negative")
     dims = [s.signature.state_dim for s in subsystems]
+    for i, sub in enumerate(subsystems):
+        wired = sum(dims[j] for j in topology.wiring[i])
+        if wired != sub.signature.disturbance_dim:
+            raise ConfigError(
+                f"subsystem {i} has disturbance_dim "
+                f"{sub.signature.disturbance_dim}, but its wired neighbours "
+                f"supply {wired} state coordinates")
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     x = np.asarray(x0, dtype=float).reshape(offsets[-1])
     if safe_boxes is None:

@@ -25,9 +25,13 @@ from symabs.pipeline import (
     read_abstraction,
     read_controller,
     run_pipeline,
+    stage_abstract,
     stage_certify,
+    stage_compose,
     stage_report,
     stage_sample,
+    stage_simulate,
+    stage_synthesize,
     write_abstraction,
     write_controller,
 )
@@ -108,6 +112,11 @@ def test_abstraction_file_roundtrip(tmp_path):
     fts = enumerate_abstraction(rooms[0], sg, dg)
     path = tmp_path / "abstraction.csv"
     write_abstraction(path, fts)
+    # the body is byte-identical to one formatted row per transition
+    n_s, n_u, n_d = fts.table[:-1].shape
+    body = "".join(f"{s},{u},{d},{fts.table[s, u, d]}\n" for s in range(n_s)
+                   for u in range(n_u) for d in range(n_d))
+    assert path.read_text().split("state,input,dist,successor\n")[1] == body
     back = read_abstraction(path)
     assert np.array_equal(back.table, fts.table)
     assert back.state_grid.cells_per_dim == fts.state_grid.cells_per_dim
@@ -122,13 +131,61 @@ def test_controller_file_roundtrip(tmp_path):
     sg = make_grid([(-0.5, 0.5)], 0.05)
     dg = product_grid([sg, sg])
     fts = enumerate_abstraction(rooms[0], sg, dg)
+    path = tmp_path / "controller.csv"
+    for safe in (range(2, 8), []):  # the empty winning set has no body rows
+        ctrl = safety_synthesis(fts, safe=safe)
+        assert (ctrl.winning_states.size > 0) == bool(safe)
+        write_controller(path, ctrl)
+        back = read_controller(path, fts)
+        assert np.array_equal(back.winning, ctrl.winning)
+        assert np.array_equal(back.chosen, ctrl.chosen)
+
+
+def _corrupt(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(edit(lines)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:-1], "transitions, expected"),
+    (lambda lines: lines[:-1] + [lines[5]], "repeated"),
+    (lambda lines: lines[:-1] + ["0,0,1,2\n", lines[-1]], "transitions, expected"),
+    (lambda lines: lines[:-1] + ["4,0,8,0\n"], "out of range"),
+    (lambda lines: lines[:-1] + ["3,4,8,5\n"], "out of range"),
+    (lambda lines: lines[:-1] + ["3,4,8,-1\n"], "out of range"),
+    (lambda lines: lines[:-1] + ["3,4,8\n"], "columns"),
+])
+def test_abstraction_file_rejects_corrupt_body(tmp_path, edit, message):
+    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    sg = make_grid([(-0.5, 0.5)], 0.125)  # 4 cells, 5 inputs, 16 dist cells
+    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    path = tmp_path / "abstraction.csv"
+    write_abstraction(path, fts)
+    assert path.read_text().endswith(f"3,4,15,{fts.table[3, 4, 15]}\n")
+    _corrupt(path, edit)
+    with pytest.raises(ConfigError, match=message) as err:
+        read_abstraction(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + [lines[2]], "repeated"),
+    (lambda lines: lines + ["20,0\n"], "out of range"),
+    (lambda lines: lines + ["0,5\n"], "out of range"),
+    (lambda lines: lines + ["0,x\n"], "could not convert"),
+])
+def test_controller_file_rejects_corrupt_body(tmp_path, edit, message):
+    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    sg = make_grid([(-0.5, 0.5)], 0.05)  # 20 cells, 5 inputs
+    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
     ctrl = safety_synthesis(fts, safe=range(2, 8))
-    assert ctrl.winning_states.size > 0
+    assert not ctrl.winning[0]
     path = tmp_path / "controller.csv"
     write_controller(path, ctrl)
-    back = read_controller(path, fts)
-    assert np.array_equal(back.winning, ctrl.winning)
-    assert np.array_equal(back.chosen, ctrl.chosen)
+    _corrupt(path, edit)
+    with pytest.raises(ConfigError, match=message) as err:
+        read_controller(path, fts)
+    assert str(path) in str(err.value)
 
 
 def test_report_only_run_match_and_mismatch(tmp_path):
@@ -287,3 +344,36 @@ def test_external_oracle_pipeline_stages(tmp_path):
     assert cert["q"] == q
     assert isinstance(cert["certified"], bool)
     assert len(payload["certificates"]) == 1
+
+
+def test_external_oracle_simulate_rejects_unwired_disturbance(tmp_path, capsys):
+    # one external room declares two disturbance coordinates, but nothing
+    # is wired to it, so closed-loop simulation has no value to feed it
+    server = ("from symabs.cli import main; import sys; "
+              "sys.exit(main(['oracle-server', '--subsystem', '0']))")
+    config = PipelineConfig.from_mapping({
+        "system": {
+            "kind": "external",
+            "command": (sys.executable, "-c", server),
+            "state_box": ((-0.5, 0.5),),
+            "disturbance_box": ((-0.5, 0.5), (-0.5, 0.5)),
+            "input_set": ((0.0,), (0.05,), (0.1,), (0.15,), (0.2,)),
+        },
+        "certify": {"sigma": 0.1},
+    })
+    out = str(tmp_path / "ext")
+    bundle = build_systems(config)
+    try:
+        for stage in (stage_sample, stage_certify, stage_compose,
+                      stage_abstract, stage_synthesize):
+            stage(config, out, bundle)
+        with pytest.raises(ConfigError, match="subsystem 0 has disturbance_dim "
+                           "2, but its wired neighbours supply 0"):
+            stage_simulate(config, out, bundle)
+    finally:
+        bundle.cleanup.close()
+    path = tmp_path / "ext.yaml"
+    config.to_yaml(path)
+    rc = cli.main(["simulate", "--config", str(path), "--out", out])
+    assert rc == 2
+    assert "disturbance_dim" in capsys.readouterr().err

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import solve_safety_game
-from symabs.errors import CapacityError, RefinementError
+from symabs.compose import GainMatrix, ScalingVector, compose_abf, relation
+from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import (
     BlackBoxSystem,
     InterconnectionTopology,
@@ -11,6 +12,7 @@ from symabs.model import (
     build_room_network,
 )
 from symabs.quantize import make_grid, product_grid, quantize, trivial_grid
+from symabs.scenario import ApbfCertificate, quartic_difference_basis
 from symabs.synthesize import (
     ControllerTable,
     FiniteTransitionSystem,
@@ -29,7 +31,7 @@ class QuadraticRelation:
 
     def value(self, x, xhat):
         d = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
-        return float(d @ d)
+        return np.sum(d * d, axis=-1)
 
 
 def fts_from_table(table, n_inputs=None):
@@ -246,6 +248,42 @@ def test_refine_controller_random_states_match_brute_force():
             assert cell == int(win[best])
             assert u == ctrl.input_index(cell)
     assert hits > 100
+
+
+def test_refine_with_component_relation_matches_per_cell_loop():
+    # a real composed relation, restricted to a subsystem with kappa != 1
+    certs = [ApbfCertificate(gamma=2.0, mu=0.5, eta=0.2, theta=0.005, beta=1e-4,
+                             certified=True, margin=-0.01, state_dim=1,
+                             basis=quartic_difference_basis(1), phi=phi)
+             for phi in [(0.3, 2.0, 0.0), (5.0, 1.5, 0.001)]]
+    sv = ScalingVector(kappa=np.array([1.0, 2.0]), max_ratio=0.5,
+                       gains=GainMatrix(entries=0.5 * np.eye(2)))
+    rel = relation(compose_abf(certs, sv)).component(1)
+    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=5))
+    sg = make_grid([(-0.5, 0.5)], 0.025)
+    dg = product_grid([sg, sg])
+    ctrl = safety_synthesis(enumerate_abstraction(rooms[0], sg, dg),
+                            safe=range(4, 16))
+    refined = refine_controller(ctrl, rel, sg)
+    rng = np.random.default_rng(405)
+    hits = misses = 0
+    for x in rng.uniform(-0.5, 0.5, size=(300, 1)):
+        best_cell, best_val = -1, np.inf
+        for s in ctrl.winning_states:
+            val = float(rel.value(x, sg.representative(int(s))))
+            if val < best_val:
+                best_cell, best_val = int(s), val
+        if best_val > rel.theta:
+            misses += 1
+            with pytest.raises(RefinementError) as err:
+                refined.select(x)
+            assert str(err.value) == (
+                f"no winning cell is related to the state (min V = "
+                f"{best_val:.6g} > theta = {rel.theta:.6g})")
+        else:
+            hits += 1
+            assert refined.select(x) == (best_cell, ctrl.input_index(best_cell))
+    assert hits > 50 and misses > 50
 
 
 def test_refine_rejects_empty_winning_set():

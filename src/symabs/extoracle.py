@@ -82,6 +82,9 @@ class ExternalOracle:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
+        finally:
+            if proc.stdout and not proc.stdout.closed:
+                proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -21,7 +21,7 @@ import yaml
 
 from . import compose as compose_mod
 from . import scenario
-from .errors import ConfigError
+from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (BlackBoxSystem, InterconnectionTopology, RoomNetworkParams,
                     SystemSignature, build_room_network)
@@ -707,6 +707,10 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
             ctrl = read_controller(os.path.join(out_dir, f"controller_{i}.csv"),
                                    fts)
+            if not ctrl.winning.any():
+                raise RefinementError(
+                    f"subsystem {i} has an empty winning set; there is no "
+                    f"controller to refine")
             controllers.append(ctrl)
             grids.append(fts.state_grid)
         refined = [refine_controller(controllers[i], rel.component(i), grids[i])

@@ -69,22 +69,32 @@ class UniformGrid:
             flat = flat * k + int(i)
         return flat
 
+    def cell_indices(self, points) -> Array:
+        """Flat indices of the cells containing each point, shape (..., dim)
+        -> (...); boundary points snap to the lower-index cell.  Raises
+        DomainError if any point lies outside the box (NaN included)."""
+        pts = np.asarray(points, dtype=float)
+        pts = pts.reshape(pts.shape[:-1] + (self.dim,))
+        lows, highs = self.box[:, 0], self.box[:, 1]
+        outside = ~((pts >= lows) & (pts <= highs))
+        if outside.any():
+            at = np.argwhere(outside)[0]
+            j = int(at[-1])
+            raise DomainError(
+                f"coordinate {j} = {pts[tuple(at)]!r} outside "
+                f"[{lows[j]!r}, {highs[j]!r}]")
+        counts = np.asarray(self.cells_per_dim, dtype=np.int64)
+        # left-closed only at the low edge: ties go down
+        multi = np.ceil((pts - lows) / self.widths).astype(np.int64) - 1
+        multi = np.clip(multi, 0, counts - 1)
+        strides = np.ones(self.dim, dtype=np.int64)  # last coordinate fastest
+        strides[:-1] = np.cumprod(counts[:0:-1])[::-1]
+        return multi @ strides
+
     def cell_index(self, x) -> int:
         """Flat index of the cell containing x; boundary points snap to the
         lower-index cell.  Raises DomainError outside the box."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        lows, highs = self.box[:, 0], self.box[:, 1]
-        for j in range(self.dim):
-            if x[j] < lows[j] or x[j] > highs[j]:
-                raise DomainError(
-                    f"coordinate {j} = {x[j]!r} outside [{lows[j]!r}, {highs[j]!r}]")
-        widths = self.widths
-        multi = []
-        for j in range(self.dim):
-            t = (x[j] - lows[j]) / widths[j]
-            i = math.ceil(t) - 1  # left-closed only at the low edge: ties go down
-            multi.append(min(max(i, 0), self.cells_per_dim[j] - 1))
-        return self.flat_index(multi)
+        return int(self.cell_indices(np.asarray(x, dtype=float).reshape(self.dim)))
 
     def representative(self, flat: int) -> Array:
         multi = np.asarray(self.multi_index(flat), dtype=float)
@@ -172,15 +182,51 @@ def sink_point(grid: UniformGrid, y) -> AbstractPoint:
                          representative=grid.representative(idx), is_sink=True)
 
 
+def _reject_nan(y: Array) -> None:
+    if np.isnan(y).any():
+        raise DomainError("oracle reply is NaN; cannot quantize it")
+
+
 def abstract_transition(sys: BlackBoxSystem, state_grid: UniformGrid,
                         dist_grid: UniformGrid | None, xhat: AbstractPoint,
                         nu, dhat: AbstractPoint | None) -> AbstractPoint:
     """One abstract step: query the oracle at the representatives, quantize.
 
-    This is the only way abstract transitions are ever produced; outputs
-    escaping the state box return the sink point."""
+    Outputs escaping the state box (+-inf included) return the sink point; a
+    NaN output raises DomainError."""
     d = None if dhat is None else dhat.representative
     y = sys.step(xhat.representative, nu, d)
+    _reject_nan(y)
     if state_grid.contains(y):
         return quantize(state_grid, y)
     return sink_point(state_grid, y)
+
+
+def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
+                     dist_grid: UniformGrid, inputs) -> tuple[Array, Array]:
+    """The abstract transition map: one oracle query per (cell, input,
+    disturbance cell) at the representatives, all replies quantized at once.
+
+    Returns (successor, rep_cell), both int64 of shape (cells, inputs,
+    disturbance cells).  successor is the quantized reply, or the sink
+    (= total_cells) when the reply leaves the state box; rep_cell is the
+    in-box cell whose center represents the successor, the nearest one after
+    clamping for the sink.  Agrees entry by entry with abstract_transition."""
+    state_reps = state_grid.all_representatives()
+    dist_reps = dist_grid.all_representatives()
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    replies = np.empty((state_reps.shape[0], inputs.shape[0],
+                        dist_reps.shape[0], state_grid.dim))
+    flat = replies.reshape(-1, state_grid.dim)
+    k = 0
+    for x in state_reps:
+        for nu in inputs:
+            for d in dist_reps:
+                flat[k] = sys.step(x, nu, d)
+                k += 1
+    _reject_nan(replies)
+    lows, highs = state_grid.box[:, 0], state_grid.box[:, 1]
+    inside = np.all((replies >= lows) & (replies <= highs), axis=-1)
+    rep_cell = state_grid.cell_indices(np.clip(replies, lows, highs))
+    successor = np.where(inside, rep_cell, state_grid.total_cells)
+    return successor, rep_cell

@@ -26,7 +26,9 @@ import numpy as np
 
 from .errors import CapacityError, SolverError
 from .model import BlackBoxSystem, SystemSignature
-from .quantize import AbstractPoint, UniformGrid, abstract_transition
+# abstract_transition is no longer called here; the import is kept because
+# bench/tracing.py wraps it by this module attribute.
+from .quantize import UniformGrid, abstract_transition, transition_table
 from .simplex import solve_with_rows
 
 Array = np.ndarray
@@ -520,11 +522,24 @@ class SopStructure:
 
 @dataclass(eq=False)
 class SopInstance:
-    """Dense column storage of all SOP rows.
+    """The scenario program at one contraction level mu, kept in factored form.
 
-    Row r reads  coef_gamma[r]*gamma + coef_eta[r]*eta + coef_theta[r]*theta
-    + coef_phi[r].phi + const[r] - xi <= 0.  H1 rows come first (sample-major,
-    then abstract state); H2 rows follow in (sample, input, state, dist) order.
+    Rows are never stored; each is rebuilt from per-sample factors.  With
+    q samples, u inputs, s state cells, d disturbance cells and z monomials:
+
+    - H1 row (i, s), sample-major:
+      coef_gamma[i,s]*gamma - g_cur[i,s].phi - xi <= 0;
+    - H2 row (i, u, s, d), after all H1 rows and in that order:
+      (coef_phi[i,u,c] - mu*g_cur[i,s]).phi + coef_eta[i,d]*eta
+      + coef_theta*theta + const - xi <= 0, with c = successor[u,s,d].
+
+    coef_gamma (q, s) holds ||x_i - xhat_s||^2; coef_eta (q, d) holds
+    -||d_i - dhat_d||^2; coef_theta is the constant -1 and const the constant
+    0 (both 0-d); coef_phi (q, u, s, z) holds g(x+_iu, center of cell c) for
+    every in-box cell c; g_cur (q, s, z) holds g(x_i, xhat_s); successor
+    (u, s, d) is the in-box cell whose center represents the abstract
+    successor (the clamped nearest cell for the sink).  `gather` builds the
+    requested rows bit for bit as a dense matrix would hold them.
     """
 
     coef_gamma: Array
@@ -532,89 +547,106 @@ class SopInstance:
     coef_theta: Array
     coef_phi: Array
     const: Array
+    g_cur: Array
+    successor: Array
     mu: float
+    structure: SopStructure
     basis: BasisSpec | None = None
     boxes: VariableBoxes = field(default_factory=VariableBoxes)
-    structure: SopStructure | None = None
 
     def __post_init__(self):
-        r = self.coef_phi.shape[0]
-        for name in ("coef_gamma", "coef_eta", "coef_theta", "const"):
-            if getattr(self, name).shape != (r,):
-                raise ValueError(f"{name} must have shape ({r},)")
+        st = self.structure
+        q, n_u, n_s, n_d = st.samples, st.inputs, st.states, st.dists
+        z = self.coef_phi.shape[-1]
+        shapes = {"coef_gamma": (q, n_s), "coef_eta": (q, n_d),
+                  "coef_theta": (), "coef_phi": (q, n_u, n_s, z), "const": (),
+                  "g_cur": (q, n_s, z), "successor": (n_u, n_s, n_d)}
+        for name, shape in shapes.items():
+            if np.shape(getattr(self, name)) != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        # (u, s, d) -> column of the successor cell in coef_phi[i] @ phi,
+        # flattened to u*s columns
+        self._succ_column = np.arange(n_u)[:, None, None] * n_s + self.successor
 
     @property
     def row_count(self) -> int:
-        return self.coef_phi.shape[0]
+        return self.structure.h1_rows + self.structure.h2_rows
 
     @property
     def z(self) -> int:
-        return self.coef_phi.shape[1]
+        return self.coef_phi.shape[-1]
 
     @property
     def n_vars(self) -> int:
         return self.z + 4
 
-    @classmethod
-    def from_rows(cls, coef_phi, const, coef_gamma=None, coef_eta=None,
-                  coef_theta=None, mu: float = 0.5, basis=None,
-                  boxes=None) -> "SopInstance":
-        coef_phi = np.asarray(coef_phi, dtype=float)
-        if coef_phi.ndim != 2:
-            raise ValueError("coef_phi must be (rows, z)")
-        r = coef_phi.shape[0]
-        zero = np.zeros(r)
-        return cls(coef_gamma=np.asarray(coef_gamma, dtype=float) if coef_gamma
-                   is not None else zero.copy(),
-                   coef_eta=np.asarray(coef_eta, dtype=float) if coef_eta
-                   is not None else zero.copy(),
-                   coef_theta=np.asarray(coef_theta, dtype=float) if coef_theta
-                   is not None else zero.copy(),
-                   coef_phi=coef_phi,
-                   const=np.asarray(const, dtype=float),
-                   mu=mu, basis=basis, boxes=boxes or VariableBoxes())
+    def _h2_index(self, rest):
+        """(sample, input, state, dist) of H2 rows r1 + rest."""
+        st = self.structure
+        rest, dh = np.divmod(rest, st.dists)
+        rest, xh = np.divmod(rest, st.states)
+        i, u = np.divmod(rest, st.inputs)
+        return i, u, xh, dh
 
     def residuals(self, vec: Array) -> Array:
+        """A x - b over all rows, in row order."""
         vec = np.asarray(vec, dtype=float)
         gamma, eta, theta = vec[0], vec[1], vec[2]
         phi, xi = vec[3:-1], vec[-1]
-        out = self.coef_phi @ phi
-        out += self.coef_gamma * gamma
-        out += self.coef_eta * eta
-        out += self.coef_theta * theta
-        out += self.const
-        out -= xi
+        st = self.structure
+        q, n_u, n_s, n_d = st.samples, st.inputs, st.states, st.dists
+        r1 = st.h1_rows
+        out = np.empty(self.row_count)
+        cur = self.g_cur @ phi  # (q, s)
+        h1 = out[:r1].reshape(q, n_s)
+        np.multiply(self.coef_gamma, gamma, out=h1)
+        h1 -= cur
+        h1 -= xi
+        succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
+        by_state = (self.coef_theta * theta + self.const - xi
+                    - self.mu * cur)[:, None, :, None]
+        by_dist = (self.coef_eta * eta)[:, None, None, :]
+        h2 = out[r1:].reshape(q, n_u, n_s, n_d)
+        # one sample at a time, so that the three passes stay in cache
+        for i in range(q):
+            np.take(succ[i], self._succ_column, out=h2[i])
+            h2[i] += by_state[i]
+            h2[i] += by_dist[i]
         return out
 
     def gather(self, idx) -> tuple[Array, Array]:
+        """Dense rows (A, b) of the given row indices."""
         idx = np.asarray(idx, dtype=int)
-        a = np.empty((idx.shape[0], self.n_vars))
-        a[:, 0] = self.coef_gamma[idx]
-        a[:, 1] = self.coef_eta[idx]
-        a[:, 2] = self.coef_theta[idx]
-        a[:, 3:-1] = self.coef_phi[idx]
+        r1 = self.structure.h1_rows
+        a = np.zeros((idx.shape[0], self.n_vars))
         a[:, -1] = -1.0
-        return a, -self.const[idx]
+        one = idx < r1
+        i, xh = np.divmod(idx[one], self.structure.states)
+        a[one, 0] = self.coef_gamma[i, xh]
+        a[one, 3:-1] = -self.g_cur[i, xh]
+        two = ~one
+        i, u, xh, dh = self._h2_index(idx[two] - r1)
+        a[two, 1] = self.coef_eta[i, dh]
+        a[two, 2] = self.coef_theta
+        a[two, 3:-1] = (self.coef_phi[i, u, self.successor[u, xh, dh]]
+                        - self.mu * self.g_cur[i, xh])
+        return a, np.full(idx.shape[0], -self.const)
 
-    def tag(self, row: int):
+    def tag(self, row: int) -> RowTag:
         s = self.structure
-        if s is None:
-            return int(row)
         if row < 0 or row >= self.row_count:
             raise ValueError("row index out of range")
         if row < s.h1_rows:
             i, xh = divmod(row, s.states)
             return RowTag(kind="H1", sample=i, input=None, state=xh, dist=None)
-        rest = row - s.h1_rows
-        rest, dh = divmod(rest, s.dists)
-        rest, xh = divmod(rest, s.states)
-        i, u = divmod(rest, s.inputs)
+        i, u, xh, dh = (int(v) for v in self._h2_index(row - s.h1_rows))
         return RowTag(kind="H2", sample=i, input=u, state=xh, dist=dh)
 
 
 class SopData:
-    """Sampled transitions and cached abstract successors, reusable across the
-    per-mu LP instances of one certification run."""
+    """Sampled transitions and the mu-independent factors of the scenario
+    program, reusable across the per-mu LP instances of one certification
+    run."""
 
     def __init__(self, samples: SampleBatch, sys: BlackBoxSystem,
                  state_grid: UniformGrid, dist_grid: UniformGrid,
@@ -655,64 +687,32 @@ class SopData:
                 x_plus[i, u] = sys.step(xs[i], inputs[u], ds[i])
         self.x_plus = x_plus
 
-        # One oracle query per (state cell, input, disturbance cell); sink
-        # successors contribute their clamped in-box representative so the
-        # score stays evaluable on every row.
-        state_points = [AbstractPoint(s, state_reps[s]) for s in range(n_states)]
-        dist_points = [AbstractPoint(dcell, dist_reps[dcell]) for dcell in range(n_dists)]
-        succ = np.empty((n_inputs, n_states, n_dists, sig.state_dim))
-        for u in range(n_inputs):
-            for s in range(n_states):
-                for dcell in range(n_dists):
-                    nxt = abstract_transition(sys, state_grid, dist_grid,
-                                              state_points[s], inputs[u],
-                                              dist_points[dcell])
-                    succ[u, s, dcell] = nxt.representative
-        self.successor_reps = succ
+        # One oracle query per (state cell, input, disturbance cell).
+        # successor_reps[u, s, d] is the in-box cell whose center represents
+        # the successor; a sink successor gets its clamped nearest cell, so
+        # the score stays evaluable on every row.
+        _, rep_cell = transition_table(sys, state_grid, dist_grid, inputs)
+        self.successor_reps = np.ascontiguousarray(rep_cell.transpose(1, 0, 2))
 
-        # Cached per-row geometry independent of mu.
+        # Per-sample geometry independent of mu.
         self.g_cur = basis.features(xs[:, None, :], state_reps[None, :, :])
+        self.g_succ = basis.features(x_plus[:, :, None, :],
+                                     state_reps[None, None, :, :])
         diff_x = xs[:, None, :] - state_reps[None, :, :]
         self.dist2_state = np.einsum("qsk,qsk->qs", diff_x, diff_x)
         diff_d = ds[:, None, :] - dist_reps[None, :, :]
         self.dist2_dist = np.einsum("qdk,qdk->qd", diff_d, diff_d)
 
-    def instance(self, mu: float, boxes: VariableBoxes | None = None,
-                 chunk_target: int = 6_000_000) -> SopInstance:
+    def instance(self, mu: float, boxes: VariableBoxes | None = None) -> SopInstance:
         if not 0.0 < mu < 1.0:
             raise ValueError("mu must lie in (0,1)")
-        st = self.structure
-        q, n_u, n_s, n_d = st.samples, st.inputs, st.states, st.dists
-        z = self.basis.z
-        r1, r2 = st.h1_rows, st.h2_rows
-        rows = r1 + r2
-
-        coef_gamma = np.zeros(rows)
-        coef_eta = np.zeros(rows)
-        coef_theta = np.zeros(rows)
-        coef_phi = np.empty((rows, z))
-        const = np.zeros(rows)
-
-        coef_gamma[:r1] = self.dist2_state.ravel()
-        coef_phi[:r1] = -self.g_cur.reshape(r1, z)
-
-        phi2 = coef_phi[r1:].reshape(q, n_u, n_s, n_d, z)
-        eta2 = coef_eta[r1:].reshape(q, n_u, n_s, n_d)
-        coef_theta[r1:] = -1.0
-        chunk = max(1, chunk_target // max(1, n_s * n_d * z))
-        for u in range(n_u):
-            for lo in range(0, q, chunk):
-                hi = min(q, lo + chunk)
-                g_plus = self.basis.features(
-                    self.x_plus[lo:hi, u][:, None, None, :],
-                    self.successor_reps[u][None, :, :, :])
-                phi2[lo:hi, u] = g_plus - mu * self.g_cur[lo:hi, :, None, :]
-        eta2[:] = -self.dist2_dist[:, None, None, :]
-
-        return SopInstance(coef_gamma=coef_gamma, coef_eta=coef_eta,
-                           coef_theta=coef_theta, coef_phi=coef_phi,
-                           const=const, mu=float(mu), basis=self.basis,
-                           boxes=boxes or VariableBoxes(), structure=st)
+        return SopInstance(coef_gamma=self.dist2_state,
+                           coef_eta=-self.dist2_dist,
+                           coef_theta=np.array(-1.0), coef_phi=self.g_succ,
+                           const=np.array(0.0), g_cur=self.g_cur,
+                           successor=self.successor_reps, mu=float(mu),
+                           structure=self.structure, basis=self.basis,
+                           boxes=boxes or VariableBoxes())
 
 
 def assemble_sop(samples: SampleBatch, sys: BlackBoxSystem,

@@ -16,7 +16,10 @@ import numpy as np
 
 from .errors import CapacityError, ConfigError, RefinementError
 from .model import BlackBoxSystem, InterconnectionTopology
-from .quantize import AbstractPoint, UniformGrid, abstract_transition, trivial_grid
+# abstract_transition is no longer called here; the import is kept because
+# bench/tracing.py wraps it by this module attribute.
+from .quantize import (UniformGrid, abstract_transition,
+                       transition_table, trivial_grid)
 
 Array = np.ndarray
 
@@ -92,18 +95,9 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
         raise CapacityError(
             f"{n_s * n_u * n_d} abstraction queries exceed the cap {query_cap}")
 
-    state_reps = state_grid.all_representatives()
-    dist_reps = dist_grid.all_representatives()
-    state_points = [AbstractPoint(s, state_reps[s]) for s in range(n_s)]
-    dist_points = [AbstractPoint(d, dist_reps[d]) for d in range(n_d)]
+    successor, _ = transition_table(sys, state_grid, dist_grid, inputs)
     table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
-    for s in range(n_s):
-        for u in range(n_u):
-            for d in range(n_d):
-                nxt = abstract_transition(sys, state_grid, dist_grid,
-                                          state_points[s], inputs[u],
-                                          dist_points[d])
-                table[s, u, d] = nxt.index
+    table[:n_s] = successor
     table[n_s] = n_s
     return FiniteTransitionSystem(table=table, state_grid=state_grid,
                                   dist_grid=dist_grid, inputs=inputs)

@@ -125,3 +125,19 @@ def test_external_oracle_closed_stream():
                         timeout=2.0) as oracle:
         with pytest.raises((OracleError, ProtocolError)):
             oracle.step([1.0], [0.0], [0.0])
+
+
+def test_external_oracle_close_closes_stdout():
+    sig = make_signature()
+    # normal path: the server exits once its input closes
+    oracle = ExternalOracle([sys.executable, "-c", SERVER_SCRIPT], sig)
+    assert np.allclose(oracle.step([1.0], [0.0], [0.0]), [0.5])
+    oracle.close()
+    assert oracle._proc.returncode == 0
+    assert oracle._proc.stdout.closed
+    # kill path: the child ignores its closed input and outlives the timeout
+    oracle = ExternalOracle([sys.executable, "-c", "import time\ntime.sleep(30)"],
+                            sig, timeout=0.3)
+    oracle.close()
+    assert oracle._proc.returncode != 0
+    assert oracle._proc.stdout.closed

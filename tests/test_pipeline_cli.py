@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shutil
 import sys
 import textwrap
 
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 from symabs import cli
-from symabs.errors import ConfigError
+from symabs.errors import ConfigError, RefinementError
 from symabs.model import RoomNetworkParams, build_room_network
 from symabs.pipeline import (
     CertifyConfig,
@@ -264,6 +265,31 @@ def test_mini_trajectories_stay_inside_state_box(mini_run):
     assert rows
     assert max(abs(s) for s in states) <= 0.5
     assert all(r.split(",")[6] == "1" for r in rows)  # safe flag per row
+
+
+def test_cli_simulate_with_empty_winning_set_exits_2(mini_run, tmp_path,
+                                                     capsys):
+    # a safe band narrower than one cell (width 0.05) holds no whole cell,
+    # so every subsystem's winning set is empty
+    _, out, _ = mini_run
+    run = tmp_path / "band"
+    shutil.copytree(out, run)
+    doc = yaml.safe_load(MINI_YAML)
+    doc["synthesize"].update({"safe_low": 0.01, "safe_high": 0.03})
+    cfg = tmp_path / "band.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    rc = cli.main(["synthesize", "--config", str(cfg), "--out", str(run)])
+    assert rc == 1
+    assert "winning cells per subsystem: [0, 0, 0]" in capsys.readouterr().out
+    with pytest.raises(RefinementError, match="subsystem 0 has an empty "
+                       "winning set"):
+        stage_simulate(PipelineConfig.from_yaml(cfg), str(run))
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error in stage simulate: subsystem 0 has an empty winning set" \
+        in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_casestudy_and_report(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from symabs.errors import CapacityError, DomainError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (
+    AbstractPoint,
     UniformGrid,
     abstract_transition,
     make_grid,
     product_grid,
     quantize,
     sink_point,
+    transition_table,
     trivial_grid,
 )
 
@@ -132,3 +136,84 @@ def test_abstract_transition_escaping_output_hits_sink():
     nxt = abstract_transition(sys, g, None, quantize(g, [0.3]), [0.0], None)
     assert nxt.is_sink
     assert nxt.index == g.total_cells
+
+
+def assert_table_matches_per_point(sys, sg, dg, inputs):
+    """transition_table agrees with abstract_transition on every entry, in
+    the successor index and bit for bit in the representative."""
+    successor, rep_cell = transition_table(sys, sg, dg, inputs)
+    shape = (sg.total_cells, len(inputs), dg.total_cells)
+    assert successor.shape == rep_cell.shape == shape
+    reps = sg.all_representatives()
+    for s, u, d in itertools.product(*map(range, shape)):
+        nxt = abstract_transition(
+            sys, sg, dg, AbstractPoint(s, sg.representative(s)), inputs[u],
+            AbstractPoint(d, dg.representative(d)))
+        assert successor[s, u, d] == nxt.index
+        assert np.array_equal(reps[rep_cell[s, u, d]], nxt.representative)
+    return successor, rep_cell
+
+
+def test_transition_table_matches_per_point_on_2d_grid():
+    sig = SystemSignature(state_dim=2, input_set=[(-0.3,), (0.0,), (0.4,)],
+                          disturbance_dim=1, state_box=[(-1.0, 1.0), (0.0, 2.0)],
+                          disturbance_box=[(-1.0, 1.0)])
+    sys = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: np.array(
+        [1.3 * x[0] + nu[0] + 0.5 * d[0], 0.9 * x[1] - 0.25 + d[0]]))
+    sg = make_grid(sig.state_box, 0.2)
+    dg = make_grid(sig.disturbance_box, 0.34)
+    assert sg.cells_per_dim == (5, 5)
+    successor, rep_cell = assert_table_matches_per_point(
+        sys, sg, dg, sig.input_array())
+    sink = successor == sg.total_cells
+    # escapes on both sides of coordinate 0 clamp to its first and last cells
+    assert {0, 4} <= set((rep_cell[sink] // 5).tolist())
+    assert not sink.all()
+
+
+def test_transition_table_without_disturbance_and_on_cell_edges():
+    sig = SystemSignature(state_dim=1, input_set=[(-0.5,), (0.05,), (0.5,)],
+                          disturbance_dim=0, state_box=[(-1.0, 1.0)],
+                          disturbance_box=[])
+    sys = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: 1.5 * x + nu)
+    sg = make_grid(sig.state_box, 0.05)
+    dg = trivial_grid()
+    successor, rep_cell = assert_table_matches_per_point(
+        sys, sg, dg, sig.input_array())
+    assert successor.shape[2] == 1
+    sink = successor[:, :, 0] == sg.total_cells
+    assert sink[0, 0] and sink[-1, 2]
+    assert rep_cell[0, 0, 0] == 0 and rep_cell[-1, 2, 0] == sg.total_cells - 1
+    # every reply lands exactly on its cell's upper edge: ties go down
+    edge_sig = SystemSignature(state_dim=1, input_set=[(0.5,)],
+                               disturbance_dim=0, state_box=[(0.0, 8.0)],
+                               disturbance_box=[])
+    edge = BlackBoxSystem(signature=edge_sig, oracle=lambda x, nu, d: x + nu)
+    eg = make_grid(edge_sig.state_box, 0.5)
+    ties, _ = assert_table_matches_per_point(edge, eg, dg,
+                                             edge_sig.input_array())
+    assert np.array_equal(ties[:, 0, 0], np.arange(8))
+
+
+def test_transition_table_inf_goes_to_sink_and_nan_raises():
+    sig = SystemSignature(state_dim=1, input_set=[(0.0,)], disturbance_dim=0,
+                          state_box=[(-1.0, 1.0)], disturbance_box=[])
+
+    def oracle(x, nu, d):
+        return np.where(x > 0.5, np.inf, np.where(x < -0.5, -np.inf, x))
+
+    sys = BlackBoxSystem(signature=sig, oracle=oracle)
+    g = make_grid(sig.state_box, 0.1)
+    successor, rep_cell = assert_table_matches_per_point(
+        sys, g, trivial_grid(), sig.input_array())
+    assert successor[-1, 0, 0] == successor[0, 0, 0] == g.total_cells
+    assert rep_cell[-1, 0, 0] == g.total_cells - 1 and rep_cell[0, 0, 0] == 0
+
+    nan = BlackBoxSystem(signature=sig,
+                         oracle=lambda x, nu, d: np.where(x > 0.5, np.nan, x))
+    with pytest.raises(DomainError, match="NaN"):
+        transition_table(nan, g, trivial_grid(), sig.input_array())
+    with pytest.raises(DomainError, match="NaN"):
+        abstract_transition(nan, g, None, quantize(g, [0.9]), [0.0], None)
+    with pytest.raises(DomainError):
+        g.cell_index([np.nan])

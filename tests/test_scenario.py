@@ -5,7 +5,8 @@ import pytest
 
 from oracles import ball_fraction, ball_radius, min_samples_binomial
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
-from symabs.quantize import AbstractPoint, abstract_transition, make_grid, product_grid, quantize
+from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
+                             transition_table)
 from symabs.scenario import (
     ApbfCertificate,
     BasisSpec,
@@ -284,7 +285,8 @@ def test_sop_constant_basis_h1_coefficient():
     basis = BasisSpec(mode="difference", exponents=((0,),))
     inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
     h1 = inst.structure.h1_rows
-    assert np.allclose(inst.coef_phi[:h1, 0], -1.0)
+    a, _ = inst.gather(np.arange(h1))
+    assert np.allclose(a[:, 3], -1.0)
 
 
 def test_sop_rows_match_manual_recomputation():
@@ -329,6 +331,33 @@ def test_sop_rows_match_manual_recomputation():
         assert np.isclose(resid[row], want, atol=1e-10)
 
 
+@pytest.mark.parametrize("basis", [
+    quartic_difference_basis(1),
+    BasisSpec(mode="general", exponents=(((2,), (0,)), ((1,), (1,)),
+                                         ((0,), (2,)), ((0,), (0,)))),
+], ids=["difference", "general"])
+def test_sop_factored_residuals_match_gathered_rows(basis):
+    sys = linear_system(a=1.1, gain=0.2)
+    sg = make_grid(sys.signature.state_box, 0.125)
+    dg = make_grid(sys.signature.disturbance_box, 0.34)
+    successor, _ = transition_table(sys, sg, dg, sys.signature.input_array())
+    sink = successor == sg.total_cells
+    assert sink[0].any() and sink[-1].any()  # escapes on both sides
+    samples = draw_samples(sys.signature, 7, seed=3)
+    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+    a, b = inst.gather(np.arange(inst.row_count))
+    assert a.shape == (inst.row_count, basis.z + 4)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        vec = rng.uniform(-3.0, 3.0, size=inst.n_vars)
+        assert np.allclose(inst.residuals(vec), a @ vec - b, rtol=0.0,
+                           atol=1e-12)
+    # any subset gathers the same rows bit for bit
+    idx = rng.permutation(inst.row_count)[:50]
+    sub_a, sub_b = inst.gather(idx)
+    assert np.array_equal(sub_a, a[idx]) and np.array_equal(sub_b, b[idx])
+
+
 def test_sop_row_cap():
     from symabs.errors import CapacityError
     sys = linear_system()
@@ -360,9 +389,7 @@ def test_solve_lp_against_scipy():
     nv = inst.n_vars
     c = np.zeros(nv)
     c[-1] = 1.0
-    a = np.column_stack([inst.coef_gamma, inst.coef_eta, inst.coef_theta,
-                         inst.coef_phi, -np.ones(inst.row_count)])
-    b = -inst.const
+    a, b = inst.gather(np.arange(inst.row_count))
     bounds = [boxes.gamma, boxes.eta, boxes.theta] \
         + [boxes.phi] * inst.z + [(None, None)]
     ref = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")

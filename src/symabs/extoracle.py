@@ -4,7 +4,9 @@ Request lines read "STEP <x...> <nu...> <d...>" with space-separated decimals
 in signature order; responses are "OK <x'...>" or "ERR <message>".  One request
 per line; responses arrive in request order, so a client may pipeline.  The
 client side enforces a per-query timeout and surfaces "ERR" responses and
-malformed replies as oracle/protocol errors.
+malformed replies as oracle/protocol errors.  A pipelining client keeps at
+most WINDOW_BYTES of requests unanswered, well under one pipe buffer, so its
+writes never block while the server waits for it to read replies.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from .errors import OracleError, ProtocolError
 from .model import BlackBoxSystem, SystemSignature
 
 Array = np.ndarray
+
+# Request bytes a pipelining client may have unanswered at once.  A pipe holds
+# 64 KiB on Linux and at least 16 KiB elsewhere; staying well below that means
+# the server's input never fills, so a client write never blocks.
+WINDOW_BYTES = 8192
 
 
 def format_request(x, nu, d) -> str:
@@ -93,12 +100,12 @@ class ExternalOracle:
         self.close()
         return False
 
-    def _send(self, line: str) -> None:
+    def _send(self, data: bytes) -> None:
         proc = self._proc
         if proc.poll() is not None:
             raise OracleError("oracle process has exited")
         try:
-            proc.stdin.write((line + "\n").encode())
+            proc.stdin.write(data)
             proc.stdin.flush()
         except BrokenPipeError as err:
             raise OracleError("oracle process closed its input") from err
@@ -137,17 +144,37 @@ class ExternalOracle:
                 f"{self.signature.state_dim}")
         return np.asarray(values)
 
+    @staticmethod
+    def _request(x, nu, d) -> bytes:
+        return (format_request(x, nu, np.empty(0) if d is None else d)
+                + "\n").encode()
+
     def step(self, x, nu, d=None) -> Array:
-        d = np.empty(0) if d is None else d
-        self._send(format_request(x, nu, d))
+        self._send(self._request(x, nu, d))
         return self._parse(self._read_line())
 
     def step_many(self, requests) -> list:
-        """Pipeline many (x, nu, d) queries; responses in request order."""
-        requests = list(requests)
-        for x, nu, d in requests:
-            self._send(format_request(x, nu, np.empty(0) if d is None else d))
-        return [self._parse(self._read_line()) for _ in requests]
+        """Pipeline many (x, nu, d) queries; responses in request order.
+
+        At most WINDOW_BYTES of requests are unanswered at a time (one
+        request when a single one is larger).  Every reply is read before any
+        is parsed, so an "ERR" reply leaves the stream in step."""
+        lines = [self._request(x, nu, d) for x, nu, d in requests]
+        replies = []
+        sent = 0
+        in_flight = 0  # bytes of the requests sent and not yet answered
+        while len(replies) < len(lines):
+            first = sent
+            while sent < len(lines) and (
+                    sent == len(replies)
+                    or in_flight + len(lines[sent]) <= WINDOW_BYTES):
+                in_flight += len(lines[sent])
+                sent += 1
+            if sent > first:
+                self._send(b"".join(lines[first:sent]))
+            replies.append(self._read_line())
+            in_flight -= len(lines[len(replies) - 1])
+        return [self._parse(line) for line in replies]
 
     def as_system(self) -> BlackBoxSystem:
         return BlackBoxSystem(signature=self.signature,

@@ -33,6 +33,9 @@ from .simplex import solve_with_rows
 
 Array = np.ndarray
 
+# Certify holds no array with one entry per SOP row (rows are rebuilt and
+# scanned one sample at a time), so this cap bounds run time, not memory: each
+# row-generation round scans every row once.
 DEFAULT_ROW_CAP = 50_000_000
 SAMPLE_CAP = 10_000_000
 
@@ -588,30 +591,43 @@ class SopInstance:
         i, u = np.divmod(rest, st.inputs)
         return i, u, xh, dh
 
-    def residuals(self, vec: Array) -> Array:
-        """A x - b over all rows, in row order."""
+    def residual_blocks(self, vec: Array):
+        """Yield (start_row, A x - b over a block of rows), in row order: the
+        H1 block, then one H2 block of u*s*d rows per sample.
+
+        Each call fills one buffer of its own and reuses it for every H2
+        block, so a block holds its values only until the next one is drawn;
+        copy what must outlive that.  Separate calls share no buffer and may
+        run on separate threads."""
         vec = np.asarray(vec, dtype=float)
         gamma, eta, theta = vec[0], vec[1], vec[2]
         phi, xi = vec[3:-1], vec[-1]
         st = self.structure
         q, n_u, n_s, n_d = st.samples, st.inputs, st.states, st.dists
-        r1 = st.h1_rows
-        out = np.empty(self.row_count)
         cur = self.g_cur @ phi  # (q, s)
-        h1 = out[:r1].reshape(q, n_s)
-        np.multiply(self.coef_gamma, gamma, out=h1)
+        h1 = np.multiply(self.coef_gamma, gamma)
         h1 -= cur
         h1 -= xi
+        yield 0, h1.reshape(-1)
         succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
         by_state = (self.coef_theta * theta + self.const - xi
                     - self.mu * cur)[:, None, :, None]
         by_dist = (self.coef_eta * eta)[:, None, None, :]
-        h2 = out[r1:].reshape(q, n_u, n_s, n_d)
-        # one sample at a time, so that the three passes stay in cache
+        block = np.empty((n_u, n_s, n_d))
+        start = st.h1_rows
         for i in range(q):
-            np.take(succ[i], self._succ_column, out=h2[i])
-            h2[i] += by_state[i]
-            h2[i] += by_dist[i]
+            np.take(succ[i], self._succ_column, out=block)
+            block += by_state[i]
+            block += by_dist[i]
+            yield start, block.reshape(-1)
+            start += block.size
+
+    def residuals(self, vec: Array) -> Array:
+        """A x - b over all rows, in row order: the blocks of
+        `residual_blocks` laid end to end."""
+        out = np.empty(self.row_count)
+        for start, block in self.residual_blocks(vec):
+            out[start:start + block.size] = block
         return out
 
     def gather(self, idx) -> tuple[Array, Array]:
@@ -673,7 +689,9 @@ class SopData:
                                       states=n_states, dists=n_dists)
         rows = self.structure.h1_rows + self.structure.h2_rows
         if rows > row_cap:
-            raise CapacityError(f"{rows} SOP rows exceed the cap {row_cap}")
+            raise CapacityError(
+                f"{rows} SOP rows exceed the cap {row_cap}; every row-generation "
+                "round scans all rows, so the cap bounds certify run time")
 
         state_reps = state_grid.all_representatives()
         dist_reps = dist_grid.all_representatives()
@@ -800,7 +818,8 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
             extra_b.append(rhs)
             vec = result.x
 
-    worst = float(np.max(instance.residuals(vec)))
+    worst = max(float(np.max(block, initial=-np.inf))
+                for _, block in instance.residual_blocks(vec))
     if worst > 1e-7:
         raise SolverError(f"returned vector violates a row by {worst:.3e}")
     decision = DecisionVector.from_array(vec, instance.mu)

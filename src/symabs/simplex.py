@@ -13,6 +13,12 @@ the next strict improvement.
 sets too large to hand the tableau at once: solve a master over a working
 subset, scan all rows for violations, add the worst offenders, drop rows that
 have gone slack once the master is over budget, repeat until every row holds.
+
+The scan streams: the row source yields its residuals block by block, and
+`top_violators` keeps a running top-k of the rows outside the working set,
+so a round holds O(block + k) values and never one entry per row.  Among
+equal residuals the lower row index wins, which makes the chosen rows a
+function of the residual values alone, whatever the block boundaries.
 """
 
 from __future__ import annotations
@@ -226,6 +232,34 @@ def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
     return SimplexResult("optimal", x, objective, active, iterations)
 
 
+def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
+    """Row indices of the k largest residuals above viol_tol, ascending.
+
+    `blocks` yields (start_row, residuals) in increasing row order; rows in
+    the sorted array `skip` are passed over.  Among equal residuals the lower
+    row index wins.  A row joins the candidates only when it beats the
+    current k-th residual, and every earlier row has a lower index, so a tie
+    with the k-th never displaces it.
+    """
+    val = np.empty(0)
+    idx = np.empty(0, dtype=int)
+    floor = viol_tol
+    for start, block in blocks:
+        hit = np.flatnonzero(block > floor)
+        if hit.size == 0:
+            continue
+        lo, hi = np.searchsorted(skip, (start, start + block.size))
+        if hi > lo:
+            hit = np.setdiff1d(hit, skip[lo:hi] - start, assume_unique=True)
+        val = np.concatenate([val, block[hit]])
+        idx = np.concatenate([idx, hit + start])
+        if val.size >= k:
+            keep = np.lexsort((idx, -val))[:k]
+            val, idx = val[keep], idx[keep]
+            floor = max(viol_tol, val[-1])
+    return np.sort(idx)
+
+
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
                     maximize: bool = False, start_rows=None, batch: int = 64,
                     viol_tol: float = 1e-9, max_rounds: int = 1000,
@@ -233,11 +267,14 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
                     context: str = "LP"):
     """Constraint generation over a large implicit row set.
 
-    `source` exposes row_count, gather(indices) -> (A, b), and residuals(x)
-    -> A x - b over all rows.  Extra rows are always kept in the master.
-    Once the master would exceed max_master rows, working rows slack at the
-    current optimum are dropped; dropped rows rejoin through the violation
-    scan if they ever bind again.
+    `source` exposes row_count, gather(indices) -> (A, b), and
+    residual_blocks(x), which yields (start_row, A x - b over a block of
+    rows) covering all rows in increasing row order; a block need only stay
+    valid until the next is drawn.  Each round adds the `batch` most violated
+    rows (ties to the lower index, see `top_violators`).  Extra rows are
+    always kept in the master.  Once the master would exceed max_master rows,
+    working rows slack at the current optimum are dropped; dropped rows
+    rejoin through the violation scan if they ever bind again.
     Returns (SimplexResult, working row indices, active source row indices).
     """
     c = np.asarray(c, dtype=float)
@@ -248,13 +285,13 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     extra_a = np.asarray(extra_a, dtype=float).reshape(-1, n)
     extra_b = np.asarray(extra_b, dtype=float).reshape(extra_a.shape[0])
 
+    if batch < 1:
+        raise ValueError("batch must be at least 1")
     count = source.row_count
     if start_rows is None or len(start_rows) == 0:
         working = np.zeros(1, dtype=int) if count else np.empty(0, dtype=int)
     else:
         working = np.unique(np.asarray(start_rows, dtype=int))
-    in_working = np.zeros(count, dtype=bool)
-    in_working[working] = True
 
     for _ in range(max_rounds):
         if working.size:
@@ -262,7 +299,7 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
             a = np.vstack([ga, extra_a])
             b = np.concatenate([gb, extra_b])
         else:
-            gb = np.zeros(0)
+            ga, gb = np.zeros((0, n)), np.zeros(0)
             a, b = extra_a, extra_b
         result = solve_simplex(c, a, b, lower, upper, maximize=maximize, tol=tol)
         if result.status == "infeasible":
@@ -271,23 +308,18 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
             raise UnboundedError(f"{context}: master unbounded")
         if count == 0:
             return result, working, np.empty(0, dtype=int)
-        resid = source.residuals(result.x)
-        working_resid = resid[working] if working.size else np.zeros(0)
-        resid[in_working] = -np.inf  # master already enforces these
-        k = min(batch, resid.shape[0])
-        worst = np.argpartition(resid, -k)[-k:]
-        worst = worst[resid[worst] > viol_tol]
+        # the master already enforces the working rows
+        worst = top_violators(source.residual_blocks(result.x), np.sort(working),
+                              batch, viol_tol)
         if worst.size == 0:
             act = result.active_rows
             active_source = working[act[act < working.size]] if working.size else \
                 np.empty(0, dtype=int)
             return result, working, active_source
         if working.size + worst.size > max_master:
+            working_resid = ga @ result.x - gb
             loose = working_resid < -1e-6 * np.maximum(1.0, np.abs(gb))
-            dropped = working[loose]
-            in_working[dropped] = False
             working = working[~loose]
-        working = np.concatenate([working, np.sort(worst)])
-        in_working[worst] = True
+        working = np.concatenate([working, worst])
     raise SolverError(f"{context}: row generation did not settle "
                       f"within {max_rounds} rounds")

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 import textwrap
 
@@ -89,6 +91,11 @@ def test_external_oracle_err_response_raises():
             oracle.step([1.0, 2.0], [0.0], [0.0])  # arity error from server
         # the stream stays usable afterwards
         assert np.allclose(oracle.step([1.0], [0.0], [0.0]), [0.5])
+        # also after an error inside a pipelined batch
+        with pytest.raises(OracleError):
+            oracle.step_many([([1.0], [0.0], [0.0]), ([1.0, 2.0], [0.0], [0.0]),
+                              ([1.0], [1.0], [0.0])])
+        assert np.allclose(oracle.step([0.0], [1.0], [0.0]), [1.0])
 
 
 def test_external_oracle_malformed_reply():
@@ -141,3 +148,33 @@ def test_external_oracle_close_closes_stdout():
     oracle.close()
     assert oracle._proc.returncode != 0
     assert oracle._proc.stdout.closed
+
+
+def test_step_many_does_not_deadlock_on_large_batches():
+    # 6,000 replies of about 24 bytes each (and 240 KB of requests) overflow
+    # both 64 KiB pipes if every request is written before any reply is read.
+    # The client runs in its own process, so a hang is cut by a hard timeout.
+    client = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from symabs.extoracle import ExternalOracle
+        from test_extoracle import SERVER_SCRIPT, make_signature
+
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-2.0, 2.0, size=6000)
+        nu = rng.integers(0, 2, size=6000).astype(float)
+        d = rng.uniform(-2.0, 2.0, size=6000)
+        with ExternalOracle([sys.executable, "-c", SERVER_SCRIPT],
+                            make_signature()) as oracle:
+            got = oracle.step_many(([a], [b], [c]) for a, b, c in zip(x, nu, d))
+        assert len(got) == 6000
+        assert np.array_equal(np.concatenate(got), 0.5 * x + nu + 0.25 * d)
+        print("done")
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.abspath(__file__)), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", client], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "done"

@@ -331,11 +331,14 @@ def test_sop_rows_match_manual_recomputation():
         assert np.isclose(resid[row], want, atol=1e-10)
 
 
-@pytest.mark.parametrize("basis", [
+FACTORED_BASES = pytest.mark.parametrize("basis", [
     quartic_difference_basis(1),
     BasisSpec(mode="general", exponents=(((2,), (0,)), ((1,), (1,)),
                                          ((0,), (2,)), ((0,), (0,)))),
 ], ids=["difference", "general"])
+
+
+@FACTORED_BASES
 def test_sop_factored_residuals_match_gathered_rows(basis):
     sys = linear_system(a=1.1, gain=0.2)
     sg = make_grid(sys.signature.state_box, 0.125)
@@ -356,6 +359,53 @@ def test_sop_factored_residuals_match_gathered_rows(basis):
     idx = rng.permutation(inst.row_count)[:50]
     sub_a, sub_b = inst.gather(idx)
     assert np.array_equal(sub_a, a[idx]) and np.array_equal(sub_b, b[idx])
+
+
+@FACTORED_BASES
+def test_sop_residual_blocks_tile_the_residuals(basis):
+    sys = linear_system(a=1.1, gain=0.2)
+    sg = make_grid(sys.signature.state_box, 0.125)
+    dg = make_grid(sys.signature.disturbance_box, 0.34)
+    samples = draw_samples(sys.signature, 7, seed=3)
+    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+    st = inst.structure
+    per_sample = st.inputs * st.states * st.dists
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        vec = rng.uniform(-3.0, 3.0, size=inst.n_vars)
+        starts, blocks = [], []
+        for start, block in inst.residual_blocks(vec):
+            starts.append(start)
+            blocks.append(block.copy())  # the buffer is reused
+        # the H1 block, then one H2 block per sample, in row order
+        assert starts == [0] + [st.h1_rows + i * per_sample
+                                for i in range(st.samples)]
+        assert [b.size for b in blocks] == [st.h1_rows] + [per_sample] * st.samples
+        assert np.array_equal(np.concatenate(blocks), inst.residuals(vec))
+
+
+def test_solve_lp_holds_less_than_one_float_per_row():
+    import tracemalloc
+    sys = linear_system(a=0.8, gain=0.1)
+    sg = make_grid(sys.signature.state_box, 0.025)       # 40 cells
+    dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
+    samples = draw_samples(sys.signature, 700, seed=4)
+    basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
+    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
+    rows = inst.row_count
+    # Fixed allowance for what certify holds besides rows: the dense master
+    # tableau (up to max_master + batch rows) with its pivot temporary, one
+    # block buffer and the per-sample tables of q x u*s floats.  The rows
+    # are many enough that one float64 per row would fill it four times over.
+    allowance = 8 << 20
+    assert 8 * rows >= 4 * allowance
+    tracemalloc.start()
+    try:
+        solve_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < allowance, (peak, rows)
 
 
 def test_sop_row_cap():

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import lp_by_vertices
 from symabs.errors import InfeasibleError
-from symabs.simplex import SimplexResult, solve_simplex, solve_with_rows
+from symabs.simplex import SimplexResult, solve_simplex, solve_with_rows, top_violators
 
 
 def test_single_variable_box():
@@ -101,8 +101,67 @@ class DenseRows:
     def gather(self, idx):
         return self.a[idx], self.b[idx]
 
-    def residuals(self, x):
-        return self.a @ x - self.b
+    def residual_blocks(self, x):
+        yield 0, self.a @ x - self.b
+
+
+def brute_top(resid, skip, k, viol_tol):
+    """The k largest residuals above viol_tol outside `skip`, ties to the
+    lower index, from one sort of the full vector."""
+    resid = resid.copy()
+    resid[skip] = -np.inf
+    order = np.lexsort((np.arange(resid.size), -resid))[:k]
+    return np.sort(order[resid[order] > viol_tol])
+
+
+def reused_blocks(resid, cuts):
+    """(start, block) pieces of resid split at `cuts`, all written into one
+    reused buffer, as SopInstance.residual_blocks hands them out."""
+    buf = np.empty(resid.size)
+    bounds = [0, *cuts, resid.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = buf[:hi - lo]
+        block[:] = resid[lo:hi]
+        yield lo, block
+        block[:] = np.nan  # a kept view of the old block would now read NaN
+
+
+def test_top_violators_matches_brute_force():
+    rng = np.random.default_rng(5)
+    viol_tol = 1e-9
+    for trial in range(300):
+        m = int(rng.integers(1, 120))
+        # few distinct values, so many rows tie at the k-th residual
+        resid = rng.integers(-3, 4, size=m) * 0.5
+        if trial % 7 == 0:
+            resid = -np.abs(resid)  # no violators at all
+        cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)),
+                                  replace=False)) if m > 1 else []
+        skip = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                  replace=False))
+        k = int(rng.integers(1, m + 10))  # often more than the violators
+        got = top_violators(reused_blocks(resid, cuts), skip, k, viol_tol)
+        assert np.array_equal(got, brute_top(resid, skip, k, viol_tol))
+
+
+def test_top_violators_edge_cases():
+    resid = np.array([1.0, 2.0, 2.0, 0.0, 2.0, 2.0, 3.0, -1.0])
+    one_row = list(range(1, resid.size))
+    none = np.empty(0, dtype=int)
+    # ties at the k-th value across a block boundary go to the lower index
+    assert top_violators(reused_blocks(resid, [2, 5]), none, 3, 0.0).tolist() \
+        == [1, 2, 6]
+    assert top_violators(reused_blocks(resid, one_row), none, 3, 0.0).tolist() \
+        == [1, 2, 6]
+    # working rows are passed over, and the next tied rows fill in
+    assert top_violators(reused_blocks(resid, [2, 5]), np.array([1, 6]), 3,
+                         0.0).tolist() == [2, 4, 5]
+    # k above the violator count returns every violator
+    assert top_violators(reused_blocks(resid, one_row), none, 50, 0.0).tolist() \
+        == [0, 1, 2, 4, 5, 6]
+    # no violators
+    assert top_violators(reused_blocks(resid, [3]), none, 4, 3.0).size == 0
+    assert top_violators(iter([]), none, 4, 0.0).size == 0
 
 
 def test_row_generation_matches_direct_solve():
@@ -150,6 +209,8 @@ def test_row_generation_with_extra_rows_and_infeasible_master():
     with pytest.raises(InfeasibleError):
         solve_with_rows([1.0], src, [-10.0], [10.0],
                         extra_a=[[1.0], [-1.0]], extra_b=[1.0, -3.0])
+    with pytest.raises(ValueError, match="batch"):
+        solve_with_rows([1.0], src, [-10.0], [10.0], batch=0)
 
 
 def test_result_reports_iterations():

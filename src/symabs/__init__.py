@@ -17,7 +17,7 @@ from .errors import (CapacityError, CompositionError, ConfigError, DomainError,
 from .extoracle import ExternalOracle, serve_oracle
 from .model import (BlackBoxSystem, InterconnectionTopology, RoomNetworkParams,
                     SubsystemHandle, SystemSignature, build_room_network,
-                    decompose_network, step_trajectory)
+                    decompose_network)
 from .pipeline import PipelineConfig, run_pipeline
 from .quantize import (AbstractPoint, UniformGrid, abstract_transition,
                        make_grid, product_grid, quantize, sink_point,
@@ -53,5 +53,5 @@ __all__ = [
     "product_grid", "quantize", "quartic_difference_basis",
     "refine_controller", "relation", "run_pipeline", "safety_synthesis",
     "serve_oracle", "simulate_closed_loop", "sink_point", "solve_lp",
-    "solve_simplex", "solve_with_rows", "step_trajectory", "trivial_grid",
+    "solve_simplex", "solve_with_rows", "trivial_grid",
 ]

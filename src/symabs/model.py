@@ -265,47 +265,6 @@ def decompose_network(network: BlackBoxSystem, topology: InterconnectionTopology
     return handles
 
 
-@dataclass(frozen=True, eq=False)
-class StateTrajectory:
-    """Open-loop rollout; `out_of_domain_at` marks the first state outside X, if any."""
-
-    states: Array
-    out_of_domain_at: int | None = None
-
-    def __len__(self):
-        return self.states.shape[0]
-
-
-def step_trajectory(sys: BlackBoxSystem, x0, inputs, disturbances=None) -> StateTrajectory:
-    """Iterate the oracle along given input/disturbance sequences.
-
-    Output holds len(inputs) + 1 states starting at x0.  States escaping the
-    state box are flagged, not rejected; the rollout continues so violations
-    stay observable.
-    """
-    sig = sys.signature
-    x = np.asarray(x0, dtype=float).reshape(sig.state_dim)
-    if not sig.contains_state(x):
-        raise ValueError("x0 must lie inside the state box")
-    inputs = list(inputs)
-    if disturbances is None:
-        if sig.disturbance_dim != 0:
-            raise ValueError("disturbance sequence required when disturbance_dim > 0")
-        disturbances = [np.empty(0)] * len(inputs)
-    else:
-        disturbances = list(disturbances)
-    if len(disturbances) < len(inputs):
-        raise ValueError("disturbance sequence shorter than input sequence")
-    states = [x]
-    bad = None
-    for k, (nu, d) in enumerate(zip(inputs, disturbances)):
-        x = sys.step(x, nu, d)
-        states.append(x)
-        if bad is None and not sig.contains_state(x):
-            bad = k + 1
-    return StateTrajectory(states=np.asarray(states), out_of_domain_at=bad)
-
-
 # ----------------------------------------------------------------------------
 # Room-temperature benchmark network
 # ----------------------------------------------------------------------------

@@ -554,6 +554,11 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 lexicographic=cert_cfg.lexicographic,
                 xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap,
                 jobs=config.jobs, samples=batches[i]))
+        # LP telemetry per certified subsystem and mu level; kept out of
+        # certificates.json, whose bytes reruns must reproduce.
+        _write_json(os.path.join(out_dir, "lp_stats.json"),
+                    {"shared": shared,
+                     "subsystems": [list(c.lp_stats) for c in certs]})
         if shared:
             certs = certs * bundle.count
         payload = {"shared": shared,
@@ -590,11 +595,17 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             scalings = compose_mod.find_scalings(gains, config.compose.slack)
             abf = compose_mod.compose_abf(certs, scalings)
             rel = compose_mod.relation(abf)
+            # Vacuous: the radius is at least half the narrowest state-box
+            # width, so the ball around the box centre already spans the box
+            # along that axis and the relation separates no cells there.
+            narrowest = min(float(np.min(np.diff(s.signature.state_box, axis=1)))
+                            for s in bundle.subsystems)
             payload.update({
                 "kappa": [float(v) for v in scalings.kappa],
                 "max_ratio": scalings.max_ratio,
                 "gamma": abf.gamma, "mu": abf.mu, "theta": abf.theta,
                 "confidence": abf.confidence, "eps_tilde": rel.eps_tilde,
+                "vacuous": bool(rel.eps_tilde >= narrowest / 2.0),
             })
         _write_json(os.path.join(out_dir, "composed.json"), payload)
         return payload
@@ -766,6 +777,16 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"certified: {cert.certified}")
         lines.append(f"subsystem gains: gamma={cert.gamma!r} mu={cert.mu!r} "
                      f"eta={cert.eta!r} theta={cert.theta!r}")
+    lp_path = os.path.join(out_dir, "lp_stats.json")
+    if os.path.exists(lp_path):
+        levels = [lvl for sub in _read_json(lp_path)["subsystems"] for lvl in sub]
+        lines.append(
+            f"lp ({len(levels)} solves): "
+            f"rounds={sum(lvl['rounds'] for lvl in levels)} "
+            f"pivots={sum(lvl['pivots'] for lvl in levels)} "
+            f"master_rows_max={max(lvl['master_rows'] for lvl in levels)} "
+            f"binding H1={sum(lvl['binding']['H1'] for lvl in levels)} "
+            f"H2={sum(lvl['binding']['H2'] for lvl in levels)}")
 
     comp_path = os.path.join(out_dir, "composed.json")
     ok = None
@@ -778,7 +799,7 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             lines.append(f"composed: gamma={comp['gamma']!r} mu={comp['mu']!r} "
                          f"theta={comp['theta']!r}")
             eps_tilde = math.sqrt(comp["theta"] / comp["gamma"])
-            lines.append(f"eps_tilde: {eps_tilde!r}")
+            lines.append(f"eps_tilde: {eps_tilde!r} vacuous: {comp['vacuous']}")
             lines.append(f"confidence: {comp['confidence']!r}")
 
     syn_path = os.path.join(out_dir, "synthesis.json")

@@ -359,18 +359,6 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
     return slope, fmax
 
 
-def estimate_lipschitz_data(sys: BlackBoxSystem, pairs: int = 200, seed: int = 0,
-                            safety: float = 1.5) -> float:
-    """Empirical slope bound of the dynamics: max over random pairs and inputs
-    of the difference quotient, times the safety factor."""
-    if pairs < 2:
-        raise ValueError("need at least 2 pairs")
-    if safety <= 0:
-        raise ValueError("safety factor must be positive")
-    slope, _ = _sample_dynamics(sys, pairs, seed)
-    return slope * safety
-
-
 @dataclass(frozen=True, eq=False)
 class LinearLipschitz:
     """Row-function Lipschitz bound from known linear dynamics (A, B, E)."""
@@ -748,11 +736,22 @@ def assemble_sop(samples: SampleBatch, sys: BlackBoxSystem,
 
 @dataclass(eq=False)
 class SolveReport:
+    """A solved scenario program and what the LP did to solve it: master
+    solves (`rounds`) and pivots (`iterations`) summed over every phase, the
+    final master size, and the rows binding at the returned vector."""
+
     decision: DecisionVector
     xi_star: float
     active: tuple
     iterations: int
     master_rows: int
+    rounds: int
+
+    @property
+    def binding(self) -> dict:
+        """Binding rows by kind, {"H1": count, "H2": count}."""
+        kinds = [tag.kind for tag in self.active]
+        return {"H1": kinds.count("H1"), "H2": kinds.count("H2")}
 
 
 def _pin(width: int, index: int, sign: float, rhs: float):
@@ -787,7 +786,7 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
     result, working, active = solve_with_rows(
         objective(nv - 1), instance, lower, upper, batch=batch, tol=tol,
         viol_tol=viol_tol, context="SOP phase xi")
-    iterations = result.iterations
+    iterations, rounds = result.iterations, result.rounds
     xi_star = float(result.objective)
     vec = result.x
 
@@ -809,6 +808,7 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
                 maximize=maximize, start_rows=working, batch=batch, tol=tol,
                 viol_tol=viol_tol, context=f"SOP refine var {index}")
             iterations += result.iterations
+            rounds += result.rounds
             val = float(result.x[index])
             if maximize:
                 row, rhs = _pin(nv, index, -1.0, -(val - slack(val)))
@@ -825,7 +825,8 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
     decision = DecisionVector.from_array(vec, instance.mu)
     tags = tuple(instance.tag(int(r)) for r in active)
     return SolveReport(decision=decision, xi_star=xi_star, active=tags,
-                       iterations=iterations, master_rows=int(working.size))
+                       iterations=iterations, master_rows=int(working.size),
+                       rounds=rounds)
 
 
 # ----------------------------------------------------------------------------
@@ -863,7 +864,9 @@ class ApbfCertificate:
     The quadruple (gamma, mu, eta, theta) is in max-form; certification holds
     with confidence 1 - beta when margin <= 0.  Certificates may also be built
     directly from known gains (leaving the provenance fields at None) for
-    composition studies.
+    composition studies.  `lp_stats` holds one mapping per mu level of what
+    the LP did (rounds, pivots, master_rows, binding rows by kind); it is run
+    telemetry, left out of `to_mapping`.
     """
 
     gamma: float
@@ -893,6 +896,7 @@ class ApbfCertificate:
     phi: tuple | None = None
     sigma: float | None = None
     boxes: VariableBoxes | None = None
+    lp_stats: tuple = ()
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -1023,4 +1027,9 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
         eps=tuple(eps_list), mu_grid=tuple(mu_levels), margins=tuple(margins),
         lipschitz=tuple(s[1] for s in solved), kappa_radii=tuple(radii),
         basis=basis, phi=tuple(float(v) for v in dec.phi),
-        sigma=float(state_grid.sigma), boxes=boxes or VariableBoxes())
+        sigma=float(state_grid.sigma), boxes=boxes or VariableBoxes(),
+        lp_stats=tuple({"mu": mu, "rounds": rep.rounds,
+                        "pivots": rep.iterations,
+                        "master_rows": rep.master_rows,
+                        "binding": rep.binding}
+                       for mu, (rep, _, _) in zip(mu_levels, solved)))

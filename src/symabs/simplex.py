@@ -1,18 +1,45 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Bounded-variable simplex on an n x n basis, and row generation around it.
 
-Solves  min/max c.x  subject to  A x <= b  and per-variable bounds, on a dense
-tableau.  Variables are shifted/split to non-negative form, rows are
-equilibrated, phase 1 minimizes artificial infeasibility, phase 2 the real
-objective.  Pricing is Dantzig (most negative reduced cost) while the
-objective moves; after a run of degenerate pivots it falls back to Bland's
-rule (smallest eligible index enters; ratio-test ties leave by smallest basic
-index), whose termination guarantee then applies, and returns to Dantzig on
-the next strict improvement.
+Solves  min/max c.x  subject to  A x <= b  and per-variable bounds
+lower <= x <= upper, where either bound may be infinite.  The unknowns are
+few and the rows many, so the solver works in the space of the unknowns: a
+vertex is fixed by a basis of n tight constraints, each a row of A, a finite
+variable bound, or, for a variable with no finite bound, a pin x_j = 0 that
+holds only until the pin leaves the basis.  Every iteration solves that
+n x n basis from scratch for the vertex, the multipliers and the pivot
+direction, then takes O(m n) residuals and one ratio test over the rows.  No
+inverse is updated, so no error accumulates across pivots.  Rows are
+equilibrated (scaled to unit max-abs coefficient), so one tolerance serves
+every row.
 
-`solve_with_rows` wraps the solver in a constraint-generation loop for row
-sets too large to hand the tableau at once: solve a master over a working
-subset, scan all rows for violations, add the worst offenders, drop rows that
-have gone slack once the master is over budget, repeat until every row holds.
+Two pivoting loops share the basis:
+
+- the dual simplex keeps every multiplier of the basis non-negative and
+  brings the most violated row into the basis until every row holds;
+- the primal simplex keeps every row satisfied and lets the basis constraint
+  with the most negative multiplier leave until none is negative.
+
+A solve starts from a given basis (a warm start) or from the bounds the cost
+pushes against.  If that basis is dual feasible, the dual loop alone solves
+the LP.  Otherwise, if the vertex breaks a row, the dual loop first runs on
+the cost shifted so that the basis is dual feasible, which reaches a feasible
+vertex or proves infeasibility, and the primal loop then optimises the real
+cost.  Every solve ends in the dual loop, so "optimal" is reported only once
+every row holds at the scaled tolerance.
+
+Ratio-test ties go to the largest pivot element, then to the lowest
+constraint index.  Pricing takes the largest violation or multiplier while
+the objective moves; after a run of degenerate pivots it switches to Bland's
+rule (the lowest-index eligible constraint, ratio ties to the lowest index),
+whose termination guarantee then applies, and returns on the next strict
+improvement.
+
+`solve_with_rows` wraps the solver in Kelley's cutting-plane loop for row
+sets too large to hand it at once: solve a master over a working subset,
+scan all rows for violations, add the worst offenders, drop rows that have
+gone slack once the master is over budget, repeat until every row holds.
+Each round's master starts from the previous round's optimal basis; the
+added cuts leave it dual feasible, so a few dual pivots restore feasibility.
 
 The scan streams: the row source yields its residuals block by block, and
 `top_violators` keeps a running top-k of the rows outside the working set,
@@ -23,7 +50,7 @@ function of the residual values alone, whatever the block boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,75 +61,208 @@ Array = np.ndarray
 
 @dataclass(eq=False)
 class SimplexResult:
+    """Outcome of one solve.
+
+    `basis` holds the n constraints tight at the optimal vertex, as indices
+    into the stacked list [a_ub rows, lower bounds, upper bounds, pins]:
+    an entry k >= 0 is row k of a_ub, and a negative entry counts from the
+    end of the list, so -3n + j is the lower bound of x_j, -2n + j its upper
+    bound and -n + j its pin.  Bound entries thus keep their meaning when
+    rows are added, and the basis can warm-start a later solve.  `rounds`
+    counts the master solves behind the result (1 for a direct solve)."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Array | None
     objective: float | None
     active_rows: Array
     iterations: int
-
-
-def _pivot(tab: Array, basis: Array, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    colvals = tab[:, col].copy()
-    colvals[row] = 0.0
-    tab -= np.outer(colvals, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
+    basis: Array | None = None
+    rounds: int = 1
 
 
 _STALL_LIMIT = 12  # degenerate pivots before switching to Bland pricing
+_PIVOT_TOL = 1e-9  # smallest pivot element a ratio test accepts
 
 
-def _run_simplex(tab: Array, basis: Array, ncols: int, tol: float,
-                 max_iter: int) -> tuple[str, int]:
-    """Iterate on a tableau whose last row is the (minimization) objective and
-    last column the rhs.  Returns (status, iterations)."""
+class _Constraints:
+    """The constraints of one LP as the items of G x <= h: the equilibrated
+    a_ub rows, then per variable a lower bound (-x_j <= -lower_j), an upper
+    bound (x_j <= upper_j) and a pin (x_j = 0).  An infinite bound has
+    h = inf and never binds.  The first m + 2n items are the real
+    constraints; pins only ever leave the basis."""
+
+    def __init__(self, a_ub: Array, b_ub: Array, lower: Array, upper: Array):
+        m, n = a_ub.shape
+        scale = np.max(np.abs(a_ub), axis=1, initial=0.0)
+        scale = np.where(scale > 0, scale, 1.0)
+        eye = np.eye(n)
+        self.g = np.vstack([a_ub / scale[:, None], -eye, eye, eye])
+        self.h = np.concatenate([b_ub / scale, -lower, upper, np.zeros(n)])
+        self.m, self.n = m, n
+        self.real = m + 2 * n
+
+    def cold_basis(self, cost: Array) -> Array:
+        """Per variable, the finite bound the cost pushes against, else any
+        finite bound, else the pin."""
+        m, n = self.m, self.n
+        lower_ok = np.isfinite(self.h[m:m + n])
+        upper_ok = np.isfinite(self.h[m + n:m + 2 * n])
+        j = np.arange(n)
+        lower_item, upper_item, pin_item = m + j, m + n + j, m + 2 * n + j
+        return np.where(
+            (cost > 0) & lower_ok, lower_item,
+            np.where((cost < 0) & upper_ok, upper_item,
+                     np.where(lower_ok, lower_item,
+                              np.where(upper_ok, upper_item, pin_item))))
+
+    def warm_basis(self, codes) -> Array | None:
+        """Items of a basis given in `SimplexResult.basis` form, or None when
+        those constraints are singular."""
+        codes = np.asarray(codes, dtype=int).reshape(-1)
+        m, n = self.m, self.n
+        if codes.size != n or np.any(codes < -3 * n) or np.any(codes >= m):
+            raise ValueError(f"a basis needs {n} entries in [-{3 * n}, {m})")
+        items = np.where(codes >= 0, codes, m + 3 * n + codes)
+        if np.unique(items).size != n or not np.all(np.isfinite(self.h[items])):
+            raise ValueError("a basis needs distinct constraints with finite bounds")
+        if np.linalg.cond(self.g[items]) > 1e12:
+            return None
+        return items
+
+
+def _solve(mat: Array, rhs: Array) -> Array:
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("simplex basis became singular") from exc
+
+
+def _pick(ratio: Array, weight: Array, order: Array, bland: bool) -> int:
+    """Position of the smallest ratio; ties go to the largest weight, then to
+    the lowest order, or straight to the lowest order under Bland's rule."""
+    best = float(np.min(ratio))
+    tied = np.flatnonzero(ratio <= best + 1e-12 * max(1.0, abs(best)))
+    if not bland:
+        w = weight[tied]
+        tied = tied[w >= np.max(w)]
+    return int(tied[np.argmin(order[tied])])
+
+
+class _Pricing:
+    """Largest-first pricing that falls back to Bland's rule after a run of
+    degenerate pivots; `sense` is +1 when the objective should rise."""
+
+    def __init__(self, sense: float):
+        self.sense = sense
+        self.last = -np.inf
+        self.stall = 0
+        self.bland = False
+
+    def update(self, obj: float) -> None:
+        gain = self.sense * obj - self.last
+        if gain > 1e-12 * max(1.0, abs(obj)):
+            self.stall = 0
+            self.bland = False
+        else:
+            self.stall += 1
+            if self.stall >= _STALL_LIMIT:
+                self.bland = True
+        self.last = self.sense * obj
+
+
+def _dual(lp: _Constraints, basis: Array, cost: Array, tol: float,
+          budget: int) -> tuple[str, int]:
+    """Dual simplex from a basis whose multipliers are feasible for `cost`.
+    Brings violated rows into `basis` (in place) until every row holds.
+    Returns ("feasible" | "infeasible", pivots)."""
+    pricing = _Pricing(+1.0)
     it = 0
-    stall = 0
-    bland = False
-    last_obj = float(tab[-1, -1])
     while True:
-        red = tab[-1, :ncols]
-        if bland:
-            cand = np.flatnonzero(red < -tol)
+        gb = lp.g[basis]
+        x = _solve(gb, lp.h[basis])
+        resid = lp.g[:lp.real] @ x - lp.h[:lp.real]
+        resid[basis[basis < lp.real]] = -np.inf
+        pricing.update(float(cost @ x))
+        if pricing.bland:
+            cand = np.flatnonzero(resid > tol)
+            if cand.size == 0:
+                return "feasible", it
+            enter = int(cand[0])
+        else:
+            enter = int(np.argmax(resid))
+            if not resid[enter] > tol:
+                return "feasible", it
+        yw = _solve(gb.T, np.column_stack([-cost, lp.g[enter]]))
+        y, w = yw[:, 0], yw[:, 1]
+        # The entering row takes multiplier t >= 0 and the basis moves to
+        # y - t w: sign-constrained entries must stay >= 0, pins at 0.
+        pin = basis >= lp.real
+        ok = np.where(pin, np.abs(w) > _PIVOT_TOL, w > _PIVOT_TOL)
+        if not ok.any():
+            return "infeasible", it
+        ratio = np.full(basis.size, np.inf)
+        ratio[ok] = np.where(pin[ok], 0.0, np.maximum(y[ok], 0.0) / w[ok])
+        leave = _pick(ratio, np.abs(w), basis, pricing.bland)
+        basis[leave] = enter
+        it += 1
+        if it > budget:
+            raise SolverError(f"simplex exceeded {budget} iterations")
+
+
+def _primal(lp: _Constraints, basis: Array, cost: Array, tol: float,
+            budget: int) -> tuple[str, int]:
+    """Primal simplex from a basis whose vertex satisfies every row.  Lets
+    basis constraints with a wrong-signed multiplier leave `basis` (in place)
+    until none is left.  Returns ("optimal" | "unbounded", pivots)."""
+    pricing = _Pricing(-1.0)
+    items = np.arange(lp.real)
+    it = 0
+    while True:
+        gb = lp.g[basis]
+        y = _solve(gb.T, -cost)
+        pin = basis >= lp.real
+        score = np.where(pin, np.abs(y), -y)
+        if pricing.bland:
+            cand = np.flatnonzero(score > tol)
             if cand.size == 0:
                 return "optimal", it
-            entering = int(cand[0])  # Bland: smallest eligible index
+            leave = int(cand[np.argmin(basis[cand])])
         else:
-            entering = int(np.argmin(red))
-            if red[entering] >= -tol:
+            leave = int(np.argmax(score))
+            if not score[leave] > tol:
                 return "optimal", it
-        col = tab[:-1, entering]
-        pos = np.flatnonzero(col > tol)
-        if pos.size == 0:
+        # move off the leaving constraint in the direction that lowers the
+        # cost: into the row's interior, or either way off a pin
+        step = np.zeros(basis.size)
+        step[leave] = np.sign(y[leave]) if pin[leave] else -1.0
+        xd = _solve(gb, np.column_stack([lp.h[basis], step]))
+        x, d = xd[:, 0], xd[:, 1]
+        pricing.update(float(cost @ x))
+        rate = lp.g[:lp.real] @ d
+        rate[basis[~pin]] = 0.0
+        ok = rate > _PIVOT_TOL
+        slack = np.maximum(lp.h[:lp.real][ok] - lp.g[:lp.real][ok] @ x, 0.0)
+        ratio = slack / rate[ok]
+        if not np.any(np.isfinite(ratio)):
             return "unbounded", it
-        ratios = tab[pos, -1] / col[pos]
-        best = np.min(ratios)
-        tied = pos[ratios <= best + 1e-12]
-        leaving = int(tied[np.argmin(basis[tied])])  # Bland on ties
-        _pivot(tab, basis, leaving, entering)
+        enter = int(items[ok][_pick(ratio, rate[ok], items[ok], pricing.bland)])
+        basis[leave] = enter
         it += 1
-        obj = float(tab[-1, -1])
-        if abs(obj - last_obj) > 1e-12 * max(1.0, abs(last_obj)):
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        last_obj = obj
-        if it > max_iter:
-            raise SolverError(f"simplex exceeded {max_iter} iterations")
+        if it > budget:
+            raise SolverError(f"simplex exceeded {budget} iterations")
 
 
 def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
                   maximize: bool = False, tol: float = 1e-9,
-                  active_tol: float = 1e-8, max_iter: int = 200_000) -> SimplexResult:
+                  active_tol: float = 1e-8, max_iter: int = 200_000,
+                  basis=None) -> SimplexResult:
     """Solve min (or max) c.x s.t. a_ub x <= b_ub, lower <= x <= upper.
 
     lower/upper default to unbounded; use -inf/inf entries for one-sided
-    bounds.  active_rows reports the a_ub rows tight at the optimum.
+    bounds.  active_rows reports the a_ub rows tight at the optimum.  A
+    `basis` from an earlier result on the same columns warm-starts the solve
+    (rows may have been added since); a singular one is replaced by the cold
+    start.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -113,123 +273,46 @@ def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
     b_ub = np.asarray(b_ub, dtype=float).reshape(a_ub.shape[0])
     lower = np.full(n, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    none = np.empty(0, dtype=int)
     if np.any(lower > upper):
-        return SimplexResult("infeasible", None, None, np.empty(0, dtype=int), 0)
-    cmin = -c if maximize else c
+        return SimplexResult("infeasible", None, None, none, 0)
+    cost = -c if maximize else c
 
-    # Shift/split variables to y >= 0: x_i = offset_i + sum(sign * y_col).
-    col_map = []
-    offsets = np.zeros(n)
-    bound_rows = []  # (y column, width) for doubly-bounded variables
-    ny = 0
-    for i in range(n):
-        lo, hi = lower[i], upper[i]
-        if np.isfinite(lo):
-            col_map.append(((ny, 1.0),))
-            offsets[i] = lo
-            if np.isfinite(hi):
-                bound_rows.append((ny, hi - lo))
-            ny += 1
-        elif np.isfinite(hi):
-            col_map.append(((ny, -1.0),))
-            offsets[i] = hi
-            ny += 1
-        else:
-            col_map.append(((ny, 1.0), (ny + 1, -1.0)))
-            ny += 2
-
-    m0 = a_ub.shape[0]
-    m = m0 + len(bound_rows)
-    a = np.zeros((m, ny))
-    for i in range(n):
-        for col, sign in col_map[i]:
-            a[:m0, col] += sign * a_ub[:, i]
-    b = np.empty(m)
-    b[:m0] = b_ub - a_ub @ offsets
-    for r, (col, width) in enumerate(bound_rows):
-        a[m0 + r, col] = 1.0
-        b[m0 + r] = width
-    cy = np.zeros(ny)
-    for i in range(n):
-        for col, sign in col_map[i]:
-            cy[col] += sign * cmin[i]
-
-    # Row equilibration keeps Bland's tolerance meaningful across row scales.
-    scale = np.max(np.abs(a), axis=1, initial=0.0)
-    scale = np.where(scale > 0, scale, 1.0)
-    a = a / scale[:, None]
-    b = b / scale
-
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.shape[0]
-
-    # Tableau columns: y | slack | artificial | rhs
-    ncols = ny + m + n_art
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :ny] = a
-    tab[:m, -1] = b
-    basis = np.empty(m, dtype=int)
-    for r in range(m):
-        tab[r, ny + r] = -1.0 if flip[r] else 1.0
-        basis[r] = ny + r
-    for k, r in enumerate(art_rows):
-        tab[r, ny + m + k] = 1.0
-        basis[r] = ny + m + k
-
+    lp = _Constraints(a_ub, b_ub, lower, upper)
+    items = None if basis is None else lp.warm_basis(basis)
+    if items is None:
+        items = lp.cold_basis(cost)
     iterations = 0
-    n_slack_cols = m  # slack block size is fixed even if rows get dropped
-    if n_art:
-        tab[-1, ny + m:ny + m + n_art] = 1.0
-        for r in art_rows:
-            tab[-1] -= tab[r]
-        status, it = _run_simplex(tab, basis, ncols, tol, max_iter)
+
+    gb = lp.g[items]
+    y = _solve(gb.T, -cost)
+    pin = items >= lp.real
+    if np.any(np.where(pin, np.abs(y), -y) > tol):
+        x = _solve(gb, lp.h[items])
+        if np.max(lp.g[:lp.real] @ x - lp.h[:lp.real], initial=-np.inf) > tol:
+            # phase 1: shift the cost until this basis is dual feasible
+            shifted = -gb.T @ np.where(pin, 0.0, np.maximum(y, 0.0))
+            status, it = _dual(lp, items, shifted, tol, max_iter)
+            iterations += it
+            if status == "infeasible":
+                return SimplexResult("infeasible", None, None, none, iterations)
+        status, it = _primal(lp, items, cost, tol, max_iter - iterations)
         iterations += it
-        if status != "optimal":
-            raise SolverError("phase-1 objective reported unbounded; "
-                              "numerical breakdown")
-        if tab[-1, -1] < -1e-7:
-            return SimplexResult("infeasible", None, None, np.empty(0, dtype=int),
-                                 iterations)
-        # Drive leftover zero-valued artificials out of the basis.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= ny + n_slack_cols:
-                piv = np.flatnonzero(np.abs(tab[r, :ny + n_slack_cols]) > tol)
-                if piv.size:
-                    _pivot(tab, basis, r, int(piv[0]))
-                else:
-                    keep[r] = False  # redundant all-zero row
-        if not np.all(keep):
-            tab = np.vstack([tab[:m][keep], tab[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-        tab[:, ny + n_slack_cols:ncols] = 0.0  # artificials may not re-enter
-
-    ncols_eff = ny + n_slack_cols
-    tab[-1, :] = 0.0
-    tab[-1, :ny] = cy
-    for r in range(m):
-        if tab[-1, basis[r]] != 0.0:
-            tab[-1] -= tab[-1, basis[r]] * tab[r]
-    status, it = _run_simplex(tab, basis, ncols_eff, tol, max_iter)
+        if status == "unbounded":
+            return SimplexResult("unbounded", None, None, none, iterations)
+    # Restores any row the vertex breaks at the scaled tolerance; after the
+    # primal loop this normally pivots nothing.
+    status, it = _dual(lp, items, cost, tol, max_iter - iterations)
     iterations += it
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, np.empty(0, dtype=int),
-                             iterations)
+    if status == "infeasible":
+        return SimplexResult("infeasible", None, None, none, iterations)
 
-    y = np.zeros(ncols)
-    y[basis] = tab[:m, -1]
-    x = offsets.copy()
-    for i in range(n):
-        for col, sign in col_map[i]:
-            x[i] += sign * y[col]
+    x = _solve(lp.g[items], lp.h[items])
     objective = float(c @ x)
     resid = b_ub - a_ub @ x
     active = np.flatnonzero(resid <= active_tol * np.maximum(1.0, np.abs(b_ub)))
-    return SimplexResult("optimal", x, objective, active, iterations)
+    codes = np.where(items < lp.m, items, items - lp.m - 3 * n)
+    return SimplexResult("optimal", x, objective, active, iterations, codes)
 
 
 def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
@@ -260,6 +343,8 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
     return np.sort(idx)
 
 
+
+
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
                     maximize: bool = False, start_rows=None, batch: int = 64,
                     viol_tol: float = 1e-9, max_rounds: int = 1000,
@@ -271,11 +356,14 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     residual_blocks(x), which yields (start_row, A x - b over a block of
     rows) covering all rows in increasing row order; a block need only stay
     valid until the next is drawn.  Each round adds the `batch` most violated
-    rows (ties to the lower index, see `top_violators`).  Extra rows are
-    always kept in the master.  Once the master would exceed max_master rows,
-    working rows slack at the current optimum are dropped; dropped rows
-    rejoin through the violation scan if they ever bind again.
-    Returns (SimplexResult, working row indices, active source row indices).
+    rows (ties to the lower index, see `top_violators`) and re-solves the
+    master from the previous round's optimal basis.  Extra rows are always
+    kept in the master.  Once the master would exceed max_master rows,
+    working rows slack at the current optimum are dropped (never a row of
+    the basis); dropped rows rejoin through the violation scan if they ever
+    bind again.
+    Returns (SimplexResult, working row indices, active source row indices);
+    the result's `iterations` and `rounds` add up every master solve.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -293,7 +381,9 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     else:
         working = np.unique(np.asarray(start_rows, dtype=int))
 
-    for _ in range(max_rounds):
+    basis = None
+    pivots = 0
+    for rounds in range(1, max_rounds + 1):
         if working.size:
             ga, gb = source.gather(working)
             a = np.vstack([ga, extra_a])
@@ -301,13 +391,16 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
         else:
             ga, gb = np.zeros((0, n)), np.zeros(0)
             a, b = extra_a, extra_b
-        result = solve_simplex(c, a, b, lower, upper, maximize=maximize, tol=tol)
+        result = solve_simplex(c, a, b, lower, upper, maximize=maximize, tol=tol,
+                               basis=basis)
+        pivots += result.iterations
         if result.status == "infeasible":
             raise InfeasibleError(f"{context}: master infeasible")
         if result.status == "unbounded":
             raise UnboundedError(f"{context}: master unbounded")
+        total = replace(result, iterations=pivots, rounds=rounds)
         if count == 0:
-            return result, working, np.empty(0, dtype=int)
+            return total, working, np.empty(0, dtype=int)
         # the master already enforces the working rows
         worst = top_violators(source.residual_blocks(result.x), np.sort(working),
                               batch, viol_tol)
@@ -315,11 +408,20 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
             act = result.active_rows
             active_source = working[act[act < working.size]] if working.size else \
                 np.empty(0, dtype=int)
-            return result, working, active_source
+            return total, working, active_source
+        # Master rows are [working, extra]; carry the basis to the next
+        # round's rows: kept working rows keep their order, the new cuts
+        # follow them, and the extra rows come last.
+        basis = result.basis.copy()
+        in_working = (basis >= 0) & (basis < working.size)
+        extra = basis >= working.size
+        keep = np.ones(working.size, dtype=bool)
         if working.size + worst.size > max_master:
             working_resid = ga @ result.x - gb
-            loose = working_resid < -1e-6 * np.maximum(1.0, np.abs(gb))
-            working = working[~loose]
-        working = np.concatenate([working, worst])
+            keep = working_resid >= -1e-6 * np.maximum(1.0, np.abs(gb))
+            keep[basis[in_working]] = True
+        basis[extra] += int(keep.sum()) + worst.size - working.size
+        basis[in_working] = (np.cumsum(keep) - 1)[basis[in_working]]
+        working = np.concatenate([working[keep], worst])
     raise SolverError(f"{context}: row generation did not settle "
                       f"within {max_rounds} rounds")

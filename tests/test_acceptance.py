@@ -5,6 +5,7 @@ against independent closed forms or the oracles in oracles.py, never against
 the implementation's own digits.
 """
 
+import json
 import math
 import time
 
@@ -35,6 +36,7 @@ from symabs.pipeline import (
     read_abstraction,
     read_controller,
     run_pipeline,
+    stage_compose,
     stage_report,
 )
 from symabs.quantize import make_grid, product_grid, trivial_grid
@@ -399,3 +401,24 @@ def test_criterion_10_reference_sample_size_gap_is_flagged(tmp_path):
     assert "minimal sample size (eps=[0.001], beta=0.0001, unknowns=1): 9206" in text
     assert "reference sample size: 776" in text
     assert "computed 9206 vs reference 776 -> MISMATCH" in text
+
+
+def test_criterion_11_vacuous_radius_is_flagged(default_pipeline_run, tmp_path):
+    # The default room's state box is [-0.5, 0.5]: a tracking radius of at
+    # least half its width bounds nothing.  The default run is vacuous today
+    # (eps_tilde about 2.1); the flag is reported, and `ok` does not read it.
+    out, result, _ = default_pipeline_run
+    comp = json.loads((out / "composed.json").read_text())
+    eps_tilde = math.sqrt(comp["theta"] / comp["gamma"])
+    assert comp["vacuous"] is True
+    assert eps_tilde >= 0.5
+    assert f"eps_tilde: {eps_tilde!r} vacuous: True" in result.summary
+    # criterion 06's gains compose to a radius of about 0.26 on the same ring
+    certs = [ApbfCertificate(gamma=5.8, mu=0.995, eta=0.02, theta=0.4051,
+                             beta=1e-4, certified=True, margin=-0.01,
+                             state_dim=1).to_mapping() for _ in range(5)]
+    (tmp_path / "certificates.json").write_text(
+        json.dumps({"shared": True, "certificates": certs}))
+    payload = stage_compose(PipelineConfig(), str(tmp_path))
+    assert payload["eps_tilde"] < 0.5
+    assert payload["vacuous"] is False

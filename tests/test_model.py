@@ -12,7 +12,6 @@ from symabs.model import (
     box_contains,
     build_room_network,
     decompose_network,
-    step_trajectory,
 )
 
 
@@ -172,18 +171,6 @@ def test_decompose_rejects_mismatched_oracle():
                             oracle=lambda x, nu, d: x + 1.0)
     with pytest.raises(CompositionError):
         decompose_network(network, topo, [broken] + list(rooms[1:]))
-
-
-def test_step_trajectory_shapes_and_domain_marker():
-    sys = scalar_system(oracle=lambda x, nu, d: 0.5 * x + nu)
-    traj = step_trajectory(sys, [0.0], [[0.0], [1.0], [0.5]])
-    assert len(traj) == 4
-    assert traj.states.shape == (4, 1)
-    assert np.allclose(traj.states[:, 0], [0.0, 0.0, 1.0, 1.0])
-    assert traj.out_of_domain_at is None
-    # driving hard exits the declared box and records the first exit step
-    blow = step_trajectory(sys, [0.9], [[1.0], [1.0]])
-    assert blow.out_of_domain_at == 1
 
 
 def test_uncontrolled_room_drifts_to_affine_fixed_point():

@@ -256,6 +256,26 @@ def test_mini_pipeline_is_deterministic(mini_run, tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_mini_pipeline_writes_lp_stats(mini_run):
+    _, out, result = mini_run
+    stats = json.loads((out / "lp_stats.json").read_text())
+    assert stats["shared"] is True
+    assert len(stats["subsystems"]) == 1  # one LP serves the identical rooms
+    (level,) = stats["subsystems"][0]
+    assert level["mu"] == 0.5
+    assert level["rounds"] >= 4  # xi, then the eta, gamma and theta phases
+    assert level["pivots"] > 0
+    assert 0 < level["master_rows"]
+    assert level["binding"]["H1"] + level["binding"]["H2"] >= 1
+    line = (f"lp (1 solves): rounds={level['rounds']} pivots={level['pivots']} "
+            f"master_rows_max={level['master_rows']} "
+            f"binding H1={level['binding']['H1']} H2={level['binding']['H2']}")
+    assert line in result.summary
+    # telemetry stays out of the pinned certificate file
+    certs = json.loads((out / "certificates.json").read_text())["certificates"]
+    assert all("lp_stats" not in c for c in certs)
+
+
 def test_mini_trajectories_stay_inside_state_box(mini_run):
     _, out, _ = mini_run
     lines = (out / "trajectories.csv").read_text().splitlines()

@@ -20,7 +20,6 @@ from symabs.scenario import (
     certify_apbf,
     convert_gains,
     draw_samples,
-    estimate_lipschitz_data,
     kappa,
     kappa_inverse,
     lipschitz_linear,
@@ -29,6 +28,7 @@ from symabs.scenario import (
     quartic_difference_basis,
     solve_lp,
 )
+from symabs.simplex import solve_with_rows
 
 
 def linear_system(a=0.8, gain=0.1, inputs=((-0.2,), (0.3,))):
@@ -218,23 +218,6 @@ def test_lipschitz_nonlinear_monotone():
         assert more >= base - 1e-12
 
 
-def test_estimate_lipschitz_data():
-    sig = SystemSignature(state_dim=1, input_set=[(0.0,)], disturbance_dim=1,
-                          state_box=[(-1.0, 1.0)], disturbance_box=[(-1.0, 1.0)])
-    ident = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: x)
-    est = estimate_lipschitz_data(ident, pairs=100, seed=0)
-    assert est <= 1.5 + 1e-9
-    assert est >= 1.0  # slope quotient of the identity is at most 1
-    lin = BlackBoxSystem(signature=sig,
-                         oracle=lambda x, nu, d: 0.9 * x + 0.05 * d)
-    est = estimate_lipschitz_data(lin, pairs=400, seed=1)
-    true_slope = np.linalg.norm([0.9, 0.05])
-    assert est <= 1.5 * true_slope + 1e-9
-    assert est >= 1.2  # converges toward 1.5 * 0.9014 from below
-    with pytest.raises(ValueError):
-        estimate_lipschitz_data(lin, pairs=1)
-
-
 def test_lipschitz_sources_agree_with_direct_calls():
     sys = linear_system(a=0.8, gain=0.1)
     lin = LinearLipschitz(a=0.8, b=1.0, e=0.1)
@@ -393,9 +376,9 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
     inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
     rows = inst.row_count
-    # Fixed allowance for what certify holds besides rows: the dense master
-    # tableau (up to max_master + batch rows) with its pivot temporary, one
-    # block buffer and the per-sample tables of q x u*s floats.  The rows
+    # Fixed allowance for what certify holds besides rows: the master (up to
+    # max_master + batch rows of z+4 columns) with its residuals, one block
+    # buffer and the per-sample tables of q x u*s floats.  The rows
     # are many enough that one float64 per row would fill it four times over.
     allowance = 8 << 20
     assert 8 * rows >= 4 * allowance
@@ -447,6 +430,34 @@ def test_solve_lp_against_scipy():
     assert abs(report.xi_star - ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
 
 
+def test_solve_lp_on_a_six_million_row_instance_matches_highs():
+    # Regression: on this instance the master once reported "optimal" at a
+    # vector that broke its own rows by 1.5e-4, and solve_lp raised.
+    from scipy.optimize import linprog
+    sys = linear_system(a=0.8, gain=0.1)
+    sg = make_grid(sys.signature.state_box, 0.025)       # 40 cells
+    dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
+    samples = draw_samples(sys.signature, 1000, seed=4)
+    basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
+    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
+    assert inst.row_count == 6_440_000
+    report = solve_lp(inst)
+    assert float(max(np.max(blk) for _, blk in
+                     inst.residual_blocks(report.decision.as_array()))) <= 1e-7
+    # xi* against HiGHS on the final working rows of the xi phase and the boxes
+    nv = inst.n_vars
+    c = np.zeros(nv)
+    c[-1] = 1.0
+    lower, upper = inst.boxes.lower(inst.z), inst.boxes.upper(inst.z)
+    _, working, _ = solve_with_rows(c, inst, lower, upper)
+    a, b = inst.gather(working)
+    bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
+              for lo, hi in zip(lower, upper)]
+    ref = linprog(c, A_ub=a, b_ub=b, bounds=bounds, method="highs")
+    assert ref.status == 0
+    assert abs(report.xi_star - ref.fun) <= 1e-7 * abs(ref.fun)
+
+
 def test_solve_lp_returned_vector_is_feasible_and_tagged():
     inst = build_tiny_instance()
     report = solve_lp(inst)
@@ -461,6 +472,29 @@ def test_solve_lp_returned_vector_is_feasible_and_tagged():
     boxes = inst.boxes
     assert boxes.gamma[0] - 1e-9 <= report.decision.gamma <= boxes.gamma[1] + 1e-9
     assert boxes.eta[0] - 1e-9 <= report.decision.eta <= boxes.eta[1] + 1e-9
+
+
+def test_solve_lp_reports_every_master_solve(monkeypatch):
+    import symabs.simplex as simplex_mod
+    solves = []
+    real = simplex_mod.solve_simplex
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        solves.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
+    inst = build_tiny_instance()
+    for lexicographic, phases in ((False, 1), (True, 4)):
+        solves.clear()
+        report = solve_lp(inst, lexicographic=lexicographic)
+        assert report.rounds == len(solves) >= phases
+        assert report.iterations == sum(solves) > 0
+        assert report.binding == {
+            "H1": sum(t.kind == "H1" for t in report.active),
+            "H2": sum(t.kind == "H2" for t in report.active)}
+        assert sum(report.binding.values()) == len(report.active) >= 1
 
 
 def test_solve_lp_lexicographic_refinement_improves_gamma():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import lp_by_vertices
+import symabs.simplex as simplex_mod
 from symabs.errors import InfeasibleError
 from symabs.simplex import SimplexResult, solve_simplex, solve_with_rows, top_violators
 
@@ -218,3 +219,191 @@ def test_result_reports_iterations():
                       lower=[0.0, 0.0])
     assert isinstance(r, SimplexResult)
     assert r.iterations >= 0
+
+
+def highs(c, a, b, lower, upper, maximize):
+    """Status and objective from scipy's HiGHS on the same LP.  Feasibility
+    is decided on the zero objective: with the real one, HiGHS may report
+    an unbounded LP as infeasible."""
+    from scipy.optimize import linprog
+    sign = -1.0 if maximize else 1.0
+    bounds = [(None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+              for lo, hi in zip(lower, upper)]
+    feas = linprog(np.zeros(len(c)), A_ub=a, b_ub=b, bounds=bounds,
+                   method="highs")
+    assert feas.status in (0, 2)
+    if feas.status == 2:
+        return "infeasible", None
+    ref = linprog(sign * np.asarray(c), A_ub=a, b_ub=b, bounds=bounds,
+                  method="highs")
+    if ref.status != 0:
+        return "unbounded", None
+    return "optimal", sign * ref.fun
+
+
+def degenerate_lp(rng):
+    """A random LP with small-integer data, so that costs, ratios and rows
+    tie: many rows pass through one integer point, some rows repeat or are
+    scaled copies, and each variable is free, bounded on one side or boxed.
+    Every third instance gets a contradicting pair of rows."""
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(2, 10))
+    point = rng.integers(-2, 3, size=n).astype(float)
+    a = rng.integers(-2, 3, size=(m, n)).astype(float)
+    slack = np.where(rng.random(m) < 0.6, 0.0, rng.integers(1, 3, size=m))
+    b = a @ point + slack
+    twins = rng.choice(m, size=int(rng.integers(1, 3)))
+    a = np.vstack([a, a[twins], 2.0 * a[twins]])
+    b = np.concatenate([b, b[twins], 2.0 * b[twins]])
+    kind = rng.integers(0, 4, size=n)  # free, lower, upper, boxed
+    lower = np.where((kind == 1) | (kind == 3), point - rng.integers(0, 2, n), -np.inf)
+    upper = np.where((kind == 2) | (kind == 3), point + rng.integers(0, 2, n), np.inf)
+    if rng.integers(3) == 0:
+        row = rng.integers(-2, 3, size=n).astype(float)
+        row[0] = 1.0
+        a = np.vstack([a, row, -row])
+        b = np.concatenate([b, [row @ point], [-(row @ point) - 1.0]])
+    c = rng.integers(-2, 3, size=n).astype(float)
+    return c, a, b, lower, upper, bool(rng.integers(2))
+
+
+@pytest.mark.parametrize("stall_limit", [None, 1])
+def test_degenerate_random_lps_match_highs(stall_limit, monkeypatch):
+    # stall_limit 1 hands pricing to Bland's rule after any degenerate pivot,
+    # so both pricing rules are checked against the oracle
+    if stall_limit is not None:
+        monkeypatch.setattr(simplex_mod, "_STALL_LIMIT", stall_limit)
+    rng = np.random.default_rng(2024)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(400):
+        c, a, b, lower, upper, maximize = degenerate_lp(rng)
+        want, want_obj = highs(c, a, b, lower, upper, maximize)
+        r = solve_simplex(c, a, b, lower, upper, maximize=maximize)
+        assert r.status == want
+        seen[want] += 1
+        if want == "optimal":
+            assert abs(r.objective - want_obj) <= 1e-9 * max(1.0, abs(want_obj))
+            assert np.all(a @ r.x - b <= 1e-9 * np.max(np.abs(a), axis=1))
+            assert np.all(r.x >= lower - 1e-9) and np.all(r.x <= upper + 1e-9)
+            if np.all(np.isfinite(lower)) and np.all(np.isfinite(upper)):
+                _, vert_obj = lp_by_vertices(c, a, b, lower, upper, maximize)
+                assert abs(r.objective - vert_obj) <= 1e-9 * max(1.0, abs(vert_obj))
+    assert min(seen.values()) >= 40, seen
+
+
+def constraint_vectors(basis, a, n):
+    """The constraint each basis entry names, as a row of G x <= h over the
+    stacked list [a rows, lower bounds, upper bounds, pins]."""
+    eye = np.eye(n)
+    stacked = np.vstack([a, -eye, eye, eye])
+    return stacked[np.where(basis >= 0, basis, stacked.shape[0] + basis)]
+
+
+def test_warm_start_after_cuts_matches_cold_solve():
+    rng = np.random.default_rng(8)
+    warm_pivots = cold_pivots = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(30, 120))
+        a = rng.normal(size=(m, n))
+        b = rng.uniform(0.5, 3.0, size=m)
+        c = rng.normal(size=n)
+        lower = np.where(rng.random(n) < 0.3, -np.inf, -5.0)
+        upper = np.full(n, 5.0)
+        first = rng.choice(m, size=m // 3, replace=False)
+        r0 = solve_simplex(c, a[first], b[first], lower, upper)
+        assert r0.status == "optimal"
+        # the same master again, with rows the optimum already satisfies
+        # appended: the basis is still optimal, so no pivot is needed
+        held = np.setdiff1d(np.flatnonzero(a @ r0.x - b <= 0), first)
+        again = solve_simplex(c, np.vstack([a[first], a[held]]),
+                              np.concatenate([b[first], b[held]]), lower, upper,
+                              basis=r0.basis)
+        assert again.iterations == 0
+        assert np.array_equal(again.basis, r0.basis)
+        # add the violated rows as cuts and re-solve from the old basis
+        cuts = np.flatnonzero(a @ r0.x - b > 1e-9)
+        rows = np.concatenate([first, cuts])
+        warm = solve_simplex(c, a[rows], b[rows], lower, upper, basis=r0.basis)
+        cold = solve_simplex(c, a[rows], b[rows], lower, upper)
+        assert warm.status == cold.status == "optimal"
+        assert abs(warm.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        assert np.all(a[rows] @ warm.x - b[rows] <= 1e-9)
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+    assert warm_pivots < cold_pivots / 2, (warm_pivots, cold_pivots)
+
+
+def test_warm_basis_is_validated():
+    a = [[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]]
+    b = [1.0, 2.0, 0.0]
+    cold = solve_simplex([-1.0, -2.0], a, b, lower=[0.0, 0.0])
+    assert np.allclose(cold.x, [0.0, 1.0])
+    # two parallel rows make a singular basis: the solve starts cold instead
+    again = solve_simplex([-1.0, -2.0], a, b, lower=[0.0, 0.0], basis=[0, 1])
+    assert np.allclose(again.x, cold.x)
+    for bad in ([0], [0, 3], [0, -7], [0, 0], [0, -3]):  # -3: upper bound, infinite
+        with pytest.raises(ValueError, match="basis"):
+            solve_simplex([-1.0, -2.0], a, b, lower=[0.0, 0.0], basis=bad)
+
+
+def test_row_generation_carries_the_basis_between_rounds(monkeypatch):
+    # Every round after the first must start from the previous round's
+    # optimal basis, naming the same constraints in the new master's
+    # numbering: through appended cuts, dropped rows and shifted extra rows.
+    calls = []
+    real = simplex_mod.solve_simplex
+
+    def spy(c, a_ub, b_ub, lower, upper, **kwargs):
+        result = real(c, a_ub, b_ub, lower, upper, **kwargs)
+        calls.append((np.array(a_ub), kwargs.get("basis"), result))
+        return result
+
+    monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
+    rng = np.random.default_rng(41)
+    n, m = 4, 400
+    a = rng.normal(size=(m, n))
+    b = rng.uniform(0.5, 2.0, size=m)
+    c = rng.normal(size=n)
+    lower, upper = np.full(n, -10.0), np.full(n, 10.0)
+    extra_a, extra_b = [[1.0, 1.0, 0.0, 0.0]], [0.5]
+    result, _, _ = solve_with_rows(c, DenseRows(a, b), lower, upper,
+                                   extra_a=extra_a, extra_b=extra_b,
+                                   batch=16, max_master=24)
+    assert len(calls) == result.rounds >= 4
+    assert result.iterations == sum(r.iterations for _, _, r in calls)
+    assert calls[0][1] is None
+    for (a_prev, _, prev), (a_next, basis, _) in zip(calls, calls[1:]):
+        assert np.array_equal(constraint_vectors(basis, a_next, n),
+                              constraint_vectors(prev.basis, a_prev, n))
+    direct = solve_simplex(c, np.vstack([a, extra_a]), np.concatenate([b, extra_b]),
+                           lower, upper)
+    assert abs(direct.objective - result.objective) <= 1e-9
+
+
+def test_pricing_falls_back_to_bland_after_a_stall():
+    pricing = simplex_mod._Pricing(-1.0)  # the objective should fall
+    pricing.update(5.0)
+    for _ in range(simplex_mod._STALL_LIMIT - 1):
+        pricing.update(5.0)  # degenerate pivots
+        assert not pricing.bland
+    pricing.update(5.0)
+    assert pricing.bland  # Bland's rule takes over and guarantees termination
+    pricing.update(5.0)
+    assert pricing.bland
+    pricing.update(4.0)  # a strict improvement hands back to largest-first
+    assert not pricing.bland
+
+
+def test_row_too_flat_to_block_a_step_still_holds_at_the_optimum():
+    # max x over x, y, z >= 0, x <= 1e6 and 1e-10 x + y - z <= 0.  The primal
+    # step along x sees the second row rise by 1e-10 per unit, under the
+    # pivot tolerance, so the step ends at x = 1e6 with that row broken by
+    # 1e-4.  The solver must restore it (z = 1e-4) before it says "optimal".
+    a = np.array([[1.0, 0.0, 0.0], [1e-10, 1.0, -1.0]])
+    b = np.array([1e6, 0.0])
+    r = solve_simplex([1.0, 0.0, 0.0], a, b, lower=np.zeros(3), maximize=True)
+    assert r.status == "optimal"
+    assert np.isclose(r.objective, 1e6, rtol=1e-12)
+    assert np.all(a @ r.x - b <= 1e-9)
+    assert r.x[2] >= 1e-4 * (1 - 1e-9)

@@ -125,7 +125,11 @@ class _Constraints:
         items = np.where(codes >= 0, codes, m + 3 * n + codes)
         if np.unique(items).size != n or not np.all(np.isfinite(self.h[items])):
             raise ValueError("a basis needs distinct constraints with finite bounds")
-        if np.linalg.cond(self.g[items]) > 1e12:
+        # Rows have unit max-abs entries, so a tiny determinant flags a
+        # numerically singular basis.  slogdet reuses the LU routine that
+        # solve needs; an SVD condition number would add ~1 MB of peak RSS.
+        sign, logdet = np.linalg.slogdet(self.g[items])
+        if sign == 0 or logdet < np.log(1e-12):
             return None
         return items
 

@@ -16,8 +16,7 @@ from .errors import (CapacityError, CompositionError, ConfigError, DomainError,
                      RefinementError, SolverError, SymabsError, UnboundedError)
 from .extoracle import ExternalOracle, serve_oracle
 from .model import (BlackBoxSystem, InterconnectionTopology, RoomNetworkParams,
-                    SubsystemHandle, SystemSignature, build_room_network,
-                    decompose_network)
+                    SystemSignature, build_room_network)
 from .pipeline import PipelineConfig, run_pipeline
 from .quantize import (AbstractPoint, UniformGrid, abstract_transition,
                        make_grid, product_grid, quantize, sink_point,
@@ -44,14 +43,14 @@ __all__ = [
     "NonlinearLipschitz", "OracleError", "PipelineConfig", "ProtocolError",
     "RefinedController", "RefinementError", "RoomNetworkParams", "SampleBatch",
     "ScalingVector", "SimplexResult", "SimulationRelation", "SolverError",
-    "SubsystemHandle", "SymabsError", "SystemSignature", "Trajectory",
-    "UnboundedError", "UniformGrid", "VariableBoxes", "abstract_transition",
-    "apbf_margin", "assemble_sop", "build_gain_matrix", "build_room_network",
-    "certify_apbf", "check_circularity", "compose_abf", "convert_gains",
-    "decompose_network", "draw_samples", "enumerate_abstraction",
-    "find_scalings", "kappa", "kappa_inverse", "make_grid", "min_sample_size",
-    "product_grid", "quantize", "quartic_difference_basis",
-    "refine_controller", "relation", "run_pipeline", "safety_synthesis",
-    "serve_oracle", "simulate_closed_loop", "sink_point", "solve_lp",
-    "solve_simplex", "solve_with_rows", "trivial_grid",
+    "SymabsError", "SystemSignature", "Trajectory", "UnboundedError",
+    "UniformGrid", "VariableBoxes", "abstract_transition", "apbf_margin",
+    "assemble_sop", "build_gain_matrix", "build_room_network", "certify_apbf",
+    "check_circularity", "compose_abf", "convert_gains", "draw_samples",
+    "enumerate_abstraction", "find_scalings", "kappa", "kappa_inverse",
+    "make_grid", "min_sample_size", "product_grid", "quantize",
+    "quartic_difference_basis", "refine_controller", "relation",
+    "run_pipeline", "safety_synthesis", "serve_oracle", "simulate_closed_loop",
+    "sink_point", "solve_lp", "solve_simplex", "solve_with_rows",
+    "trivial_grid",
 ]

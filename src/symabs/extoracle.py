@@ -177,5 +177,11 @@ class ExternalOracle:
         return [self._parse(line) for line in replies]
 
     def as_system(self) -> BlackBoxSystem:
-        return BlackBoxSystem(signature=self.signature,
-                              oracle=lambda x, nu, d: self.step(x, nu, d))
+        """This oracle behind the batched contract: each batch of rows goes
+        out pipelined through step_many."""
+        n = self.signature.state_dim
+
+        def oracle(x, nu, d):
+            return np.asarray(self.step_many(zip(x, nu, d))).reshape(len(x), n)
+
+        return BlackBoxSystem(signature=self.signature, oracle=oracle)

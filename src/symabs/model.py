@@ -3,9 +3,12 @@
 A subsystem is a map x(k+1) = f(x(k), nu(k), d(k)) with state x in a box X,
 input nu from a finite set U, and disturbance d in a box D.  The map itself is
 only ever reached through its oracle callable; nothing in the toolkit inspects
-model internals.  Networks are formed by wiring each subsystem's disturbance
-blocks to neighbor states (d_ij = x_j), after which the network itself is a
-disturbance-free system.
+model internals.  The oracle contract is batched: it receives row stacks
+x (k, n), nu (k, m) and d (k, p) and returns the k successors as (k, n).
+BlackBoxSystem.step is the one entry point; it accepts one point (k = 1) or
+row stacks and makes exactly one oracle call either way.  Networks are formed
+by wiring each subsystem's disturbance blocks to neighbor states
+(d_ij = x_j), after which the network itself is a disturbance-free system.
 
 The built-in benchmark is a circular network of rooms exchanging heat with
 their two neighbors, a cooler, and the outside.
@@ -14,12 +17,10 @@ their two neighbors, a cooler, and the outside.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import CompositionError
 
 Array = np.ndarray
 
@@ -141,20 +142,28 @@ class SystemSignature:
 
 @dataclass(frozen=True, eq=False)
 class BlackBoxSystem:
-    """A signature plus the one-step oracle; the map is never inspected."""
+    """A signature plus the one-step oracle; the map is never inspected.
+
+    The oracle maps row stacks x (k, n), nu (k, m), d (k, p) to successors
+    (k, n), one row per query."""
 
     signature: SystemSignature
     oracle: Callable[[Array, Array, Array], Array]
 
     def step(self, x, nu, d=None) -> Array:
+        """Successors of one point (1-D x, result (n,)) or of row stacks
+        (2-D x, result (k, n)); exactly one oracle call either way."""
         sig = self.signature
-        x = np.asarray(x, dtype=float).reshape(sig.state_dim)
-        nu = np.asarray(nu, dtype=float).reshape(sig.input_dim)
-        if d is None:
-            d = np.empty(0)
-        d = np.asarray(d, dtype=float).reshape(sig.disturbance_dim)
-        y = np.asarray(self.oracle(x, nu, d), dtype=float).reshape(sig.state_dim)
-        return y
+        x = np.asarray(x, dtype=float)
+        single = x.ndim < 2
+        k = 1 if single else x.shape[0]
+        # explicit row counts: reshape(-1, 0) cannot infer k for empty rows
+        x = x.reshape(k, sig.state_dim)
+        nu = np.asarray(nu, dtype=float).reshape(k, sig.input_dim)
+        d = np.empty((k, 0)) if d is None else np.asarray(d, dtype=float)
+        d = d.reshape(k, sig.disturbance_dim)
+        y = np.asarray(self.oracle(x, nu, d), dtype=float).reshape(k, sig.state_dim)
+        return y[0] if single else y
 
 
 @dataclass(frozen=True)
@@ -179,90 +188,6 @@ class InterconnectionTopology:
     @property
     def num_subsystems(self) -> int:
         return len(self.wiring)
-
-
-@dataclass(frozen=True, eq=False)
-class SubsystemHandle:
-    """One subsystem inside a validated network decomposition."""
-
-    index: int
-    system: BlackBoxSystem
-    neighbors: tuple
-    state_slice: slice
-    neighbor_slices: tuple
-
-    def local_disturbance(self, x_full: Array) -> Array:
-        if not self.neighbor_slices:
-            return np.empty(0)
-        return np.concatenate([x_full[s] for s in self.neighbor_slices])
-
-
-def decompose_network(network: BlackBoxSystem, topology: InterconnectionTopology,
-                      subsystems, checks: int = 100, seed: int = 0,
-                      tol: float = 1e-9):
-    """Validate that the network oracle is the wired composition of the subsystems.
-
-    Checks dimension bookkeeping, the containment X_j subseteq D_ij for every
-    wired pair, and `checks` random one-step compositions (absolute tolerance
-    `tol`).  Returns one SubsystemHandle per subsystem.
-    """
-    subsystems = list(subsystems)
-    m = topology.num_subsystems
-    if len(subsystems) != m:
-        raise CompositionError(f"expected {m} subsystems, got {len(subsystems)}")
-    dims = [s.signature.state_dim for s in subsystems]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    if network.signature.state_dim != offsets[-1]:
-        raise CompositionError("network state dimension disagrees with stacked subsystems")
-    if network.signature.disturbance_dim != 0:
-        raise CompositionError("an interconnected network has no free disturbance")
-    state_slices = [slice(int(offsets[i]), int(offsets[i + 1])) for i in range(m)]
-
-    handles = []
-    for i, sub in enumerate(subsystems):
-        wired = topology.wiring[i]
-        want = sum(dims[j] for j in wired)
-        if sub.signature.disturbance_dim != want:
-            raise CompositionError(
-                f"subsystem {i}: disturbance_dim {sub.signature.disturbance_dim} "
-                f"!= wired state dims {want}")
-        # containment X_j subseteq D_ij, block by block
-        pos = 0
-        dbox = sub.signature.disturbance_box
-        for j in wired:
-            xbox = subsystems[j].signature.state_box
-            block = dbox[pos:pos + dims[j]]
-            if np.any(block[:, 0] > xbox[:, 0]) or np.any(block[:, 1] < xbox[:, 1]):
-                raise CompositionError(
-                    f"subsystem {i}: disturbance block for neighbor {j} does not "
-                    f"contain that neighbor's state box")
-            pos += dims[j]
-        handles.append(SubsystemHandle(
-            index=i, system=sub, neighbors=wired, state_slice=state_slices[i],
-            neighbor_slices=tuple(state_slices[j] for j in wired)))
-
-    in_dims = [s.signature.input_dim for s in subsystems]
-    in_offsets = np.concatenate([[0], np.cumsum(in_dims)])
-    if network.signature.input_dim != in_offsets[-1]:
-        raise CompositionError("network input dimension disagrees with stacked subsystem inputs")
-
-    rng = np.random.default_rng(seed)
-    box = network.signature.state_box
-    for _ in range(checks):
-        x = rng.uniform(box[:, 0], box[:, 1])
-        nu = network.signature.input(int(rng.integers(network.signature.n_inputs)))
-        got = network.step(x, nu)
-        want = np.empty_like(x)
-        for h in handles:
-            nu_i = nu[in_offsets[h.index]:in_offsets[h.index + 1]]
-            want[h.state_slice] = h.system.step(x[h.state_slice], nu_i,
-                                                h.local_disturbance(x))
-        err = np.max(np.abs(got - want))
-        if err > tol:
-            raise CompositionError(
-                f"network oracle disagrees with wired composition by {err:.3e} "
-                f"at x={x!r}, nu={nu!r}")
-    return handles
 
 
 # ----------------------------------------------------------------------------
@@ -330,8 +255,9 @@ def _room_oracle(params: RoomNetworkParams, index: int):
     drive = params.outside_coupling * params.outside_temps[index]
 
     def oracle(x, nu, d):
-        a = base - gain * nu[0]
-        return np.array([a * x[0] + c * (d[0] + d[1]) + gain * tc * nu[0] + drive])
+        a = base - gain * nu[:, 0]
+        return (a * x[:, 0] + c * (d[:, 0] + d[:, 1]) + gain * tc * nu[:, 0]
+                + drive)[:, None]
 
     return oracle
 
@@ -345,7 +271,8 @@ def _network_oracle(params: RoomNetworkParams):
 
     def oracle(x, nu, d):
         a = base - gain * nu
-        return a * x + c * (np.roll(x, 1) + np.roll(x, -1)) + gain * tc * nu + drive
+        return a * x + c * (np.roll(x, 1, axis=1) + np.roll(x, -1, axis=1)) \
+            + gain * tc * nu + drive
 
     return oracle
 

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ from . import compose as compose_mod
 from . import scenario
 from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
-from .model import (BlackBoxSystem, InterconnectionTopology, RoomNetworkParams,
-                    SystemSignature, build_room_network)
+from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
+                    build_room_network)
 from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
 from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        LinearLipschitz, NonlinearLipschitz, SampleBatch,
@@ -272,7 +273,6 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class SystemBundle:
-    network: BlackBoxSystem | None
     topology: InterconnectionTopology
     subsystems: list
     cleanup: object = None  # ExternalOracle to close, if any
@@ -285,8 +285,8 @@ class SystemBundle:
 def build_systems(config: PipelineConfig) -> SystemBundle:
     sys_cfg = config.system
     if sys_cfg.kind == "rooms":
-        network, topology, rooms = build_room_network(sys_cfg.room_params())
-        return SystemBundle(network=network, topology=topology, subsystems=rooms)
+        _, topology, rooms = build_room_network(sys_cfg.room_params())
+        return SystemBundle(topology=topology, subsystems=rooms)
     signature = SystemSignature(
         state_dim=len(sys_cfg.state_box),
         input_set=sys_cfg.input_set,
@@ -297,8 +297,21 @@ def build_systems(config: PipelineConfig) -> SystemBundle:
                             timeout=sys_cfg.timeout)
     system = oracle.as_system()
     topology = InterconnectionTopology(wiring=((),))
-    return SystemBundle(network=None, topology=topology, subsystems=[system],
-                        cleanup=oracle)
+    return SystemBundle(topology=topology, subsystems=[system], cleanup=oracle)
+
+
+@contextmanager
+def _systems(config: PipelineConfig, bundle: SystemBundle | None):
+    """The given bundle, or one built from the config and closed on exit."""
+    if bundle is not None:
+        yield bundle
+        return
+    bundle = build_systems(config)
+    try:
+        yield bundle
+    finally:
+        if bundle.cleanup is not None:
+            bundle.cleanup.close()
 
 
 def subsystem_grids(bundle: SystemBundle, sigma: float):
@@ -497,43 +510,44 @@ def computed_sample_size(config: PipelineConfig, state_dim: int) -> tuple[int, i
     return min_sample_size(eps, cert.beta, unknowns), unknowns
 
 
-def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
-    out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
-        q, _ = computed_sample_size(config, bundle.subsystems[0].signature.state_dim)
-        shared = config.certify.share_identical and config.system.identical_subsystems
-        count = 1 if shared else bundle.count
-        batches = [draw_samples(bundle.subsystems[i].signature, q,
-                                config.seed + i) for i in range(count)]
-        payload = {"shared": shared, "q": q,
-                   "batches": [batch_to_mapping(b) for b in batches]}
-        _write_json(os.path.join(out_dir, "samples.json"), payload)
-        return payload
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
+def _shared(config: PipelineConfig) -> bool:
+    """Whether one certificate, sample batch and table serve every subsystem."""
+    return config.certify.share_identical and config.system.identical_subsystems
 
 
-def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
-                          bundle: SystemBundle, q: int):
-    path = os.path.join(out_dir, "samples.json")
-    shared = config.certify.share_identical and config.system.identical_subsystems
-    if os.path.exists(path):
-        payload = _read_json(path)
-        if payload.get("q") == q and payload.get("shared") == shared:
-            return [batch_from_mapping(b) for b in payload["batches"]], shared
+def _draw_batches(config: PipelineConfig, bundle: SystemBundle, q: int):
+    """(one sample batch per certified subsystem, shared)."""
+    shared = _shared(config)
     count = 1 if shared else bundle.count
     return [draw_samples(bundle.subsystems[i].signature, q, config.seed + i)
             for i in range(count)], shared
 
 
+def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
+    out_dir = _ensure_out(out_dir)
+    with _systems(config, bundle) as bundle:
+        q, _ = computed_sample_size(config, bundle.subsystems[0].signature.state_dim)
+        batches, shared = _draw_batches(config, bundle, q)
+        payload = {"shared": shared, "q": q,
+                   "batches": [batch_to_mapping(b) for b in batches]}
+        _write_json(os.path.join(out_dir, "samples.json"), payload)
+        return payload
+
+
+def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
+                          bundle: SystemBundle, q: int):
+    path = os.path.join(out_dir, "samples.json")
+    shared = _shared(config)
+    if os.path.exists(path):
+        payload = _read_json(path)
+        if payload.get("q") == q and payload.get("shared") == shared:
+            return [batch_from_mapping(b) for b in payload["batches"]], shared
+    return _draw_batches(config, bundle, q)
+
+
 def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
+    with _systems(config, bundle) as bundle:
         cert_cfg = config.certify
         state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma)
         basis = cert_cfg.basis_spec(bundle.subsystems[0].signature.state_dim)
@@ -565,9 +579,6 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                    "certificates": [c.to_mapping() for c in certs]}
         _write_json(os.path.join(out_dir, "certificates.json"), payload)
         return payload
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
 
 
 def load_certificates(out_dir: str):
@@ -577,9 +588,7 @@ def load_certificates(out_dir: str):
 
 def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
+    with _systems(config, bundle) as bundle:
         certs = load_certificates(out_dir)
         gains = compose_mod.build_gain_matrix(certs, bundle.topology)
         circ = compose_mod.check_circularity(gains)
@@ -609,9 +618,6 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             })
         _write_json(os.path.join(out_dir, "composed.json"), payload)
         return payload
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
 
 
 def load_composed(out_dir: str) -> tuple[compose_mod.SimulationRelation, dict]:
@@ -630,11 +636,9 @@ def load_composed(out_dir: str) -> tuple[compose_mod.SimulationRelation, dict]:
 
 def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
+    with _systems(config, bundle) as bundle:
         state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma)
-        shared = config.certify.share_identical and config.system.identical_subsystems
+        shared = _shared(config)
         tables = {}
         for i in range(bundle.count):
             if shared and 0 in tables:
@@ -646,9 +650,6 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 tables[i] = fts
             write_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"), fts)
         return {"subsystems": bundle.count, "shared": shared}
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
 
 
 def _safe_cells(config: PipelineConfig, fts: FiniteTransitionSystem) -> list:
@@ -669,9 +670,7 @@ def _safe_cells(config: PipelineConfig, fts: FiniteTransitionSystem) -> list:
 
 def stage_synthesize(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
+    with _systems(config, bundle) as bundle:
         winning_counts = []
         for i in range(bundle.count):
             fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
@@ -682,35 +681,27 @@ def stage_synthesize(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                    "ok": all(c > 0 for c in winning_counts)}
         _write_json(os.path.join(out_dir, "synthesis.json"), payload)
         return payload
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
 
 
-def _initial_conditions(config: PipelineConfig, controllers, grids) -> list:
+def _initial_conditions(config: PipelineConfig, controllers, grids):
+    """(run labels, (runs, network state dim) stack of starts)."""
     syn = config.synthesize
     if not isinstance(syn.initial, str):
         starts = np.asarray(syn.initial, dtype=float)
         if starts.ndim == 1:
             starts = starts[None, :]
-        return [(f"x{k}", starts[k]) for k in range(starts.shape[0])]
+        return [f"x{k}" for k in range(starts.shape[0])], starts
     # winning-centers: every subsystem starts at the same winning cell center
     # of subsystem 0's grid (desk-scale sweep over winning cells).
-    ctrl0 = controllers[0]
-    cells = [int(s) for s in ctrl0.winning_states]
-    runs = []
-    for s in cells[:syn.max_runs]:
-        center = grids[0].representative(s)
-        x0 = np.concatenate([center for _ in controllers])
-        runs.append((f"cell{s}", x0))
-    return runs
+    cells = controllers[0].winning_states[:syn.max_runs]
+    centers = np.array([grids[0].representative(s) for s in cells])
+    starts = np.tile(centers.reshape(len(cells), grids[0].dim), len(controllers))
+    return [f"cell{s}" for s in cells], starts
 
 
 def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
-    own = bundle is None
-    bundle = bundle or build_systems(config)
-    try:
+    with _systems(config, bundle) as bundle:
         rel, _ = load_composed(out_dir)
         controllers = []
         grids = []
@@ -726,23 +717,17 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             grids.append(fts.state_grid)
         refined = [refine_controller(controllers[i], rel.component(i), grids[i])
                    for i in range(bundle.count)]
-        runs = []
-        all_safe = True
-        for label, x0 in _initial_conditions(config, controllers, grids):
-            trajs = simulate_closed_loop(bundle.subsystems, bundle.topology,
-                                         refined, x0, config.synthesize.horizon)
-            ok = all(tr.truncated_at is None and bool(tr.safe.all())
-                     for tr in trajs)
-            all_safe = all_safe and ok
-            runs.append((label, trajs))
+        labels, starts = _initial_conditions(config, controllers, grids)
+        runs = list(zip(labels, simulate_closed_loop(
+            bundle.subsystems, bundle.topology, refined, starts,
+            config.synthesize.horizon)))
+        all_safe = all(tr.truncated_at is None and bool(tr.safe.all())
+                       for _, trajs in runs for tr in trajs)
         write_trajectories(os.path.join(out_dir, "trajectories.csv"), runs)
         payload = {"runs": len(runs), "all_safe": all_safe,
                    "horizon": config.synthesize.horizon}
         _write_json(os.path.join(out_dir, "simulation.json"), payload)
         return payload
-    finally:
-        if own and bundle.cleanup is not None:
-            bundle.cleanup.close()
 
 
 def stage_report(config: PipelineConfig, out_dir: str) -> str:
@@ -836,8 +821,7 @@ class PipelineResult:
 def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
     out_dir = _ensure_out(out_dir)
     config.to_yaml(os.path.join(out_dir, "resolved_config.yaml"))
-    bundle = build_systems(config)
-    try:
+    with _systems(config, None) as bundle:
         stage_sample(config, out_dir, bundle)
         cert_payload = stage_certify(config, out_dir, bundle)
         certified = all(c["certified"] for c in cert_payload["certificates"])
@@ -854,6 +838,3 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
         ok = certified and circ_ok and syn_payload["ok"] and all_safe
         return PipelineResult(ok=ok, certified=certified, circularity_ok=circ_ok,
                               winning=winning, all_safe=all_safe, summary=summary)
-    finally:
-        if bundle.cleanup is not None:
-            bundle.cleanup.close()

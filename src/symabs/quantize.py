@@ -204,8 +204,9 @@ def abstract_transition(sys: BlackBoxSystem, state_grid: UniformGrid,
 
 def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
                      dist_grid: UniformGrid, inputs) -> tuple[Array, Array]:
-    """The abstract transition map: one oracle query per (cell, input,
-    disturbance cell) at the representatives, all replies quantized at once.
+    """The abstract transition map: one oracle call over the broadcast
+    (cell, input, disturbance cell) rows of representatives, all replies
+    quantized at once.
 
     Returns (successor, rep_cell), both int64 of shape (cells, inputs,
     disturbance cells).  successor is the quantized reply, or the sink
@@ -215,15 +216,18 @@ def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
     state_reps = state_grid.all_representatives()
     dist_reps = dist_grid.all_representatives()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    replies = np.empty((state_reps.shape[0], inputs.shape[0],
-                        dist_reps.shape[0], state_grid.dim))
-    flat = replies.reshape(-1, state_grid.dim)
-    k = 0
-    for x in state_reps:
-        for nu in inputs:
-            for d in dist_reps:
-                flat[k] = sys.step(x, nu, d)
-                k += 1
+    shape = (state_reps.shape[0], inputs.shape[0], dist_reps.shape[0])
+    rows = shape[0] * shape[1] * shape[2]
+
+    def stacked(block: Array) -> Array:
+        # explicit row count: the trivial disturbance grid has width 0
+        width = block.shape[-1]
+        return np.broadcast_to(block, shape + (width,)).reshape(rows, width)
+
+    replies = sys.step(stacked(state_reps[:, None, None, :]),
+                       stacked(inputs[None, :, None, :]),
+                       stacked(dist_reps[None, None, :, :]))
+    replies = replies.reshape(shape + (state_grid.dim,))
     _reject_nan(replies)
     lows, highs = state_grid.box[:, 0], state_grid.box[:, 1]
     inside = np.all((replies >= lows) & (replies <= highs), axis=-1)

@@ -343,7 +343,8 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
         nu = sig.input(u)
         first = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
         second = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
-        for k in range(pairs):
+        gaps = np.empty(pairs)
+        for k in range(pairs):  # in draw order: a redraw consumes the stream
             gap = np.linalg.norm(first[k] - second[k])
             tries = 0
             while gap < 1e-12:
@@ -352,10 +353,12 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
                     raise SolverError("could not draw a non-coincident sample pair")
                 second[k] = rng.uniform(box[:, 0], box[:, 1])
                 gap = np.linalg.norm(first[k] - second[k])
-            ya = sys.step(first[k, :n], nu, first[k, n:])
-            yb = sys.step(second[k, :n], nu, second[k, n:])
-            slope = max(slope, float(np.linalg.norm(ya - yb)) / gap)
-            fmax = max(fmax, float(np.linalg.norm(ya)), float(np.linalg.norm(yb)))
+            gaps[k] = gap
+        nus = np.broadcast_to(nu, (pairs, nu.size))
+        ya = sys.step(first[:, :n], nus, first[:, n:])
+        yb = sys.step(second[:, :n], nus, second[:, n:])
+        slope = max(slope, float(np.max(np.linalg.norm(ya - yb, axis=1) / gaps)))
+        fmax = max(fmax, float(np.max(np.linalg.norm(np.vstack([ya, yb]), axis=1))))
     return slope, fmax
 
 
@@ -685,12 +688,12 @@ class SopData:
         dist_reps = dist_grid.all_representatives()
         inputs = sig.input_array()
 
-        # One oracle query per (sample, input).
-        x_plus = np.empty((q, n_inputs, sig.state_dim))
+        # One oracle call over the (sample, input) rows.
         xs, ds = samples.states, samples.disturbances
-        for u in range(n_inputs):
-            for i in range(q):
-                x_plus[i, u] = sys.step(xs[i], inputs[u], ds[i])
+        x_plus = sys.step(np.repeat(xs, n_inputs, axis=0),
+                          np.tile(inputs, (q, 1)),
+                          np.repeat(ds, n_inputs, axis=0))
+        x_plus = x_plus.reshape(q, n_inputs, sig.state_dim)
         self.x_plus = x_plus
 
         # One oracle query per (state cell, input, disturbance cell).

@@ -172,20 +172,37 @@ class RefinedController:
         object.__setattr__(self, "_centers",
                            self.state_grid.all_representatives()[win])
 
+    def select_rows(self, xs) -> tuple[Array, Array, Array]:
+        """Row form of select for states xs (k, dim): the winning cell, its
+        input index and the least V of each row.  A row with no related
+        winning cell (least V above theta, or NaN) gets cell and input -1;
+        `miss` gives the error select raises for it."""
+        xs = np.asarray(xs, dtype=float).reshape(-1, self.state_grid.dim)
+        if self._winning.size == 0:
+            none = np.full(xs.shape[0], -1, dtype=np.int64)
+            return none, none.copy(), np.full(xs.shape[0], np.nan)
+        vals = self.relation.value(xs[:, None, :], self._centers[None, :, :])
+        k = np.argmin(vals, axis=1)
+        least = vals[np.arange(xs.shape[0]), k]
+        related = least <= self.relation.theta  # NaN is never related
+        cells = np.where(related, self._winning[k], -1)
+        return cells, np.where(related, self.table.chosen[cells], -1), least
+
+    def miss(self, x, least: float) -> RefinementError:
+        """The refinement error for state x, whose least V is `least`."""
+        if self._winning.size == 0:
+            return RefinementError("controller has an empty winning set", state=x)
+        return RefinementError(
+            f"no winning cell is related to the state (min V = {least:.6g} "
+            f"> theta = {self.relation.theta:.6g})", state=x)
+
     def select(self, x) -> tuple[int, int]:
         """(winning cell index, input index) for the concrete state x."""
         x = np.asarray(x, dtype=float).reshape(self.state_grid.dim)
-        if self._winning.size == 0:
-            raise RefinementError("controller has an empty winning set", state=x)
-        vals = self.relation.value(x, self._centers)
-        k = int(np.argmin(vals))
-        best_val = float(vals[k])
-        if not best_val <= self.relation.theta:  # NaN is never related
-            raise RefinementError(
-                f"no winning cell is related to the state (min V = {best_val:.6g} "
-                f"> theta = {self.relation.theta:.6g})", state=x)
-        best_cell = int(self._winning[k])
-        return best_cell, self.table.input_index(best_cell)
+        cells, inputs, least = self.select_rows(x[None, :])
+        if cells[0] < 0:
+            raise self.miss(x, float(least[0]))
+        return int(cells[0]), int(inputs[0])
 
     def __call__(self, x) -> Array:
         _, u = self.select(x)
@@ -226,13 +243,16 @@ class Trajectory:
 
 def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                          controllers, x0, horizon: int, safe_boxes=None):
-    """Run the wired network under per-subsystem refined controllers.
+    """Run the wired network from a stack of starts under per-subsystem
+    refined controllers; returns one list of per-subsystem Trajectory per run.
 
-    Each step reads neighbor states as disturbances (d_ij = x_j), asks every
-    controller for its input, then advances all subsystem oracles at once.  A
-    refinement failure truncates all trajectories at that step; the failing
-    subsystem carries the diagnostic.  Safety flags record membership of each
-    state in its safe box (default: the subsystem's declared state box).
+    x0 is (runs, network state dim).  Each step reads neighbor states as
+    disturbances (d_ij = x_j); for every subsystem it refines the inputs of
+    all runs still alive in one row-form call, then advances each subsystem
+    over those runs in one step call.  A refinement failure truncates that
+    run's trajectories at that step; the first failing subsystem carries the
+    diagnostic.  Safety flags record membership of each state in its safe box
+    (default: the subsystem's declared state box).
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -250,61 +270,55 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                 f"{sub.signature.disturbance_dim}, but its wired neighbours "
                 f"supply {wired} state coordinates")
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    x = np.asarray(x0, dtype=float).reshape(offsets[-1])
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2 or x0.shape[1] != offsets[-1]:
+        raise ValueError(f"x0 must be a (runs, {offsets[-1]}) stack of starts")
+    runs = x0.shape[0]
     if safe_boxes is None:
         safe_boxes = [s.signature.state_box for s in subsystems]
     safe_boxes = [np.asarray(b, dtype=float).reshape(dims[i], 2)
                   for i, b in enumerate(safe_boxes)]
+    blocks = [slice(offsets[i], offsets[i + 1]) for i in range(m)]
+    neighbours = [np.array([c for j in topology.wiring[i]
+                            for c in range(offsets[j], offsets[j + 1])],
+                           dtype=np.intp) for i in range(m)]
 
-    def block(vec: Array, i: int) -> Array:
-        return vec[offsets[i]:offsets[i + 1]]
-
-    def in_box(vec: Array, box: Array) -> bool:
-        return bool(np.all(vec >= box[:, 0]) and np.all(vec <= box[:, 1]))
-
-    states = [[block(x, i).copy()] for i in range(m)]
-    flags = [[in_box(block(x, i), safe_boxes[i])] for i in range(m)]
-    inputs = [[] for _ in range(m)]
-    input_idx = [[] for _ in range(m)]
-    truncated_at = None
-    diagnostics = [None] * m
-
+    states = np.full((horizon + 1, runs, offsets[-1]), np.nan)
+    states[0] = x0
+    chosen = np.full((horizon, runs, m), -1, dtype=np.int64)
+    steps = np.full(runs, horizon)  # steps taken; fewer when truncated
+    diagnostics = [[None] * m for _ in range(runs)]
+    alive = np.arange(runs)
     for k in range(horizon):
-        chosen = []
-        failed = False
         for i in range(m):
-            try:
-                _, u = controllers[i].select(block(x, i))
-            except RefinementError as err:
-                diagnostics[i] = str(err)
-                failed = True
-                break
-            chosen.append(u)
-        if failed:
-            truncated_at = k
+            xs = states[k, alive, blocks[i]]
+            _, u, least = controllers[i].select_rows(xs)
+            for j in np.flatnonzero(u < 0):
+                diagnostics[alive[j]][i] = str(controllers[i].miss(xs[j], least[j]))
+                steps[alive[j]] = k
+            chosen[k, alive, i] = u
+            alive = alive[u >= 0]
+        if alive.size == 0:
             break
-        nxt = np.empty_like(x)
+        x = states[k, alive]
         for i in range(m):
-            d = np.concatenate([block(x, j) for j in topology.wiring[i]]) \
-                if topology.wiring[i] else np.empty(0)
-            nu = np.asarray(controllers[i].table.fts.inputs[chosen[i]], dtype=float)
-            nxt[offsets[i]:offsets[i + 1]] = subsystems[i].step(block(x, i), nu, d)
-            inputs[i].append(nu)
-            input_idx[i].append(chosen[i])
-        x = nxt
-        for i in range(m):
-            states[i].append(block(x, i).copy())
-            flags[i].append(in_box(block(x, i), safe_boxes[i]))
+            nu = controllers[i].table.fts.inputs[chosen[k, alive, i]]
+            states[k + 1, alive, blocks[i]] = subsystems[i].step(
+                x[:, blocks[i]], nu, x[:, neighbours[i]])
 
     out = []
-    for i in range(m):
-        in_dim = subsystems[i].signature.input_dim
-        out.append(Trajectory(
-            subsystem=i,
-            states=np.asarray(states[i]),
-            inputs=np.asarray(inputs[i], dtype=float).reshape(len(inputs[i]), in_dim),
-            input_indices=np.asarray(input_idx[i], dtype=np.int64),
-            safe=np.asarray(flags[i], dtype=bool),
-            truncated_at=truncated_at,
-            diagnostic=diagnostics[i]))
+    for r in range(runs):
+        t = int(steps[r])
+        trajs = []
+        for i in range(m):
+            xs = states[:t + 1, r, blocks[i]]
+            box = safe_boxes[i]
+            trajs.append(Trajectory(
+                subsystem=i, states=xs,
+                inputs=controllers[i].table.fts.inputs[chosen[:t, r, i]],
+                input_indices=chosen[:t, r, i],
+                safe=np.all((xs >= box[:, 0]) & (xs <= box[:, 1]), axis=1),
+                truncated_at=t if t < horizon else None,
+                diagnostic=diagnostics[r][i]))
+        out.append(trajs)
     return out

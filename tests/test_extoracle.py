@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from symabs.errors import OracleError, ProtocolError
-from symabs.extoracle import ExternalOracle, format_request, serve_oracle
-from symabs.model import BlackBoxSystem, SystemSignature
+from symabs.extoracle import (WINDOW_BYTES, ExternalOracle, format_request,
+                              serve_oracle)
+from symabs.model import (BlackBoxSystem, RoomNetworkParams, SystemSignature,
+                          build_room_network)
 
 
 def make_signature(dist_dim=1):
@@ -82,6 +84,27 @@ def test_external_oracle_as_system():
         y = wrapped.step([1.0], [1.0], [0.0])
         assert np.allclose(y, [1.5])
         assert wrapped.signature is sig
+
+
+def test_as_system_batch_over_step_equals_single_steps():
+    # room 0 served by the CLI's oracle-server; one batched step is pipelined
+    # through more than one window of requests
+    room = build_room_network(RoomNetworkParams(num_rooms=5))[2][0]
+    sig = room.signature
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, size=(1000, 1))
+    nu = sig.input_array()[rng.integers(sig.n_inputs, size=1000)]
+    d = rng.uniform(-0.5, 0.5, size=(1000, 2))
+    sent = sum(len(format_request(*row)) + 1 for row in zip(x, nu, d))
+    assert sent > 4 * WINDOW_BYTES
+    server = ("from symabs.cli import main; import sys; "
+              "sys.exit(main(['oracle-server', '--subsystem', '0']))")
+    with ExternalOracle([sys.executable, "-c", server], sig) as oracle:
+        batch = oracle.as_system().step(x, nu, d)
+        singles = np.array([oracle.step(x[r], nu[r], d[r]) for r in range(1000)])
+    assert batch.shape == (1000, 1)
+    assert batch.tobytes() == singles.tobytes()
+    assert batch.tobytes() == room.step(x, nu, d).tobytes()
 
 
 def test_external_oracle_err_response_raises():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from symabs.errors import CompositionError
 from symabs.model import (
     BlackBoxSystem,
     InterconnectionTopology,
@@ -11,7 +10,6 @@ from symabs.model import (
     as_box,
     box_contains,
     build_room_network,
-    decompose_network,
 )
 
 
@@ -141,36 +139,56 @@ def test_network_oracle_matches_manual_formula():
             assert np.isclose(got[i], want, atol=1e-12)
 
 
-def test_decompose_network_validates_and_returns_handles():
-    params = RoomNetworkParams(num_rooms=4)
-    network, topo, rooms = build_room_network(params)
-    handles = decompose_network(network, topo, rooms)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x = rng.uniform(-0.5, 0.5, size=4)
-        i = int(rng.integers(4))
-        h = handles[i]
-        d = h.local_disturbance(x)
-        assert np.allclose(d, [x[(i - 1) % 4], x[(i + 1) % 4]])
-        nu = rooms[i].signature.input(int(rng.integers(5)))
-        y = h.system.step(x[i:i + 1], nu, d)
-        assert y.shape == (1,)
+def test_batched_step_equals_single_steps_bit_for_bit():
+    # per-room outside temperatures, so each room has its own drive term
+    params = RoomNetworkParams(num_rooms=4, outside_temp=(-2.0, -1.0, 0.5, 3.0))
+    network, _, rooms = build_room_network(params)
+    rng = np.random.default_rng(11)
+    levels = np.asarray(params.input_levels)
+    x = rng.uniform(-0.5, 0.5, size=(300, 4))
+    nu = rng.choice(levels, size=(300, 4))
+    for i, room in enumerate(rooms):
+        d = x[:, [(i - 1) % 4, (i + 1) % 4]]
+        batch = room.step(x[:, i:i + 1], nu[:, i:i + 1], d)
+        assert batch.shape == (300, 1)
+        singles = np.array([room.step(x[r, i:i + 1], nu[r, i:i + 1], d[r])
+                            for r in range(300)])
+        assert batch.tobytes() == singles.tobytes()
+        # the per-point formula in its operation order, in Python floats
+        base = 1.0 - 2.0 * params.conduction - params.outside_coupling
+        gain, c = params.cooler_coupling, params.conduction
+        drive = params.outside_coupling * params.outside_temps[i]
+        formula = [(base - gain * u) * xi + c * (dl + dr)
+                   + gain * params.cooler_temp * u + drive
+                   for xi, u, (dl, dr) in zip(x[:, i], nu[:, i], d.tolist())]
+        assert batch[:, 0].tolist() == formula
+        # a one-row stack stays a stack
+        assert room.step(x[:1, i:i + 1], nu[:1, i:i + 1], d[:1]).shape == (1, 1)
+    batch = network.step(x, nu)
+    assert batch.shape == (300, 4)
+    singles = np.array([network.step(x[r], nu[r]) for r in range(300)])
+    assert batch.tobytes() == singles.tobytes()
 
 
-def test_decompose_rejects_wrong_subsystem_count():
-    params = RoomNetworkParams(num_rooms=3)
-    network, topo, rooms = build_room_network(params)
-    with pytest.raises(CompositionError):
-        decompose_network(network, topo, rooms[:2])
+def test_step_makes_one_oracle_call_with_explicit_row_counts():
+    calls = []
 
+    def oracle(x, nu, d):
+        calls.append((x.shape, nu.shape, d.shape))
+        return 0.5 * x
 
-def test_decompose_rejects_mismatched_oracle():
-    params = RoomNetworkParams(num_rooms=3)
-    network, topo, rooms = build_room_network(params)
-    broken = BlackBoxSystem(signature=rooms[0].signature,
-                            oracle=lambda x, nu, d: x + 1.0)
-    with pytest.raises(CompositionError):
-        decompose_network(network, topo, [broken] + list(rooms[1:]))
+    sys = scalar_system(dist_dim=0, oracle=oracle)
+    y = sys.step(np.linspace(-1.0, 1.0, 7)[:, None], np.zeros((7, 1)))
+    assert y.shape == (7, 1)
+    # the disturbance-free rows are zero wide, but still seven of them
+    assert calls == [((7, 1), (7, 1), (7, 0))]
+    assert sys.step([0.4], [0.0]).shape == (1,)
+    assert calls[-1] == ((1, 1), (1, 1), (1, 0))
+    with pytest.raises(ValueError):
+        sys.step(np.zeros((7, 1)), np.zeros((6, 1)))
+    with pytest.raises(ValueError):  # the oracle must answer every row
+        scalar_system(oracle=lambda x, nu, d: x[:1]).step(np.zeros((3, 1)),
+                                                           np.zeros((3, 1)))
 
 
 def test_uncontrolled_room_drifts_to_affine_fixed_point():

@@ -158,8 +158,9 @@ def test_transition_table_matches_per_point_on_2d_grid():
     sig = SystemSignature(state_dim=2, input_set=[(-0.3,), (0.0,), (0.4,)],
                           disturbance_dim=1, state_box=[(-1.0, 1.0), (0.0, 2.0)],
                           disturbance_box=[(-1.0, 1.0)])
-    sys = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: np.array(
-        [1.3 * x[0] + nu[0] + 0.5 * d[0], 0.9 * x[1] - 0.25 + d[0]]))
+    sys = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: np.stack(
+        [1.3 * x[:, 0] + nu[:, 0] + 0.5 * d[:, 0], 0.9 * x[:, 1] - 0.25 + d[:, 0]],
+        axis=1))
     sg = make_grid(sig.state_box, 0.2)
     dg = make_grid(sig.disturbance_box, 0.34)
     assert sg.cells_per_dim == (5, 5)
@@ -169,6 +170,41 @@ def test_transition_table_matches_per_point_on_2d_grid():
     # escapes on both sides of coordinate 0 clamp to its first and last cells
     assert {0, 4} <= set((rep_cell[sink] // 5).tolist())
     assert not sink.all()
+
+
+def test_transition_table_makes_one_oracle_call_over_every_row():
+    room = build_room_network(RoomNetworkParams(num_rooms=5))[2][0]
+    calls = []
+
+    def recorded(x, nu, d):
+        calls.append((x, nu, d))
+        return room.oracle(x, nu, d)
+
+    sys = BlackBoxSystem(signature=room.signature, oracle=recorded)
+    sg = make_grid([(-0.5, 0.5)], 0.1)
+    dg = product_grid([sg, sg])
+    inputs = room.signature.input_array()
+    successor, rep_cell = transition_table(sys, sg, dg, inputs)
+    n_s, n_u, n_d = sg.total_cells, inputs.shape[0], dg.total_cells
+    assert len(calls) == 1
+    x, nu, d = calls[0]
+    assert x.shape == (n_s * n_u * n_d, 1) and d.shape == (n_s * n_u * n_d, 2)
+    # rows run over (cell, input, disturbance cell), the last fastest
+    s, u, dd = np.unravel_index(np.arange(x.shape[0]), (n_s, n_u, n_d))
+    assert np.array_equal(x, sg.all_representatives()[s])
+    assert np.array_equal(nu, inputs[u])
+    assert np.array_equal(d, dg.all_representatives()[dd])
+    want = transition_table(room, sg, dg, inputs)
+    assert np.array_equal(successor, want[0]) and np.array_equal(rep_cell, want[1])
+    # the trivial disturbance grid gives one zero-width column block
+    calls.clear()
+    free = BlackBoxSystem(
+        signature=SystemSignature(state_dim=1, input_set=[(0.0,), (0.5,)],
+                                  disturbance_dim=0, state_box=[(-0.5, 0.5)],
+                                  disturbance_box=[]),
+        oracle=lambda x, nu, d: calls.append(d.shape) or x)
+    transition_table(free, sg, trivial_grid(), [[0.0], [0.5]])
+    assert calls == [(n_s * 2, 0)]
 
 
 def test_transition_table_without_disturbance_and_on_cell_edges():

@@ -149,10 +149,10 @@ def test_enumerate_abstraction_identity_and_counts():
                           disturbance_box=[])
     calls = []
     sys = BlackBoxSystem(signature=sig,
-                         oracle=lambda x, nu, d: calls.append(1) or x)
+                         oracle=lambda x, nu, d: calls.append(len(x)) or x)
     g = make_grid([(-1.0, 1.0)], 0.1)
     fts = enumerate_abstraction(sys, g)
-    assert len(calls) == g.total_cells * 2
+    assert sum(calls) == g.total_cells * 2  # oracle rows, one per query
     assert fts.n_states == g.total_cells
     assert fts.n_dists == 1
     for s in range(fts.n_states):
@@ -318,8 +318,8 @@ def build_controlled_rooms(num_rooms=3, theta=0.08):
 
 def test_simulate_closed_loop_horizon_zero_and_logging():
     rooms, topo, controllers = build_controlled_rooms()
-    x0 = np.zeros(3)
-    trajs = simulate_closed_loop(rooms, topo, controllers, x0, horizon=0)
+    x0 = np.zeros((1, 3))
+    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=0)
     assert len(trajs) == 3
     for tr in trajs:
         assert tr.horizon == 0
@@ -331,8 +331,8 @@ def test_simulate_closed_loop_horizon_zero_and_logging():
 
 def test_simulate_closed_loop_runs_and_stays_in_band():
     rooms, topo, controllers = build_controlled_rooms()
-    x0 = np.full(3, -0.2)
-    trajs = simulate_closed_loop(rooms, topo, controllers, x0, horizon=40)
+    x0 = np.full((1, 3), -0.2)
+    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=40)
     for tr in trajs:
         assert tr.horizon == 40
         assert tr.states.shape == (41, 1)
@@ -345,8 +345,8 @@ def test_simulate_closed_loop_runs_and_stays_in_band():
 def test_simulate_closed_loop_truncates_on_refinement_miss():
     rooms, topo, controllers = build_controlled_rooms(theta=0.0001)
     # start far from every winning center: refinement fails at step 0
-    x0 = np.full(3, 0.49)
-    trajs = simulate_closed_loop(rooms, topo, controllers, x0, horizon=10)
+    x0 = np.full((1, 3), 0.49)
+    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=10)
     assert all(tr.truncated_at == 0 for tr in trajs)
     assert any(tr.diagnostic for tr in trajs)
     for tr in trajs:
@@ -357,6 +357,43 @@ def test_simulate_closed_loop_truncates_on_refinement_miss():
 def test_simulate_validates_shapes():
     rooms, topo, controllers = build_controlled_rooms()
     with pytest.raises(ValueError):
-        simulate_closed_loop(rooms[:2], topo, controllers, np.zeros(3), 5)
+        simulate_closed_loop(rooms[:2], topo, controllers, np.zeros((1, 3)), 5)
     with pytest.raises(ValueError):
-        simulate_closed_loop(rooms, topo, controllers, np.zeros(3), -1)
+        simulate_closed_loop(rooms, topo, controllers, np.zeros((1, 3)), -1)
+    with pytest.raises(ValueError):  # starts are a (runs, dim) stack
+        simulate_closed_loop(rooms, topo, controllers, np.zeros(3), 5)
+    with pytest.raises(ValueError):
+        simulate_closed_loop(rooms, topo, controllers, np.zeros((2, 4)), 5)
+
+
+@pytest.mark.parametrize("theta, starts, truncated, failing", [
+    # truncated at step 0 by subsystem 0 or 1, and runs reaching the horizon
+    # (the fifth start misses in subsystems 0 and 1; only 0 reports it)
+    (0.08, [[-0.2, -0.2, -0.2], [0.6, 0.0, 0.0], [0.0, 0.7, 0.0],
+            [0.3, -0.4, 0.1], [0.6, 0.7, 0.0]],
+     [None, 0, 0, None, 0], [None, 0, 1, None, 0]),
+    # truncated at different later steps, so the live runs shrink mid-loop
+    (0.0004, [[0.275, 0.025, 0.275], [0.225, 0.025, 0.225],
+              [-0.125, 0.025, -0.125], [-0.225, -0.125, -0.225]],
+     [5, 3, 1, 2], [0, 0, 1, 1]),
+])
+def test_simulate_closed_loop_stack_matches_one_start_runs(
+        theta, starts, truncated, failing):
+    rooms, topo, controllers = build_controlled_rooms(theta=theta)
+    starts = np.asarray(starts)
+    stacked = simulate_closed_loop(rooms, topo, controllers, starts, horizon=12)
+    assert len(stacked) == len(starts)
+    for r, trajs in enumerate(stacked):
+        [alone] = simulate_closed_loop(rooms, topo, controllers,
+                                       starts[r:r + 1], horizon=12)
+        assert [tr.truncated_at for tr in trajs] == [truncated[r]] * 3
+        assert [i for i, tr in enumerate(trajs) if tr.diagnostic] == \
+            ([] if failing[r] is None else [failing[r]])
+        for got, want in zip(trajs, alone):
+            assert got.subsystem == want.subsystem
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert np.array_equal(got.input_indices, want.input_indices)
+            assert np.array_equal(got.safe, want.safe)
+            assert got.truncated_at == want.truncated_at
+            assert got.diagnostic == want.diagnostic

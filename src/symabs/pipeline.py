@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import compose as compose_mod
-from . import scenario
+from . import scenario, synthesize
 from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
@@ -160,7 +160,6 @@ class CertifyConfig:
         "gamma": (1e-3, 1e3), "eta": (0.0, 1e3),
         "theta": (0.0, 20.0), "phi": (0.0, 50.0)})
     lipschitz: dict = field(default_factory=dict)
-    share_identical: bool = True
     lexicographic: bool = True
     row_cap: int = scenario.DEFAULT_ROW_CAP
 
@@ -198,7 +197,7 @@ class SynthesizeConfig:
     horizon: int = 100
     initial: tuple | str = "winning-centers"
     max_runs: int = 64
-    query_cap: int = 10_000_000
+    query_cap: int = synthesize.DEFAULT_QUERY_CAP
 
     def __post_init__(self):
         if not isinstance(self.initial, str):
@@ -510,25 +509,27 @@ def computed_sample_size(config: PipelineConfig, state_dim: int) -> tuple[int, i
     return min_sample_size(eps, cert.beta, unknowns), unknowns
 
 
-def _shared(config: PipelineConfig) -> bool:
-    """Whether one certificate, sample batch and table serve every subsystem."""
-    return config.certify.share_identical and config.system.identical_subsystems
+def _owners(config: PipelineConfig, bundle: SystemBundle) -> list:
+    """For each subsystem, the one whose samples, certificate, abstraction and
+    controller serve it: 0 for all when the subsystems are identical, else
+    itself.  Stages compute and store artifacts for distinct owners only."""
+    if config.system.identical_subsystems:
+        return [0] * bundle.count
+    return list(range(bundle.count))
 
 
 def _draw_batches(config: PipelineConfig, bundle: SystemBundle, q: int):
-    """(one sample batch per certified subsystem, shared)."""
-    shared = _shared(config)
-    count = 1 if shared else bundle.count
+    """One sample batch per distinct owner, in index order."""
     return [draw_samples(bundle.subsystems[i].signature, q, config.seed + i)
-            for i in range(count)], shared
+            for i in sorted(set(_owners(config, bundle)))]
 
 
 def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
         q, _ = computed_sample_size(config, bundle.subsystems[0].signature.state_dim)
-        batches, shared = _draw_batches(config, bundle, q)
-        payload = {"shared": shared, "q": q,
+        batches = _draw_batches(config, bundle, q)
+        payload = {"shared": config.system.identical_subsystems, "q": q,
                    "batches": [batch_to_mapping(b) for b in batches]}
         _write_json(os.path.join(out_dir, "samples.json"), payload)
         return payload
@@ -537,11 +538,12 @@ def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
                           bundle: SystemBundle, q: int):
     path = os.path.join(out_dir, "samples.json")
-    shared = _shared(config)
     if os.path.exists(path):
         payload = _read_json(path)
-        if payload.get("q") == q and payload.get("shared") == shared:
-            return [batch_from_mapping(b) for b in payload["batches"]], shared
+        if payload.get("q") == q and \
+                payload.get("shared") == config.system.identical_subsystems and \
+                len(payload["batches"]) == len(set(_owners(config, bundle))):
+            return [batch_from_mapping(b) for b in payload["batches"]]
     return _draw_batches(config, bundle, q)
 
 
@@ -553,30 +555,28 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         basis = cert_cfg.basis_spec(bundle.subsystems[0].signature.state_dim)
         q, unknowns = computed_sample_size(
             config, bundle.subsystems[0].signature.state_dim)
-        batches, shared = _load_or_draw_samples(config, out_dir, bundle, q)
+        batches = _load_or_draw_samples(config, out_dir, bundle, q)
         lipschitz = cert_cfg.lipschitz_config().source()
         boxes = cert_cfg.variable_boxes()
-        count = 1 if shared else bundle.count
-        certs = []
-        for i in range(count):
-            certs.append(scenario.certify_apbf(
-                bundle.subsystems[i], state_grids[i], dist_grids[i], basis,
-                cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
-                boxes=boxes, unknowns=unknowns, seed=config.seed + i,
-                volume=cert_cfg.volume, kappa_radius=cert_cfg.kappa_radius,
-                psi=cert_cfg.psi, lam=cert_cfg.lam,
-                lexicographic=cert_cfg.lexicographic,
-                xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap,
-                jobs=config.jobs, samples=batches[i]))
+        owners = _owners(config, bundle)
+        certs = {i: scenario.certify_apbf(
+            bundle.subsystems[i], state_grids[i], dist_grids[i], basis,
+            cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
+            boxes=boxes, unknowns=unknowns, seed=config.seed + i,
+            volume=cert_cfg.volume, kappa_radius=cert_cfg.kappa_radius,
+            psi=cert_cfg.psi, lam=cert_cfg.lam,
+            lexicographic=cert_cfg.lexicographic,
+            xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap,
+            jobs=config.jobs, samples=batch)
+            for i, batch in zip(sorted(set(owners)), batches)}
+        shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level; kept out of
         # certificates.json, whose bytes reruns must reproduce.
         _write_json(os.path.join(out_dir, "lp_stats.json"),
                     {"shared": shared,
-                     "subsystems": [list(c.lp_stats) for c in certs]})
-        if shared:
-            certs = certs * bundle.count
+                     "subsystems": [list(c.lp_stats) for c in certs.values()]})
         payload = {"shared": shared,
-                   "certificates": [c.to_mapping() for c in certs]}
+                   "certificates": [certs[i].to_mapping() for i in owners]}
         _write_json(os.path.join(out_dir, "certificates.json"), payload)
         return payload
 
@@ -638,18 +638,13 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
         state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma)
-        shared = _shared(config)
-        tables = {}
-        for i in range(bundle.count):
-            if shared and 0 in tables:
-                fts = tables[0]
-            else:
-                fts = enumerate_abstraction(
-                    bundle.subsystems[i], state_grids[i], dist_grids[i],
-                    query_cap=config.synthesize.query_cap)
-                tables[i] = fts
+        for i in sorted(set(_owners(config, bundle))):
+            fts = enumerate_abstraction(
+                bundle.subsystems[i], state_grids[i], dist_grids[i],
+                query_cap=config.synthesize.query_cap)
             write_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"), fts)
-        return {"subsystems": bundle.count, "shared": shared}
+        return {"subsystems": bundle.count,
+                "shared": config.system.identical_subsystems}
 
 
 def _safe_cells(config: PipelineConfig, fts: FiniteTransitionSystem) -> list:
@@ -671,19 +666,20 @@ def _safe_cells(config: PipelineConfig, fts: FiniteTransitionSystem) -> list:
 def stage_synthesize(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
-        winning_counts = []
-        for i in range(bundle.count):
+        owners = _owners(config, bundle)
+        winning = {}
+        for i in sorted(set(owners)):
             fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
             ctrl = safety_synthesis(fts, _safe_cells(config, fts))
             write_controller(os.path.join(out_dir, f"controller_{i}.csv"), ctrl)
-            winning_counts.append(int(ctrl.winning.sum()))
-        payload = {"winning": winning_counts,
-                   "ok": all(c > 0 for c in winning_counts)}
+            winning[i] = int(ctrl.winning.sum())
+        payload = {"winning": [winning[i] for i in owners],
+                   "ok": all(c > 0 for c in winning.values())}
         _write_json(os.path.join(out_dir, "synthesis.json"), payload)
         return payload
 
 
-def _initial_conditions(config: PipelineConfig, controllers, grids):
+def _initial_conditions(config: PipelineConfig, controllers):
     """(run labels, (runs, network state dim) stack of starts)."""
     syn = config.synthesize
     if not isinstance(syn.initial, str):
@@ -693,9 +689,10 @@ def _initial_conditions(config: PipelineConfig, controllers, grids):
         return [f"x{k}" for k in range(starts.shape[0])], starts
     # winning-centers: every subsystem starts at the same winning cell center
     # of subsystem 0's grid (desk-scale sweep over winning cells).
+    grid = controllers[0].fts.state_grid
     cells = controllers[0].winning_states[:syn.max_runs]
-    centers = np.array([grids[0].representative(s) for s in cells])
-    starts = np.tile(centers.reshape(len(cells), grids[0].dim), len(controllers))
+    centers = np.array([grid.representative(s) for s in cells])
+    starts = np.tile(centers.reshape(len(cells), grid.dim), len(controllers))
     return [f"cell{s}" for s in cells], starts
 
 
@@ -703,21 +700,21 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
         rel, _ = load_composed(out_dir)
-        controllers = []
-        grids = []
-        for i in range(bundle.count):
+        owners = _owners(config, bundle)
+        tables = {}
+        for i in sorted(set(owners)):
             fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
-            ctrl = read_controller(os.path.join(out_dir, f"controller_{i}.csv"),
-                                   fts)
-            if not ctrl.winning.any():
+            tables[i] = read_controller(
+                os.path.join(out_dir, f"controller_{i}.csv"), fts)
+            if not tables[i].winning.any():
                 raise RefinementError(
                     f"subsystem {i} has an empty winning set; there is no "
                     f"controller to refine")
-            controllers.append(ctrl)
-            grids.append(fts.state_grid)
-        refined = [refine_controller(controllers[i], rel.component(i), grids[i])
-                   for i in range(bundle.count)]
-        labels, starts = _initial_conditions(config, controllers, grids)
+        # a shared table still needs each subsystem's own relation component
+        controllers = [tables[i] for i in owners]
+        refined = [refine_controller(c, rel.component(i), c.fts.state_grid)
+                   for i, c in enumerate(controllers)]
+        labels, starts = _initial_conditions(config, controllers)
         runs = list(zip(labels, simulate_closed_loop(
             bundle.subsystems, bundle.topology, refined, starts,
             config.synthesize.horizon)))
@@ -747,9 +744,10 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"sample size comparison: computed {q} vs reference {ref} "
                      f"-> {flag}")
 
-    cert_path = os.path.join(out_dir, "certificates.json")
-    if os.path.exists(cert_path):
+    certified = syn_ok = False
+    if os.path.exists(os.path.join(out_dir, "certificates.json")):
         certs = load_certificates(out_dir)
+        certified = all(c.certified for c in certs)
         cert = certs[0]
         lines.append(f"subsystems certified: "
                      f"{sum(1 for c in certs if c.certified)} of {len(certs)}")
@@ -774,7 +772,6 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             f"H2={sum(lvl['binding']['H2'] for lvl in levels)}")
 
     comp_path = os.path.join(out_dir, "composed.json")
-    ok = None
     if os.path.exists(comp_path):
         comp = _read_json(comp_path)
         lines.append(f"circularity_ok: {comp['circularity_ok']}")
@@ -790,16 +787,14 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
     syn_path = os.path.join(out_dir, "synthesis.json")
     if os.path.exists(syn_path):
         syn = _read_json(syn_path)
+        syn_ok = syn["ok"]
         lines.append(f"winning cells per subsystem: {syn['winning']}")
     sim_path = os.path.join(out_dir, "simulation.json")
     if os.path.exists(sim_path):
         sim = _read_json(sim_path)
         lines.append(f"simulation runs: {sim['runs']} horizon: {sim['horizon']}")
         lines.append(f"all trajectories safe: {sim['all_safe']}")
-        certs_ok = os.path.exists(cert_path) and \
-            all(c.certified for c in load_certificates(out_dir))
-        syn_ok = os.path.exists(syn_path) and _read_json(syn_path)["ok"]
-        ok = certs_ok and syn_ok and sim["all_safe"]
+        ok = certified and syn_ok and sim["all_safe"]
         lines.append(f"ok: {ok}")
 
     text = "\n".join(lines) + "\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from symabs import cli
+from symabs import cli, pipeline
 from symabs.errors import ConfigError, RefinementError
 from symabs.model import RoomNetworkParams, build_room_network
 from symabs.pipeline import (
@@ -33,12 +33,14 @@ from symabs.pipeline import (
     stage_sample,
     stage_simulate,
     stage_synthesize,
+    subsystem_grids,
     write_abstraction,
     write_controller,
 )
 from symabs.quantize import make_grid, product_grid
 from symabs.scenario import draw_samples, min_sample_size
-from symabs.synthesize import enumerate_abstraction, safety_synthesis
+from symabs.synthesize import (enumerate_abstraction, safety_synthesis,
+                               simulate_closed_loop)
 
 MINI_YAML = textwrap.dedent("""
     seed: 3
@@ -56,6 +58,18 @@ MINI_YAML = textwrap.dedent("""
 
 def mini_config():
     return PipelineConfig.from_mapping(yaml.safe_load(MINI_YAML))
+
+
+def hetero_yaml():
+    """MINI_YAML with one outside temperature per room, so no two rooms are
+    identical and every stage works per room."""
+    doc = yaml.safe_load(MINI_YAML)
+    doc["system"]["outside_temp"] = [-2.0, -1.5, -1.0]
+    return yaml.safe_dump(doc)
+
+
+def _artifact_names(out, stem):
+    return sorted(p.name for p in out.glob(f"{stem}_*.csv"))
 
 
 def test_config_yaml_roundtrip(tmp_path):
@@ -213,12 +227,18 @@ def test_certify_reuses_stored_sample_batches(tmp_path):
     data = json.loads(path.read_text())
     data["batches"][0]["points"][0][0] = 0.123456
     path.write_text(json.dumps(data))
-    batches, shared = _load_or_draw_samples(config, out, bundle, q)
-    assert shared
+    batches = _load_or_draw_samples(config, out, bundle, q)
+    assert payload["shared"] and len(batches) == 1  # one batch serves all
     assert batches[0].points[0][0] == 0.123456
     # a q mismatch forces a fresh draw of the requested size
-    batches, _ = _load_or_draw_samples(config, out, bundle, q + 1)
+    batches = _load_or_draw_samples(config, out, bundle, q + 1)
     assert batches[0].count == q + 1
+    assert batches[0].points[0][0] != 0.123456
+    # so does a batch count other than one per distinct subsystem
+    data["batches"].append(data["batches"][0])
+    path.write_text(json.dumps(data))
+    batches = _load_or_draw_samples(config, out, bundle, q)
+    assert len(batches) == 1
     assert batches[0].points[0][0] != 0.123456
 
 
@@ -241,10 +261,69 @@ def test_mini_pipeline_end_to_end(mini_run):
                  "composed.json", "synthesis.json", "simulation.json",
                  "trajectories.csv", "summary.txt"):
         assert (out / name).exists(), name
-    for i in range(3):
-        assert (out / f"abstraction_{i}.csv").exists()
-        assert (out / f"controller_{i}.csv").exists()
+    # identical rooms share one abstraction and one controller file
+    assert _artifact_names(out, "abstraction") == ["abstraction_0.csv"]
+    assert _artifact_names(out, "controller") == ["controller_0.csv"]
+    assert result.winning == [result.winning[0]] * 3
     assert "ok: True" in result.summary
+
+
+def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
+    # identical rooms: one table, one game, one file of each, one read of
+    # the abstraction in synthesize and one in simulate
+    calls = {}
+    for name in ("enumerate_abstraction", "safety_synthesis",
+                 "write_abstraction", "read_abstraction", "write_controller",
+                 "read_controller"):
+        def counted(*args, _inner=getattr(pipeline, name), _name=name, **kw):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kw)
+        monkeypatch.setattr(pipeline, name, counted)
+    result = run_pipeline(mini_config(), str(tmp_path / "out"))
+    assert result.ok
+    assert calls == {"enumerate_abstraction": 1, "safety_synthesis": 1,
+                     "write_abstraction": 1, "read_abstraction": 2,
+                     "write_controller": 1, "read_controller": 1}
+
+
+def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
+                                                         monkeypatch):
+    config = PipelineConfig.from_mapping(yaml.safe_load(hetero_yaml()))
+    assert not config.system.identical_subsystems
+    refined = []
+
+    def loop(subsystems, topology, controllers, *args):
+        refined.extend(controllers)
+        return simulate_closed_loop(subsystems, topology, controllers, *args)
+
+    monkeypatch.setattr(pipeline, "simulate_closed_loop", loop)
+    out = tmp_path / "hetero"
+    result = run_pipeline(config, str(out))
+    assert result.ok
+    assert _artifact_names(out, "abstraction") == [f"abstraction_{i}.csv"
+                                                   for i in range(3)]
+    assert _artifact_names(out, "controller") == [f"controller_{i}.csv"
+                                                  for i in range(3)]
+    # each room's files hold its own table and game, and simulate refines
+    # each room's own controller, not a copy of room 0's
+    bundle = build_systems(config)
+    state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma)
+    chosen = []
+    for i in range(3):
+        fts = enumerate_abstraction(bundle.subsystems[i], state_grids[i],
+                                    dist_grids[i])
+        assert np.array_equal(
+            read_abstraction(out / f"abstraction_{i}.csv").table, fts.table)
+        ctrl = safety_synthesis(fts, pipeline._safe_cells(config, fts))
+        back = read_controller(out / f"controller_{i}.csv", fts)
+        assert np.array_equal(back.chosen, ctrl.chosen)
+        assert np.array_equal(refined[i].table.chosen, ctrl.chosen)
+        assert result.winning[i] == int(ctrl.winning.sum())
+        chosen.append(ctrl.chosen)
+    assert not np.array_equal(chosen[0], chosen[2])
+    certs = json.loads((out / "certificates.json").read_text())
+    assert certs["shared"] is False
+    assert len({json.dumps(c) for c in certs["certificates"]}) == 3
 
 
 def test_mini_pipeline_is_deterministic(mini_run, tmp_path):
@@ -341,12 +420,33 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "unknown certify keys" in captured.err
 
 
+@pytest.mark.parametrize("text", [MINI_YAML, hetero_yaml()],
+                         ids=["shared", "hetero"])
+def test_cli_stage_by_stage_matches_casestudy(tmp_path, capsys, text):
+    # every stage in its own CLI call hands off through the files alone
+    cfg = tmp_path / "mini.yaml"
+    cfg.write_text(text)
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert cli.main(["casestudy", "--config", str(cfg), "--out", str(whole)]) == 0
+    for stage in ("sample", "certify", "compose", "abstract", "synthesize",
+                  "simulate"):
+        assert cli.main([stage, "--config", str(cfg), "--out", str(staged)]) == 0
+    capsys.readouterr()
+    for name in ("trajectories.csv", "synthesis.json", "certificates.json"):
+        assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+    for stem in ("abstraction", "controller"):
+        assert _artifact_names(staged, stem) == _artifact_names(whole, stem)
+        assert len(_artifact_names(staged, stem)) == (1 if text == MINI_YAML
+                                                      else 3)
+
+
 def test_cli_rooms_override(tmp_path):
     out = tmp_path / "rooms_out"
     cfg = tmp_path / "mini.yaml"
-    # sharing off so the batch count exposes the room count
+    # one outside temperature per room, so the rooms are not identical and
+    # the batch count exposes the room count
     doc = yaml.safe_load(MINI_YAML)
-    doc["certify"]["share_identical"] = False
+    doc["system"]["outside_temp"] = [-2.0, -1.5, -1.0, -0.5]
     cfg.write_text(yaml.safe_dump(doc))
     rc = cli.main(["sample", "--config", str(cfg), "--rooms", "4",
                    "--out", str(out)])

@@ -30,8 +30,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="artifact directory (default: out)")
     parser.add_argument("--rooms", type=int, metavar="M",
                         help="override the number of rooms")
-    parser.add_argument("--jobs", type=int, metavar="N",
-                        help="parallel LP solves across contraction levels")
 
 
 def load_config(args) -> PipelineConfig:
@@ -41,8 +39,6 @@ def load_config(args) -> PipelineConfig:
         config = PipelineConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.jobs is not None:
-        config = dataclasses.replace(config, jobs=args.jobs)
     if args.rooms is not None:
         if config.system.kind != "rooms":
             raise SymabsError("--rooms only applies to the room network")

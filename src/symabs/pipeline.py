@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -29,8 +28,7 @@ from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
 from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
 from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        LinearLipschitz, NonlinearLipschitz, SampleBatch,
-                       VariableBoxes, draw_samples, min_sample_size,
-                       quartic_difference_basis)
+                       VariableBoxes, draw_samples, quartic_difference_basis)
 from .synthesize import (ControllerTable, FiniteTransitionSystem,
                          enumerate_abstraction, refine_controller,
                          safety_synthesis, simulate_closed_loop)
@@ -153,14 +151,11 @@ class CertifyConfig:
     psi: float = 0.99
     lam: float = 1.0
     unknowns: int | None = None
-    volume: float | None = None
-    kappa_radius: float | None = None
     xi_target: float | None = -9.0
     boxes: dict = field(default_factory=lambda: {
         "gamma": (1e-3, 1e3), "eta": (0.0, 1e3),
         "theta": (0.0, 20.0), "phi": (0.0, 50.0)})
     lipschitz: dict = field(default_factory=dict)
-    lexicographic: bool = True
     row_cap: int = scenario.DEFAULT_ROW_CAP
 
     def __post_init__(self):
@@ -215,7 +210,6 @@ class ReportConfig:
 @dataclass(frozen=True)
 class PipelineConfig:
     seed: int = 0
-    jobs: int = 1
     system: SystemConfig = field(default_factory=SystemConfig)
     certify: CertifyConfig = field(default_factory=CertifyConfig)
     compose: ComposeConfig = field(default_factory=ComposeConfig)
@@ -225,14 +219,12 @@ class PipelineConfig:
     @classmethod
     def from_mapping(cls, data) -> "PipelineConfig":
         data = dict(data or {})
-        known = {"seed", "jobs", "system", "certify", "compose", "synthesize",
-                 "report"}
+        known = {"seed", "system", "certify", "compose", "synthesize", "report"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(
             seed=int(data.get("seed", 0)),
-            jobs=int(data.get("jobs", 1)),
             system=_from_mapping(SystemConfig, data.get("system"), "system"),
             certify=_from_mapping(CertifyConfig, data.get("certify"), "certify"),
             compose=_from_mapping(ComposeConfig, data.get("compose"), "compose"),
@@ -248,7 +240,7 @@ class PipelineConfig:
                 return {k: plain(v) for k, v in value.items()}
             return value
 
-        out = {"seed": self.seed, "jobs": self.jobs}
+        out = {"seed": self.seed}
         for name in ("system", "certify", "compose", "synthesize", "report"):
             section = getattr(self, name)
             out[name] = {f.name: plain(getattr(section, f.name))
@@ -471,22 +463,26 @@ def read_controller(path, fts: FiniteTransitionSystem) -> ControllerTable:
 
 
 def write_trajectories(path, runs) -> None:
-    """runs: list of (run_label, list of Trajectory)."""
+    """runs: list of (run_label, list of Trajectory).  One % pass per run,
+    with a row template per trajectory; %r writes each float's repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
         for label, trajs in runs:
+            formats, values = [], []
             for tr in trajs:
-                horizon = tr.inputs.shape[0]
-                for k in range(tr.states.shape[0]):
-                    state = ";".join(repr(float(v)) for v in tr.states[k])
-                    if k < horizon:
-                        idx = str(int(tr.input_indices[k]))
-                        nu = ";".join(repr(float(v)) for v in tr.inputs[k])
-                    else:
-                        idx, nu = "", ""
-                    trunc = "1" if tr.truncated_at is not None else "0"
-                    fh.write(f"{label},{k},{tr.subsystem},{state},{idx},{nu},"
-                             f"{int(bool(tr.safe[k]))},{trunc}\n")
+                t = tr.inputs.shape[0]
+                head = f"{str(label).replace('%', '%%')},%d,{tr.subsystem},"
+                state = ";".join(["%r"] * tr.states.shape[1])
+                nu = ";".join(["%r"] * tr.inputs.shape[1])
+                tail = f",%d,{int(tr.truncated_at is not None)}\n"
+                formats.append(f"{head}{state},%d,{nu}{tail}" * t
+                               + f"{head}{state},,{tail}")
+                body = np.column_stack([np.arange(t), tr.states[:t],
+                                        tr.input_indices, tr.inputs,
+                                        tr.safe[:t]])
+                values += body.ravel().tolist()
+                values += [t, *tr.states[t].tolist(), int(bool(tr.safe[t]))]
+            fh.write("".join(formats) % tuple(values))
 
 
 # ----------------------------------------------------------------------------
@@ -501,12 +497,12 @@ def _ensure_out(out_dir: str) -> str:
 def computed_sample_size(config: PipelineConfig, state_dim: int) -> tuple[int, int]:
     """(Q, unknown count) implied by the certification settings."""
     cert = config.certify
-    basis = cert.basis_spec(state_dim)
-    unknowns = cert.unknowns if cert.unknowns is not None else basis.z + 4
-    eps = list(cert.eps)
-    if len(eps) == 1:
-        eps = eps * len(cert.mu_grid)
-    return min_sample_size(eps, cert.beta, unknowns), unknowns
+    try:
+        plan = scenario.sample_plan(cert.mu_grid, cert.eps, cert.beta,
+                                    cert.basis_spec(state_dim).z, cert.unknowns)
+    except ValueError as exc:
+        raise ConfigError(f"certify: {exc}") from None
+    return plan.q, plan.unknowns
 
 
 def _owners(config: PipelineConfig, bundle: SystemBundle) -> list:
@@ -537,12 +533,15 @@ def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 
 def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
                           bundle: SystemBundle, q: int):
+    """The stored batches if they are the ones this config draws (same q and
+    sharing, one per distinct owner at seed + owner), else a fresh draw."""
     path = os.path.join(out_dir, "samples.json")
     if os.path.exists(path):
         payload = _read_json(path)
+        seeds = [config.seed + i for i in sorted(set(_owners(config, bundle)))]
         if payload.get("q") == q and \
                 payload.get("shared") == config.system.identical_subsystems and \
-                len(payload["batches"]) == len(set(_owners(config, bundle))):
+                [b["seed"] for b in payload["batches"]] == seeds:
             return [batch_from_mapping(b) for b in payload["batches"]]
     return _draw_batches(config, bundle, q)
 
@@ -562,12 +561,10 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         certs = {i: scenario.certify_apbf(
             bundle.subsystems[i], state_grids[i], dist_grids[i], basis,
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
-            boxes=boxes, unknowns=unknowns, seed=config.seed + i,
-            volume=cert_cfg.volume, kappa_radius=cert_cfg.kappa_radius,
+            boxes=boxes, unknowns=unknowns, seed=batch.seed,
             psi=cert_cfg.psi, lam=cert_cfg.lam,
-            lexicographic=cert_cfg.lexicographic,
             xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap,
-            jobs=config.jobs, samples=batch)
+            samples=batch)
             for i, batch in zip(sorted(set(owners)), batches)}
         shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level; kept out of
@@ -780,8 +777,8 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             lines.append(f"kappa: {comp['kappa']!r}")
             lines.append(f"composed: gamma={comp['gamma']!r} mu={comp['mu']!r} "
                          f"theta={comp['theta']!r}")
-            eps_tilde = math.sqrt(comp["theta"] / comp["gamma"])
-            lines.append(f"eps_tilde: {eps_tilde!r} vacuous: {comp['vacuous']}")
+            lines.append(f"eps_tilde: {comp['eps_tilde']!r} "
+                         f"vacuous: {comp['vacuous']}")
             lines.append(f"confidence: {comp['confidence']!r}")
 
     syn_path = os.path.join(out_dir, "synthesis.json")

@@ -19,7 +19,6 @@ grid quantizer itself is an infinity-norm object (see module quantize).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +226,36 @@ def min_sample_size(eps, beta: float, unknowns: int,
         else:
             lo = mid
     return hi
+
+
+@dataclass(frozen=True)
+class SamplePlan:
+    """Contraction levels, one risk each, and the unknowns and Q they imply."""
+
+    mu_levels: tuple
+    eps: tuple
+    unknowns: int
+    q: int
+
+
+def sample_plan(mu_grid, eps, beta: float, z: int,
+                unknowns: int | None = None) -> SamplePlan:
+    """Validate the mu levels, broadcast a scalar eps to one risk per level,
+    default the unknown count to z + 4 (phi, gamma, eta~, theta~ and xi), and
+    size the batch that every level's LP shares."""
+    mu_levels = tuple(float(m) for m in np.atleast_1d(mu_grid))
+    if not mu_levels:
+        raise ValueError("mu_grid must be non-empty")
+    if not all(0.0 < m < 1.0 for m in mu_levels):
+        raise ValueError(f"mu levels {list(mu_levels)} outside (0,1)")
+    eps_list = tuple(float(e) for e in np.atleast_1d(eps))
+    if len(eps_list) == 1:
+        eps_list = eps_list * len(mu_levels)
+    if len(eps_list) != len(mu_levels):
+        raise ValueError("eps must be scalar or one value per mu level")
+    unknowns = z + 4 if unknowns is None else int(unknowns)
+    return SamplePlan(mu_levels=mu_levels, eps=eps_list, unknowns=unknowns,
+                      q=min_sample_size(eps_list, beta, unknowns))
 
 
 def kappa(radius: float, dims: int, volume: float) -> float:
@@ -956,64 +985,39 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
                  dist_grid: UniformGrid, basis: BasisSpec, mu_grid, eps,
                  beta: float, lipschitz, boxes: VariableBoxes | None = None,
                  unknowns: int | None = None, seed: int = 0,
-                 volume: float | None = None, kappa_radius=None,
-                 psi: float = 0.99, lam: float = 1.0, lexicographic: bool = True,
+                 psi: float = 0.99, lam: float = 1.0,
                  xi_target: float | None = None,
-                 row_cap: int = DEFAULT_ROW_CAP, batch: int = 64,
-                 jobs: int = 1, samples: SampleBatch | None = None) -> ApbfCertificate:
+                 row_cap: int = DEFAULT_ROW_CAP,
+                 samples: SampleBatch | None = None) -> ApbfCertificate:
     """Draw the minimal sample batch once, solve one LP per contraction level,
     and emit the best-margin certificate (uncertified when margin > 0).  A
     pre-drawn batch may be passed in; its size must match the minimal sample
-    count implied by (eps, beta, unknowns)."""
-    mu_levels = [float(m) for m in np.atleast_1d(mu_grid)]
-    if not mu_levels:
-        raise ValueError("mu_grid must be non-empty")
-    for m in mu_levels:
-        if not 0.0 < m < 1.0:
-            raise ValueError(f"mu={m} outside (0,1)")
-    eps_list = [float(e) for e in np.atleast_1d(eps)]
-    if len(eps_list) == 1:
-        eps_list = eps_list * len(mu_levels)
-    if len(eps_list) != len(mu_levels):
-        raise ValueError("eps must be scalar or one value per mu level")
-
-    z = basis.z
-    c_unknowns = z + 4 if unknowns is None else int(unknowns)
-    q = min_sample_size(eps_list, beta, c_unknowns)
+    count implied by (eps, beta, unknowns).  Each level's margin uses the
+    radius kappa^{-1}(eps) of the uniform sampling distribution on X x D."""
+    plan = sample_plan(mu_grid, eps, beta, basis.z, unknowns)
     if samples is None:
-        samples = draw_samples(sys.signature, q, seed)
-    elif samples.count != q:
+        samples = draw_samples(sys.signature, plan.q, seed)
+    elif samples.count != plan.q:
         raise ValueError(f"sample batch has {samples.count} points, "
-                         f"the settings require exactly {q}")
+                         f"the settings require exactly {plan.q}")
     data = SopData(samples, sys, state_grid, dist_grid, basis, row_cap=row_cap)
 
     sig = sys.signature
     dims = sig.state_dim + sig.disturbance_dim
-    if volume is None:
-        box = np.vstack([sig.state_box, sig.disturbance_box])
-        volume = float(np.prod(box[:, 1] - box[:, 0]))
-    if kappa_radius is None:
-        radii = [kappa_inverse(e, dims, volume) for e in eps_list]
-    else:
-        radii = [float(r) for r in np.atleast_1d(kappa_radius)]
-        if len(radii) == 1:
-            radii = radii * len(mu_levels)
+    box = np.vstack([sig.state_box, sig.disturbance_box])
+    volume = float(np.prod(box[:, 1] - box[:, 0]))
+    radii = [kappa_inverse(e, dims, volume) for e in plan.eps]
 
-    def solve_level(t: int):
-        inst = data.instance(mu_levels[t], boxes)
-        report = solve_lp(inst, lexicographic=lexicographic, batch=batch,
-                          xi_target=xi_target)
-        level_l = lipschitz.bound(sys, sigma=state_grid.sigma, mu=mu_levels[t],
+    def solve_level(mu_t: float, radius: float):
+        inst = data.instance(mu_t, boxes)
+        report = solve_lp(inst, xi_target=xi_target)
+        level_l = lipschitz.bound(sys, sigma=state_grid.sigma, mu=mu_t,
                                   eta=report.decision.eta)
         # Charge the margin against the slack the returned vector actually
         # uses; with xi_target unset this equals xi* up to pin tolerance.
-        return report, level_l, apbf_margin(report.decision.xi, level_l, radii[t])
+        return report, level_l, apbf_margin(report.decision.xi, level_l, radius)
 
-    if jobs > 1 and len(mu_levels) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(solve_level, range(len(mu_levels))))
-    else:
-        solved = [solve_level(t) for t in range(len(mu_levels))]
+    solved = [solve_level(m, r) for m, r in zip(plan.mu_levels, radii)]
 
     margins = [s[2] for s in solved]
     best = int(np.argmin(margins))
@@ -1026,8 +1030,8 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
         state_dim=sig.state_dim, mu_tilde=dec.mu, eta_tilde=dec.eta,
         theta_tilde=dec.theta, xi_star=report.xi_star,
         xi_achieved=float(dec.xi), psi=float(psi),
-        lam=float(lam), q=q, seed=seed, unknowns=c_unknowns,
-        eps=tuple(eps_list), mu_grid=tuple(mu_levels), margins=tuple(margins),
+        lam=float(lam), q=plan.q, seed=seed, unknowns=plan.unknowns,
+        eps=plan.eps, mu_grid=plan.mu_levels, margins=tuple(margins),
         lipschitz=tuple(s[1] for s in solved), kappa_radii=tuple(radii),
         basis=basis, phi=tuple(float(v) for v in dec.phi),
         sigma=float(state_grid.sigma), boxes=boxes or VariableBoxes(),
@@ -1035,4 +1039,4 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
                         "pivots": rep.iterations,
                         "master_rows": rep.master_rows,
                         "binding": rep.binding}
-                       for mu, (rep, _, _) in zip(mu_levels, solved)))
+                       for mu, (rep, _, _) in zip(plan.mu_levels, solved)))

@@ -39,8 +39,8 @@ from symabs.pipeline import (
 )
 from symabs.quantize import make_grid, product_grid
 from symabs.scenario import draw_samples, min_sample_size
-from symabs.synthesize import (enumerate_abstraction, safety_synthesis,
-                               simulate_closed_loop)
+from symabs.synthesize import (Trajectory, enumerate_abstraction,
+                               safety_synthesis, simulate_closed_loop)
 
 MINI_YAML = textwrap.dedent("""
     seed: 3
@@ -89,7 +89,7 @@ def test_config_yaml_roundtrip(tmp_path):
     assert back.report.reference_sample_size == 99
 
 
-def test_config_rejects_unknown_keys():
+def test_config_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown config keys"):
         PipelineConfig.from_mapping({"seeds": 1})
     with pytest.raises(ConfigError, match="unknown certify keys"):
@@ -102,6 +102,18 @@ def test_config_rejects_unknown_keys():
         SystemConfig(kind="external", command=())
     with pytest.raises(ConfigError):
         SynthesizeConfig(initial="everywhere")
+    # removed settings: the thread pool, the kappa-radius overrides and the
+    # lexicographic switch
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        PipelineConfig.from_mapping({"jobs": 2})
+    for key, value in (("volume", 4.0), ("kappa_radius", 0.5),
+                       ("lexicographic", False)):
+        with pytest.raises(ConfigError, match="unknown certify keys"):
+            PipelineConfig.from_mapping({"certify": {key: value}})
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--out", str(tmp_path), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_computed_sample_size_matches_direct_call():
@@ -109,6 +121,17 @@ def test_computed_sample_size_matches_direct_call():
     q, unknowns = computed_sample_size(config, state_dim=1)
     assert unknowns == 7  # quartic scalar basis: z=3 plus gamma eta theta xi
     assert q == min_sample_size([0.2], 0.05, 7)
+    # a scalar eps serves every mu level, and each level spends it
+    two = dataclasses.replace(config, certify=dataclasses.replace(
+        config.certify, mu_grid=(0.4, 0.6)))
+    assert two.certify.eps == (0.2,)
+    assert computed_sample_size(two, state_dim=1) == (
+        min_sample_size([0.2, 0.2], 0.05, 7), 7)
+    # one eps per level must match the level count
+    bad = dataclasses.replace(two, certify=dataclasses.replace(
+        two.certify, eps=(0.2, 0.1, 0.3)))
+    with pytest.raises(ConfigError, match="one value per mu level"):
+        computed_sample_size(bad, state_dim=1)
 
 
 def test_sample_batch_mapping_roundtrip():
@@ -242,6 +265,65 @@ def test_certify_reuses_stored_sample_batches(tmp_path):
     assert batches[0].points[0][0] != 0.123456
 
 
+def test_certify_redraws_samples_stored_under_another_seed(tmp_path):
+    config = mini_config()
+    assert config.seed == 3
+    other = dataclasses.replace(config, seed=4)
+    staged, fresh = tmp_path / "staged", tmp_path / "fresh"
+    bundle = build_systems(config)
+    stage_sample(config, str(staged), bundle)
+    stage_certify(other, str(staged), bundle)
+    stage_certify(other, str(fresh), bundle)
+    assert (staged / "certificates.json").read_bytes() == \
+        (fresh / "certificates.json").read_bytes()
+    cert = json.loads((fresh / "certificates.json").read_text())
+    assert cert["certificates"][0]["seed"] == 4
+
+
+def _write_trajectories_by_row(path, runs):
+    """The row-at-a-time writer that write_trajectories replaced; the
+    reference for its bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
+        for label, trajs in runs:
+            for tr in trajs:
+                horizon = tr.inputs.shape[0]
+                for k in range(tr.states.shape[0]):
+                    state = ";".join(repr(float(v)) for v in tr.states[k])
+                    if k < horizon:
+                        idx = str(int(tr.input_indices[k]))
+                        nu = ";".join(repr(float(v)) for v in tr.inputs[k])
+                    else:
+                        idx, nu = "", ""
+                    trunc = "1" if tr.truncated_at is not None else "0"
+                    fh.write(f"{label},{k},{tr.subsystem},{state},{idx},{nu},"
+                             f"{int(bool(tr.safe[k]))},{trunc}\n")
+
+
+def test_write_trajectories_matches_row_writer(tmp_path):
+    rng = np.random.default_rng(0)
+
+    def traj(sub, n, p, t, truncated_at=None):
+        return Trajectory(
+            subsystem=sub, states=rng.uniform(-1, 1, (t + 1, n)) / 3.0,
+            inputs=rng.choice([0.0, 0.05, -0.1, 1e-17], (t, p)),
+            input_indices=rng.integers(0, 5, t),
+            safe=rng.random(t + 1) < 0.7, truncated_at=truncated_at)
+
+    runs = [("cell3", [traj(0, 1, 1, 6), traj(1, 2, 2, 6)]),
+            ("x0", [traj(0, 1, 1, 2, truncated_at=2),
+                    traj(1, 2, 2, 2, truncated_at=2)]),
+            ("x1", [traj(0, 1, 1, 0, truncated_at=0),
+                    traj(1, 2, 2, 0, truncated_at=0)]),
+            ("50%", [traj(0, 3, 1, 1)])]
+    runs[0][1][0].states[2, 0] = -0.0
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    pipeline.write_trajectories(got, runs)
+    _write_trajectories_by_row(want, runs)
+    assert got.read_bytes() == want.read_bytes()
+    assert "\nx1,0,1," in got.read_text()  # a run truncated at its start
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini")
@@ -266,6 +348,8 @@ def test_mini_pipeline_end_to_end(mini_run):
     assert _artifact_names(out, "controller") == ["controller_0.csv"]
     assert result.winning == [result.winning[0]] * 3
     assert "ok: True" in result.summary
+    composed = json.loads((out / "composed.json").read_text())
+    assert f"eps_tilde: {composed['eps_tilde']!r} " in result.summary
 
 
 def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):

@@ -26,6 +26,7 @@ from symabs.scenario import (
     lipschitz_nonlinear,
     min_sample_size,
     quartic_difference_basis,
+    sample_plan,
     solve_lp,
 )
 from symabs.simplex import solve_with_rows
@@ -113,6 +114,22 @@ def test_min_sample_size_reference_values():
     assert min_sample_size(0.1, 0.5, 1) == 7
     assert min_sample_size(0.05, 0.01, 7) == 288
     assert min_sample_size(0.001, 1e-4, 1) == 9206
+
+
+def test_sample_plan_broadcasts_eps_and_defaults_unknowns():
+    plan = sample_plan((0.5, 0.7), 0.3, 0.1, z=3)
+    assert plan.mu_levels == (0.5, 0.7)
+    assert plan.eps == (0.3, 0.3)
+    assert plan.unknowns == 7
+    assert plan.q == min_sample_size([0.3, 0.3], 0.1, 7)
+    plan = sample_plan([0.5], [0.2], 0.05, z=3, unknowns=9)
+    assert (plan.eps, plan.unknowns) == ((0.2,), 9)
+    assert plan.q == min_sample_size([0.2], 0.05, 9)
+    for mu_grid, eps, message in (((), 0.3, "non-empty"),
+                                  ((0.5, 1.0), 0.3, "outside"),
+                                  ((0.5, 0.7), (0.1, 0.2, 0.3), "per mu level")):
+        with pytest.raises(ValueError, match=message):
+            sample_plan(mu_grid, eps, 0.1, z=3)
 
 
 def test_min_sample_size_matches_binomial_oracle():

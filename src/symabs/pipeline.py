@@ -766,7 +766,9 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             f"pivots={sum(lvl['pivots'] for lvl in levels)} "
             f"master_rows_max={max(lvl['master_rows'] for lvl in levels)} "
             f"binding H1={sum(lvl['binding']['H1'] for lvl in levels)} "
-            f"H2={sum(lvl['binding']['H2'] for lvl in levels)}")
+            f"H2={sum(lvl['binding']['H2'] for lvl in levels)} "
+            f"pruned={sum(lvl['pruned'] for lvl in levels)}/"
+            f"{sum(lvl['blocks'] + lvl['pruned'] for lvl in levels)}")
 
     comp_path = os.path.join(out_dir, "composed.json")
     if os.path.exists(comp_path):

@@ -28,13 +28,13 @@ from .model import BlackBoxSystem, SystemSignature
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
 from .quantize import UniformGrid, abstract_transition, transition_table
-from .simplex import solve_with_rows
+from .simplex import scan_above, solve_with_rows
 
 Array = np.ndarray
 
 # Certify holds no array with one entry per SOP row (rows are rebuilt and
-# scanned one sample at a time), so this cap bounds run time, not memory: each
-# row-generation round scans every row once.
+# scanned one sample at a time), so this cap bounds run time, not memory: a
+# row-generation round scans at most every row once, and pruning only skips.
 DEFAULT_ROW_CAP = 50_000_000
 SAMPLE_CAP = 10_000_000
 
@@ -563,6 +563,19 @@ class SopInstance:
     (u, s, d) is the in-box cell whose center represents the abstract
     successor (the clamped nearest cell for the sink).  `gather` builds the
     requested rows bit for bit as a dense matrix would hold them.
+
+    `residual_blocks` skips an H2 block whose rows cannot exceed the floor
+    the scan sends it.  Sample i's row (u, s, d) is summed in the order
+    (succ[i, column(u, s, d)] + by_state[i, s]) + by_dist[i, d].  The block's
+    bound is summed in the same order from the largest term of each stage:
+    top[u, s] = the max of succ[i] over the successor columns of (u, s)
+    across all d, then max over (u, s) of (top[u, s] + by_state[i, s]), then
+    + max by_dist[i].  IEEE round-to-nearest addition is monotone, so the
+    bound is at least every row of the block bit for bit, and a block with
+    bound <= floor holds no row above the floor.  The bound is exact only
+    while both sums keep that order: change them together.
+    `blocks_scanned` and `blocks_pruned` count the H2 blocks built and
+    skipped.
     """
 
     coef_gamma: Array
@@ -590,6 +603,16 @@ class SopInstance:
         # (u, s, d) -> column of the successor cell in coef_phi[i] @ phi,
         # flattened to u*s columns
         self._succ_column = np.arange(n_u)[:, None, None] * n_s + self.successor
+        # the distinct successor columns of each (u, s) pair across d, one
+        # run per pair laid end to end, and where each run starts
+        pairs = n_u * n_s
+        hit = np.zeros((pairs, n_s), dtype=bool)
+        hit[np.arange(pairs)[:, None], self.successor.reshape(pairs, n_d)] = True
+        pair, cell = np.nonzero(hit)
+        self._bound_columns = pair - pair % n_s + cell
+        self._bound_starts = np.searchsorted(pair, np.arange(pairs))
+        self.blocks_scanned = 0
+        self.blocks_pruned = 0
 
     @property
     def row_count(self) -> int:
@@ -615,10 +638,12 @@ class SopInstance:
         """Yield (start_row, A x - b over a block of rows), in row order: the
         H1 block, then one H2 block of u*s*d rows per sample.
 
-        Each call fills one buffer of its own and reuses it for every H2
-        block, so a block holds its values only until the next one is drawn;
-        copy what must outlive that.  Separate calls share no buffer and may
-        run on separate threads."""
+        A value sent into the generator is a floor: until the next one, H2
+        blocks whose bound (see the class docstring) is at or below it are
+        skipped, not yielded.  A plain iteration sends None and gets every
+        block.  Each call fills one buffer of its own and reuses it for every
+        H2 block, so a block holds its values only until the next one is
+        drawn; copy what must outlive that."""
         vec = np.asarray(vec, dtype=float)
         gamma, eta, theta = vec[0], vec[1], vec[2]
         phi, xi = vec[3:-1], vec[-1]
@@ -628,18 +653,28 @@ class SopInstance:
         h1 = np.multiply(self.coef_gamma, gamma)
         h1 -= cur
         h1 -= xi
-        yield 0, h1.reshape(-1)
+        floor = yield 0, h1.reshape(-1)
         succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
-        by_state = (self.coef_theta * theta + self.const - xi
-                    - self.mu * cur)[:, None, :, None]
-        by_dist = (self.coef_eta * eta)[:, None, None, :]
+        state_term = self.coef_theta * theta + self.const - xi - self.mu * cur
+        dist_term = self.coef_eta * eta
+        # summed in the block's own order; see the class docstring
+        top = np.maximum.reduceat(succ[:, self._bound_columns],
+                                  self._bound_starts, axis=1)
+        bound = (top.reshape(q, n_u, n_s)
+                 + state_term[:, None, :]).max(axis=(1, 2)) + dist_term.max(axis=1)
+        by_state = state_term[:, None, :, None]
+        by_dist = dist_term[:, None, None, :]
         block = np.empty((n_u, n_s, n_d))
         start = st.h1_rows
         for i in range(q):
-            np.take(succ[i], self._succ_column, out=block)
-            block += by_state[i]
-            block += by_dist[i]
-            yield start, block.reshape(-1)
+            if floor is not None and bound[i] <= floor:
+                self.blocks_pruned += 1
+            else:
+                self.blocks_scanned += 1
+                np.take(succ[i], self._succ_column, out=block)
+                block += by_state[i]
+                block += by_dist[i]
+                floor = yield start, block.reshape(-1)
             start += block.size
 
     def residuals(self, vec: Array) -> Array:
@@ -710,8 +745,9 @@ class SopData:
         rows = self.structure.h1_rows + self.structure.h2_rows
         if rows > row_cap:
             raise CapacityError(
-                f"{rows} SOP rows exceed the cap {row_cap}; every row-generation "
-                "round scans all rows, so the cap bounds certify run time")
+                f"{rows} SOP rows exceed the cap {row_cap}; a row-generation "
+                "round may scan every row, so the cap bounds the worst-case "
+                "certify time")
 
         state_reps = state_grid.all_representatives()
         dist_reps = dist_grid.all_representatives()
@@ -770,7 +806,9 @@ def assemble_sop(samples: SampleBatch, sys: BlackBoxSystem,
 class SolveReport:
     """A solved scenario program and what the LP did to solve it: master
     solves (`rounds`) and pivots (`iterations`) summed over every phase, the
-    final master size, and the rows binding at the returned vector."""
+    final master size, the rows binding at the returned vector, and the H2
+    blocks the scans built (`blocks`) and skipped (`pruned`), summed over
+    every round, phase and the final feasibility check."""
 
     decision: DecisionVector
     xi_star: float
@@ -778,6 +816,8 @@ class SolveReport:
     iterations: int
     master_rows: int
     rounds: int
+    blocks: int
+    pruned: int
 
     @property
     def binding(self) -> dict:
@@ -808,6 +848,7 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
     boxes = boxes or instance.boxes
     z = instance.z
     nv = instance.n_vars
+    scanned, pruned = instance.blocks_scanned, instance.blocks_pruned
     lower, upper = boxes.lower(z), boxes.upper(z)
 
     def objective(index: int) -> Array:
@@ -850,15 +891,21 @@ def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
             extra_b.append(rhs)
             vec = result.x
 
+    # Blocks with no row above the limit are skipped: the verdict is the
+    # same, and a reported violation is still the exact worst row.
+    limit = 1e-7
     worst = max(float(np.max(block, initial=-np.inf))
-                for _, block in instance.residual_blocks(vec))
-    if worst > 1e-7:
+                for _, block in scan_above(instance.residual_blocks(vec),
+                                           lambda: limit))
+    if worst > limit:
         raise SolverError(f"returned vector violates a row by {worst:.3e}")
     decision = DecisionVector.from_array(vec, instance.mu)
     tags = tuple(instance.tag(int(r)) for r in active)
     return SolveReport(decision=decision, xi_star=xi_star, active=tags,
                        iterations=iterations, master_rows=int(working.size),
-                       rounds=rounds)
+                       rounds=rounds,
+                       blocks=instance.blocks_scanned - scanned,
+                       pruned=instance.blocks_pruned - pruned)
 
 
 # ----------------------------------------------------------------------------
@@ -1038,5 +1085,6 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
         lp_stats=tuple({"mu": mu, "rounds": rep.rounds,
                         "pivots": rep.iterations,
                         "master_rows": rep.master_rows,
-                        "binding": rep.binding}
+                        "binding": rep.binding,
+                        "blocks": rep.blocks, "pruned": rep.pruned}
                        for mu, (rep, _, _) in zip(plan.mu_levels, solved)))

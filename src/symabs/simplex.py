@@ -46,6 +46,14 @@ The scan streams: the row source yields its residuals block by block, and
 so a round holds O(block + k) values and never one entry per row.  Among
 equal residuals the lower row index wins, which makes the chosen rows a
 function of the residual values alone, whatever the block boundaries.
+
+The scan is also pruned: `scan_above` sends the source, before each block
+after the first, the floor a row must exceed to be admitted, max(viol_tol,
+running k-th residual).  A source that can bound a block's rows from cheap
+factors skips every block whose bound is at or below that floor, without
+building it.  Only rows no consumer would admit are skipped, so the chosen
+rows are the same as from a full scan.  A source that cannot bound its
+blocks ignores the floor and yields them all.
 """
 
 from __future__ import annotations
@@ -319,6 +327,25 @@ def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
     return SimplexResult("optimal", x, objective, active, iterations, codes)
 
 
+def scan_above(blocks, floor):
+    """Iterate the (start_row, residuals) blocks of a row source, sending it
+    `floor()` before each block after the first.
+
+    The source may skip any block whose rows are all at or below the floor it
+    was last sent, so the consumer must ignore every row at or below its
+    floor.  A source that is not a generator gets no floor and yields every
+    block."""
+    it = iter(blocks)
+    send = getattr(it, "send", None)
+    try:
+        item = next(it)
+        while True:
+            yield item
+            item = next(it) if send is None else send(floor())
+    except StopIteration:
+        return
+
+
 def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
     """Row indices of the k largest residuals above viol_tol, ascending.
 
@@ -326,12 +353,14 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
     the sorted array `skip` are passed over.  Among equal residuals the lower
     row index wins.  A row joins the candidates only when it beats the
     current k-th residual, and every earlier row has a lower index, so a tie
-    with the k-th never displaces it.
+    with the k-th never displaces it.  That threshold, max(viol_tol, k-th
+    residual), is the floor `scan_above` sends the source: a block it skips
+    holds no row that would join.
     """
     val = np.empty(0)
     idx = np.empty(0, dtype=int)
     floor = viol_tol
-    for start, block in blocks:
+    for start, block in scan_above(blocks, lambda: floor):
         hit = np.flatnonzero(block > floor)
         if hit.size == 0:
             continue
@@ -347,8 +376,6 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
     return np.sort(idx)
 
 
-
-
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
                     maximize: bool = False, start_rows=None, batch: int = 64,
                     viol_tol: float = 1e-9, max_rounds: int = 1000,
@@ -359,13 +386,15 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     `source` exposes row_count, gather(indices) -> (A, b), and
     residual_blocks(x), which yields (start_row, A x - b over a block of
     rows) covering all rows in increasing row order; a block need only stay
-    valid until the next is drawn.  Each round adds the `batch` most violated
-    rows (ties to the lower index, see `top_violators`) and re-solves the
-    master from the previous round's optimal basis.  Extra rows are always
-    kept in the master.  Once the master would exceed max_master rows,
-    working rows slack at the current optimum are dropped (never a row of
-    the basis); dropped rows rejoin through the violation scan if they ever
-    bind again.
+    valid until the next is drawn.  When the scan sends it a floor (see
+    `scan_above`), the source may skip blocks with no row above it; a plain
+    iteration sends None and gets every block.  Each round adds the `batch`
+    most violated rows (ties to the lower index, see `top_violators`) and
+    re-solves the master from the previous round's optimal basis.  Extra rows
+    are always kept in the master.  Once the master would exceed max_master
+    rows, working rows slack at the current optimum are dropped (never a row
+    of the basis); dropped rows rejoin through the violation scan if they
+    ever bind again.
     Returns (SimplexResult, working row indices, active source row indices);
     the result's `iterations` and `rounds` add up every master solve.
     """

@@ -53,6 +53,15 @@ def lp_by_vertices(c, a_ub, b_ub, lower, upper, maximize=False):
     return "optimal", best
 
 
+def brute_top(resid, skip, k, viol_tol):
+    """The k largest residuals above viol_tol outside `skip`, ties to the
+    lower index, from one sort of the full vector."""
+    resid = resid.copy()
+    resid[skip] = -np.inf
+    order = np.lexsort((np.arange(resid.size), -resid))[:k]
+    return np.sort(order[resid[order] > viol_tol])
+
+
 def solve_safety_game(table, safe):
     """Maximal winning set by plain fixed-point iteration on Python sets.
 

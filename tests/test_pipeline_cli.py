@@ -434,6 +434,10 @@ def test_mini_pipeline_writes_lp_stats(mini_run):
             f"master_rows_max={level['master_rows']} "
             f"binding H1={level['binding']['H1']} H2={level['binding']['H2']}")
     assert line in result.summary
+    # the scan skips H2 blocks that cannot hold a violator
+    assert level["pruned"] > 0 and level["blocks"] >= 0
+    total = level["blocks"] + level["pruned"]
+    assert f"{line} pruned={level['pruned']}/{total}" in result.summary
     # telemetry stays out of the pinned certificate file
     certs = json.loads((out / "certificates.json").read_text())["certificates"]
     assert all("lp_stats" not in c for c in certs)

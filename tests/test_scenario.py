@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ball_fraction, ball_radius, min_samples_binomial
+from oracles import ball_fraction, ball_radius, brute_top, min_samples_binomial
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
                              transition_table)
@@ -29,7 +29,7 @@ from symabs.scenario import (
     sample_plan,
     solve_lp,
 )
-from symabs.simplex import solve_with_rows
+from symabs.simplex import solve_with_rows, top_violators
 
 
 def linear_system(a=0.8, gain=0.1, inputs=((-0.2,), (0.3,))):
@@ -373,6 +373,11 @@ def test_sop_residual_blocks_tile_the_residuals(basis):
     rng = np.random.default_rng(12)
     for _ in range(3):
         vec = rng.uniform(-3.0, 3.0, size=inst.n_vars)
+        # a scan that prunes every H2 block leaves a later plain one whole
+        pruned = inst.blocks_pruned
+        assert top_violators(inst.residual_blocks(vec), np.empty(0, dtype=int),
+                             1, np.inf).size == 0
+        assert inst.blocks_pruned - pruned == st.samples
         starts, blocks = [], []
         for start, block in inst.residual_blocks(vec):
             starts.append(start)
@@ -382,6 +387,94 @@ def test_sop_residual_blocks_tile_the_residuals(basis):
                                 for i in range(st.samples)]
         assert [b.size for b in blocks] == [st.h1_rows] + [per_sample] * st.samples
         assert np.array_equal(np.concatenate(blocks), inst.residuals(vec))
+
+
+def pruning_instance(basis):
+    """An instance whose successors escape on both sides of the state box."""
+    sys = linear_system(a=1.1, gain=0.2)
+    sg = make_grid(sys.signature.state_box, 0.125)
+    dg = make_grid(sys.signature.disturbance_box, 0.34)
+    samples = draw_samples(sys.signature, 40, seed=3)
+    return assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+
+
+def random_vector(rng, inst, trial):
+    vec = rng.uniform(-3.0, 3.0, size=inst.n_vars)
+    if trial % 3 == 0:
+        vec[1] = 0.0  # eta = 0: rows with one successor tie across d
+    return vec
+
+
+@FACTORED_BASES
+def test_sop_pruned_blocks_hold_no_row_above_the_floor(basis):
+    # Floors one ulp below the next block's largest row must never skip it,
+    # so a bound below any row of its block, by even one ulp, fails here.
+    inst = pruning_instance(basis)
+    st = inst.structure
+    r1, per = st.h1_rows, st.inputs * st.states * st.dists
+    rng = np.random.default_rng(13)
+    pruned = 0
+    for trial in range(60):
+        vec = random_vector(rng, inst, trial)
+        resid = inst.residuals(vec)
+        tops = resid[r1:].reshape(st.samples, per).max(axis=1)
+        before = inst.blocks_scanned + inst.blocks_pruned, inst.blocks_pruned
+        gen = inst.residual_blocks(vec)
+        start, block = next(gen)
+        assert start == 0 and np.array_equal(block, resid[:r1])
+        expect, skipped = 0, 0
+        while True:
+            nxt = tops[min(expect, st.samples - 1)]
+            floor = [np.nextafter(nxt, -np.inf), nxt, None,
+                     float(rng.choice(resid))][int(rng.integers(4))]
+            try:
+                start, block = gen.send(floor)
+            except StopIteration:
+                start = r1 + st.samples * per
+            i = (start - r1) // per
+            # every skipped block holds no row above the floor it was sent
+            if floor is None:
+                assert i == expect
+            else:
+                assert np.all(tops[expect:i] <= floor)
+            skipped += i - expect
+            if i == st.samples:
+                break
+            assert start == r1 + i * per
+            assert np.array_equal(block, resid[start:start + per])
+            expect = i + 1
+        after = inst.blocks_scanned + inst.blocks_pruned, inst.blocks_pruned
+        assert after[0] - before[0] == st.samples
+        assert after[1] - before[1] == skipped
+        pruned += skipped
+    assert pruned > 0
+
+
+@FACTORED_BASES
+def test_pruned_top_violators_match_brute_force(basis):
+    inst = pruning_instance(basis)
+    rng = np.random.default_rng(14)
+    pruned = inst.blocks_pruned
+    for trial in range(80):
+        vec = random_vector(rng, inst, trial)
+        resid = inst.residuals(vec)
+        viol_tol = 1e-9 if trial % 4 == 0 else \
+            float(np.quantile(resid, rng.uniform(0.5, 0.999)))
+        skip = np.sort(rng.choice(inst.row_count,
+                                  size=int(rng.integers(0, 300)), replace=False))
+        open_rows = np.delete(resid, skip)
+        above = open_rows[open_rows > viol_tol]
+        k = int(rng.integers(1, 200))
+        values, counts = np.unique(above, return_counts=True)
+        if trial % 2 and np.any(counts > 1):
+            # put the k-th value inside a run of ties
+            v = rng.choice(values[counts > 1])
+            k = int(np.sum(above > v)) + int(rng.integers(1, counts[values == v][0]))
+        elif trial % 5 == 0:
+            k = above.size + int(rng.integers(1, 10))  # more than the violators
+        got = top_violators(inst.residual_blocks(vec), skip, k, viol_tol)
+        assert np.array_equal(got, brute_top(resid, skip, k, viol_tol))
+    assert inst.blocks_pruned > pruned
 
 
 def test_solve_lp_holds_less_than_one_float_per_row():
@@ -512,6 +605,38 @@ def test_solve_lp_reports_every_master_solve(monkeypatch):
             "H1": sum(t.kind == "H1" for t in report.active),
             "H2": sum(t.kind == "H2" for t in report.active)}
         assert sum(report.binding.values()) == len(report.active) >= 1
+        # one scan per round and one final check, every H2 block counted
+        assert report.blocks + report.pruned \
+            == (report.rounds + 1) * inst.structure.samples
+        assert report.pruned > 0
+
+
+def test_solve_lp_final_check_finds_the_worst_row(monkeypatch):
+    # The check skips blocks with no row above 1e-7, so it must still reject
+    # every vector with a row above 1e-7 and report that row's residual.
+    import symabs.scenario as scenario_mod
+    from symabs.errors import SolverError
+    from symabs.simplex import SimplexResult
+    inst = build_tiny_instance()
+    good = solve_lp(inst, lexicographic=False).decision.as_array()
+    rng = np.random.default_rng(15)
+    rejected = accepted = 0
+    for scale in np.logspace(-10, -3, 15):
+        vec = good + rng.normal(scale=scale, size=good.size)
+        result = SimplexResult("optimal", vec, float(vec[-1]),
+                               np.empty(0, dtype=int), 0)
+        monkeypatch.setattr(scenario_mod, "solve_with_rows",
+                            lambda *a, **k: (result, np.zeros(1, dtype=int),
+                                             np.empty(0, dtype=int)))
+        worst = float(np.max(inst.residuals(vec)))
+        if worst > 1e-7:
+            with pytest.raises(SolverError, match=f"by {worst:.3e}$"):
+                solve_lp(inst, lexicographic=False)
+            rejected += 1
+        else:
+            solve_lp(inst, lexicographic=False)
+            accepted += 1
+    assert rejected and accepted
 
 
 def test_solve_lp_lexicographic_refinement_improves_gamma():

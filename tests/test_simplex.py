@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import lp_by_vertices
+from oracles import brute_top, lp_by_vertices
 import symabs.simplex as simplex_mod
 from symabs.errors import InfeasibleError
-from symabs.simplex import SimplexResult, solve_simplex, solve_with_rows, top_violators
+from symabs.simplex import (SimplexResult, scan_above, solve_simplex, solve_with_rows,
+                            top_violators)
 
 
 def test_single_variable_box():
@@ -106,15 +107,6 @@ class DenseRows:
         yield 0, self.a @ x - self.b
 
 
-def brute_top(resid, skip, k, viol_tol):
-    """The k largest residuals above viol_tol outside `skip`, ties to the
-    lower index, from one sort of the full vector."""
-    resid = resid.copy()
-    resid[skip] = -np.inf
-    order = np.lexsort((np.arange(resid.size), -resid))[:k]
-    return np.sort(order[resid[order] > viol_tol])
-
-
 def reused_blocks(resid, cuts):
     """(start, block) pieces of resid split at `cuts`, all written into one
     reused buffer, as SopInstance.residual_blocks hands them out."""
@@ -163,6 +155,63 @@ def test_top_violators_edge_cases():
     # no violators
     assert top_violators(reused_blocks(resid, [3]), none, 4, 3.0).size == 0
     assert top_violators(iter([]), none, 4, 0.0).size == 0
+
+
+def pruning_blocks(resid, cuts, floors):
+    """`reused_blocks` for a source with the tightest exact bound, the block
+    max: each block whose rows are all at or below the last floor sent is
+    skipped.  Every floor sent is appended to `floors`."""
+    buf = np.empty(resid.size)
+    bounds = [0, *cuts, resid.size]
+    floor = None
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if floor is not None and resid[lo:hi].max() <= floor:
+            continue
+        block = buf[:hi - lo]
+        block[:] = resid[lo:hi]
+        floor = yield lo, block
+        floors.append(floor)
+        block[:] = np.nan
+
+
+def test_top_violators_sends_its_admission_floor():
+    # The source skips every block the floor allows, so a floor above the
+    # running k-th residual, or above viol_tol before k rows are held, loses
+    # a row that brute force keeps.
+    rng = np.random.default_rng(6)
+    skipped = 0
+    for trial in range(300):
+        m = int(rng.integers(1, 120))
+        resid = rng.integers(-3, 4, size=m) * 0.5
+        # rows one ulp above a tied value: a floor that overshoots by more
+        # than an ulp skips them
+        bump = rng.random(m) < 0.3
+        resid[bump] = np.nextafter(resid[bump], np.inf)
+        cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)),
+                                  replace=False)) if m > 1 else []
+        skip = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                  replace=False))
+        k = int(rng.integers(1, m + 10))
+        viol_tol = float(rng.choice([1e-9, 0.5]))
+        floors = []
+        got = top_violators(pruning_blocks(resid, cuts, floors), skip, k,
+                            viol_tol)
+        assert np.array_equal(got, brute_top(resid, skip, k, viol_tol))
+        assert all(f >= viol_tol for f in floors)
+        skipped += len(cuts) + 1 - len(floors)
+    assert skipped > 0  # the floor did prune
+
+
+def test_scan_above_passes_plain_iterators_through():
+    blocks = [(0, np.array([1.0])), (1, np.array([-1.0, 2.0]))]
+    assert list(scan_above(iter(blocks), lambda: 5.0)) == blocks
+    assert list(scan_above(iter([]), lambda: 5.0)) == []
+    # a generator that ignores the floor yields every block
+    resid = np.array([3.0, -1.0, 0.5])
+    got = [(start, block.copy()) for start, block in
+           scan_above(reused_blocks(resid, [1, 2]), lambda: 10.0)]
+    assert [start for start, _ in got] == [0, 1, 2]
+    assert np.array_equal(np.concatenate([b for _, b in got]), resid)
 
 
 def test_row_generation_matches_direct_solve():

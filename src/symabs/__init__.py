@@ -9,8 +9,8 @@ controllers on the finite abstractions that refine to the concrete network.
 """
 
 from .compose import (ComponentRelation, ComposedAbf, GainMatrix,
-                      ScalingVector, SimulationRelation, build_gain_matrix,
-                      check_circularity, compose_abf, find_scalings, relation)
+                      ScalingVector, build_gain_matrix, check_circularity,
+                      compose_abf, find_scalings)
 from .errors import (CapacityError, CompositionError, ConfigError, DomainError,
                      InfeasibleError, OracleError, ProtocolError,
                      RefinementError, SolverError, SymabsError, UnboundedError)
@@ -42,15 +42,15 @@ __all__ = [
     "InfeasibleError", "InterconnectionTopology", "LinearLipschitz",
     "NonlinearLipschitz", "OracleError", "PipelineConfig", "ProtocolError",
     "RefinedController", "RefinementError", "RoomNetworkParams", "SampleBatch",
-    "ScalingVector", "SimplexResult", "SimulationRelation", "SolverError",
-    "SymabsError", "SystemSignature", "Trajectory", "UnboundedError",
+    "ScalingVector", "SimplexResult", "SolverError", "SymabsError",
+    "SystemSignature", "Trajectory", "UnboundedError",
     "UniformGrid", "VariableBoxes", "abstract_transition", "apbf_margin",
     "assemble_sop", "build_gain_matrix", "build_room_network", "certify_apbf",
     "check_circularity", "compose_abf", "convert_gains", "draw_samples",
     "enumerate_abstraction", "find_scalings", "kappa", "kappa_inverse",
     "make_grid", "min_sample_size", "product_grid", "quantize",
-    "quartic_difference_basis", "refine_controller", "relation",
-    "run_pipeline", "safety_synthesis", "serve_oracle", "simulate_closed_loop",
+    "quartic_difference_basis", "refine_controller", "run_pipeline",
+    "safety_synthesis", "serve_oracle", "simulate_closed_loop",
     "sink_point", "solve_lp", "solve_simplex", "solve_with_rows",
     "trivial_grid",
 ]

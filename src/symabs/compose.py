@@ -6,11 +6,17 @@ i's disturbance couples their scores with gain mu_ij = eta_i / gamma_j.  When
 every directed cycle of the gain graph has product < 1, scalings kappa_i exist
 with max mu_ij kappa_j / kappa_i < 1, and V(x, xhat) = max_i S_i / kappa_i is
 a contraction certificate for the whole network.  Its (gamma, theta) induce
-the eps-approximate relation V <= theta with eps = sqrt(theta / gamma).
+the relation V <= theta, whose members are eps-close in every subsystem
+block with eps = sqrt(theta / gamma).
 
-Cycle analysis runs in log-space: a product->=1 cycle exists iff the digraph
-weighted by -log mu_ij has a cycle with non-positive weight sum, detected by
-Bellman-Ford relaxation plus a tight-edge sweep for exactly-zero cycles.
+The cycle condition and the scalings are one fact in log space: with
+s = log kappa, the difference constraints s_j - s_i <= -log mu_ij - delta
+are feasible for some delta > 0 iff no cycle has product >= 1.  One
+shortest-path routine, `_potentials`, decides both: shortest distances from
+a virtual source are feasible s, and a negative cycle is the violating
+cycle.  The check shifts every weight down by `_TOL`, so a cycle whose
+product is exactly 1 becomes negative and fails; `find_scalings` never
+shifts by less than that, so a passing check always has scalings.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .scenario import ApbfCertificate
 
 Array = np.ndarray
 
-_EDGE_TOL = 1e-12
+_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,11 +52,6 @@ class GainMatrix:
     @property
     def size(self) -> int:
         return self.entries.shape[0]
-
-    def edges(self):
-        """(i, j, mu_ij) for every present edge, row-major."""
-        idx = np.argwhere(self.entries > 0.0)
-        return [(int(i), int(j), float(self.entries[i, j])) for i, j in idx]
 
 
 def build_gain_matrix(certs, topology: InterconnectionTopology) -> GainMatrix:
@@ -72,12 +73,52 @@ def build_gain_matrix(certs, topology: InterconnectionTopology) -> GainMatrix:
     return GainMatrix(entries=entries)
 
 
+def _log_weights(entries: Array) -> Array:
+    """-log mu_ij as edge weights; inf where there is no edge."""
+    with np.errstate(divide="ignore"):
+        return -np.log(entries)
+
+
+def _potentials(weights: Array):
+    """Bellman-Ford from a virtual source with a 0-weight edge to every node,
+    over the dense m x m matrix weights[u, v] of edge u -> v (inf: no edge).
+
+    Returns (dist, None) when no cycle is negative, else (None, cycle) with
+    the cycle's nodes in edge order.  A node still relaxed in round m lies
+    downstream of a negative cycle of the predecessor graph; walking m
+    predecessors back from it lands on that cycle."""
+    m = weights.shape[0]
+    cols = np.arange(m)
+    dist = np.zeros(m)
+    pred = np.full(m, -1)
+    relaxed = np.zeros(m, dtype=bool)
+    for _ in range(m):
+        cand = dist[:, None] + weights
+        best = cand.argmin(axis=0)
+        new = cand[best, cols]
+        relaxed = new < dist
+        if not relaxed.any():
+            break
+        dist = np.where(relaxed, new, dist)
+        pred = np.where(relaxed, best, pred)
+    if not relaxed.any():
+        return dist, None
+    node = int(np.argmax(relaxed))
+    for _ in range(m):
+        node = int(pred[node])
+    cycle = [node]
+    while int(pred[cycle[-1]]) != node:
+        cycle.append(int(pred[cycle[-1]]))
+    return None, tuple(reversed(cycle))  # pred runs against edge direction
+
+
 @dataclass(frozen=True, eq=False)
 class CircularityResult:
     """ok means every directed cycle of the gain graph has product < 1.
     On failure, witness lists the cycle's nodes in edge order and
-    witness_product its recomputed gain product (>= 1).  worst_pair_product
-    is the largest 2-cycle product over mutually wired pairs (0 when none)."""
+    witness_product its recomputed gain product (>= 1 up to the check's
+    tolerance).  worst_pair_product is the largest 2-cycle product over
+    mutually wired pairs (0 when none)."""
 
     ok: bool
     witness: tuple | None
@@ -93,133 +134,18 @@ def _cycle_product(entries: Array, cycle) -> float:
     return prod
 
 
-def _bellman_ford(m: int, edges, weights):
-    """Distances from a virtual source (0 to every node).  Returns
-    (dist, pred, relaxable edge index or None)."""
-    dist = np.zeros(m)
-    pred = [-1] * m
-    for _ in range(m):
-        changed = False
-        for k, (u, v) in enumerate(edges):
-            cand = dist[u] + weights[k]
-            if cand < dist[v] - _EDGE_TOL:
-                dist[v] = cand
-                pred[v] = u
-                changed = True
-        if not changed:
-            return dist, pred, None
-    for k, (u, v) in enumerate(edges):
-        if dist[u] + weights[k] < dist[v] - _EDGE_TOL:
-            pred[v] = u
-            return dist, pred, k
-    return dist, pred, None
-
-
-def _walk_cycle(pred, start: int, m: int) -> tuple | None:
-    # After m relaxation rounds, walking predecessors from the relaxable edge
-    # head lands inside the offending cycle; extract it by first repeat.
-    node = start
-    for _ in range(m):
-        if pred[node] < 0:
-            break
-        node = pred[node]
-    seen = {}
-    order = []
-    cur = node
-    while cur not in seen:
-        if cur < 0 or pred[cur] < 0:
-            return None
-        seen[cur] = len(order)
-        order.append(cur)
-        cur = pred[cur]
-    cycle = order[seen[cur]:]
-    cycle.reverse()  # pred chain runs against edge direction
-    return tuple(cycle)
-
-
-def _tight_cycle(m: int, edges, weights, dist) -> tuple | None:
-    """Any directed cycle among edges with dist[u] + w == dist[v]; such cycles
-    have weight sum exactly 0 (gain product exactly 1)."""
-    adj = [[] for _ in range(m)]
-    for k, (u, v) in enumerate(edges):
-        if abs(dist[u] + weights[k] - dist[v]) <= _EDGE_TOL * max(1.0, abs(dist[v])):
-            adj[u].append(v)
-    color = [0] * m  # 0 unvisited, 1 on stack, 2 done
-    stack_pos: dict[int, int] = {}
-
-    def dfs(root: int):
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
-        stack_pos[root] = 0
-        order = [root]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 1:
-                    return tuple(order[stack_pos[nxt]:])
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack_pos[nxt] = len(order)
-                    order.append(nxt)
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                order.pop()
-                del stack_pos[node]
-                stack.pop()
-        return None
-
-    for root in range(m):
-        if color[root] == 0:
-            found = dfs(root)
-            if found is not None:
-                return found
-    return None
-
-
 def check_circularity(gains: GainMatrix) -> CircularityResult:
     """Pass iff every directed cycle of the gain graph has product < 1."""
     ent = gains.entries
-    m = gains.size
     off = ent * (ent.T > 0)
     pair = off * off.T
     np.fill_diagonal(pair, 0.0)
-    worst_pair = float(pair.max()) if m > 1 else 0.0
-    max_entry = float(ent.max()) if ent.size else 0.0
-
-    for i in range(m):
-        if ent[i, i] >= 1.0:
-            return CircularityResult(ok=False, witness=(i,),
-                                     witness_product=float(ent[i, i]),
-                                     worst_pair_product=worst_pair,
-                                     max_entry=max_entry)
-    if max_entry < 1.0:
-        # Every cycle product is a product of numbers < 1.
-        return CircularityResult(ok=True, witness=None, witness_product=None,
-                                 worst_pair_product=worst_pair,
-                                 max_entry=max_entry)
-
-    edges = [(u, v) for u, v in np.argwhere(ent > 0.0) if u != v]
-    weights = [-math.log(ent[u, v]) for u, v in edges]
-    dist, pred, bad = _bellman_ford(m, edges, weights)
-    if bad is not None:
-        cycle = _walk_cycle(pred, edges[bad][1], m)
-        product = _cycle_product(ent, cycle) if cycle else None
-        return CircularityResult(ok=False, witness=cycle,
-                                 witness_product=product,
-                                 worst_pair_product=worst_pair,
-                                 max_entry=max_entry)
-    cycle = _tight_cycle(m, edges, weights, dist)
-    if cycle is not None:
-        return CircularityResult(ok=False, witness=cycle,
-                                 witness_product=_cycle_product(ent, cycle),
-                                 worst_pair_product=worst_pair,
-                                 max_entry=max_entry)
-    return CircularityResult(ok=True, witness=None, witness_product=None,
-                             worst_pair_product=worst_pair, max_entry=max_entry)
+    _, cycle = _potentials(_log_weights(ent) - _TOL)
+    return CircularityResult(
+        ok=cycle is None, witness=cycle,
+        witness_product=None if cycle is None else _cycle_product(ent, cycle),
+        worst_pair_product=float(pair.max()) if gains.size > 1 else 0.0,
+        max_entry=float(ent.max()) if ent.size else 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,14 +162,6 @@ class ScalingVector:
             raise ValueError("scalings must be positive")
         object.__setattr__(self, "kappa", kap)
 
-    @property
-    def slack(self) -> float:
-        return 1.0 - self.max_ratio
-
-    def ratio_matrix(self) -> Array:
-        kap = self.kappa
-        return self.gains.entries * kap[None, :] / kap[:, None]
-
 
 def _scaled_max_ratio(gains: GainMatrix, kappa: Array) -> float:
     ent = gains.entries
@@ -255,30 +173,25 @@ def _scaled_max_ratio(gains: GainMatrix, kappa: Array) -> float:
 
 
 def find_scalings(gains: GainMatrix, slack: float = 1e-6) -> ScalingVector:
-    """Solve s_j - s_i <= -log mu_ij - slack' (s = log kappa) by shortest
-    paths from a virtual source; slack' halves from the requested slack until
-    feasible (floor 1e-12), then kappa = exp(s) normalized to min 1."""
+    """Solve s_j - s_i <= -log mu_ij - delta (s = log kappa) by shortest
+    paths from a virtual source; delta halves from the requested slack until
+    feasible (floor `_TOL`), then kappa = exp(s) normalized to min 1.
+
+    A cycle whose product is exactly 1 has no scalings here, as in the
+    check: at every delta its constraints sum to a contradiction."""
     if not 0.0 < slack < 1.0:
         raise ValueError("slack must lie in (0,1)")
-    ent = gains.entries
-    m = gains.size
-    edge_list = [(int(u), int(v)) for u, v in np.argwhere(ent > 0.0)]
-    # Difference constraint for edge gain mu_uv: s_v - s_u <= -log mu_uv - d.
-    base = [-math.log(ent[u, v]) for u, v in edge_list]
-
-    # Tight (zero-weight) cycles are feasible here: the constraints hold with
-    # equality and every on-cycle ratio equals exp(-delta) < 1.
+    base = _log_weights(gains.entries)
     delta = slack
     while True:
-        weights = [w - delta for w in base]
-        dist, _, bad = _bellman_ford(m, edge_list, weights)
-        if bad is None:
+        dist, _ = _potentials(base - delta)
+        if dist is not None:
             break
-        if delta <= 1e-12:
+        if delta <= _TOL:
             raise CompositionError(
                 "no feasible scalings; the circularity condition is violated "
                 "or holds only marginally")
-        delta = max(delta / 2.0, 1e-12)
+        delta = max(delta / 2.0, _TOL)
 
     kappa = np.exp(dist - dist.min())
     ratio = _scaled_max_ratio(gains, kappa)
@@ -286,63 +199,6 @@ def find_scalings(gains: GainMatrix, slack: float = 1e-6) -> ScalingVector:
         raise CompositionError(
             f"scaling verification failed: achieved ratio {ratio} >= 1")
     return ScalingVector(kappa=kappa, max_ratio=ratio, gains=gains)
-
-
-@dataclass(frozen=True, eq=False)
-class ComposedAbf:
-    """Network-level contraction certificate V(x, xhat) = max_i S_i / kappa_i."""
-
-    certs: tuple
-    scalings: ScalingVector
-    gamma: float
-    mu: float
-    theta: float
-    confidence: float
-
-    def __post_init__(self):
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("composed mu must lie in (0,1)")
-
-    @property
-    def state_dims(self) -> tuple:
-        return tuple(cert.state_dim for cert in self.certs)
-
-    def value(self, x, xhat) -> float:
-        """V(x, xhat) over stacked network states."""
-        x = np.asarray(x, dtype=float).ravel()
-        xhat = np.asarray(xhat, dtype=float).ravel()
-        best = -np.inf
-        offset = 0
-        for cert, kap in zip(self.certs, self.scalings.kappa):
-            dim = cert.state_dim
-            val = float(cert.value(x[offset:offset + dim],
-                                   xhat[offset:offset + dim])) / kap
-            best = max(best, val)
-            offset += dim
-        if offset != x.size or offset != xhat.size:
-            raise ValueError("state dimension does not match the certificates")
-        return best
-
-
-def compose_abf(certs, scalings: ScalingVector) -> ComposedAbf:
-    """Combine per-subsystem gains through the scalings; confidence is the
-    union bound 1 - sum beta_i."""
-    certs = tuple(certs)
-    kappa = scalings.kappa
-    if len(certs) != kappa.size:
-        raise ValueError("need one certificate per scaling entry")
-    for k, cert in enumerate(certs):
-        if not cert.certified:
-            raise CompositionError(f"subsystem {k} is not certified")
-    gamma = 1.0 / max(kappa[i] / certs[i].gamma for i in range(len(certs)))
-    mu = _scaled_max_ratio(scalings.gains, kappa)
-    theta = max(certs[i].theta / kappa[i] for i in range(len(certs)))
-    beta_sum = math.fsum(cert.beta for cert in certs)
-    if beta_sum >= 1.0:
-        raise CompositionError(
-            f"aggregate failure probability {beta_sum} >= 1; confidence degenerate")
-    return ComposedAbf(certs=certs, scalings=scalings, gamma=gamma, mu=mu,
-                       theta=theta, confidence=1.0 - beta_sum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,19 +227,25 @@ class ComponentRelation:
 
 
 @dataclass(frozen=True, eq=False)
-class SimulationRelation:
-    """(x, xhat) related iff V(x, xhat) <= theta.
+class ComposedAbf:
+    """Network-level contraction certificate V(x, xhat) = max_i S_i / kappa_i
+    and its relation: (x, xhat) related iff V(x, xhat) <= theta.
 
     Membership bounds every subsystem block: ||x_i - xhat_i|| <= eps_tilde,
     because V dominates each S_i / kappa_i and gamma is the worst-case
     gamma_i / kappa_i.  The stacked Euclidean distance can exceed eps_tilde.
     """
 
-    theta: float
+    certs: tuple
+    scalings: ScalingVector
     gamma: float
-    abf: ComposedAbf
+    mu: float
+    theta: float
+    confidence: float
 
     def __post_init__(self):
+        if not 0.0 < self.mu < 1.0:
+            raise ValueError("composed mu must lie in (0,1)")
         if self.theta < 0 or self.gamma <= 0:
             raise ValueError("need theta >= 0 and gamma > 0")
 
@@ -392,18 +254,47 @@ class SimulationRelation:
         return math.sqrt(self.theta / self.gamma)
 
     def value(self, x, xhat) -> float:
-        return self.abf.value(x, xhat)
+        """V(x, xhat) over stacked network states."""
+        x = np.asarray(x, dtype=float).ravel()
+        xhat = np.asarray(xhat, dtype=float).ravel()
+        best = -np.inf
+        offset = 0
+        for cert, kap in zip(self.certs, self.scalings.kappa):
+            dim = cert.state_dim
+            val = float(cert.value(x[offset:offset + dim],
+                                   xhat[offset:offset + dim])) / kap
+            best = max(best, val)
+            offset += dim
+        if offset != x.size or offset != xhat.size:
+            raise ValueError("state dimension does not match the certificates")
+        return best
 
     def contains(self, x, xhat) -> bool:
         return self.value(x, xhat) <= self.theta
 
     def component(self, i: int) -> ComponentRelation:
-        cert = self.abf.certs[i]
-        kap = float(self.abf.scalings.kappa[i])
+        cert = self.certs[i]
+        kap = float(self.scalings.kappa[i])
         return ComponentRelation(index=i, theta=self.theta,
                                  gamma=cert.gamma / kap, kappa=kap, cert=cert)
 
 
-def relation(composed: ComposedAbf) -> SimulationRelation:
-    return SimulationRelation(theta=composed.theta, gamma=composed.gamma,
-                              abf=composed)
+def compose_abf(certs, scalings: ScalingVector) -> ComposedAbf:
+    """Combine per-subsystem gains through the scalings; confidence is the
+    union bound 1 - sum beta_i."""
+    certs = tuple(certs)
+    kappa = scalings.kappa
+    if len(certs) != kappa.size:
+        raise ValueError("need one certificate per scaling entry")
+    for k, cert in enumerate(certs):
+        if not cert.certified:
+            raise CompositionError(f"subsystem {k} is not certified")
+    gamma = 1.0 / max(kappa[i] / certs[i].gamma for i in range(len(certs)))
+    mu = _scaled_max_ratio(scalings.gains, kappa)
+    theta = max(certs[i].theta / kappa[i] for i in range(len(certs)))
+    beta_sum = math.fsum(cert.beta for cert in certs)
+    if beta_sum >= 1.0:
+        raise CompositionError(
+            f"aggregate failure probability {beta_sum} >= 1; confidence degenerate")
+    return ComposedAbf(certs=certs, scalings=scalings, gamma=gamma, mu=mu,
+                       theta=theta, confidence=1.0 - beta_sum)

@@ -600,7 +600,6 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         if circ.ok:
             scalings = compose_mod.find_scalings(gains, config.compose.slack)
             abf = compose_mod.compose_abf(certs, scalings)
-            rel = compose_mod.relation(abf)
             # Vacuous: the radius is at least half the narrowest state-box
             # width, so the ball around the box centre already spans the box
             # along that axis and the relation separates no cells there.
@@ -610,14 +609,14 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 "kappa": [float(v) for v in scalings.kappa],
                 "max_ratio": scalings.max_ratio,
                 "gamma": abf.gamma, "mu": abf.mu, "theta": abf.theta,
-                "confidence": abf.confidence, "eps_tilde": rel.eps_tilde,
-                "vacuous": bool(rel.eps_tilde >= narrowest / 2.0),
+                "confidence": abf.confidence, "eps_tilde": abf.eps_tilde,
+                "vacuous": bool(abf.eps_tilde >= narrowest / 2.0),
             })
         _write_json(os.path.join(out_dir, "composed.json"), payload)
         return payload
 
 
-def load_composed(out_dir: str) -> tuple[compose_mod.SimulationRelation, dict]:
+def load_composed(out_dir: str) -> tuple[compose_mod.ComposedAbf, dict]:
     payload = _read_json(os.path.join(out_dir, "composed.json"))
     if not payload.get("circularity_ok"):
         raise ConfigError("composition failed; no relation available")
@@ -627,8 +626,7 @@ def load_composed(out_dir: str) -> tuple[compose_mod.SimulationRelation, dict]:
     scalings = compose_mod.ScalingVector(
         kappa=np.asarray(payload["kappa"], dtype=float),
         max_ratio=float(payload["max_ratio"]), gains=gains)
-    abf = compose_mod.compose_abf(certs, scalings)
-    return compose_mod.relation(abf), payload
+    return compose_mod.compose_abf(certs, scalings), payload
 
 
 def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -782,6 +780,9 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             lines.append(f"eps_tilde: {comp['eps_tilde']!r} "
                          f"vacuous: {comp['vacuous']}")
             lines.append(f"confidence: {comp['confidence']!r}")
+        else:
+            lines.append(f"violating cycle: {comp['witness']!r} "
+                         f"gain product: {comp['witness_product']!r}")
 
     syn_path = os.path.join(out_dir, "synthesis.json")
     if os.path.exists(syn_path):

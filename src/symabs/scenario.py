@@ -372,17 +372,18 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
         nu = sig.input(u)
         first = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
         second = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
-        gaps = np.empty(pairs)
-        for k in range(pairs):  # in draw order: a redraw consumes the stream
-            gap = np.linalg.norm(first[k] - second[k])
+        # sqrt of each pair's dot, bit for bit np.linalg.norm of one pair
+        diff = (first - second)[:, None, :]
+        gaps = np.sqrt(np.matmul(diff, diff.transpose(0, 2, 1))[:, 0, 0])
+        # redraw coincident pairs in index order: a redraw consumes the stream
+        for k in np.flatnonzero(gaps < 1e-12):
             tries = 0
-            while gap < 1e-12:
+            while gaps[k] < 1e-12:
                 tries += 1
                 if tries > retry_cap:
                     raise SolverError("could not draw a non-coincident sample pair")
                 second[k] = rng.uniform(box[:, 0], box[:, 1])
-                gap = np.linalg.norm(first[k] - second[k])
-            gaps[k] = gap
+                gaps[k] = np.linalg.norm(first[k] - second[k])
         nus = np.broadcast_to(nu, (pairs, nu.size))
         ya = sys.step(first[:, :n], nus, first[:, n:])
         yb = sys.step(second[:, :n], nus, second[:, n:])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from symabs.compose import (
     check_circularity,
     compose_abf,
     find_scalings,
-    relation,
 )
 from symabs.errors import CompositionError
 from symabs.model import InterconnectionTopology
@@ -41,8 +41,7 @@ def test_build_gain_matrix_entries():
     assert np.isclose(g.entries[1, 2], 1.0 / 8.0)
     assert g.entries[2, 0] == 0.0  # unwired pairs carry no gain
     assert g.entries[1, 0] == 0.0
-    edges = g.edges()
-    assert (0, 1, 0.125) in edges
+    assert g.entries[0, 1] == 0.125
 
 
 def test_build_gain_matrix_rejects_uncertified():
@@ -103,28 +102,69 @@ def test_circularity_long_cycle_detected():
     assert res.witness_product >= 1.0
 
 
-def test_circularity_random_instances_agree_with_products():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        m = int(rng.integers(2, 6))
-        ent = np.zeros((m, m))
-        for i in range(m):
-            ent[i, i] = rng.uniform(0.05, 0.95)
-        for _ in range(int(rng.integers(1, 2 * m))):
-            i, j = rng.integers(0, m, size=2)
-            if i != j:
-                ent[i, j] = rng.uniform(0.1, 1.6)
-        res = check_circularity(GainMatrix(entries=ent))
-        if res.ok:
-            find_scalings(GainMatrix(entries=ent))  # duality: must succeed
-        else:
-            assert res.witness_product >= 1.0 - 1e-12
-            # recompute the witness product independently
+def _has_cycle_at_least_one(ent):
+    """Enumerate every simple cycle, each once from its smallest node."""
+    m = ent.shape[0]
+    for length in range(1, m + 1):
+        for cyc in itertools.permutations(range(m), length):
+            if cyc[0] != min(cyc):
+                continue
             prod = 1.0
-            cyc = res.witness
             for k, node in enumerate(cyc):
-                prod *= ent[node, cyc[(k + 1) % len(cyc)]]
-            assert np.isclose(prod, res.witness_product)
+                prod *= ent[node, cyc[(k + 1) % length]]
+            if prod >= 1.0:
+                return True
+    return False
+
+
+def _oracle_graph(rng):
+    m = int(rng.integers(1, 6))
+    ent = np.zeros((m, m))
+    for i in range(m):
+        ent[i, i] = rng.choice([0.0, rng.uniform(0.05, 0.95),
+                                rng.uniform(0.9, 1.1), 1.0])
+    for _ in range(int(rng.integers(0, 2 * m + 1))):
+        i, j = rng.integers(0, m, size=2)
+        if i != j:
+            ent[i, j] = rng.uniform(0.1, 1.6)
+    nodes = rng.permutation(m)
+    if m >= 2 and rng.random() < 0.3:  # 2-cycle with product exactly 1
+        i, j = nodes[:2]
+        k = int(rng.integers(1, 4))
+        ent[i, j], ent[j, i] = 2.0 ** k, 2.0 ** -k
+    if m >= 3 and rng.random() < 0.3:  # 3-cycle with product exactly 1
+        i, j, k = nodes[:3]
+        ent[i, j], ent[j, k], ent[k, i] = 4.0, 0.5, 0.5
+    return ent
+
+
+def test_circularity_random_instances_agree_with_products():
+    # the verdict against enumeration of every simple cycle
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for _ in range(600):
+        ent = _oracle_graph(rng)
+        res = check_circularity(GainMatrix(entries=ent))
+        assert res.ok == (not _has_cycle_at_least_one(ent)), ent
+        verdicts.add(res.ok)
+        if res.ok:
+            assert res.witness is None and res.witness_product is None
+            sv = find_scalings(GainMatrix(entries=ent))
+            ratios = ent * sv.kappa[None, :] / sv.kappa[:, None]
+            assert float(ratios[ent > 0].max(initial=0.0)) < 1.0
+            assert sv.kappa.min() == 1.0
+            continue
+        cyc = res.witness
+        assert all(type(v) is int for v in cyc)  # JSON-serialisable
+        assert len(set(cyc)) == len(cyc)  # a simple cycle
+        prod = 1.0
+        for k, node in enumerate(cyc):
+            prod *= ent[node, cyc[(k + 1) % len(cyc)]]
+        assert prod == res.witness_product
+        assert prod >= 1.0
+        with pytest.raises(CompositionError):
+            find_scalings(GainMatrix(entries=ent))
+    assert verdicts == {True, False}
 
 
 def test_find_scalings_uniform_ring_keeps_kappa_one():
@@ -134,8 +174,7 @@ def test_find_scalings_uniform_ring_keeps_kappa_one():
     sv = find_scalings(g)
     assert np.allclose(sv.kappa, 1.0)
     assert sv.max_ratio < 1.0
-    assert np.isclose(sv.slack, 1.0 - sv.max_ratio)
-    ratios = sv.ratio_matrix()
+    ratios = g.entries * sv.kappa[None, :] / sv.kappa[:, None]
     mask = g.entries > 0
     assert np.isclose(float(ratios[mask].max()), sv.max_ratio)
 
@@ -158,8 +197,8 @@ def test_find_scalings_rejects_violated_circularity():
 
 
 def test_find_scalings_tight_cycle_is_feasible():
-    # off-diagonal product exactly 1 has feasible scalings (strict inequality
-    # per edge is achievable even though the cycle is tight for products)
+    # off-diagonal entries above 1 with 2-cycle product 2.0 * 0.4 = 0.8 < 1:
+    # feasible, though the uniform scaling is not (it leaves the ratio 2.0)
     ent = np.array([[0.1, 2.0], [0.4, 0.1]])
     sv = find_scalings(GainMatrix(entries=ent))
     assert sv.max_ratio < 1.0
@@ -180,7 +219,7 @@ def test_compose_abf_formulas():
     assert np.isclose(composed.mu, float(ratios[g.entries > 0].max()))
     assert 0.0 < composed.mu < 1.0
     assert np.isclose(composed.confidence, 1.0 - 2e-3)
-    assert composed.state_dims == (1, 1)
+    assert tuple(c.state_dim for c in composed.certs) == (1, 1)
 
 
 def test_compose_abf_value_is_scaled_max():
@@ -214,8 +253,7 @@ def test_relation_eps_tilde_and_membership():
     certs = [make_cert(gamma=5.8, theta=0.4051)]
     sv = ScalingVector(kappa=np.array([1.0]), max_ratio=0.995,
                        gains=GainMatrix(entries=np.array([[0.995]])))
-    composed = compose_abf(certs, sv)
-    rel = relation(composed)
+    rel = compose_abf(certs, sv)
     assert np.isclose(rel.eps_tilde, math.sqrt(0.4051 / 5.8))
     assert np.isclose(rel.eps_tilde, 0.2643, atol=1e-4)
     # membership: V(x, xhat) <= theta; with S = dx^2 that is |dx| <= sqrt(theta)
@@ -234,8 +272,7 @@ def test_relation_membership_bounds_every_block():
     certs = [make_cert(gamma=2.0, theta=0.5, phi=(0.3, 2.0, 0.0)),
              make_cert(gamma=3.0, theta=0.5, phi=(0.1, 3.0, 0.0))]
     sv = find_scalings(GainMatrix(entries=np.array([[0.5, 0.2], [0.1, 0.5]])))
-    composed = compose_abf(certs, sv)
-    rel = relation(composed)
+    rel = compose_abf(certs, sv)
     checked = 0
     for _ in range(3000):
         x = rng.uniform(-1.0, 1.0, size=2)
@@ -244,6 +281,13 @@ def test_relation_membership_bounds_every_block():
             checked += 1
             assert np.max(np.abs(x - xh)) <= rel.eps_tilde + 1e-9
     assert checked > 50  # the relation is not vacuous on this domain
+
+
+def test_composed_relation_rejects_negative_theta():
+    sv = ScalingVector(kappa=np.array([1.0]), max_ratio=0.5,
+                       gains=GainMatrix(entries=np.array([[0.5]])))
+    with pytest.raises(ValueError):
+        compose_abf([make_cert(theta=-0.1)], sv)
 
 
 def test_gain_matrix_validation():

@@ -38,7 +38,8 @@ from symabs.pipeline import (
     write_controller,
 )
 from symabs.quantize import make_grid, product_grid
-from symabs.scenario import draw_samples, min_sample_size
+from symabs.scenario import (ApbfCertificate, draw_samples, min_sample_size,
+                             quartic_difference_basis)
 from symabs.synthesize import (Trajectory, enumerate_abstraction,
                                safety_synthesis, simulate_closed_loop)
 
@@ -236,6 +237,39 @@ def test_report_only_run_match_and_mismatch(tmp_path):
     text = stage_report(good, str(tmp_path / "b"))
     assert f"computed {q} vs reference {q} -> MATCH" in text
     assert (tmp_path / "b" / "summary.txt").read_text() == text
+
+
+def test_report_names_the_violating_cycle(tmp_path):
+    out = tmp_path / "failed"
+    out.mkdir()
+    (out / "composed.json").write_text(json.dumps({
+        "gain_matrix": [[0.5, 3.0], [0.4, 0.5]], "circularity_ok": False,
+        "worst_pair_product": 1.2000000000000002, "max_entry": 3.0,
+        "witness": [0, 1], "witness_product": 1.2000000000000002}))
+    text = stage_report(mini_config(), str(out))
+    assert "circularity_ok: False\n" in text
+    assert "violating cycle: [0, 1] gain product: 1.2000000000000002\n" in text
+    assert "eps_tilde" not in text
+
+
+def test_compose_writes_the_violating_cycle(tmp_path):
+    # eta 2 over gamma 1 on every ring edge: each 2-cycle has product 4
+    cert = ApbfCertificate(gamma=1.0, mu=0.5, eta=2.0, theta=0.1, beta=1e-3,
+                           certified=True, margin=-0.01,
+                           basis=quartic_difference_basis(1),
+                           phi=(0.0, 1.0, 0.0))
+    (tmp_path / "certificates.json").write_text(json.dumps(
+        {"shared": True, "certificates": [cert.to_mapping()] * 3}))
+    payload = stage_compose(mini_config(), str(tmp_path))
+    assert payload["circularity_ok"] is False
+    assert "kappa" not in payload
+    stored = json.loads((tmp_path / "composed.json").read_text())
+    cycle, gains = stored["witness"], np.asarray(stored["gain_matrix"])
+    assert len(cycle) >= 2  # the self-loops are 0.5
+    product = np.prod([gains[a, b] for a, b in zip(cycle, np.roll(cycle, -1))])
+    assert stored["witness_product"] == product >= 4.0
+    with pytest.raises(ConfigError):
+        pipeline.load_composed(str(tmp_path))
 
 
 def test_certify_reuses_stored_sample_batches(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ball_fraction, ball_radius, brute_top, min_samples_binomial
+from symabs.errors import SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
                              transition_table)
@@ -15,6 +16,7 @@ from symabs.scenario import (
     NonlinearLipschitz,
     SampleBatch,
     VariableBoxes,
+    _sample_dynamics,
     apbf_margin,
     assemble_sop,
     certify_apbf,
@@ -249,6 +251,53 @@ def test_lipschitz_sources_agree_with_direct_calls():
     slope, j_f = data.dynamics_bounds(sys)
     assert slope <= 1.5 * np.linalg.norm([0.8, 0.1]) + 1e-9
     assert data.bound(sys, sigma=0.05, mu=0.5, eta=0.01) > 0
+
+
+def _sample_dynamics_per_pair(sys, pairs, seed):
+    """Reference: one pair at a time in draw order, redrawing in place."""
+    sig = sys.signature
+    box = np.vstack([sig.state_box, sig.disturbance_box])
+    rng = np.random.default_rng(seed)
+    n = sig.state_dim
+    slope = fmax = 0.0
+    redraws = 0
+    for u in range(sig.n_inputs):
+        nus = np.broadcast_to(sig.input(u), (pairs, sig.input_dim))
+        first = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
+        second = rng.uniform(box[:, 0], box[:, 1], size=(pairs, box.shape[0]))
+        gaps = np.empty(pairs)
+        for k in range(pairs):
+            gaps[k] = np.linalg.norm(first[k] - second[k])
+            while gaps[k] < 1e-12:
+                redraws += 1
+                second[k] = rng.uniform(box[:, 0], box[:, 1])
+                gaps[k] = np.linalg.norm(first[k] - second[k])
+        ya = sys.step(first[:, :n], nus, first[:, n:])
+        yb = sys.step(second[:, :n], nus, second[:, n:])
+        slope = max(slope, float(np.max(np.linalg.norm(ya - yb, axis=1) / gaps)))
+        fmax = max(fmax, float(np.max(np.linalg.norm(np.vstack([ya, yb]), axis=1))))
+    return slope, fmax, redraws
+
+
+def test_sample_dynamics_matches_per_pair_draws_bit_for_bit():
+    # a box 1.5e-12 wide makes most first draws coincide, so the redraws
+    # must consume the stream exactly as the per-pair loop does
+    tiny = SystemSignature(state_dim=1, input_set=((0.0,), (1e-12,)),
+                           disturbance_dim=1, state_box=[(0.0, 1.5e-12)],
+                           disturbance_box=[(0.0, 1.5e-12)])
+    tiny_sys = BlackBoxSystem(signature=tiny,
+                              oracle=lambda x, nu, d: 0.5 * x + nu + 0.1 * d)
+    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    # at seeds 185 and 66 the largest slope sits on a pair whose gap
+    # np.linalg.norm(..., axis=1) rounds one ulp away from the per-pair norm
+    for sys, seeds in ((tiny_sys, [7]), (rooms[0], [2, 185]),
+                       (linear_system(), [11, 66])):
+        for seed in seeds:
+            slope, fmax, redraws = _sample_dynamics_per_pair(sys, 64, seed)
+            assert _sample_dynamics(sys, 64, seed) == (slope, fmax)
+            assert (redraws > 0) == (sys is tiny_sys)
+    with pytest.raises(SolverError):
+        _sample_dynamics(tiny_sys, 64, 7, retry_cap=0)
 
 
 # ---------------------------------------------------------------- SOP

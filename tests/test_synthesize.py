@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import solve_safety_game
-from symabs.compose import GainMatrix, ScalingVector, compose_abf, relation
+from symabs.compose import GainMatrix, ScalingVector, compose_abf
 from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import (
     BlackBoxSystem,
@@ -258,7 +258,7 @@ def test_refine_with_component_relation_matches_per_cell_loop():
              for phi in [(0.3, 2.0, 0.0), (5.0, 1.5, 0.001)]]
     sv = ScalingVector(kappa=np.array([1.0, 2.0]), max_ratio=0.5,
                        gains=GainMatrix(entries=0.5 * np.eye(2)))
-    rel = relation(compose_abf(certs, sv)).component(1)
+    rel = compose_abf(certs, sv).component(1)
     _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=5))
     sg = make_grid([(-0.5, 0.5)], 0.025)
     dg = product_grid([sg, sg])

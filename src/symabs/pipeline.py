@@ -705,10 +705,17 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 raise RefinementError(
                     f"subsystem {i} has an empty winning set; there is no "
                     f"controller to refine")
-        # a shared table still needs each subsystem's own relation component
+        # one refined controller per shared table and scaling: the relation
+        # component divides S by kappa_i, which can move argmin ties and
+        # the miss message, so rooms with another kappa get their own
         controllers = [tables[i] for i in owners]
-        refined = [refine_controller(c, rel.component(i), c.fts.state_grid)
-                   for i, c in enumerate(controllers)]
+        refined, by_key = [], {}
+        for i, c in enumerate(controllers):
+            key = (owners[i], float(rel.scalings.kappa[i]))
+            if key not in by_key:
+                by_key[key] = refine_controller(c, rel.component(i),
+                                                c.fts.state_grid)
+            refined.append(by_key[key])
         labels, starts = _initial_conditions(config, controllers)
         runs = list(zip(labels, simulate_closed_loop(
             bundle.subsystems, bundle.topology, refined, starts,
@@ -739,7 +746,7 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"sample size comparison: computed {q} vs reference {ref} "
                      f"-> {flag}")
 
-    certified = syn_ok = False
+    certified = circ_ok = syn_ok = False
     if os.path.exists(os.path.join(out_dir, "certificates.json")):
         certs = load_certificates(out_dir)
         certified = all(c.certified for c in certs)
@@ -771,9 +778,10 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
     comp_path = os.path.join(out_dir, "composed.json")
     if os.path.exists(comp_path):
         comp = _read_json(comp_path)
+        circ_ok = bool(comp["circularity_ok"])
         lines.append(f"circularity_ok: {comp['circularity_ok']}")
         lines.append(f"worst_pair_product: {comp['worst_pair_product']!r}")
-        if comp.get("circularity_ok"):
+        if circ_ok:
             lines.append(f"kappa: {comp['kappa']!r}")
             lines.append(f"composed: gamma={comp['gamma']!r} mu={comp['mu']!r} "
                          f"theta={comp['theta']!r}")
@@ -794,7 +802,7 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         sim = _read_json(sim_path)
         lines.append(f"simulation runs: {sim['runs']} horizon: {sim['horizon']}")
         lines.append(f"all trajectories safe: {sim['all_safe']}")
-        ok = certified and syn_ok and sim["all_safe"]
+        ok = certified and circ_ok and syn_ok and sim["all_safe"]
         lines.append(f"ok: {ok}")
 
     text = "\n".join(lines) + "\n"

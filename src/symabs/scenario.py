@@ -97,18 +97,19 @@ class BasisSpec:
         return len(row[0]) if self.mode == "general" else len(row)
 
     def features(self, x, xhat) -> Array:
-        """Evaluate all g_j; broadcasts over leading axes, returns (..., z)."""
+        """Evaluate all g_j; broadcasts over leading axes, returns (..., z).
+
+        Each distinct exponent is raised once per coordinate, not once per
+        monomial (see `_monomials`); the values equal those of the direct
+        form prod(base[..., None, :] ** exponents) bit for bit."""
         x = np.asarray(x, dtype=float)
         xhat = np.asarray(xhat, dtype=float)
         if self.mode == "difference":
-            delta = x - xhat
-            exp = np.asarray(self.exponents)
-            return np.prod(delta[..., None, :] ** exp, axis=-1)
+            return _monomials(x - xhat, np.asarray(self.exponents))
         a = np.asarray([row[0] for row in self.exponents])
         b = np.asarray([row[1] for row in self.exponents])
         x, xhat = np.broadcast_arrays(x, xhat)
-        return (np.prod(x[..., None, :] ** a, axis=-1)
-                * np.prod(xhat[..., None, :] ** b, axis=-1))
+        return _monomials(x, a) * _monomials(xhat, b)
 
     def to_mapping(self) -> dict:
         return {"mode": self.mode,
@@ -120,6 +121,38 @@ class BasisSpec:
         return cls(mode=data["mode"], exponents=tuple(
             tuple(map(tuple, row)) if data["mode"] == "general" else tuple(row)
             for row in data["exponents"]))
+
+
+def _monomials(v: Array, exp: Array) -> Array:
+    """prod_k v_k ** exp_jk for every exponent row j: (..., dim) -> (..., z).
+
+    The (..., z, dim) power array is filled from each distinct exponent
+    rather than by raising every entry: 0 gives 1.0, 1 gives v, and any
+    other e one power of v.  numpy may raise an array exponent with a
+    vectorised pow (an AVX-512 build does, and its v ** 2 is one ulp from
+    v * v for about 2 % of values) but squares a broadcast scalar exponent
+    2.  So e = 2 keeps an array exponent unless the table has one entry,
+    and the entries equal those of v[..., None, :] ** exp bit for bit.  The
+    product runs over the same axis in the same order.
+    """
+    if v.shape[-1:] != exp.shape[-1:]:
+        raise ValueError(f"points need {exp.shape[-1]} coordinates, as the "
+                         f"basis has")
+    pw = np.ones(v.shape[:-1] + exp.shape)
+    # not np.unique: its first call imports numpy.ma, about 1 MB of RSS
+    for e in sorted(set(exp.ravel().tolist()) - {0}):
+        if e == 1:
+            p = v
+        elif e == 2 and exp.size > 1:
+            # a fresh output: powering in place into the exponent array
+            # changed the bits of a one-element v
+            p = v ** np.full(v.shape, 2.0)
+        else:
+            p = v ** float(e)
+        for r, c in zip(*np.nonzero(exp == e)):
+            pw[..., r, c] = p[..., c]
+        del p  # at most one power of v alive at a time
+    return np.prod(pw, axis=-1)
 
 
 def quartic_difference_basis(state_dim: int) -> BasisSpec:

@@ -247,12 +247,14 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     refined controllers; returns one list of per-subsystem Trajectory per run.
 
     x0 is (runs, network state dim).  Each step reads neighbor states as
-    disturbances (d_ij = x_j); for every subsystem it refines the inputs of
-    all runs still alive in one row-form call, then advances each subsystem
-    over those runs in one step call.  A refinement failure truncates that
-    run's trajectories at that step; the first failing subsystem carries the
-    diagnostic.  Safety flags record membership of each state in its safe box
-    (default: the subsystem's declared state box).
+    disturbances (d_ij = x_j).  Subsystems that are given the same controller
+    object form a group, and each step refines the inputs of every alive run
+    in every subsystem of a group in one row-form call.  A refinement failure
+    truncates that run's trajectories at that step; of the subsystems that
+    miss, the lowest-index one carries the diagnostic.  Each subsystem then
+    advances over the alive runs in one step call of its own.  Safety flags
+    record membership of each state in its safe box (default: the
+    subsystem's declared state box).
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -282,6 +284,14 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     neighbours = [np.array([c for j in topology.wiring[i]
                             for c in range(offsets[j], offsets[j + 1])],
                            dtype=np.intp) for i in range(m)]
+    # the subsystems of each distinct controller, and their state columns
+    grouped = {}
+    for i, ctrl in enumerate(controllers):
+        grouped.setdefault(id(ctrl), []).append(i)
+    groups = [(controllers[members[0]], members,
+               np.concatenate([np.arange(offsets[i], offsets[i + 1])
+                               for i in members]))
+              for members in grouped.values()]
 
     states = np.full((horizon + 1, runs, offsets[-1]), np.nan)
     states[0] = x0
@@ -290,17 +300,26 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     diagnostics = [[None] * m for _ in range(runs)]
     alive = np.arange(runs)
     for k in range(horizon):
-        for i in range(m):
-            xs = states[k, alive, blocks[i]]
-            _, u, least = controllers[i].select_rows(xs)
-            for j in np.flatnonzero(u < 0):
-                diagnostics[alive[j]][i] = str(controllers[i].miss(xs[j], least[j]))
-                steps[alive[j]] = k
-            chosen[k, alive, i] = u
-            alive = alive[u >= 0]
+        x = states[k, alive]
+        u = np.empty((alive.size, m), dtype=np.int64)
+        least = np.empty((alive.size, m))
+        for ctrl, members, cols in groups:
+            _, u_g, least_g = ctrl.select_rows(x[:, cols])
+            u[:, members] = u_g.reshape(alive.size, len(members))
+            least[:, members] = least_g.reshape(alive.size, len(members))
+        missed = u < 0
+        failed = missed.any(axis=1)
+        for j in np.flatnonzero(failed):
+            i = int(np.argmax(missed[j]))  # the lowest-index miss reports
+            diagnostics[alive[j]][i] = str(
+                controllers[i].miss(x[j, blocks[i]], least[j, i]))
+            steps[alive[j]] = k
+        kept = ~failed
+        alive = alive[kept]
         if alive.size == 0:
             break
-        x = states[k, alive]
+        chosen[k, alive] = u[kept]
+        x = x[kept]
         for i in range(m):
             nu = controllers[i].table.fts.inputs[chosen[k, alive, i]]
             states[k + 1, alive, blocks[i]] = subsystems[i].step(

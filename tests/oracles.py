@@ -126,3 +126,50 @@ def ball_radius(eps, dims, volume):
     """Inverse of ball_fraction in the radius argument."""
     return (eps * volume * 2.0 ** dims * math.gamma(dims / 2.0 + 1.0)
             / math.pi ** (dims / 2.0)) ** (1.0 / dims)
+
+
+def basis_features_direct(basis, x, xhat):
+    """BasisSpec.features by raising every exponent entry of every monomial
+    with one array-exponent power and multiplying over the coordinates."""
+    x = np.asarray(x, dtype=float)
+    xhat = np.asarray(xhat, dtype=float)
+    if basis.mode == "difference":
+        delta = x - xhat
+        exp = np.asarray(basis.exponents)
+        return np.prod(delta[..., None, :] ** exp, axis=-1)
+    a = np.asarray([row[0] for row in basis.exponents])
+    b = np.asarray([row[1] for row in basis.exponents])
+    x, xhat = np.broadcast_arrays(x, xhat)
+    return (np.prod(x[..., None, :] ** a, axis=-1)
+            * np.prod(xhat[..., None, :] ** b, axis=-1))
+
+
+def closed_loop_room_by_room(subsystems, wiring, controllers, x0, horizon):
+    """One start of the wired network, refined one room at a time: each step
+    calls select() on every room in index order, and the first room it
+    raises for ends the run at that step.  Returns the visited states
+    (t + 1, n), the input indices (t, m), t, and the failing room and its
+    message (None, None when the run reaches the horizon)."""
+    dims = [s.signature.state_dim for s in subsystems]
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    blocks = [slice(offsets[i], offsets[i + 1]) for i in range(len(dims))]
+    x = np.asarray(x0, dtype=float)
+    states, chosen = [x], []
+    for k in range(horizon):
+        picks = []
+        for i, ctrl in enumerate(controllers):
+            try:
+                picks.append(ctrl.select(x[blocks[i]])[1])
+            except Exception as err:  # the refinement miss
+                return (np.array(states), np.array(chosen, dtype=np.int64)
+                        .reshape(k, len(dims)), k, i, str(err))
+        nxt = np.empty_like(x)
+        for i, sub in enumerate(subsystems):
+            d = np.concatenate([x[blocks[j]] for j in wiring[i]])
+            nu = controllers[i].table.fts.inputs[picks[i]]
+            nxt[blocks[i]] = sub.step(x[None, blocks[i]], nu[None], d[None])[0]
+        x = nxt
+        states.append(x)
+        chosen.append(picks)
+    return (np.array(states), np.array(chosen, dtype=np.int64)
+            .reshape(horizon, len(dims)), horizon, None, None)

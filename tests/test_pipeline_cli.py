@@ -442,6 +442,59 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
     certs = json.loads((out / "certificates.json").read_text())
     assert certs["shared"] is False
     assert len({json.dumps(c) for c in certs["certificates"]}) == 3
+    # and each room's refined controller is an object of its own
+    assert len({id(c) for c in refined}) == 3
+
+
+def _simulated_controllers(config, out, monkeypatch):
+    """The refined controllers stage_simulate hands to the closed loop."""
+    seen = []
+
+    def loop(subsystems, topology, controllers, *args):
+        seen.extend(controllers)
+        return simulate_closed_loop(subsystems, topology, controllers, *args)
+
+    monkeypatch.setattr(pipeline, "simulate_closed_loop", loop)
+    stage_simulate(config, str(out))
+    return seen
+
+
+def test_shared_simulate_refines_one_controller_per_kappa(mini_run, tmp_path,
+                                                          monkeypatch):
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    refined = _simulated_controllers(config, copy, monkeypatch)
+    assert len(refined) == 3 and all(c is refined[0] for c in refined)
+    assert (copy / "trajectories.csv").read_bytes() == \
+        (out / "trajectories.csv").read_bytes()
+    # a composition whose scalings differ: one object per distinct kappa
+    composed = json.loads((copy / "composed.json").read_text())
+    composed["kappa"] = [1.0, 2.0, 1.0]
+    (copy / "composed.json").write_text(json.dumps(composed))
+    refined = _simulated_controllers(config, copy, monkeypatch)
+    assert refined[0] is refined[2] and refined[1] is not refined[0]
+    assert [c.relation.kappa for c in refined] == [1.0, 2.0, 1.0]
+    assert refined[0].table is refined[1].table
+
+
+def test_report_ok_requires_circularity(mini_run, tmp_path):
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    text = stage_report(config, str(copy))
+    assert text == (out / "summary.txt").read_text()
+    assert text.endswith("ok: True\n")
+    # a rerun whose compose failed, next to the earlier passing simulation
+    (copy / "composed.json").write_text(json.dumps({
+        "gain_matrix": [[0.5, 3.0, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 0.5]],
+        "circularity_ok": False, "worst_pair_product": 1.2000000000000002,
+        "max_entry": 3.0, "witness": [0, 1],
+        "witness_product": 1.2000000000000002}))
+    text = stage_report(config, str(copy))
+    assert "circularity_ok: False\n" in text
+    assert "all trajectories safe: True\n" in text
+    assert text.endswith("ok: False\n")
 
 
 def test_mini_pipeline_is_deterministic(mini_run, tmp_path):

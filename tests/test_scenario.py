@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import ball_fraction, ball_radius, brute_top, min_samples_binomial
+from oracles import (ball_fraction, ball_radius, basis_features_direct, brute_top,
+                     min_samples_binomial)
 from symabs.errors import SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
@@ -80,6 +81,69 @@ def test_basis_features_broadcast():
     out = basis.features(x[:, None, :], xh[None, :, :])
     assert out.shape == (7, 1, 3)
     assert np.allclose(out[..., 2], 1.0)
+    with pytest.raises(ValueError):  # two coordinates for a 1-D basis
+        basis.features(np.zeros((4, 2)), np.zeros((4, 2)))
+
+
+FEATURE_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160,
+                             1e154, -1e155, 1e200, np.inf, -np.inf, np.nan,
+                             1.0, -1.0, 0.5])
+
+
+def _feature_bases(rng, dim):
+    """Difference and general bases on dim coordinates whose tables use the
+    exponents 0, 1, 2, 3, 4 and 6 (even ones only in difference mode), from
+    one-entry tables up to five monomials."""
+    bases = [quartic_difference_basis(dim)]
+    for e in (0, 2, 4, 6):
+        bases.append(BasisSpec("difference", ((e,) * dim,)))
+    for e in (0, 1, 2, 3, 4, 6):
+        bases.append(BasisSpec("general", (((e,) * dim, (0,) * dim),)))
+        bases.append(BasisSpec("general", (((e,) * dim, (2,) * dim),
+                                           ((0,) * dim, (e,) * dim))))
+    for z in (2, 3, 5):
+        rows = rng.choice([0, 2, 4, 6], size=(z, dim))
+        bases.append(BasisSpec("difference", tuple(map(tuple, rows))))
+        pairs = rng.choice([0, 1, 2, 3, 4, 6], size=(z, 2, dim))
+        bases.append(BasisSpec("general", tuple(
+            (tuple(a), tuple(b)) for a, b in pairs)))
+    return bases
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_basis_features_match_direct_powers_bit_for_bit(dim):
+    rng = np.random.default_rng(90 + dim)
+    pool = np.concatenate([FEATURE_SPECIALS, rng.uniform(-2.0, 2.0, 40)])
+    shapes = [((dim,), (dim,)), ((6, dim), (6, dim)), ((4, 1, dim), (1, 5, dim)),
+              ((dim,), (3, 2, dim)), ((2, 1, 3, dim), (4, 1, dim))]
+    with np.errstate(all="ignore"):
+        for basis in _feature_bases(rng, dim):
+            for xs, hs in shapes:
+                x, xh = rng.choice(pool, size=xs), rng.choice(pool, size=hs)
+                got = basis.features(x, xh)
+                want = basis_features_direct(basis, x, xh)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (basis, xs, hs)
+
+
+def test_basis_features_match_direct_powers_on_random_values():
+    rng = np.random.default_rng(97)
+    n = 100_000
+    x = np.concatenate([rng.uniform(-1.0, 1.0, n // 2),
+                        rng.standard_normal(n // 2) * 1e3]).reshape(-1, 1)
+    xh = rng.uniform(-0.5, 0.5, (n, 1))
+    for basis in (quartic_difference_basis(1),
+                  BasisSpec("difference", ((6,), (2,), (0,))),
+                  BasisSpec("general", (((3,), (1,)), ((2,), (4,)),
+                                        ((0,), (6,)), ((1,), (0,))))):
+        got = basis.features(x, xh)
+        assert got.tobytes() == basis_features_direct(basis, x, xh).tobytes()
+    # the dim-3 quartic basis on 100,000 rows, each against 3 representatives
+    x3 = rng.uniform(-1.0, 1.0, (n // 3, 1, 3))
+    reps = rng.uniform(-0.5, 0.5, (1, 3, 3))
+    basis = quartic_difference_basis(3)
+    assert basis.features(x3, reps).tobytes() == \
+        basis_features_direct(basis, x3, reps).tobytes()
 
 
 def test_basis_mapping_roundtrip():

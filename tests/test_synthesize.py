@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import solve_safety_game
+from oracles import closed_loop_room_by_room, solve_safety_game
 from symabs.compose import GainMatrix, ScalingVector, compose_abf
 from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import (
@@ -16,6 +16,7 @@ from symabs.scenario import ApbfCertificate, quartic_difference_basis
 from symabs.synthesize import (
     ControllerTable,
     FiniteTransitionSystem,
+    RefinedController,
     enumerate_abstraction,
     refine_controller,
     safety_synthesis,
@@ -397,3 +398,67 @@ def test_simulate_closed_loop_stack_matches_one_start_runs(
             assert np.array_equal(got.safe, want.safe)
             assert got.truncated_at == want.truncated_at
             assert got.diagnostic == want.diagnostic
+
+
+@pytest.mark.parametrize("thetas, starts, truncated, failing", [
+    # one group: the second start misses in rooms 0 and 1 at step 0, the
+    # third in rooms 1 and 2; only the lower index reports
+    ((0.08, 0.08, 0.08), [[-0.2, -0.2, -0.2], [0.6, 0.7, 0.0], [0.0, 0.7, 0.6]],
+     [None, 0, 0], [None, 0, 1]),
+    # one group, misses at different steps
+    ((0.0004, 0.0004, 0.0004),
+     [[0.275, 0.025, 0.275], [0.225, 0.025, 0.225], [-0.125, 0.025, -0.125],
+      [-0.225, -0.125, -0.225]], [5, 3, 1, 2], [0, 0, 1, 1]),
+    # two groups: rooms 0 and 2 share one controller, room 1 has another
+    # (wider theta).  The first start misses in rooms 1 and 2 at step 0, the
+    # second in rooms 0 and 2; the rest miss alone at later steps
+    ((0.0004, 0.08, 0.0004),
+     [[0.025, 0.7, 0.7], [0.7, 0.025, 0.7], [-0.225, 0.025, 0.025],
+      [0.225, 0.025, 0.225], [0.225, -0.225, 0.275], [0.275, 0.225, 0.275]],
+     [0, 0, 1, 3, 5, 9], [1, 0, 2, 0, 2, 0]),
+])
+def test_simulate_closed_loop_shared_controller_matches_copies(
+        thetas, starts, truncated, failing, monkeypatch):
+    _, topo, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    sg = make_grid([(-0.5, 0.5)], 0.025)
+    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    table = safety_synthesis(fts, safe=[
+        s for s in range(sg.total_cells)
+        if abs(sg.representative(s)[0]) <= 0.3 - 1e-12 + 0.025])
+    one_per_theta = {t: refine_controller(table, QuadraticRelation(t), sg)
+                     for t in set(thetas)}
+    shared = [one_per_theta[t] for t in thetas]
+    copies = [refine_controller(table, QuadraticRelation(t), sg) for t in thetas]
+    starts = np.asarray(starts)
+    calls = []
+    select_rows = RefinedController.select_rows
+
+    def counted(self, xs):
+        calls.append(self)
+        return select_rows(self, xs)
+
+    monkeypatch.setattr(RefinedController, "select_rows", counted)
+    got = simulate_closed_loop(rooms, topo, shared, starts, horizon=12)
+    # one refinement call per distinct controller per step taken
+    steps = min(12, max(12 if t is None else t + 1 for t in truncated))
+    assert len(calls) == len(one_per_theta) * steps
+    want = simulate_closed_loop(rooms, topo, copies, starts, horizon=12)
+    for r, (trajs, ref) in enumerate(zip(got, want)):
+        assert [tr.truncated_at for tr in trajs] == [truncated[r]] * 3
+        assert [i for i, tr in enumerate(trajs) if tr.diagnostic] == \
+            ([] if failing[r] is None else [failing[r]])
+        for a, b in zip(trajs, ref):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert np.array_equal(a.input_indices, b.input_indices)
+            assert np.array_equal(a.safe, b.safe)
+            assert (a.truncated_at, a.diagnostic) == (b.truncated_at, b.diagnostic)
+        # and both match refining one room at a time with select()
+        states, indices, t, room, message = closed_loop_room_by_room(
+            rooms, topo.wiring, copies, starts[r], 12)
+        assert (t, room) == (12 if truncated[r] is None else truncated[r],
+                             failing[r])
+        for i, tr in enumerate(trajs):
+            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
+            assert np.array_equal(tr.input_indices, indices[:, i])
+            assert tr.diagnostic == (message if i == room else None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import warnings
 from contextlib import contextmanager
@@ -29,9 +30,10 @@ from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
 from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        LinearLipschitz, NonlinearLipschitz, SampleBatch,
                        VariableBoxes, draw_samples, quartic_difference_basis)
-from .synthesize import (ControllerTable, FiniteTransitionSystem,
-                         enumerate_abstraction, refine_controller,
-                         safety_synthesis, simulate_closed_loop)
+from .synthesize import (AbstractionHeader, ControllerTable,
+                         FiniteTransitionSystem, enumerate_abstraction,
+                         refine_controller, safety_synthesis,
+                         simulate_closed_loop)
 
 Array = np.ndarray
 
@@ -195,6 +197,11 @@ class SynthesizeConfig:
     query_cap: int = synthesize.DEFAULT_QUERY_CAP
 
     def __post_init__(self):
+        for name, low in (("horizon", 0), ("max_runs", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ConfigError(f"synthesize.{name} must be an integer of "
+                                  f"at least {low}")
         if not isinstance(self.initial, str):
             object.__setattr__(self, "initial", _tupled(self.initial))
         elif self.initial != "winning-centers":
@@ -401,23 +408,46 @@ def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
         fh.write(("%d,%d,%d,%d\n" * body.shape[0]) % tuple(body.ravel().tolist()))
 
 
-def read_abstraction(path) -> FiniteTransitionSystem:
-    """Parse an abstraction file; every (state, input, dist) triple must
-    appear exactly once, with its successor a cell or the sink."""
-    with open(path, "r", encoding="utf-8") as fh:
+def _parse_abstraction_header(fh, path) -> AbstractionHeader:
+    """The grids and inputs from the header lines of an abstraction file,
+    leaving fh at the first transition row.  The declared counts must be
+    those of the grids and the inputs."""
+    try:
         state_grid = _parse_grid_header(fh.readline())
         dist_grid = _parse_grid_header(fh.readline())
-        inputs_line = fh.readline().split(None, 2)[2].strip()
-        body = inputs_line.strip("[]")
+        body = fh.readline().split(None, 2)[2].strip().strip("[]")
         inputs = np.asarray([[float(v) for v in row.split(",")]
                              for row in body.split(";")])
         counts = dict(part.split("=") for part in
                       fh.readline().split(None, 2)[2].split())
-        n_s, n_u, n_d = (int(counts[k]) for k in ("states", "inputs", "dists"))
-        header = fh.readline().strip()
-        if header != "state,input,dist,successor":
-            raise ConfigError(f"unexpected abstraction header {header!r}")
+        declared = tuple(int(counts[k]) for k in ("states", "inputs", "dists"))
+        header = AbstractionHeader(state_grid=state_grid, dist_grid=dist_grid,
+                                   inputs=inputs)
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ConfigError(f"{path}: malformed abstraction header ({exc})") \
+            from None
+    if declared != (header.n_states, header.n_inputs, header.n_dists):
+        raise ConfigError(f"{path}: header counts {declared} do not match "
+                          f"its grids and inputs")
+    columns = fh.readline().strip()
+    if columns != "state,input,dist,successor":
+        raise ConfigError(f"{path}: unexpected abstraction header {columns!r}")
+    return header
+
+
+def read_abstraction_header(path) -> AbstractionHeader:
+    """Parse only the header of an abstraction file: its grids and inputs."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_abstraction_header(fh, path)
+
+
+def read_abstraction(path) -> FiniteTransitionSystem:
+    """Parse an abstraction file; every (state, input, dist) triple must
+    appear exactly once, with its successor a cell or the sink."""
+    with open(path, "r", encoding="utf-8") as fh:
+        head = _parse_abstraction_header(fh, path)
         rows = _read_int_rows(fh, path, 4)
+    n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
     if rows.shape[0] != n_s * n_u * n_d:
         raise ConfigError(f"{path}: {rows.shape[0]} transitions, expected "
                           f"{n_s * n_u * n_d}")
@@ -429,8 +459,8 @@ def read_abstraction(path) -> FiniteTransitionSystem:
     if np.any(table[:n_s] < 0):  # as many rows as triples, so one repeats
         raise ConfigError(f"{path}: repeated (state, input, dist) row")
     table[n_s] = n_s
-    return FiniteTransitionSystem(table=table, state_grid=state_grid,
-                                  dist_grid=dist_grid, inputs=inputs)
+    return FiniteTransitionSystem(table=table, state_grid=head.state_grid,
+                                  dist_grid=head.dist_grid, inputs=head.inputs)
 
 
 def write_controller(path, ctrl: ControllerTable) -> None:
@@ -441,9 +471,10 @@ def write_controller(path, ctrl: ControllerTable) -> None:
             fh.write(f"{int(s)},{int(ctrl.chosen[s])}\n")
 
 
-def read_controller(path, fts: FiniteTransitionSystem) -> ControllerTable:
+def read_controller(path, fts: FiniteTransitionSystem | AbstractionHeader
+                    ) -> ControllerTable:
     """Parse a controller file; each winning state appears once, with an
-    input index of fts."""
+    input index of fts (the abstraction or its header)."""
     with open(path, "r", encoding="utf-8") as fh:
         fh.readline()  # comment
         header = fh.readline().strip()
@@ -678,9 +709,16 @@ def _initial_conditions(config: PipelineConfig, controllers):
     """(run labels, (runs, network state dim) stack of starts)."""
     syn = config.synthesize
     if not isinstance(syn.initial, str):
-        starts = np.asarray(syn.initial, dtype=float)
+        width = sum(c.fts.state_grid.dim for c in controllers)
+        try:
+            starts = np.asarray(syn.initial, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"synthesize.initial: {exc}") from None
         if starts.ndim == 1:
             starts = starts[None, :]
+        if starts.ndim != 2 or starts.shape[1] != width:
+            raise ConfigError(f"synthesize.initial: each start needs {width} "
+                              f"coordinates, one per network state coordinate")
         return [f"x{k}" for k in range(starts.shape[0])], starts
     # winning-centers: every subsystem starts at the same winning cell center
     # of subsystem 0's grid (desk-scale sweep over winning cells).
@@ -698,9 +736,10 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         owners = _owners(config, bundle)
         tables = {}
         for i in sorted(set(owners)):
-            fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
+            header = read_abstraction_header(
+                os.path.join(out_dir, f"abstraction_{i}.csv"))
             tables[i] = read_controller(
-                os.path.join(out_dir, f"controller_{i}.csv"), fts)
+                os.path.join(out_dir, f"controller_{i}.csv"), header)
             if not tables[i].winning.any():
                 raise RefinementError(
                     f"subsystem {i} has an empty winning set; there is no "
@@ -717,11 +756,14 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                                                 c.fts.state_grid)
             refined.append(by_key[key])
         labels, starts = _initial_conditions(config, controllers)
+        # every room steps with its owner's system, so rooms that share an
+        # owner share one object and advance in one oracle call per step
         runs = list(zip(labels, simulate_closed_loop(
-            bundle.subsystems, bundle.topology, refined, starts,
-            config.synthesize.horizon)))
-        all_safe = all(tr.truncated_at is None and bool(tr.safe.all())
-                       for _, trajs in runs for tr in trajs)
+            [bundle.subsystems[o] for o in owners], bundle.topology, refined,
+            starts, config.synthesize.horizon)))
+        all_safe = bool(runs) and all(
+            tr.truncated_at is None and bool(tr.safe.all())
+            for _, trajs in runs for tr in trajs)
         write_trajectories(os.path.join(out_dir, "trajectories.csv"), runs)
         payload = {"runs": len(runs), "all_safe": all_safe,
                    "horizon": config.synthesize.horizon}

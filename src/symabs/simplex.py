@@ -131,7 +131,9 @@ class _Constraints:
         if codes.size != n or np.any(codes < -3 * n) or np.any(codes >= m):
             raise ValueError(f"a basis needs {n} entries in [-{3 * n}, {m})")
         items = np.where(codes >= 0, codes, m + 3 * n + codes)
-        if np.unique(items).size != n or not np.all(np.isfinite(self.h[items])):
+        ordered = np.sort(items)  # not np.unique: it imports numpy.ma
+        if np.any(ordered[1:] == ordered[:-1]) \
+                or not np.all(np.isfinite(self.h[items])):
             raise ValueError("a basis needs distinct constraints with finite bounds")
         # Rows have unit max-abs entries, so a tiny determinant flags a
         # numerically singular basis.  slogdet reuses the LU routine that
@@ -412,7 +414,9 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     if start_rows is None or len(start_rows) == 0:
         working = np.zeros(1, dtype=int) if count else np.empty(0, dtype=int)
     else:
-        working = np.unique(np.asarray(start_rows, dtype=int))
+        # sorted and duplicate-free, as np.unique gives (it imports numpy.ma)
+        working = np.sort(np.asarray(start_rows, dtype=int).reshape(-1))
+        working = working[np.concatenate(([True], working[1:] != working[:-1]))]
 
     basis = None
     pivots = 0

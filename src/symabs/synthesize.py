@@ -104,13 +104,37 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
 
 
 @dataclass(frozen=True, eq=False)
+class AbstractionHeader:
+    """An abstraction without its transitions: the state and disturbance
+    grids and the inputs, which fix its counts.  Refinement and the closed
+    loop need no more than this."""
+
+    state_grid: UniformGrid
+    dist_grid: UniformGrid
+    inputs: Array
+
+    @property
+    def n_states(self) -> int:
+        return self.state_grid.total_cells
+
+    @property
+    def n_inputs(self) -> int:
+        return self.inputs.shape[0]
+
+    @property
+    def n_dists(self) -> int:
+        return self.dist_grid.total_cells
+
+
+@dataclass(frozen=True, eq=False)
 class ControllerTable:
     """Winning set of the safety game and the chosen input index per winning
-    state (-1 elsewhere)."""
+    state (-1 elsewhere).  `fts` is the abstraction the game was solved on,
+    or only its header when the table is read back for refinement."""
 
     winning: Array
     chosen: Array
-    fts: FiniteTransitionSystem
+    fts: FiniteTransitionSystem | AbstractionHeader
 
     @property
     def winning_states(self) -> Array:
@@ -241,6 +265,14 @@ class Trajectory:
         return self.inputs.shape[0]
 
 
+def _groups(objects) -> list:
+    """Indices of each distinct object (by identity), in first-seen order."""
+    out = {}
+    for i, obj in enumerate(objects):
+        out.setdefault(id(obj), []).append(i)
+    return list(out.values())
+
+
 def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                          controllers, x0, horizon: int, safe_boxes=None):
     """Run the wired network from a stack of starts under per-subsystem
@@ -251,10 +283,13 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     object form a group, and each step refines the inputs of every alive run
     in every subsystem of a group in one row-form call.  A refinement failure
     truncates that run's trajectories at that step; of the subsystems that
-    miss, the lowest-index one carries the diagnostic.  Each subsystem then
-    advances over the alive runs in one step call of its own.  Safety flags
-    record membership of each state in its safe box (default: the
-    subsystem's declared state box).
+    miss, the lowest-index one carries the diagnostic.  Subsystems that are
+    the same system object likewise advance together: one step call per
+    distinct object and step, on the stacked (alive runs x members) rows,
+    each member with the inputs of its own controller and the states of its
+    own neighbours.  The oracle answers row by row, so the successors are
+    those of one call per subsystem.  Safety flags record membership of each
+    state in its safe box (default: the subsystem's declared state box).
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -281,17 +316,24 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     safe_boxes = [np.asarray(b, dtype=float).reshape(dims[i], 2)
                   for i, b in enumerate(safe_boxes)]
     blocks = [slice(offsets[i], offsets[i + 1]) for i in range(m)]
+    columns = [np.arange(offsets[i], offsets[i + 1]) for i in range(m)]
     neighbours = [np.array([c for j in topology.wiring[i]
                             for c in range(offsets[j], offsets[j + 1])],
                            dtype=np.intp) for i in range(m)]
     # the subsystems of each distinct controller, and their state columns
-    grouped = {}
-    for i, ctrl in enumerate(controllers):
-        grouped.setdefault(id(ctrl), []).append(i)
-    groups = [(controllers[members[0]], members,
-               np.concatenate([np.arange(offsets[i], offsets[i + 1])
-                               for i in members]))
-              for members in grouped.values()]
+    refiners = [(controllers[g[0]], g, np.concatenate([columns[i] for i in g]))
+                for g in _groups(controllers)]
+    # the subsystems of each distinct system object: their state and
+    # neighbour columns, and their input tables stacked, with each member's
+    # offset into the stack
+    steppers = []
+    for g in _groups(subsystems):
+        tables = [controllers[i].table.fts.inputs for i in g]
+        shift = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
+        steppers.append((subsystems[g[0]], g,
+                         np.concatenate([columns[i] for i in g]),
+                         np.concatenate([neighbours[i] for i in g]),
+                         np.concatenate(tables), shift))
 
     states = np.full((horizon + 1, runs, offsets[-1]), np.nan)
     states[0] = x0
@@ -303,7 +345,7 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
         x = states[k, alive]
         u = np.empty((alive.size, m), dtype=np.int64)
         least = np.empty((alive.size, m))
-        for ctrl, members, cols in groups:
+        for ctrl, members, cols in refiners:
             _, u_g, least_g = ctrl.select_rows(x[:, cols])
             u[:, members] = u_g.reshape(alive.size, len(members))
             least[:, members] = least_g.reshape(alive.size, len(members))
@@ -318,12 +360,15 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
         alive = alive[kept]
         if alive.size == 0:
             break
-        chosen[k, alive] = u[kept]
+        u = u[kept]
+        chosen[k, alive] = u
         x = x[kept]
-        for i in range(m):
-            nu = controllers[i].table.fts.inputs[chosen[k, alive, i]]
-            states[k + 1, alive, blocks[i]] = subsystems[i].step(
-                x[:, blocks[i]], nu, x[:, neighbours[i]])
+        for sub, members, cols, nbrs, inputs, shift in steppers:
+            rows = alive.size * len(members)
+            nxt = sub.step(x[:, cols].reshape(rows, -1),
+                           inputs[u[:, members] + shift].reshape(rows, -1),
+                           x[:, nbrs].reshape(rows, -1))
+            states[k + 1, alive[:, None], cols] = nxt.reshape(alive.size, -1)
 
     out = []
     for r in range(runs):

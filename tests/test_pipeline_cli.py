@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import shutil
+import subprocess
 import sys
 import textwrap
 
@@ -11,7 +12,7 @@ import yaml
 
 from symabs import cli, pipeline
 from symabs.errors import ConfigError, RefinementError
-from symabs.model import RoomNetworkParams, build_room_network
+from symabs.model import BlackBoxSystem, RoomNetworkParams, build_room_network
 from symabs.pipeline import (
     CertifyConfig,
     PipelineConfig,
@@ -24,6 +25,7 @@ from symabs.pipeline import (
     build_systems,
     computed_sample_size,
     read_abstraction,
+    read_abstraction_header,
     read_controller,
     run_pipeline,
     stage_abstract,
@@ -227,6 +229,39 @@ def test_controller_file_rejects_corrupt_body(tmp_path, edit, message):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[1:], "malformed abstraction header"),
+    (lambda lines: [lines[0].replace("cells=[4]", "cells=[x]")] + lines[1:],
+     "malformed abstraction header"),
+    (lambda lines: [lines[0].replace(" sigma=", " width=")] + lines[1:],
+     "malformed abstraction header"),
+    (lambda lines: lines[:2] + ["# inputs []\n"] + lines[3:],
+     "malformed abstraction header"),
+    (lambda lines: lines[:3] + [lines[3].replace(" dists=16", "")] + lines[4:],
+     "malformed abstraction header"),
+    (lambda lines: lines[:3] + [lines[3].replace("states=4", "states=5")]
+     + lines[4:], r"header counts \(5, 5, 16\) do not match"),
+    (lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=4")]
+     + lines[4:], r"header counts \(4, 4, 16\) do not match"),
+    (lambda lines: lines[:4] + ["state,input,successor\n"] + lines[5:],
+     "unexpected abstraction header"),
+])
+def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, message):
+    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    sg = make_grid([(-0.5, 0.5)], 0.125)  # 4 cells, 5 inputs, 16 dist cells
+    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    path = tmp_path / "abstraction.csv"
+    write_abstraction(path, fts)
+    head = read_abstraction_header(path)
+    assert (head.n_states, head.n_inputs, head.n_dists) == (4, 5, 16)
+    assert np.array_equal(head.inputs, fts.inputs)
+    _corrupt(path, edit)
+    for reader in (read_abstraction, read_abstraction_header):
+        with pytest.raises(ConfigError, match=message) as err:
+            reader(path)
+        assert str(path) in str(err.value)
+
+
 def test_report_only_run_match_and_mismatch(tmp_path):
     config = dataclasses.replace(
         mini_config(), report=ReportConfig(reference_sample_size=10_000))
@@ -387,8 +422,8 @@ def test_mini_pipeline_end_to_end(mini_run):
 
 
 def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
-    # identical rooms: one table, one game, one file of each, one read of
-    # the abstraction in synthesize and one in simulate
+    # identical rooms: one table, one game, one file of each, and one read
+    # of the abstraction, in synthesize; simulate reads only its header
     calls = {}
     for name in ("enumerate_abstraction", "safety_synthesis",
                  "write_abstraction", "read_abstraction", "write_controller",
@@ -400,7 +435,7 @@ def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
     result = run_pipeline(mini_config(), str(tmp_path / "out"))
     assert result.ok
     assert calls == {"enumerate_abstraction": 1, "safety_synthesis": 1,
-                     "write_abstraction": 1, "read_abstraction": 2,
+                     "write_abstraction": 1, "read_abstraction": 1,
                      "write_controller": 1, "read_controller": 1}
 
 
@@ -408,9 +443,10 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
                                                          monkeypatch):
     config = PipelineConfig.from_mapping(yaml.safe_load(hetero_yaml()))
     assert not config.system.identical_subsystems
-    refined = []
+    refined, systems = [], []
 
     def loop(subsystems, topology, controllers, *args):
+        systems.extend(subsystems)
         refined.extend(controllers)
         return simulate_closed_loop(subsystems, topology, controllers, *args)
 
@@ -442,21 +478,24 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
     certs = json.loads((out / "certificates.json").read_text())
     assert certs["shared"] is False
     assert len({json.dumps(c) for c in certs["certificates"]}) == 3
-    # and each room's refined controller is an object of its own
+    # and each room's refined controller and system are objects of their own
     assert len({id(c) for c in refined}) == 3
+    assert len({id(s) for s in systems}) == 3
 
 
-def _simulated_controllers(config, out, monkeypatch):
-    """The refined controllers stage_simulate hands to the closed loop."""
-    seen = []
+def _simulated_loop(config, out, monkeypatch):
+    """The systems and refined controllers stage_simulate hands to the
+    closed loop."""
+    systems, refined = [], []
 
     def loop(subsystems, topology, controllers, *args):
-        seen.extend(controllers)
+        systems.extend(subsystems)
+        refined.extend(controllers)
         return simulate_closed_loop(subsystems, topology, controllers, *args)
 
     monkeypatch.setattr(pipeline, "simulate_closed_loop", loop)
     stage_simulate(config, str(out))
-    return seen
+    return systems, refined
 
 
 def test_shared_simulate_refines_one_controller_per_kappa(mini_run, tmp_path,
@@ -464,18 +503,72 @@ def test_shared_simulate_refines_one_controller_per_kappa(mini_run, tmp_path,
     config, out, _ = mini_run
     copy = tmp_path / "mini"
     shutil.copytree(out, copy)
-    refined = _simulated_controllers(config, copy, monkeypatch)
+    systems, refined = _simulated_loop(config, copy, monkeypatch)
     assert len(refined) == 3 and all(c is refined[0] for c in refined)
+    # identical rooms also step with one system object: their owner's
+    assert len(systems) == 3 and all(s is systems[0] for s in systems)
     assert (copy / "trajectories.csv").read_bytes() == \
         (out / "trajectories.csv").read_bytes()
     # a composition whose scalings differ: one object per distinct kappa
     composed = json.loads((copy / "composed.json").read_text())
     composed["kappa"] = [1.0, 2.0, 1.0]
     (copy / "composed.json").write_text(json.dumps(composed))
-    refined = _simulated_controllers(config, copy, monkeypatch)
+    systems, refined = _simulated_loop(config, copy, monkeypatch)
+    assert all(s is systems[0] for s in systems)
     assert refined[0] is refined[2] and refined[1] is not refined[0]
     assert [c.relation.kappa for c in refined] == [1.0, 2.0, 1.0]
     assert refined[0].table is refined[1].table
+
+
+def test_simulate_reads_headers_and_steps_once_per_system(mini_run, tmp_path,
+                                                          monkeypatch):
+    # simulate reads each abstraction's header and its controller, never the
+    # transition rows, and the identical rooms, which share one system
+    # object, advance in one oracle call per step
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    (copy / "trajectories.csv").unlink()
+
+    def refuse(path):
+        raise AssertionError(f"simulate parsed the transitions of {path}")
+
+    calls = []
+    step = BlackBoxSystem.step
+
+    def counted(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(pipeline, "read_abstraction", refuse)
+    monkeypatch.setattr(BlackBoxSystem, "step", counted)
+    payload = stage_simulate(config, str(copy))
+    assert payload["all_safe"]  # so no run is truncated
+    assert (copy / "trajectories.csv").read_bytes() == \
+        (out / "trajectories.csv").read_bytes()
+    assert len(calls) == config.synthesize.horizon
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("abstraction_0.csv",
+     lambda lines: [lines[0].replace("cells=[20]", "cells=[")] + lines[1:],
+     "malformed abstraction header"),
+    ("abstraction_0.csv",
+     lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=6")]
+     + lines[4:], "do not match"),
+    ("controller_0.csv", lambda lines: lines + ["20,0\n"], "out of range"),
+    ("controller_0.csv", lambda lines: lines + ["0,5\n"], "out of range"),
+])
+def test_simulate_rejects_corrupt_header_or_controller(mini_run, tmp_path,
+                                                       where, edit, message):
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    assert "cells=[20]" in (copy / "abstraction_0.csv").read_text()
+    _corrupt(copy / where, edit)
+    with pytest.raises(ConfigError, match=message) as err:
+        stage_simulate(config, str(copy))
+    assert where in str(err.value)
 
 
 def test_report_ok_requires_circularity(mini_run, tmp_path):
@@ -564,6 +657,68 @@ def test_cli_simulate_with_empty_winning_set_exits_2(mini_run, tmp_path,
     assert "error in stage simulate: subsystem 0 has an empty winning set" \
         in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, settings, message", [
+    ("casestudy", {"max_runs": 0}, "max_runs must be an integer of at least 1"),
+    ("casestudy", {"max_runs": -1}, "max_runs must be an integer of at least 1"),
+    ("casestudy", {"max_runs": "3"}, "max_runs must be an integer of at least 1"),
+    ("casestudy", {"horizon": -1}, "horizon must be an integer of at least 0"),
+    ("casestudy", {"horizon": 2.5}, "horizon must be an integer of at least 0"),
+    ("simulate", {"initial": [[0.0, 0.1]]}, "each start needs 3 coordinates"),
+    ("simulate", {"initial": [0.0, 0.1, 0.2, 0.0]},
+     "each start needs 3 coordinates"),
+    ("simulate", {"initial": [[0.0, 0.1, 0.2], [0.0]]}, "synthesize.initial"),
+])
+def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
+                                           settings, message):
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    doc = yaml.safe_load(MINI_YAML)
+    doc["synthesize"].update(settings)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    rc = cli.main([command, "--config", str(cfg), "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error in stage {command}: " in captured.err
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    # the earlier run's verdict stays where it was
+    assert (run / "simulation.json").read_bytes() == \
+        (out / "simulation.json").read_bytes()
+
+
+def test_simulate_without_runs_is_not_safe(mini_run, tmp_path, monkeypatch):
+    config, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    monkeypatch.setattr(pipeline, "_initial_conditions",
+                        lambda config, tables: ([], np.zeros((0, 3))))
+    payload = stage_simulate(config, str(run))
+    assert payload["runs"] == 0 and payload["all_safe"] is False
+
+
+def test_pipeline_does_not_import_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma, about 0.6 MB of peak RSS; a
+    # fresh process runs the mini pipeline and must not load it
+    script = textwrap.dedent("""
+        import sys
+        import yaml
+        from symabs.pipeline import PipelineConfig, run_pipeline
+        config = PipelineConfig.from_mapping(yaml.safe_load(sys.stdin.read()))
+        assert run_pipeline(config, sys.argv[1]).ok
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          input=MINI_YAML, capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_casestudy_and_report(tmp_path, capsys):

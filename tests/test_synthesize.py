@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -459,6 +461,91 @@ def test_simulate_closed_loop_shared_controller_matches_copies(
         assert (t, room) == (12 if truncated[r] is None else truncated[r],
                              failing[r])
         for i, tr in enumerate(trajs):
+            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
+            assert np.array_equal(tr.input_indices, indices[:, i])
+            assert tr.diagnostic == (message if i == room else None)
+
+
+def _room_table(room, sg, reverse=False):
+    """The safety game of a room on the band |x| <= 0.3 + sigma, over its
+    inputs in declared or in reversed order (so the first qualifying input,
+    and the index that names it, differ)."""
+    inputs = room.signature.input_array()[::-1 if reverse else 1]
+    fts = enumerate_abstraction(room, sg, product_grid([sg, sg]), inputs=inputs)
+    return safety_synthesis(fts, safe=[
+        s for s in range(sg.total_cells)
+        if abs(sg.representative(s)[0]) <= 0.3 - 1e-12 + 0.025])
+
+
+@pytest.mark.parametrize("share, thetas, reverse, starts, truncated", [
+    # one object for all rooms under one controller, with runs reaching the
+    # horizon and runs truncated at step 0
+    ((0, 0, 0), (0.08,) * 3, (False,) * 3,
+     [[-0.2, -0.2, -0.2], [0.6, 0.7, 0.0], [0.0, 0.7, 0.6], [0.3, -0.4, 0.1]],
+     [None, 0, 0, None]),
+    # one object, one controller, truncations at different later steps
+    ((0, 0, 0), (0.0004,) * 3, (False,) * 3,
+     [[0.275, 0.025, 0.275], [0.225, 0.025, 0.225], [-0.125, 0.025, -0.125],
+      [-0.225, -0.125, -0.225]], [5, 3, 1, 2]),
+    # one object under two controllers whose tables list the inputs in
+    # opposite orders
+    ((0, 0, 0), (0.0004, 0.08, 0.0004), (False, True, False),
+     [[0.275, -0.2, 0.275], [0.225, -0.2, 0.275], [-0.225, -0.225, -0.225],
+      [0.025, 0.275, 0.275], [-0.225, 0.6, -0.225]], [10, 3, 5, 6, 0]),
+    # rooms 0 and 1 share one object but not a controller; room 2 has an
+    # object of its own
+    ((0, 0, 1), (0.0004, 0.08, 0.0004), (True, False, False),
+     [[0.275, -0.225, 0.275], [0.225, -0.225, 0.225], [0.275, 0.275, 0.025],
+      [0.025, -0.225, -0.225]], [7, 3, 6, 1]),
+    # rooms 0 and 2 share one object and one controller; room 1 has its own
+    ((0, 1, 0), (0.08, 0.0004, 0.08), (False, True, False),
+     [[-0.225, 0.225, -0.225], [0.225, -0.225, 0.225], [-0.225, 0.275, 0.225],
+      [0.6, -0.225, -0.225]], [None, 9, 7, 0]),
+])
+def test_simulate_closed_loop_shared_system_matches_copies(
+        share, thetas, reverse, starts, truncated, monkeypatch):
+    _, topo, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
+    sg = make_grid([(-0.5, 0.5)], 0.025)
+    tables = {rev: _room_table(rooms[0], sg, rev) for rev in set(reverse)}
+    if len(tables) == 2:  # the two tables name different inputs
+        chosen = [t.fts.inputs[t.chosen[t.winning]] for t in tables.values()]
+        assert not np.array_equal(*chosen)
+    refined = {key: refine_controller(tables[key[1]], QuadraticRelation(key[0]),
+                                      sg) for key in set(zip(thetas, reverse))}
+    controllers = [refined[key] for key in zip(thetas, reverse)]
+    objects = {k: dataclasses.replace(rooms[0]) for k in set(share)}
+    shared = [objects[k] for k in share]
+    copies = [dataclasses.replace(rooms[0]) for _ in range(3)]
+    starts = np.asarray(starts)
+    calls = []
+    step = BlackBoxSystem.step
+
+    def counted(self, *args):
+        calls.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(BlackBoxSystem, "step", counted)
+    got = simulate_closed_loop(shared, topo, controllers, starts, horizon=12)
+    shared_calls = list(calls)
+    calls.clear()
+    want = simulate_closed_loop(copies, topo, controllers, starts, horizon=12)
+    # one step call per distinct system object per step taken
+    steps = max(tr.horizon for trajs in got for tr in trajs)
+    assert [trajs[0].truncated_at for trajs in got] == truncated
+    assert len(shared_calls) == len(objects) * steps
+    assert len(calls) == 3 * steps
+    for r, (trajs, ref) in enumerate(zip(got, want)):
+        for a, b in zip(trajs, ref):
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.inputs.tobytes() == b.inputs.tobytes()
+            assert np.array_equal(a.input_indices, b.input_indices)
+            assert np.array_equal(a.safe, b.safe)
+            assert (a.truncated_at, a.diagnostic) == (b.truncated_at, b.diagnostic)
+        # and both match stepping one room at a time
+        states, indices, t, room, message = closed_loop_room_by_room(
+            copies, topo.wiring, controllers, starts[r], 12)
+        for i, tr in enumerate(trajs):
+            assert tr.truncated_at == (None if room is None else t)
             assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
             assert np.array_equal(tr.input_indices, indices[:, i])
             assert tr.diagnostic == (message if i == room else None)

@@ -54,6 +54,15 @@ def _from_mapping(cls, data, context: str):
     return cls(**data)
 
 
+def _checked(context: str, build):
+    """build(), with the ValueError or TypeError of a constructor's own
+    checks raised as a ConfigError for the config section `context`."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _tupled(value):
     if isinstance(value, (list, tuple)):
         return tuple(_tupled(v) for v in value)
@@ -95,6 +104,8 @@ class SystemConfig:
                 raise ConfigError("external system needs a command")
             if not self.state_box or not self.input_set:
                 raise ConfigError("external system needs state_box and input_set")
+        else:
+            _checked("system", self.room_params)
 
     def room_params(self) -> RoomNetworkParams:
         return RoomNetworkParams(
@@ -131,6 +142,7 @@ class LipschitzBoundConfig:
             raise ConfigError("nonlinear lipschitz needs j_f, j_x, j_d")
         if self.kind == "linear" and not self.a:
             raise ConfigError("linear lipschitz needs the a matrix")
+        _checked("certify.lipschitz", self.source)
 
     def source(self):
         if self.kind == "data":
@@ -164,6 +176,10 @@ class CertifyConfig:
         object.__setattr__(self, "mu_grid", _tupled(self.mu_grid))
         object.__setattr__(self, "eps", _tupled(np.atleast_1d(self.eps).tolist()))
         object.__setattr__(self, "boxes", {k: tuple(v) for k, v in self.boxes.items()})
+        if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
+            raise ConfigError("certify.sigma must be a positive number")
+        _checked("certify.boxes", self.variable_boxes)
+        self.lipschitz_config()
 
     def basis_spec(self, state_dim: int) -> BasisSpec:
         if self.basis is None:
@@ -181,6 +197,10 @@ class CertifyConfig:
 @dataclass(frozen=True)
 class ComposeConfig:
     slack: float = 1e-6
+
+    def __post_init__(self):
+        if not (isinstance(self.slack, numbers.Real) and 0 < self.slack < 1):
+            raise ConfigError("compose.slack must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -377,26 +397,28 @@ def _parse_grid_header(line: str) -> UniformGrid:
                        cells_per_dim=cells, sigma=float(fields["sigma"]))
 
 
-def _read_int_rows(fh, path, columns: int) -> Array:
-    """The rest of an artifact file as an (n, columns) int64 array."""
+def _read_int_rows(fh, path, rows: int, columns: int) -> Array:
+    """The rest of an artifact file, which must be a (rows, columns) table
+    of integers."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body is n = 0
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is 0 x n
         try:
-            rows = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
+            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
-    if rows.size == 0:
-        return rows.reshape(0, columns)
-    if rows.shape[1] != columns:
-        raise ConfigError(f"{path}: rows have {rows.shape[1]} fields, "
-                          f"expected {columns}")
-    return rows
+    shape = body.shape if body.size else (0, columns)
+    if shape != (rows, columns):
+        raise ConfigError(f"{path}: body is {shape[0]} x {shape[1]}, "
+                          f"expected {rows} x {columns}")
+    return body
 
 
 def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
+    """Write the header lines (grids, inputs, counts), then one row per
+    (state, input) in index order, holding the successors of its n_dists
+    disturbance cells in order.  The sink row is implied."""
     n_s, n_u, n_d = fts.n_states, fts.n_inputs, fts.n_dists
-    index = np.indices((n_s, n_u, n_d)).reshape(3, -1)
-    body = np.vstack([index, fts.table[:n_s].reshape(-1)]).T
+    line = ",".join(["%d"] * n_d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_grid_header("state_grid", fts.state_grid))
         fh.write(_grid_header("dist_grid", fts.dist_grid))
@@ -404,14 +426,13 @@ def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
                           for row in fts.inputs)
         fh.write(f"# inputs [{inputs}]\n")
         fh.write(f"# counts states={n_s} inputs={n_u} dists={n_d}\n")
-        fh.write("state,input,dist,successor\n")
-        fh.write(("%d,%d,%d,%d\n" * body.shape[0]) % tuple(body.ravel().tolist()))
+        fh.write(line * (n_s * n_u) % tuple(fts.table[:n_s].ravel().tolist()))
 
 
 def _parse_abstraction_header(fh, path) -> AbstractionHeader:
-    """The grids and inputs from the header lines of an abstraction file,
-    leaving fh at the first transition row.  The declared counts must be
-    those of the grids and the inputs."""
+    """The grids and inputs from the four header lines of an abstraction
+    file, leaving fh at the first transition row.  The declared counts must
+    be those of the grids and the inputs."""
     try:
         state_grid = _parse_grid_header(fh.readline())
         dist_grid = _parse_grid_header(fh.readline())
@@ -429,9 +450,6 @@ def _parse_abstraction_header(fh, path) -> AbstractionHeader:
     if declared != (header.n_states, header.n_inputs, header.n_dists):
         raise ConfigError(f"{path}: header counts {declared} do not match "
                           f"its grids and inputs")
-    columns = fh.readline().strip()
-    if columns != "state,input,dist,successor":
-        raise ConfigError(f"{path}: unexpected abstraction header {columns!r}")
     return header
 
 
@@ -442,55 +460,42 @@ def read_abstraction_header(path) -> AbstractionHeader:
 
 
 def read_abstraction(path) -> FiniteTransitionSystem:
-    """Parse an abstraction file; every (state, input, dist) triple must
-    appear exactly once, with its successor a cell or the sink."""
+    """Parse an abstraction file: the header, then n_states * n_inputs rows
+    of n_dists successors, each a cell or the sink."""
     with open(path, "r", encoding="utf-8") as fh:
         head = _parse_abstraction_header(fh, path)
-        rows = _read_int_rows(fh, path, 4)
-    n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
-    if rows.shape[0] != n_s * n_u * n_d:
-        raise ConfigError(f"{path}: {rows.shape[0]} transitions, expected "
-                          f"{n_s * n_u * n_d}")
-    if np.any(rows < 0) or np.any(rows >= [n_s, n_u, n_d, n_s + 1]):
-        raise ConfigError(f"{path}: transition index out of range")
-    table = np.full((n_s + 1, n_u, n_d), -1, dtype=np.int64)
-    s, u, d, nxt = rows.T
-    table[s, u, d] = nxt
-    if np.any(table[:n_s] < 0):  # as many rows as triples, so one repeats
-        raise ConfigError(f"{path}: repeated (state, input, dist) row")
+        n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
+        rows = _read_int_rows(fh, path, n_s * n_u, n_d)
+    table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
+    table[:n_s] = rows.reshape(n_s, n_u, n_d)
     table[n_s] = n_s
-    return FiniteTransitionSystem(table=table, state_grid=head.state_grid,
-                                  dist_grid=head.dist_grid, inputs=head.inputs)
+    # the constructor checks that each successor is a cell or the sink
+    return _checked(str(path), lambda: FiniteTransitionSystem(
+        table=table, state_grid=head.state_grid, dist_grid=head.dist_grid,
+        inputs=head.inputs))
 
 
 def write_controller(path, ctrl: ControllerTable) -> None:
+    """Write a `# winning N of M` line, then one line per cell: its chosen
+    input index, or -1 where the cell is not winning."""
+    n_s = ctrl.fts.n_states
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# winning {int(ctrl.winning.sum())} of {ctrl.fts.n_states}\n")
-        fh.write("state,input\n")
-        for s in ctrl.winning_states:
-            fh.write(f"{int(s)},{int(ctrl.chosen[s])}\n")
+        fh.write(f"# winning {ctrl.winning_states.size} of {n_s}\n")
+        fh.write("%d\n" * n_s % tuple(ctrl.chosen[:n_s].tolist()))
 
 
-def read_controller(path, fts: FiniteTransitionSystem | AbstractionHeader
-                    ) -> ControllerTable:
-    """Parse a controller file; each winning state appears once, with an
-    input index of fts (the abstraction or its header)."""
+def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
+    """Parse a controller file against fts (the abstraction or its header):
+    one line per cell, each an input index of fts or -1."""
     with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # comment
-        header = fh.readline().strip()
-        if header != "state,input":
-            raise ConfigError(f"unexpected controller header {header!r}")
-        rows = _read_int_rows(fh, path, 2)
-    if np.any(rows < 0) or np.any(rows >= [fts.n_states, fts.n_inputs]):
-        raise ConfigError(f"{path}: state or input index out of range")
-    s, u = rows.T
-    winning = np.zeros(fts.n_states + 1, dtype=bool)
-    winning[s] = True
-    if np.count_nonzero(winning) != s.size:
-        raise ConfigError(f"{path}: repeated state row")
-    chosen = np.full(fts.n_states + 1, -1, dtype=np.int64)
-    chosen[s] = u
-    return ControllerTable(winning=winning, chosen=chosen, fts=fts)
+        header = fh.readline()
+        if not header.startswith("# winning "):
+            raise ConfigError(f"{path}: unexpected controller header "
+                              f"{header.strip()!r}")
+        rows = _read_int_rows(fh, path, fts.n_states, 1)
+    if np.any(rows < -1) or np.any(rows >= fts.n_inputs):
+        raise ConfigError(f"{path}: input index out of range")
+    return ControllerTable(chosen=np.append(rows[:, 0], -1), fts=fts)
 
 
 def write_trajectories(path, runs) -> None:

@@ -468,11 +468,13 @@ class DataLipschitz:
     p: object = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        if self.pairs < 2:
+            raise ValueError("need at least 2 pairs")
+
     def dynamics_bounds(self, sys: BlackBoxSystem) -> tuple[float, float]:
         key = id(sys)
         if key not in self._cache:
-            if self.pairs < 2:
-                raise ValueError("need at least 2 pairs")
             slope, fmax = _sample_dynamics(sys, self.pairs, self.seed)
             w1, _, _ = domain_bounds(sys.signature)
             self._cache[key] = (slope * self.safety,
@@ -867,23 +869,22 @@ def _pin(width: int, index: int, sign: float, rhs: float):
     return row, rhs
 
 
-def solve_lp(instance: SopInstance, boxes: VariableBoxes | None = None,
-             lexicographic: bool = True, batch: int = 64, tol: float = 1e-9,
-             viol_tol: float = 1e-9,
+def solve_lp(instance: SopInstance, lexicographic: bool = True,
+             batch: int = 64, tol: float = 1e-9, viol_tol: float = 1e-9,
              xi_target: float | None = None) -> SolveReport:
-    """Minimize xi over all rows and boxes; optionally refine the optimum
-    lexicographically (min eta, then max gamma, then min theta) with xi pinned
-    at xi*.  A finite xi_target relaxes the pin to max(xi*, xi_target): the
-    refinement then trades unneeded slack depth for better gains, and the
-    certificate margin must be charged against the achieved xi, not xi*.
+    """Minimize xi over all rows within the instance's variable boxes;
+    optionally refine the optimum lexicographically (min eta, then max gamma,
+    then min theta) with xi pinned at xi*.  A finite xi_target relaxes the
+    pin to max(xi*, xi_target): the refinement then trades unneeded slack
+    depth for better gains, and the certificate margin must be charged
+    against the achieved xi, not xi*.
     Every generated row holds at the returned vector."""
     if instance.row_count == 0:
         raise ValueError("instance has no rows")
-    boxes = boxes or instance.boxes
     z = instance.z
     nv = instance.n_vars
     scanned, pruned = instance.blocks_scanned, instance.blocks_pruned
-    lower, upper = boxes.lower(z), boxes.upper(z)
+    lower, upper = instance.boxes.lower(z), instance.boxes.upper(z)
 
     def objective(index: int) -> Array:
         c = np.zeros(nv)

@@ -27,32 +27,19 @@ DEFAULT_QUERY_CAP = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteTransitionSystem:
-    """Dense transition table over n_states grid cells plus the sink.
+class AbstractionHeader:
+    """An abstraction without its transitions: the state and disturbance
+    grids and the inputs, an (n_inputs, input_dim) array in declared order.
+    They fix the counts.  Refinement and the closed loop need no more than
+    this."""
 
-    table[s, u, d] is the successor index; row `sink` is absorbing.  Inputs
-    are stored as an (n_inputs, input_dim) array in declared order.
-    """
-
-    table: Array
     state_grid: UniformGrid
     dist_grid: UniformGrid
     inputs: Array
 
-    def __post_init__(self):
-        tab = np.asarray(self.table)
-        if tab.ndim != 3:
-            raise ValueError("table must be (states+1, inputs, disturbances)")
-        if tab.shape[0] != self.state_grid.total_cells + 1:
-            raise ValueError("table must have one row per cell plus the sink")
-        if np.any(tab < 0) or np.any(tab >= tab.shape[0]):
-            raise ValueError("successor indices out of range")
-        if not np.all(tab[-1] == tab.shape[0] - 1):
-            raise ValueError("sink row must be absorbing")
-
     @property
     def n_states(self) -> int:
-        return self.table.shape[0] - 1
+        return self.state_grid.total_cells
 
     @property
     def sink(self) -> int:
@@ -60,11 +47,31 @@ class FiniteTransitionSystem:
 
     @property
     def n_inputs(self) -> int:
-        return self.table.shape[1]
+        return self.inputs.shape[0]
 
     @property
     def n_dists(self) -> int:
-        return self.table.shape[2]
+        return self.dist_grid.total_cells
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteTransitionSystem(AbstractionHeader):
+    """The header plus the dense transition table over its cells and the
+    sink: table[s, u, d] is the successor index, shape (n_states + 1,
+    n_inputs, n_dists); row `sink` is absorbing."""
+
+    table: Array
+
+    def __post_init__(self):
+        tab = np.asarray(self.table)
+        shape = (self.n_states + 1, self.n_inputs, self.n_dists)
+        if tab.shape != shape:
+            raise ValueError(f"table has shape {tab.shape}, expected {shape} "
+                             f"(states + sink, inputs, disturbances)")
+        if np.any(tab < 0) or np.any(tab > self.sink):
+            raise ValueError("successor indices out of range")
+        if not np.all(tab[-1] == self.sink):
+            raise ValueError("sink row must be absorbing")
 
     def successor(self, state: int, inp: int, dist: int) -> int:
         return int(self.table[state, inp, dist])
@@ -104,37 +111,18 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
 
 
 @dataclass(frozen=True, eq=False)
-class AbstractionHeader:
-    """An abstraction without its transitions: the state and disturbance
-    grids and the inputs, which fix its counts.  Refinement and the closed
-    loop need no more than this."""
-
-    state_grid: UniformGrid
-    dist_grid: UniformGrid
-    inputs: Array
-
-    @property
-    def n_states(self) -> int:
-        return self.state_grid.total_cells
-
-    @property
-    def n_inputs(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
-    def n_dists(self) -> int:
-        return self.dist_grid.total_cells
-
-
-@dataclass(frozen=True, eq=False)
 class ControllerTable:
-    """Winning set of the safety game and the chosen input index per winning
-    state (-1 elsewhere).  `fts` is the abstraction the game was solved on,
-    or only its header when the table is read back for refinement."""
+    """The chosen input index per state of the safety game's winning set
+    (-1 elsewhere, and at the sink).  `fts` is the abstraction the game was
+    solved on, or only its header when the table is read back for
+    refinement."""
 
-    winning: Array
     chosen: Array
-    fts: FiniteTransitionSystem | AbstractionHeader
+    fts: AbstractionHeader
+
+    @property
+    def winning(self) -> Array:
+        return self.chosen >= 0
 
     @property
     def winning_states(self) -> Array:
@@ -172,7 +160,7 @@ def safety_synthesis(fts: FiniteTransitionSystem, safe) -> ControllerTable:
         ok = win[fts.table].all(axis=2)
         first = np.argmax(ok, axis=1)
         chosen[win] = first[win]
-    return ControllerTable(winning=win, chosen=chosen, fts=fts)
+    return ControllerTable(chosen=chosen, fts=fts)
 
 
 @dataclass(frozen=True, eq=False)

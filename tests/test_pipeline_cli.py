@@ -39,11 +39,12 @@ from symabs.pipeline import (
     write_abstraction,
     write_controller,
 )
-from symabs.quantize import make_grid, product_grid
+from symabs.quantize import make_grid, product_grid, trivial_grid
 from symabs.scenario import (ApbfCertificate, draw_samples, min_sample_size,
                              quartic_difference_basis)
-from symabs.synthesize import (Trajectory, enumerate_abstraction,
-                               safety_synthesis, simulate_closed_loop)
+from symabs.synthesize import (FiniteTransitionSystem, Trajectory,
+                               enumerate_abstraction, safety_synthesis,
+                               simulate_closed_loop)
 
 MINI_YAML = textwrap.dedent("""
     seed: 3
@@ -146,37 +147,72 @@ def test_sample_batch_mapping_roundtrip():
     assert np.array_equal(back.points, batch.points)
 
 
-def test_abstraction_file_roundtrip(tmp_path):
+def _room_fts(sigma):
+    """Room 0 of a 3-room ring on a grid of half-width sigma."""
     _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
-    sg = make_grid([(-0.5, 0.5)], 0.125)
-    dg = product_grid([sg, sg])
-    fts = enumerate_abstraction(rooms[0], sg, dg)
+    sg = make_grid([(-0.5, 0.5)], sigma)
+    return enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+
+
+def _random_fts(state_grid, dist_grid, inputs, seed=0):
+    """An abstraction with random successors (cells and the sink)."""
+    n_s = state_grid.total_cells
+    shape = (n_s + 1, inputs.shape[0], dist_grid.total_cells)
+    table = np.random.default_rng(seed).integers(0, n_s + 1, size=shape)
+    table[n_s] = n_s
+    return FiniteTransitionSystem(state_grid=state_grid, dist_grid=dist_grid,
+                                  inputs=inputs, table=table)
+
+
+def _assert_same_abstraction(back, fts):
+    assert np.array_equal(back.table, fts.table)
+    for grid in ("state_grid", "dist_grid"):
+        a, b = getattr(back, grid), getattr(fts, grid)
+        assert a.cells_per_dim == b.cells_per_dim
+        assert np.array_equal(a.box, b.box)
+        assert a.sigma == b.sigma
+    assert np.array_equal(back.inputs, fts.inputs)
+
+
+@pytest.mark.parametrize("make_fts", [
+    # a room: 4 cells, 5 inputs, 16 disturbance cells
+    lambda: _room_fts(0.125),
+    # no disturbance: one successor per row
+    lambda: _random_fts(make_grid([(-0.5, 0.5)], 0.1), trivial_grid(),
+                        np.array([[0.0], [0.2]])),
+    # a 2-D state grid with 2-D inputs
+    lambda: _random_fts(make_grid([(-1.0, 1.0), (0.0, 0.5)], 0.125),
+                        make_grid([(-0.5, 0.5)], 0.25),
+                        np.array([[0.0, 1.0], [0.5, -0.5], [1.0, 0.0]])),
+], ids=["room", "no-disturbance", "2d-state"])
+def test_abstraction_file_roundtrip(tmp_path, make_fts):
+    fts = make_fts()
     path = tmp_path / "abstraction.csv"
     write_abstraction(path, fts)
-    # the body is byte-identical to one formatted row per transition
-    n_s, n_u, n_d = fts.table[:-1].shape
-    body = "".join(f"{s},{u},{d},{fts.table[s, u, d]}\n" for s in range(n_s)
-                   for u in range(n_u) for d in range(n_d))
-    assert path.read_text().split("state,input,dist,successor\n")[1] == body
-    back = read_abstraction(path)
-    assert np.array_equal(back.table, fts.table)
-    assert back.state_grid.cells_per_dim == fts.state_grid.cells_per_dim
-    assert np.allclose(back.state_grid.box, fts.state_grid.box)
-    assert np.isclose(back.state_grid.sigma, fts.state_grid.sigma)
-    assert np.allclose(back.inputs, fts.inputs)
-    assert np.allclose(back.dist_grid.box, fts.dist_grid.box)
+    # after the four header lines, one row per (state, input) holding the
+    # successors of every disturbance cell, in index order
+    lines = path.read_text().splitlines(keepends=True)
+    assert all(line.startswith("# ") for line in lines[:4])
+    n_s, n_u, _ = fts.table[:-1].shape
+    body = "".join(",".join(str(v) for v in fts.table[s, u]) + "\n"
+                   for s in range(n_s) for u in range(n_u))
+    assert "".join(lines[4:]) == body
+    _assert_same_abstraction(read_abstraction(path), fts)
+    head = read_abstraction_header(path)
+    assert (head.n_states, head.n_inputs, head.n_dists) == \
+        (fts.n_states, fts.n_inputs, fts.n_dists)
 
 
 def test_controller_file_roundtrip(tmp_path):
-    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
-    sg = make_grid([(-0.5, 0.5)], 0.05)
-    dg = product_grid([sg, sg])
-    fts = enumerate_abstraction(rooms[0], sg, dg)
+    fts = _room_fts(0.05)
     path = tmp_path / "controller.csv"
-    for safe in (range(2, 8), []):  # the empty winning set has no body rows
+    for safe in (range(2, 8), []):  # the empty winning set: every line -1
         ctrl = safety_synthesis(fts, safe=safe)
         assert (ctrl.winning_states.size > 0) == bool(safe)
         write_controller(path, ctrl)
+        lines = path.read_text().splitlines()
+        assert lines[0] == f"# winning {ctrl.winning_states.size} of 10"
+        assert lines[1:] == [str(u) for u in ctrl.chosen[:-1]]
         back = read_controller(path, fts)
         assert np.array_equal(back.winning, ctrl.winning)
         assert np.array_equal(back.chosen, ctrl.chosen)
@@ -187,38 +223,69 @@ def _corrupt(path, edit):
     path.write_text("".join(edit(lines)))
 
 
+def _last_field(lines, value):
+    """The last successor of the last row set to value."""
+    return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + f",{value}\n"]
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:-1], "transitions, expected"),
-    (lambda lines: lines[:-1] + [lines[5]], "repeated"),
-    (lambda lines: lines[:-1] + ["0,0,1,2\n", lines[-1]], "transitions, expected"),
-    (lambda lines: lines[:-1] + ["4,0,8,0\n"], "out of range"),
-    (lambda lines: lines[:-1] + ["3,4,8,5\n"], "out of range"),
-    (lambda lines: lines[:-1] + ["3,4,8,-1\n"], "out of range"),
-    (lambda lines: lines[:-1] + ["3,4,8\n"], "columns"),
+    (lambda lines: lines[:-1], "body is 19 x 16, expected 20 x 16"),
+    (lambda lines: lines + [lines[-1]], "body is 21 x 16, expected 20 x 16"),
+    (lambda lines: lines[:4] + [line.rsplit(",", 1)[0] + "\n"
+                                for line in lines[4:]],
+     "body is 20 x 15, expected 20 x 16"),
+    (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"],
+     "number of columns"),
+    (lambda lines: _last_field(lines, -1), "out of range"),
+    (lambda lines: _last_field(lines, 5), "out of range"),
+    (lambda lines: _last_field(lines, "x"), "could not convert"),
 ])
 def test_abstraction_file_rejects_corrupt_body(tmp_path, edit, message):
-    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
-    sg = make_grid([(-0.5, 0.5)], 0.125)  # 4 cells, 5 inputs, 16 dist cells
-    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
     path = tmp_path / "abstraction.csv"
     write_abstraction(path, fts)
-    assert path.read_text().endswith(f"3,4,15,{fts.table[3, 4, 15]}\n")
+    assert path.read_text().endswith(
+        ",".join(str(v) for v in fts.table[3, 4]) + "\n")
     _corrupt(path, edit)
     with pytest.raises(ConfigError, match=message) as err:
         read_abstraction(path)
     assert str(path) in str(err.value)
 
 
+def test_old_layout_files_are_refused(tmp_path):
+    fts = _room_fts(0.125)
+    path = tmp_path / "abstraction.csv"
+    write_abstraction(path, fts)
+    head = path.read_text().splitlines(keepends=True)[:4]
+    n_s, n_u, n_d = fts.table[:-1].shape
+    path.write_text("".join(head) + "state,input,dist,successor\n" + "".join(
+        f"{s},{u},{d},{fts.table[s, u, d]}\n" for s in range(n_s)
+        for u in range(n_u) for d in range(n_d)))
+    with pytest.raises(ConfigError) as err:
+        read_abstraction(path)
+    assert str(path) in str(err.value)
+    ctrl = safety_synthesis(fts, safe=range(4))
+    path = tmp_path / "controller.csv"
+    path.write_text(f"# winning {ctrl.winning_states.size} of 4\nstate,input\n"
+                    + "".join(f"{s},{ctrl.chosen[s]}\n"
+                              for s in ctrl.winning_states))
+    with pytest.raises(ConfigError) as err:
+        read_controller(path, fts)
+    assert str(path) in str(err.value)
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines + [lines[2]], "repeated"),
-    (lambda lines: lines + ["20,0\n"], "out of range"),
-    (lambda lines: lines + ["0,5\n"], "out of range"),
-    (lambda lines: lines + ["0,x\n"], "could not convert"),
+    (lambda lines: lines[:-1] + ["-2\n"], "out of range"),
+    (lambda lines: lines[:-1] + ["5\n"], "out of range"),
+    (lambda lines: lines[:-1], "body is 9 x 1, expected 10 x 1"),
+    (lambda lines: lines + ["0\n"], "body is 11 x 1, expected 10 x 1"),
+    (lambda lines: lines[:-1] + ["0,1\n"], "number of columns"),
+    (lambda lines: lines[:-1] + ["x\n"], "could not convert"),
+    (lambda lines: ["state,input\n"] + lines[1:],
+     "unexpected controller header"),
 ])
 def test_controller_file_rejects_corrupt_body(tmp_path, edit, message):
-    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
-    sg = make_grid([(-0.5, 0.5)], 0.05)  # 20 cells, 5 inputs
-    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    fts = _room_fts(0.05)  # 10 cells, 5 inputs
     ctrl = safety_synthesis(fts, safe=range(2, 8))
     assert not ctrl.winning[0]
     path = tmp_path / "controller.csv"
@@ -243,13 +310,9 @@ def test_controller_file_rejects_corrupt_body(tmp_path, edit, message):
      + lines[4:], r"header counts \(5, 5, 16\) do not match"),
     (lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=4")]
      + lines[4:], r"header counts \(4, 4, 16\) do not match"),
-    (lambda lines: lines[:4] + ["state,input,successor\n"] + lines[5:],
-     "unexpected abstraction header"),
 ])
 def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, message):
-    _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
-    sg = make_grid([(-0.5, 0.5)], 0.125)  # 4 cells, 5 inputs, 16 dist cells
-    fts = enumerate_abstraction(rooms[0], sg, product_grid([sg, sg]))
+    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
     path = tmp_path / "abstraction.csv"
     write_abstraction(path, fts)
     head = read_abstraction_header(path)
@@ -556,8 +619,9 @@ def test_simulate_reads_headers_and_steps_once_per_system(mini_run, tmp_path,
     ("abstraction_0.csv",
      lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=6")]
      + lines[4:], "do not match"),
-    ("controller_0.csv", lambda lines: lines + ["20,0\n"], "out of range"),
-    ("controller_0.csv", lambda lines: lines + ["0,5\n"], "out of range"),
+    ("controller_0.csv", lambda lines: lines + ["0\n"],
+     "body is 21 x 1, expected 20 x 1"),
+    ("controller_0.csv", lambda lines: lines[:-1] + ["5\n"], "out of range"),
 ])
 def test_simulate_rejects_corrupt_header_or_controller(mini_run, tmp_path,
                                                        where, edit, message):
@@ -688,6 +752,32 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
     # the earlier run's verdict stays where it was
     assert (run / "simulation.json").read_bytes() == \
         (out / "simulation.json").read_bytes()
+
+
+@pytest.mark.parametrize("section, settings, extra, message", [
+    ("certify", {"sigma": 0}, [], "certify.sigma must be a positive number"),
+    ("certify", {"sigma": -0.1}, [], "certify.sigma must be a positive number"),
+    ("certify", {"lipschitz": {"pairs": 1}}, [],
+     "certify.lipschitz: need at least 2 pairs"),
+    ("certify", {"boxes": {"gamma": [1, 0]}}, [],
+     "certify.boxes: gamma box must be finite with lo < hi"),
+    ("system", {"num_rooms": 1}, [], "system: num_rooms must be at least 2"),
+    ("system", {}, ["--rooms", "1"], "system: num_rooms must be at least 2"),
+    ("compose", {"slack": -1}, [], "compose.slack must lie in (0, 1)"),
+])
+def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
+                                       extra, message):
+    doc = yaml.safe_load(MINI_YAML)
+    doc.setdefault(section, {}).update(settings)
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    rc = cli.main(["casestudy", "--config", str(cfg), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error in stage casestudy: {message}" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()  # refused before any stage ran
 
 
 def test_simulate_without_runs_is_not_safe(mini_run, tmp_path, monkeypatch):

@@ -64,6 +64,30 @@ def test_fts_validation():
         fts_from_table(over)
 
 
+def _two_state_fts():
+    table = np.zeros((3, 2, 1), dtype=np.int64)
+    table[2] = 2
+    fts = fts_from_table(table)
+    assert (fts.n_states, fts.n_inputs, fts.n_dists) == (2, 2, 1)
+    return fts
+
+
+def test_fts_input_axis_must_match_inputs():
+    fts = _two_state_fts()
+    with pytest.raises(ValueError, match="expected"):
+        FiniteTransitionSystem(table=fts.table, state_grid=fts.state_grid,
+                               dist_grid=fts.dist_grid,
+                               inputs=np.arange(5.0).reshape(5, 1))
+
+
+def test_fts_disturbance_axis_must_match_dist_grid():
+    fts = _two_state_fts()
+    with pytest.raises(ValueError, match="expected"):
+        FiniteTransitionSystem(table=fts.table, state_grid=fts.state_grid,
+                               dist_grid=make_grid([(0.0, 3.0)], 0.5),
+                               inputs=fts.inputs)
+
+
 def test_three_state_game_hand_solved():
     # states a=0, b=1, c=2 (+ sink 3); u1: a->a, b->a, c->c; u2: a->b, b->c,
     # c->c; safe {a, b}: winning {a, b}, both choose u1

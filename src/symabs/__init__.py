@@ -23,7 +23,7 @@ from .quantize import (AbstractPoint, UniformGrid, abstract_transition,
                        trivial_grid)
 from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        LinearLipschitz, NonlinearLipschitz, SampleBatch,
-                       VariableBoxes, apbf_margin, assemble_sop, certify_apbf,
+                       VariableBoxes, apbf_margin, certify_apbf,
                        convert_gains, draw_samples, kappa, kappa_inverse,
                        min_sample_size, quartic_difference_basis, solve_lp)
 from .simplex import SimplexResult, solve_simplex, solve_with_rows
@@ -45,7 +45,7 @@ __all__ = [
     "ScalingVector", "SimplexResult", "SolverError", "SymabsError",
     "SystemSignature", "Trajectory", "UnboundedError",
     "UniformGrid", "VariableBoxes", "abstract_transition", "apbf_margin",
-    "assemble_sop", "build_gain_matrix", "build_room_network", "certify_apbf",
+    "build_gain_matrix", "build_room_network", "certify_apbf",
     "check_circularity", "compose_abf", "convert_gains", "draw_samples",
     "enumerate_abstraction", "find_scalings", "kappa", "kappa_inverse",
     "make_grid", "min_sample_size", "product_grid", "quantize",

@@ -120,6 +120,12 @@ class SystemConfig:
         return self.kind == "rooms" and np.isscalar(self.outside_temp)
 
 
+# What each lipschitz.kind's slopes rest on, as `report` states it.
+SLOPE_SOURCES = {"data": "estimated from sampled slopes, not proved",
+                 "linear": "given (A, B, E) matrices",
+                 "nonlinear": "given bounds"}
+
+
 @dataclass(frozen=True)
 class LipschitzBoundConfig:
     kind: str = "data"  # data | linear | nonlinear
@@ -178,6 +184,10 @@ class CertifyConfig:
         object.__setattr__(self, "boxes", {k: tuple(v) for k, v in self.boxes.items()})
         if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
             raise ConfigError("certify.sigma must be a positive number")
+        if not (isinstance(self.psi, numbers.Real) and 0 < self.psi < 1):
+            raise ConfigError("certify.psi must lie in (0, 1)")
+        if not (isinstance(self.lam, numbers.Real) and self.lam > 0):
+            raise ConfigError("certify.lam must be a positive number")
         _checked("certify.boxes", self.variable_boxes)
         self.lipschitz_config()
 
@@ -222,6 +232,11 @@ class SynthesizeConfig:
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"synthesize.{name} must be an integer of "
                                   f"at least {low}")
+        for name in ("safe_low", "safe_high"):
+            value = getattr(self, name)
+            if value is not None:
+                _checked(f"synthesize.{name}",
+                         lambda: np.asarray(value, dtype=float))
         if not isinstance(self.initial, str):
             object.__setattr__(self, "initial", _tupled(self.initial))
         elif self.initial != "winning-centers":
@@ -804,6 +819,8 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"xi_star: {cert.xi_star!r}")
         lines.append(f"xi_achieved: {cert.xi_achieved!r}")
         lines.append(f"lipschitz: {list(cert.lipschitz)!r}")
+        kind = config.certify.lipschitz_config().kind
+        lines.append(f"lipschitz source: {kind} ({SLOPE_SOURCES[kind]})")
         lines.append(f"kappa_radii: {list(cert.kappa_radii)!r}")
         lines.append(f"margin: {cert.margin!r}")
         lines.append(f"certified: {cert.certified}")

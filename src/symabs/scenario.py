@@ -321,20 +321,6 @@ def kappa_inverse(eps: float, dims: int, volume: float) -> float:
 # Lipschitz constants of the row functions
 # ----------------------------------------------------------------------------
 
-def _eig_range(p, dim_hint: int = 1) -> tuple[float, float]:
-    if p is None:
-        return 1.0, 1.0
-    mat = np.atleast_2d(np.asarray(p, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError("P must be square")
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise ValueError("P must be symmetric")
-    vals = np.linalg.eigvalsh(mat)
-    if vals[0] <= 0:
-        raise ValueError("P must be positive definite")
-    return float(vals[0]), float(vals[-1])
-
-
 def _spectral(mat) -> float:
     if mat is None:
         return 0.0
@@ -342,36 +328,17 @@ def _spectral(mat) -> float:
     return float(np.linalg.norm(arr, 2))
 
 
-def lipschitz_linear(a, b, e, p, state_bound: float, input_bound: float,
-                     dist_bound: float, sigma: float, mu: float,
-                     eta: float) -> float:
-    """Row-function Lipschitz constant for linear dynamics x+ = Ax + Bnu + Ed
-    under the quadratic-form score with matrix P (identity when None)."""
-    j1, j2, j3 = _spectral(a), _spectral(b), _spectral(e)
-    lmin, lmax = _eig_range(p)
-    w1, w2, w3 = float(state_bound), float(input_bound), float(dist_bound)
-    if min(w1, w2, w3, sigma, mu, eta) < 0:
-        raise ValueError("bounds, sigma, mu, eta must be non-negative")
-    l1 = 4.0 * w1 * (lmin + lmax)
-    l2 = 2.0 * lmax * (2.0 * j1 * j1 * w1 + 2.0 * j1 * j2 * w2
-                       + 2.0 * j1 * j3 * w3 + j1 * sigma
-                       + 2.0 * j3 * j3 * w3 + 2.0 * j2 * j3 * w2
-                       + 2.0 * j1 * j3 * w1 + j3 * sigma
-                       + 2.0 * w1 * mu) + 2.0 * eta * w3
-    return max(l1, l2)
-
-
-def lipschitz_nonlinear(j_f, j_x, j_d, p, state_bound: float, dist_bound: float,
-                        sigma: float, mu: float, eta: float) -> float:
+def row_lipschitz(j_f, j_x, j_d, state_bound: float, dist_bound: float,
+                  sigma: float, mu: float, eta: float) -> float:
     """Row-function Lipschitz constant from bounds on the dynamics: j_f on
-    ||f||, j_x and j_d on its slopes in state and disturbance."""
+    ||f||, j_x and j_d on its slopes in state and disturbance, over a state
+    box of norm state_bound and a disturbance box of norm dist_bound."""
     if min(j_f, j_x, j_d, state_bound, dist_bound, sigma, mu, eta) < 0:
         raise ValueError("all bounds must be non-negative")
-    lmin, lmax = _eig_range(p)
     w1, w3 = float(state_bound), float(dist_bound)
-    l1 = 4.0 * w1 * (lmin + lmax)
-    l2 = 2.0 * lmax * (2.0 * j_f * j_x + j_x * sigma + 2.0 * j_f * j_d
-                       + j_d * sigma + 2.0 * w1 * mu) + 2.0 * eta * w3
+    l1 = 8.0 * w1
+    l2 = 2.0 * (2.0 * j_f * j_x + j_x * sigma + 2.0 * j_f * j_d
+                + j_d * sigma + 2.0 * w1 * mu) + 2.0 * eta * w3
     return max(l1, l2)
 
 
@@ -425,67 +392,72 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
     return slope, fmax
 
 
+class _SlopeSource:
+    """A source of dynamics slopes: `slopes(sys)` gives (j_f, j_x, j_d), the
+    bounds on ||f|| and on its slopes in state and disturbance that
+    `row_lipschitz` turns into the row-function Lipschitz constant."""
+
+    def bound(self, sys: BlackBoxSystem, sigma: float, mu: float, eta: float) -> float:
+        w1, _, w3 = domain_bounds(sys.signature)
+        return row_lipschitz(*self.slopes(sys), w1, w3, sigma, mu, eta)
+
+
 @dataclass(frozen=True, eq=False)
-class LinearLipschitz:
-    """Row-function Lipschitz bound from known linear dynamics (A, B, E)."""
+class LinearLipschitz(_SlopeSource):
+    """Slopes of known linear dynamics x+ = A x + B nu + E d."""
 
     a: object
     b: object = None
     e: object = None
-    p: object = None
 
-    def bound(self, sys: BlackBoxSystem, sigma: float, mu: float, eta: float) -> float:
+    def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
+        j1, j2, j3 = _spectral(self.a), _spectral(self.b), _spectral(self.e)
         w1, w2, w3 = domain_bounds(sys.signature)
-        return lipschitz_linear(self.a, self.b, self.e, self.p, w1, w2, w3,
-                                sigma, mu, eta)
+        return j1 * w1 + j2 * w2 + j3 * w3, j1, j3
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearLipschitz:
-    """Row-function Lipschitz bound from user-supplied nonlinear bounds."""
+class NonlinearLipschitz(_SlopeSource):
+    """User-supplied bounds on ||f|| (j_f) and on its slopes in state (j_x)
+    and disturbance (j_d)."""
 
     j_f: float
     j_x: float
     j_d: float
-    p: object = None
 
-    def bound(self, sys: BlackBoxSystem, sigma: float, mu: float, eta: float) -> float:
-        w1, _, w3 = domain_bounds(sys.signature)
-        return lipschitz_nonlinear(self.j_f, self.j_x, self.j_d, self.p,
-                                   w1, w3, sigma, mu, eta)
+    def __post_init__(self):
+        if min(self.j_f, self.j_x, self.j_d) < 0:
+            raise ValueError("j_f, j_x and j_d must be non-negative")
+
+    def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
+        return self.j_f, self.j_x, self.j_d
 
 
 @dataclass(eq=False)
-class DataLipschitz:
-    """Row-function Lipschitz bound with the dynamics' slope and magnitude
-    estimated from sampled queries (slope estimate times a safety factor;
-    ||f|| bound is the larger of the observed maximum times the safety factor
-    and the state-box norm)."""
+class DataLipschitz(_SlopeSource):
+    """Slopes estimated from sampled queries, not proved: the largest
+    observed slope times a safety factor serves as both j_x and j_d, and j_f
+    is the larger of the observed maximum of ||f|| times the safety factor
+    and the state-box norm.  Slopes are cached per system object."""
 
     pairs: int = 200
     seed: int = 0
     safety: float = 1.5
-    p: object = None
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.pairs < 2:
             raise ValueError("need at least 2 pairs")
+        if self.safety < 0:
+            raise ValueError("safety must be non-negative")
 
-    def dynamics_bounds(self, sys: BlackBoxSystem) -> tuple[float, float]:
-        key = id(sys)
-        if key not in self._cache:
+    def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
+        if sys not in self._cache:
             slope, fmax = _sample_dynamics(sys, self.pairs, self.seed)
             w1, _, _ = domain_bounds(sys.signature)
-            self._cache[key] = (slope * self.safety,
-                                max(fmax * self.safety, w1))
-        return self._cache[key]
-
-    def bound(self, sys: BlackBoxSystem, sigma: float, mu: float, eta: float) -> float:
-        slope, j_f = self.dynamics_bounds(sys)
-        w1, _, w3 = domain_bounds(sys.signature)
-        return lipschitz_nonlinear(j_f, slope, slope, self.p, w1, w3,
-                                   sigma, mu, eta)
+            self._cache[sys] = (max(fmax * self.safety, w1),
+                                slope * self.safety, slope * self.safety)
+        return self._cache[sys]
 
 
 # ----------------------------------------------------------------------------
@@ -623,7 +595,6 @@ class SopInstance:
     successor: Array
     mu: float
     structure: SopStructure
-    basis: BasisSpec | None = None
     boxes: VariableBoxes = field(default_factory=VariableBoxes)
 
     def __post_init__(self):
@@ -771,7 +742,6 @@ class SopData:
         self.sys = sys
         self.state_grid = state_grid
         self.dist_grid = dist_grid
-        self.basis = basis
         q = samples.count
         n_states = state_grid.total_cells
         n_inputs = sig.n_inputs
@@ -821,17 +791,8 @@ class SopData:
                            coef_theta=np.array(-1.0), coef_phi=self.g_succ,
                            const=np.array(0.0), g_cur=self.g_cur,
                            successor=self.successor_reps, mu=float(mu),
-                           structure=self.structure, basis=self.basis,
+                           structure=self.structure,
                            boxes=boxes or VariableBoxes())
-
-
-def assemble_sop(samples: SampleBatch, sys: BlackBoxSystem,
-                 state_grid: UniformGrid, dist_grid: UniformGrid,
-                 basis: BasisSpec, mu: float, boxes: VariableBoxes | None = None,
-                 row_cap: int = DEFAULT_ROW_CAP) -> SopInstance:
-    """Build the full scenario program for one fixed contraction level mu."""
-    data = SopData(samples, sys, state_grid, dist_grid, basis, row_cap=row_cap)
-    return data.instance(mu, boxes)
 
 
 # ----------------------------------------------------------------------------

@@ -482,6 +482,23 @@ def test_mini_pipeline_end_to_end(mini_run):
     assert "ok: True" in result.summary
     composed = json.loads((out / "composed.json").read_text())
     assert f"eps_tilde: {composed['eps_tilde']!r} " in result.summary
+    assert "lipschitz source: data (estimated from sampled slopes, not " \
+        "proved)\n" in result.summary
+
+
+@pytest.mark.parametrize("lipschitz, line", [
+    ({"kind": "linear", "a": [[0.93]]}, "linear (given (A, B, E) matrices)"),
+    ({"kind": "nonlinear", "j_f": 0.6, "j_x": 0.93, "j_d": 0.01},
+     "nonlinear (given bounds)"),
+])
+def test_report_names_the_slope_source(mini_run, tmp_path, lipschitz, line):
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    doc = yaml.safe_load(MINI_YAML)
+    doc["certify"]["lipschitz"] = lipschitz
+    text = stage_report(PipelineConfig.from_mapping(doc), str(run))
+    assert f"lipschitz source: {line}\n" in text
 
 
 def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
@@ -764,6 +781,15 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
     ("system", {"num_rooms": 1}, [], "system: num_rooms must be at least 2"),
     ("system", {}, ["--rooms", "1"], "system: num_rooms must be at least 2"),
     ("compose", {"slack": -1}, [], "compose.slack must lie in (0, 1)"),
+    ("certify", {"psi": 2}, [], "certify.psi must lie in (0, 1)"),
+    ("certify", {"lam": -1}, [], "certify.lam must be a positive number"),
+    ("certify", {"lipschitz": {"kind": "nonlinear", "j_f": -1, "j_x": 0.93,
+                               "j_d": 0.01}}, [],
+     "certify.lipschitz: j_f, j_x and j_d must be non-negative"),
+    ("certify", {"lipschitz": {"safety": -1}}, [],
+     "certify.lipschitz: safety must be non-negative"),
+    ("synthesize", {"safe_low": "x"}, [],
+     "synthesize.safe_low: could not convert string to float"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):

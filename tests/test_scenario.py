@@ -16,19 +16,19 @@ from symabs.scenario import (
     LinearLipschitz,
     NonlinearLipschitz,
     SampleBatch,
+    SopData,
     VariableBoxes,
     _sample_dynamics,
     apbf_margin,
-    assemble_sop,
     certify_apbf,
     convert_gains,
+    domain_bounds,
     draw_samples,
     kappa,
     kappa_inverse,
-    lipschitz_linear,
-    lipschitz_nonlinear,
     min_sample_size,
     quartic_difference_basis,
+    row_lipschitz,
     sample_plan,
     solve_lp,
 )
@@ -256,65 +256,118 @@ def test_kappa_validation():
 
 
 def test_lipschitz_linear_worked_example():
-    got = lipschitz_linear(0.5, 1.0, 0.1, 1.0, state_bound=1.0,
-                           input_bound=0.2, dist_bound=1.0, sigma=0.05,
-                           mu=0.5, eta=0.02)
-    assert np.isclose(got, 8.0)
-    # the dynamics branch alone evaluates to 4.02
-    l1 = 4.0 * 1.0 * 2.0
-    assert got == max(l1, 4.02) or np.isclose(got, 8.0)
+    sys = linear_system(inputs=((-0.2,), (0.2,)))  # w1 = 1, w2 = 0.2, w3 = 1
+    j_f, j_x, j_d = LinearLipschitz(a=0.5, b=1.0, e=0.1).slopes(sys)
+    assert np.isclose(j_f, 0.8) and (j_x, j_d) == (0.5, 0.1)
+    got = row_lipschitz(j_f, j_x, j_d, state_bound=1.0, dist_bound=1.0,
+                        sigma=0.05, mu=0.5, eta=0.02)
+    # the state-box branch 8 * w1 wins; the dynamics branch alone is 4.02
+    assert got == 8.0
 
 
-def test_lipschitz_linear_zero_case_and_pd_check():
-    assert lipschitz_linear(0.0, 0.0, 0.0, None, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        lipschitz_linear(0.5, 0.0, 0.0, -1.0, 1.0, 1.0, 1.0, 0.0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        lipschitz_linear(0.5, 0.0, 0.0, [[1.0, 2.0], [0.0, 1.0]],
-                         1.0, 1.0, 1.0, 0.0, 0.5, 0.0)
+def test_lipschitz_linear_zero_case_and_sign_check():
+    assert row_lipschitz(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
+    sys = linear_system()
+    assert LinearLipschitz(a=0.0).slopes(sys) == (0.0, 0.0, 0.0)
+    for k in range(8):
+        args = [1.0] * 8
+        args[k] = -1.0
+        with pytest.raises(ValueError):
+            row_lipschitz(*args)
 
 
-def test_lipschitz_linear_scales_with_p():
-    base = lipschitz_linear(0.5, 1.0, 0.1, 1.0, 1.0, 0.2, 1.0, 0.05, 0.5, 0.0)
-    doubled = lipschitz_linear(0.5, 1.0, 0.1, 2.0, 1.0, 0.2, 1.0, 0.05, 0.5, 0.0)
-    assert np.isclose(doubled, 2.0 * base)
+def _nine_term_linear_bound(a, b, e, w1, w2, w3, sigma, mu, eta):
+    """The linear row bound written out term by term (P the identity)."""
+    j1, j2, j3 = (float(np.linalg.norm(np.atleast_2d(m), 2)) for m in (a, b, e))
+    l1 = 4.0 * w1 * 2.0
+    l2 = 2.0 * (2.0 * j1 * j1 * w1 + 2.0 * j1 * j2 * w2
+                + 2.0 * j1 * j3 * w3 + j1 * sigma
+                + 2.0 * j3 * j3 * w3 + 2.0 * j2 * j3 * w2
+                + 2.0 * j1 * j3 * w1 + j3 * sigma
+                + 2.0 * w1 * mu) + 2.0 * eta * w3
+    return max(l1, l2), l2 > l1
+
+
+def test_linear_bound_matches_nine_term_formula():
+    rng = np.random.default_rng(29)
+    dynamics_wins = 0
+    for _ in range(200):
+        n, m, p = rng.integers(1, 4, size=3)
+        a = rng.normal(size=(n, n)) * rng.uniform(0.05, 1.0)
+        b = rng.normal(size=(n, m)) * rng.uniform(0.0, 0.5)
+        e = rng.normal(size=(n, p)) * rng.uniform(0.0, 0.5)
+        lo = rng.uniform(-2.0, -0.1, size=n + p)
+        hi = rng.uniform(0.1, 2.0, size=n + p)
+        boxes = list(zip(lo, hi))
+        inputs = tuple(tuple(rng.uniform(-1.0, 1.0, size=m)) for _ in range(3))
+        sig = SystemSignature(state_dim=int(n), input_set=inputs,
+                              disturbance_dim=int(p), state_box=boxes[:n],
+                              disturbance_box=boxes[n:])
+        sys = BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: x)
+        sigma, mu, eta = rng.uniform(0.0, 0.5), rng.uniform(0.0, 1.0), \
+            rng.uniform(0.0, 2.0)
+        w1, w2, w3 = domain_bounds(sig)
+        want, dynamics = _nine_term_linear_bound(a, b, e, w1, w2, w3,
+                                                 sigma, mu, eta)
+        got = LinearLipschitz(a=a, b=b, e=e).bound(sys, sigma, mu, eta)
+        assert abs(got - want) <= 1e-12 * want
+        dynamics_wins += dynamics
+    assert 20 <= dynamics_wins <= 180  # both branches are exercised
 
 
 def test_lipschitz_nonlinear_worked_example():
-    got = lipschitz_nonlinear(1.0, 1.0, 0.01, 1.0, state_bound=0.5,
-                              dist_bound=0.5, sigma=0.025, mu=0.5, eta=0.02)
+    assert NonlinearLipschitz(j_f=1.0, j_x=1.0, j_d=0.01).slopes(
+        linear_system()) == (1.0, 1.0, 0.01)
+    got = row_lipschitz(1.0, 1.0, 0.01, state_bound=0.5, dist_bound=0.5,
+                        sigma=0.025, mu=0.5, eta=0.02)
     assert np.isclose(got, 5.1105)
-    assert lipschitz_nonlinear(0.0, 0.0, 0.0, None, 0.0, 0.0, 0.0, 0.0, 0.0) == 0.0
+    with pytest.raises(ValueError):
+        NonlinearLipschitz(j_f=1.0, j_x=-1.0, j_d=0.01)
 
 
 def test_lipschitz_nonlinear_monotone():
     rng = np.random.default_rng(13)
     args = rng.uniform(0.1, 2.0, size=8)
-    base = lipschitz_nonlinear(args[0], args[1], args[2], None, args[3],
-                               args[4], args[5], args[6], args[7])
+    base = row_lipschitz(*args)
     for k in range(8):
         bumped = args.copy()
         bumped[k] += 0.5
-        more = lipschitz_nonlinear(bumped[0], bumped[1], bumped[2], None,
-                                   bumped[3], bumped[4], bumped[5], bumped[6],
-                                   bumped[7])
-        assert more >= base - 1e-12
+        assert row_lipschitz(*bumped) >= base - 1e-12
 
 
 def test_lipschitz_sources_agree_with_direct_calls():
     sys = linear_system(a=0.8, gain=0.1)
+    w1, _, w3 = domain_bounds(sys.signature)
     lin = LinearLipschitz(a=0.8, b=1.0, e=0.1)
-    direct = lipschitz_linear(0.8, 1.0, 0.1, None, 1.0, 0.3, 1.0,
-                              sigma=0.05, mu=0.5, eta=0.01)
+    direct = row_lipschitz(0.8 + 0.3 + 0.1, 0.8, 0.1, w1, w3,
+                           sigma=0.05, mu=0.5, eta=0.01)
     assert np.isclose(lin.bound(sys, sigma=0.05, mu=0.5, eta=0.01), direct)
     non = NonlinearLipschitz(j_f=2.0, j_x=1.0, j_d=0.2)
-    direct = lipschitz_nonlinear(2.0, 1.0, 0.2, None, 1.0, 1.0,
-                                 sigma=0.05, mu=0.5, eta=0.01)
-    assert np.isclose(non.bound(sys, sigma=0.05, mu=0.5, eta=0.01), direct)
+    direct = row_lipschitz(2.0, 1.0, 0.2, w1, w3, sigma=0.05, mu=0.5, eta=0.01)
+    assert non.bound(sys, sigma=0.05, mu=0.5, eta=0.01) == direct
     data = DataLipschitz(pairs=50, seed=2)
-    slope, j_f = data.dynamics_bounds(sys)
-    assert slope <= 1.5 * np.linalg.norm([0.8, 0.1]) + 1e-9
-    assert data.bound(sys, sigma=0.05, mu=0.5, eta=0.01) > 0
+    j_f, j_x, j_d = data.slopes(sys)
+    assert j_x == j_d <= 1.5 * np.linalg.norm([0.8, 0.1]) + 1e-9
+    assert j_f >= w1
+    assert data.bound(sys, sigma=0.05, mu=0.5, eta=0.01) == \
+        row_lipschitz(j_f, j_x, j_d, w1, w3, sigma=0.05, mu=0.5, eta=0.01)
+    with pytest.raises(ValueError):
+        DataLipschitz(safety=-1.0)
+
+
+def test_data_lipschitz_slopes_follow_each_system():
+    # systems made and freed one after another can reuse one id(); each
+    # must still be charged its own slopes
+    shared = DataLipschitz(pairs=50, seed=1)
+    bounds = []
+    for gain in range(1, 6):
+        sys = linear_system(a=float(gain), gain=0.0)
+        got = shared.bound(sys, sigma=0.05, mu=0.5, eta=0.01)
+        assert got == DataLipschitz(pairs=50, seed=1).bound(
+            sys, sigma=0.05, mu=0.5, eta=0.01)
+        bounds.append(got)
+        del sys
+    assert bounds == sorted(set(bounds))
 
 
 def _sample_dynamics_per_pair(sys, pairs, seed):
@@ -372,7 +425,7 @@ def test_sop_row_counts_and_tags():
     sg = make_grid(sys.signature.state_box, 0.25)   # 4 cells
     dg = make_grid(sys.signature.disturbance_box, 0.34)  # 3 cells
     samples = draw_samples(sys.signature, 5, seed=0)
-    inst = assemble_sop(samples, sys, sg, dg, quartic_difference_basis(1), mu=0.5)
+    inst = SopData(samples, sys, sg, dg, quartic_difference_basis(1)).instance(0.5)
     assert inst.structure.h1_rows == 5 * 4
     assert inst.structure.h2_rows == 5 * 2 * 4 * 3
     assert inst.row_count == 140
@@ -396,7 +449,7 @@ def test_sop_constant_basis_h1_coefficient():
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 4, seed=1)
     basis = BasisSpec(mode="difference", exponents=((0,),))
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
+    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
     h1 = inst.structure.h1_rows
     a, _ = inst.gather(np.arange(h1))
     assert np.allclose(a[:, 3], -1.0)
@@ -409,7 +462,7 @@ def test_sop_rows_match_manual_recomputation():
     basis = quartic_difference_basis(1)
     samples = draw_samples(sys.signature, 6, seed=7)
     mu = 0.4
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=mu)
+    inst = SopData(samples, sys, sg, dg, basis).instance(mu)
 
     rng = np.random.default_rng(123)
     vec = np.concatenate([rng.uniform(0.1, 3.0, size=3),
@@ -460,7 +513,7 @@ def test_sop_factored_residuals_match_gathered_rows(basis):
     sink = successor == sg.total_cells
     assert sink[0].any() and sink[-1].any()  # escapes on both sides
     samples = draw_samples(sys.signature, 7, seed=3)
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+    inst = SopData(samples, sys, sg, dg, basis).instance(0.3)
     a, b = inst.gather(np.arange(inst.row_count))
     assert a.shape == (inst.row_count, basis.z + 4)
     rng = np.random.default_rng(11)
@@ -480,7 +533,7 @@ def test_sop_residual_blocks_tile_the_residuals(basis):
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 7, seed=3)
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+    inst = SopData(samples, sys, sg, dg, basis).instance(0.3)
     st = inst.structure
     per_sample = st.inputs * st.states * st.dists
     rng = np.random.default_rng(12)
@@ -508,7 +561,7 @@ def pruning_instance(basis):
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 40, seed=3)
-    return assemble_sop(samples, sys, sg, dg, basis, mu=0.3)
+    return SopData(samples, sys, sg, dg, basis).instance(0.3)
 
 
 def random_vector(rng, inst, trial):
@@ -597,7 +650,7 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
     samples = draw_samples(sys.signature, 700, seed=4)
     basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
+    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
     rows = inst.row_count
     # Fixed allowance for what certify holds besides rows: the master (up to
     # max_master + batch rows of z+4 columns) with its residuals, one block
@@ -621,8 +674,7 @@ def test_sop_row_cap():
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 5, seed=0)
     with pytest.raises(CapacityError):
-        assemble_sop(samples, sys, sg, dg, quartic_difference_basis(1),
-                     mu=0.5, row_cap=100)
+        SopData(samples, sys, sg, dg, quartic_difference_basis(1), row_cap=100)
 
 
 # ---------------------------------------------------------------- LP
@@ -633,8 +685,8 @@ def build_tiny_instance(mu=0.5, boxes=None):
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 6, seed=7)
-    return assemble_sop(samples, sys, sg, dg, quartic_difference_basis(1),
-                        mu=mu, boxes=boxes)
+    return SopData(samples, sys, sg, dg,
+                   quartic_difference_basis(1)).instance(mu, boxes)
 
 
 def test_solve_lp_against_scipy():
@@ -662,7 +714,7 @@ def test_solve_lp_on_a_six_million_row_instance_matches_highs():
     dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
     samples = draw_samples(sys.signature, 1000, seed=4)
     basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
-    inst = assemble_sop(samples, sys, sg, dg, basis, mu=0.5)
+    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
     assert inst.row_count == 6_440_000
     report = solve_lp(inst)
     assert float(max(np.max(blk) for _, blk in

@@ -29,8 +29,7 @@ from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
 from .simplex import SimplexResult, solve_simplex, solve_with_rows
 from .synthesize import (ControllerTable, FiniteTransitionSystem,
                          RefinedController, Trajectory, enumerate_abstraction,
-                         refine_controller, safety_synthesis,
-                         simulate_closed_loop)
+                         safety_synthesis, simulate_closed_loop)
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,7 @@ __all__ = [
     "check_circularity", "compose_abf", "convert_gains", "draw_samples",
     "enumerate_abstraction", "find_scalings", "kappa", "kappa_inverse",
     "make_grid", "min_sample_size", "product_grid", "quantize",
-    "quartic_difference_basis", "refine_controller", "run_pipeline",
+    "quartic_difference_basis", "run_pipeline",
     "safety_synthesis", "serve_oracle", "simulate_closed_loop",
     "sink_point", "solve_lp", "solve_simplex", "solve_with_rows",
     "trivial_grid",

@@ -27,12 +27,12 @@ from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
                     build_room_network)
 from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
-from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
-                       LinearLipschitz, NonlinearLipschitz, SampleBatch,
-                       VariableBoxes, draw_samples, quartic_difference_basis)
+from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
+                       NonlinearLipschitz, SampleBatch, VariableBoxes,
+                       draw_samples, quartic_difference_basis)
 from .synthesize import (AbstractionHeader, ControllerTable,
-                         FiniteTransitionSystem, enumerate_abstraction,
-                         refine_controller, safety_synthesis,
+                         FiniteTransitionSystem, RefinedController,
+                         enumerate_abstraction, safety_synthesis,
                          simulate_closed_loop)
 
 Array = np.ndarray
@@ -116,6 +116,11 @@ class SystemConfig:
             state_low=self.state_low, state_high=self.state_high)
 
     @property
+    def state_dim(self) -> int:
+        """State dimension of each subsystem: a room has one coordinate."""
+        return 1 if self.kind == "rooms" else len(self.state_box)
+
+    @property
     def identical_subsystems(self) -> bool:
         return self.kind == "rooms" and np.isscalar(self.outside_temp)
 
@@ -164,7 +169,6 @@ class LipschitzBoundConfig:
 @dataclass(frozen=True)
 class CertifyConfig:
     sigma: float = 0.025
-    basis: dict | None = None  # BasisSpec mapping; None means quartic default
     mu_grid: tuple = (0.5,)
     eps: tuple = (0.1,)
     beta: float = 0.01
@@ -190,11 +194,6 @@ class CertifyConfig:
             raise ConfigError("certify.lam must be a positive number")
         _checked("certify.boxes", self.variable_boxes)
         self.lipschitz_config()
-
-    def basis_spec(self, state_dim: int) -> BasisSpec:
-        if self.basis is None:
-            return quartic_difference_basis(state_dim)
-        return BasisSpec.from_mapping(self.basis)
 
     def variable_boxes(self) -> VariableBoxes:
         return VariableBoxes.from_mapping(self.boxes)
@@ -232,16 +231,25 @@ class SynthesizeConfig:
             if not isinstance(value, numbers.Integral) or value < low:
                 raise ConfigError(f"synthesize.{name} must be an integer of "
                                   f"at least {low}")
-        for name in ("safe_low", "safe_high"):
-            value = getattr(self, name)
-            if value is not None:
-                _checked(f"synthesize.{name}",
-                         lambda: np.asarray(value, dtype=float))
         if not isinstance(self.initial, str):
             object.__setattr__(self, "initial", _tupled(self.initial))
         elif self.initial != "winning-centers":
             raise ConfigError("synthesize.initial must be 'winning-centers' "
                               "or a list of start states")
+
+    def safe_band(self, dim: int) -> tuple[Array, Array]:
+        """(low, high) of the safe band over dim state coordinates.  One
+        value holds on every coordinate; None leaves that side open."""
+        band = []
+        for name, open_side in (("safe_low", -np.inf), ("safe_high", np.inf)):
+            given = getattr(self, name)
+            value = _checked(f"synthesize.{name}", lambda: np.asarray(
+                open_side if given is None else given, dtype=float))
+            if value.shape not in ((), (1,), (dim,)):
+                raise ConfigError(f"synthesize.{name} must be one number or "
+                                  f"{dim}, one per state coordinate")
+            band.append(np.broadcast_to(value, (dim,)))
+        return band[0], band[1]
 
 
 @dataclass(frozen=True)
@@ -257,6 +265,9 @@ class PipelineConfig:
     compose: ComposeConfig = field(default_factory=ComposeConfig)
     synthesize: SynthesizeConfig = field(default_factory=SynthesizeConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
+
+    def __post_init__(self):
+        self.synthesize.safe_band(self.system.state_dim)
 
     @classmethod
     def from_mapping(cls, data) -> "PipelineConfig":
@@ -550,7 +561,8 @@ def computed_sample_size(config: PipelineConfig, state_dim: int) -> tuple[int, i
     cert = config.certify
     try:
         plan = scenario.sample_plan(cert.mu_grid, cert.eps, cert.beta,
-                                    cert.basis_spec(state_dim).z, cert.unknowns)
+                                    quartic_difference_basis(state_dim).z,
+                                    cert.unknowns)
     except ValueError as exc:
         raise ConfigError(f"certify: {exc}") from None
     return plan.q, plan.unknowns
@@ -574,7 +586,7 @@ def _draw_batches(config: PipelineConfig, bundle: SystemBundle, q: int):
 def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
-        q, _ = computed_sample_size(config, bundle.subsystems[0].signature.state_dim)
+        q, _ = computed_sample_size(config, config.system.state_dim)
         batches = _draw_batches(config, bundle, q)
         payload = {"shared": config.system.identical_subsystems, "q": q,
                    "batches": [batch_to_mapping(b) for b in batches]}
@@ -602,11 +614,12 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     with _systems(config, bundle) as bundle:
         cert_cfg = config.certify
         state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma)
-        basis = cert_cfg.basis_spec(bundle.subsystems[0].signature.state_dim)
-        q, unknowns = computed_sample_size(
-            config, bundle.subsystems[0].signature.state_dim)
+        state_dim = config.system.state_dim
+        basis = quartic_difference_basis(state_dim)
+        q, unknowns = computed_sample_size(config, state_dim)
         batches = _load_or_draw_samples(config, out_dir, bundle, q)
-        lipschitz = cert_cfg.lipschitz_config().source()
+        lip_cfg = cert_cfg.lipschitz_config()
+        lipschitz = lip_cfg.source()
         boxes = cert_cfg.variable_boxes()
         owners = _owners(config, bundle)
         certs = {i: scenario.certify_apbf(
@@ -618,10 +631,11 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             samples=batch)
             for i, batch in zip(sorted(set(owners)), batches)}
         shared = config.system.identical_subsystems
-        # LP telemetry per certified subsystem and mu level; kept out of
-        # certificates.json, whose bytes reruns must reproduce.
+        # LP telemetry per certified subsystem and mu level, and the slope
+        # source; kept out of certificates.json, whose bytes reruns must
+        # reproduce.
         _write_json(os.path.join(out_dir, "lp_stats.json"),
-                    {"shared": shared,
+                    {"shared": shared, "lipschitz_kind": lip_cfg.kind,
                      "subsystems": [list(c.lp_stats) for c in certs.values()]})
         payload = {"shared": shared,
                    "certificates": [certs[i].to_mapping() for i in owners]}
@@ -630,8 +644,12 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 
 
 def load_certificates(out_dir: str):
-    payload = _read_json(os.path.join(out_dir, "certificates.json"))
-    return [ApbfCertificate.from_mapping(c) for c in payload["certificates"]]
+    """The certificates of certificates.json.  A basis in a mode other than
+    "difference" is refused as a configuration error that names the file."""
+    path = os.path.join(out_dir, "certificates.json")
+    payload = _read_json(path)
+    return _checked(path, lambda: [ApbfCertificate.from_mapping(c)
+                                   for c in payload["certificates"]])
 
 
 def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -694,14 +712,8 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 
 
 def _safe_cells(config: PipelineConfig, fts: FiniteTransitionSystem) -> list:
-    syn = config.synthesize
     grid = fts.state_grid
-    if syn.safe_low is None and syn.safe_high is None:
-        return list(range(fts.n_states))
-    low = np.full(grid.dim, -np.inf) if syn.safe_low is None else \
-        np.broadcast_to(np.asarray(syn.safe_low, dtype=float), (grid.dim,))
-    high = np.full(grid.dim, np.inf) if syn.safe_high is None else \
-        np.broadcast_to(np.asarray(syn.safe_high, dtype=float), (grid.dim,))
+    low, high = config.synthesize.safe_band(grid.dim)
     reps = grid.all_representatives()
     half = grid.widths / 2.0
     keep = np.all(reps - half >= low - 1e-12, axis=1) \
@@ -772,8 +784,7 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         for i, c in enumerate(controllers):
             key = (owners[i], float(rel.scalings.kappa[i]))
             if key not in by_key:
-                by_key[key] = refine_controller(c, rel.component(i),
-                                                c.fts.state_grid)
+                by_key[key] = RefinedController(c, rel.component(i))
             refined.append(by_key[key])
         labels, starts = _initial_conditions(config, controllers)
         # every room steps with its owner's system, so rooms that share an
@@ -797,8 +808,7 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
     externally reported reference value."""
     out_dir = _ensure_out(out_dir)
     lines = []
-    state_dim = 1 if config.system.kind == "rooms" else len(config.system.state_box)
-    q, unknowns = computed_sample_size(config, state_dim)
+    q, unknowns = computed_sample_size(config, config.system.state_dim)
     lines.append(f"minimal sample size (eps={list(config.certify.eps)}, "
                  f"beta={config.certify.beta!r}, unknowns={unknowns}): {q}")
     ref = config.report.reference_sample_size
@@ -809,6 +819,8 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
                      f"-> {flag}")
 
     certified = circ_ok = syn_ok = False
+    lp_path = os.path.join(out_dir, "lp_stats.json")
+    lp_stats = _read_json(lp_path) if os.path.exists(lp_path) else {}
     if os.path.exists(os.path.join(out_dir, "certificates.json")):
         certs = load_certificates(out_dir)
         certified = all(c.certified for c in certs)
@@ -819,16 +831,17 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"xi_star: {cert.xi_star!r}")
         lines.append(f"xi_achieved: {cert.xi_achieved!r}")
         lines.append(f"lipschitz: {list(cert.lipschitz)!r}")
-        kind = config.certify.lipschitz_config().kind
-        lines.append(f"lipschitz source: {kind} ({SLOPE_SOURCES[kind]})")
+        # the kind that certified the run, not the one configured now
+        kind = lp_stats.get("lipschitz_kind")
+        if kind in SLOPE_SOURCES:
+            lines.append(f"lipschitz source: {kind} ({SLOPE_SOURCES[kind]})")
         lines.append(f"kappa_radii: {list(cert.kappa_radii)!r}")
         lines.append(f"margin: {cert.margin!r}")
         lines.append(f"certified: {cert.certified}")
         lines.append(f"subsystem gains: gamma={cert.gamma!r} mu={cert.mu!r} "
                      f"eta={cert.eta!r} theta={cert.theta!r}")
-    lp_path = os.path.join(out_dir, "lp_stats.json")
-    if os.path.exists(lp_path):
-        levels = [lvl for sub in _read_json(lp_path)["subsystems"] for lvl in sub]
+    if lp_stats:
+        levels = [lvl for sub in lp_stats["subsystems"] for lvl in sub]
         lines.append(
             f"lp ({len(levels)} solves): "
             f"rounds={sum(lvl['rounds'] for lvl in levels)} "
@@ -885,15 +898,31 @@ class PipelineResult:
     summary: str
 
 
+def _discard(out_dir: str, *names) -> None:
+    """Remove what an earlier run left of a stage that this run skips, so
+    that `report` does not read it as this run's."""
+    for name in names:
+        path = os.path.join(out_dir, name)
+        if os.path.exists(path):
+            os.remove(path)
+
+
 def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
+    """Run every stage in order.  Compose needs every subsystem certified
+    and simulate needs a relation and winning cells; a stage that cannot run
+    is skipped, its earlier artifacts are removed, and the run is not ok."""
     out_dir = _ensure_out(out_dir)
     config.to_yaml(os.path.join(out_dir, "resolved_config.yaml"))
     with _systems(config, None) as bundle:
         stage_sample(config, out_dir, bundle)
         cert_payload = stage_certify(config, out_dir, bundle)
         certified = all(c["certified"] for c in cert_payload["certificates"])
-        comp_payload = stage_compose(config, out_dir, bundle)
-        circ_ok = bool(comp_payload["circularity_ok"])
+        circ_ok = False
+        if certified:
+            comp_payload = stage_compose(config, out_dir, bundle)
+            circ_ok = bool(comp_payload["circularity_ok"])
+        else:
+            _discard(out_dir, "composed.json")
         stage_abstract(config, out_dir, bundle)
         syn_payload = stage_synthesize(config, out_dir, bundle)
         winning = syn_payload["winning"]
@@ -901,6 +930,8 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
         if circ_ok and syn_payload["ok"]:
             sim_payload = stage_simulate(config, out_dir, bundle)
             all_safe = bool(sim_payload["all_safe"])
+        else:
+            _discard(out_dir, "simulation.json", "trajectories.csv")
         summary = stage_report(config, out_dir)
         ok = certified and circ_ok and syn_payload["ok"] and all_safe
         return PipelineResult(ok=ok, certified=certified, circularity_ok=circ_ok,

@@ -45,46 +45,33 @@ SAMPLE_CAP = 10_000_000
 
 @dataclass(frozen=True, eq=False)
 class BasisSpec:
-    """Monomial basis for S(x, xhat).
-
-    mode "difference": exponents is a tuple of z rows, each with one even
-    exponent per state coordinate; g_j = prod_k (x_k - xhat_k)^e_jk.
-    mode "general": exponents is a tuple of z (a, b) row pairs;
-    g_j = prod_k x_k^a_jk * prod_k xhat_k^b_jk.
-    """
+    """Difference-monomial basis for S(x, xhat): exponents is a tuple of z
+    rows, each with one even exponent per state coordinate, and
+    g_j = prod_k (x_k - xhat_k)^e_jk.  Even exponents keep every monomial
+    sign-stable and monotone in |x - xhat|.  `mode` is always "difference";
+    the certificate records it with the exponents."""
 
     mode: str
     exponents: tuple
 
     def __post_init__(self):
-        if self.mode not in ("difference", "general"):
-            raise ValueError("mode must be 'difference' or 'general'")
-        if self.mode == "difference":
-            rows = tuple(tuple(int(e) for e in row) for row in self.exponents)
-            if not rows:
-                raise ValueError("basis needs at least one monomial")
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("all exponent rows must share the state dimension")
-                for e in row:
-                    if e < 0:
-                        raise ValueError("exponents must be non-negative")
-                    if e % 2:
-                        raise ValueError(
-                            "difference-monomial exponents must be even so the "
-                            "monomials are sign-stable")
-        else:
-            rows = tuple((tuple(int(e) for e in a), tuple(int(e) for e in b))
-                         for a, b in self.exponents)
-            if not rows:
-                raise ValueError("basis needs at least one monomial")
-            width = len(rows[0][0])
-            for a, b in rows:
-                if len(a) != width or len(b) != width:
-                    raise ValueError("all exponent rows must share the state dimension")
-                if min(a, default=0) < 0 or min(b, default=0) < 0:
+        if self.mode != "difference":
+            raise ValueError(f"basis mode must be 'difference', not "
+                             f"{self.mode!r}")
+        rows = tuple(tuple(int(e) for e in row) for row in self.exponents)
+        if not rows:
+            raise ValueError("basis needs at least one monomial")
+        width = len(rows[0])
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("all exponent rows must share the state dimension")
+            for e in row:
+                if e < 0:
                     raise ValueError("exponents must be non-negative")
+                if e % 2:
+                    raise ValueError(
+                        "difference-monomial exponents must be even so the "
+                        "monomials are sign-stable")
         object.__setattr__(self, "exponents", rows)
 
     @property
@@ -93,47 +80,37 @@ class BasisSpec:
 
     @property
     def state_dim(self) -> int:
-        row = self.exponents[0]
-        return len(row[0]) if self.mode == "general" else len(row)
+        return len(self.exponents[0])
 
     def features(self, x, xhat) -> Array:
         """Evaluate all g_j; broadcasts over leading axes, returns (..., z).
 
         Each distinct exponent is raised once per coordinate, not once per
         monomial (see `_monomials`); the values equal those of the direct
-        form prod(base[..., None, :] ** exponents) bit for bit."""
-        x = np.asarray(x, dtype=float)
-        xhat = np.asarray(xhat, dtype=float)
-        if self.mode == "difference":
-            return _monomials(x - xhat, np.asarray(self.exponents))
-        a = np.asarray([row[0] for row in self.exponents])
-        b = np.asarray([row[1] for row in self.exponents])
-        x, xhat = np.broadcast_arrays(x, xhat)
-        return _monomials(x, a) * _monomials(xhat, b)
+        form prod(diff[..., None, :] ** exponents) bit for bit."""
+        diff = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
+        return _monomials(diff, np.asarray(self.exponents))
 
     def to_mapping(self) -> dict:
         return {"mode": self.mode,
-                "exponents": [list(map(list, row)) if self.mode == "general"
-                              else list(row) for row in self.exponents]}
+                "exponents": [list(row) for row in self.exponents]}
 
     @classmethod
     def from_mapping(cls, data) -> "BasisSpec":
-        return cls(mode=data["mode"], exponents=tuple(
-            tuple(map(tuple, row)) if data["mode"] == "general" else tuple(row)
-            for row in data["exponents"]))
+        return cls(mode=data["mode"], exponents=tuple(data["exponents"]))
 
 
 def _monomials(v: Array, exp: Array) -> Array:
     """prod_k v_k ** exp_jk for every exponent row j: (..., dim) -> (..., z).
 
     The (..., z, dim) power array is filled from each distinct exponent
-    rather than by raising every entry: 0 gives 1.0, 1 gives v, and any
-    other e one power of v.  numpy may raise an array exponent with a
-    vectorised pow (an AVX-512 build does, and its v ** 2 is one ulp from
-    v * v for about 2 % of values) but squares a broadcast scalar exponent
-    2.  So e = 2 keeps an array exponent unless the table has one entry,
-    and the entries equal those of v[..., None, :] ** exp bit for bit.  The
-    product runs over the same axis in the same order.
+    rather than by raising every entry: 0 gives 1.0, and any other e one
+    power of v.  numpy may raise an array exponent with a vectorised pow (an
+    AVX-512 build does, and its v ** 2 is one ulp from v * v for about 2 %
+    of values) but squares a broadcast scalar exponent 2.  So e = 2 keeps an
+    array exponent unless the table has one entry, and the entries equal
+    those of v[..., None, :] ** exp bit for bit.  The product runs over the
+    same axis in the same order.
     """
     if v.shape[-1:] != exp.shape[-1:]:
         raise ValueError(f"points need {exp.shape[-1]} coordinates, as the "
@@ -141,9 +118,7 @@ def _monomials(v: Array, exp: Array) -> Array:
     pw = np.ones(v.shape[:-1] + exp.shape)
     # not np.unique: its first call imports numpy.ma, about 1 MB of RSS
     for e in sorted(set(exp.ravel().tolist()) - {0}):
-        if e == 1:
-            p = v
-        elif e == 2 and exp.size > 1:
+        if e == 2 and exp.size > 1:
             # a fresh output: powering in place into the exponent array
             # changed the bits of a one-element v
             p = v ** np.full(v.shape, 2.0)

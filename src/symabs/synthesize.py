@@ -169,30 +169,30 @@ class RefinedController:
 
     `relation` needs value(x, xhat) and a theta threshold; value must
     broadcast over a stack of representatives, shape (n, dim) -> (n,).
-    Winning cells are ranked by V(x, center), ties to the lower index.
+    Winning cells, of which there must be at least one, are ranked by
+    V(x, center) on the table's state grid, ties to the lower index.
     """
 
     table: ControllerTable
     relation: object
-    state_grid: UniformGrid
     _winning: Array = field(init=False, repr=False)
     _centers: Array = field(init=False, repr=False)
 
     def __post_init__(self):
         win = self.table.winning_states
+        if win.size == 0:
+            raise ValueError("cannot refine a controller with an empty "
+                             "winning set")
         object.__setattr__(self, "_winning", win)
         object.__setattr__(self, "_centers",
-                           self.state_grid.all_representatives()[win])
+                           self.table.fts.state_grid.all_representatives()[win])
 
     def select_rows(self, xs) -> tuple[Array, Array, Array]:
         """Row form of select for states xs (k, dim): the winning cell, its
         input index and the least V of each row.  A row with no related
         winning cell (least V above theta, or NaN) gets cell and input -1;
         `miss` gives the error select raises for it."""
-        xs = np.asarray(xs, dtype=float).reshape(-1, self.state_grid.dim)
-        if self._winning.size == 0:
-            none = np.full(xs.shape[0], -1, dtype=np.int64)
-            return none, none.copy(), np.full(xs.shape[0], np.nan)
+        xs = np.asarray(xs, dtype=float).reshape(-1, self._centers.shape[1])
         vals = self.relation.value(xs[:, None, :], self._centers[None, :, :])
         k = np.argmin(vals, axis=1)
         least = vals[np.arange(xs.shape[0]), k]
@@ -202,30 +202,17 @@ class RefinedController:
 
     def miss(self, x, least: float) -> RefinementError:
         """The refinement error for state x, whose least V is `least`."""
-        if self._winning.size == 0:
-            return RefinementError("controller has an empty winning set", state=x)
         return RefinementError(
             f"no winning cell is related to the state (min V = {least:.6g} "
             f"> theta = {self.relation.theta:.6g})", state=x)
 
     def select(self, x) -> tuple[int, int]:
         """(winning cell index, input index) for the concrete state x."""
-        x = np.asarray(x, dtype=float).reshape(self.state_grid.dim)
+        x = np.asarray(x, dtype=float).reshape(self._centers.shape[1])
         cells, inputs, least = self.select_rows(x[None, :])
         if cells[0] < 0:
             raise self.miss(x, float(least[0]))
         return int(cells[0]), int(inputs[0])
-
-    def __call__(self, x) -> Array:
-        _, u = self.select(x)
-        return np.asarray(self.table.fts.inputs[u], dtype=float)
-
-
-def refine_controller(ctrl: ControllerTable, relation, state_grid: UniformGrid
-                      ) -> RefinedController:
-    if not ctrl.winning.any():
-        raise ValueError("cannot refine a controller with an empty winning set")
-    return RefinedController(table=ctrl, relation=relation, state_grid=state_grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +249,7 @@ def _groups(objects) -> list:
 
 
 def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
-                         controllers, x0, horizon: int, safe_boxes=None):
+                         controllers, x0, horizon: int):
     """Run the wired network from a stack of starts under per-subsystem
     refined controllers; returns one list of per-subsystem Trajectory per run.
 
@@ -277,7 +264,7 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     each member with the inputs of its own controller and the states of its
     own neighbours.  The oracle answers row by row, so the successors are
     those of one call per subsystem.  Safety flags record membership of each
-    state in its safe box (default: the subsystem's declared state box).
+    state in its subsystem's declared state box.
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -299,10 +286,6 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     if x0.ndim != 2 or x0.shape[1] != offsets[-1]:
         raise ValueError(f"x0 must be a (runs, {offsets[-1]}) stack of starts")
     runs = x0.shape[0]
-    if safe_boxes is None:
-        safe_boxes = [s.signature.state_box for s in subsystems]
-    safe_boxes = [np.asarray(b, dtype=float).reshape(dims[i], 2)
-                  for i, b in enumerate(safe_boxes)]
     blocks = [slice(offsets[i], offsets[i + 1]) for i in range(m)]
     columns = [np.arange(offsets[i], offsets[i + 1]) for i in range(m)]
     neighbours = [np.array([c for j in topology.wiring[i]
@@ -364,7 +347,7 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
         trajs = []
         for i in range(m):
             xs = states[:t + 1, r, blocks[i]]
-            box = safe_boxes[i]
+            box = subsystems[i].signature.state_box
             trajs.append(Trajectory(
                 subsystem=i, states=xs,
                 inputs=controllers[i].table.fts.inputs[chosen[:t, r, i]],

@@ -131,17 +131,9 @@ def ball_radius(eps, dims, volume):
 def basis_features_direct(basis, x, xhat):
     """BasisSpec.features by raising every exponent entry of every monomial
     with one array-exponent power and multiplying over the coordinates."""
-    x = np.asarray(x, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    if basis.mode == "difference":
-        delta = x - xhat
-        exp = np.asarray(basis.exponents)
-        return np.prod(delta[..., None, :] ** exp, axis=-1)
-    a = np.asarray([row[0] for row in basis.exponents])
-    b = np.asarray([row[1] for row in basis.exponents])
-    x, xhat = np.broadcast_arrays(x, xhat)
-    return (np.prod(x[..., None, :] ** a, axis=-1)
-            * np.prod(xhat[..., None, :] ** b, axis=-1))
+    delta = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
+    exp = np.asarray(basis.exponents)
+    return np.prod(delta[..., None, :] ** exp, axis=-1)
 
 
 def closed_loop_room_by_room(subsystems, wiring, controllers, x0, horizon):

@@ -486,19 +486,36 @@ def test_mini_pipeline_end_to_end(mini_run):
         "proved)\n" in result.summary
 
 
-@pytest.mark.parametrize("lipschitz, line", [
-    ({"kind": "linear", "a": [[0.93]]}, "linear (given (A, B, E) matrices)"),
-    ({"kind": "nonlinear", "j_f": 0.6, "j_x": 0.93, "j_d": 0.01},
-     "nonlinear (given bounds)"),
-])
-def test_report_names_the_slope_source(mini_run, tmp_path, lipschitz, line):
-    _, out, _ = mini_run
+SLOPE_KINDS = {
+    "data": ({}, "data (estimated from sampled slopes, not proved)"),
+    "linear": ({"kind": "linear", "a": [[0.93]]},
+               "linear (given (A, B, E) matrices)"),
+    "nonlinear": ({"kind": "nonlinear", "j_f": 0.6, "j_x": 0.93, "j_d": 0.01},
+                  "nonlinear (given bounds)"),
+}
+
+
+@pytest.mark.parametrize("certified_by, reported_with", [
+    ("data", "linear"), ("linear", "nonlinear"), ("nonlinear", "data")])
+def test_report_names_the_slope_source(mini_run, tmp_path, certified_by,
+                                       reported_with):
+    # the line names the kind that certified the run, whatever kind the
+    # config given to report names
+    def config(kind):
+        doc = yaml.safe_load(MINI_YAML)
+        doc["certify"]["lipschitz"] = SLOPE_KINDS[kind][0]
+        return PipelineConfig.from_mapping(doc)
+
     run = tmp_path / "run"
-    shutil.copytree(out, run)
-    doc = yaml.safe_load(MINI_YAML)
-    doc["certify"]["lipschitz"] = lipschitz
-    text = stage_report(PipelineConfig.from_mapping(doc), str(run))
-    assert f"lipschitz source: {line}\n" in text
+    if certified_by == "data":
+        shutil.copytree(mini_run[1], run)
+    else:
+        stage_certify(config(certified_by), str(run))
+    stats = json.loads((run / "lp_stats.json").read_text())
+    assert stats["lipschitz_kind"] == certified_by
+    text = stage_report(config(reported_with), str(run))
+    assert f"lipschitz source: {SLOPE_KINDS[certified_by][1]}\n" in text
+    assert SLOPE_KINDS[reported_with][1] not in text
 
 
 def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
@@ -790,6 +807,12 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
      "certify.lipschitz: safety must be non-negative"),
     ("synthesize", {"safe_low": "x"}, [],
      "synthesize.safe_low: could not convert string to float"),
+    ("synthesize", {"safe_low": [-0.3, -0.2]}, [],
+     "synthesize.safe_low must be one number or 1, one per state coordinate"),
+    ("synthesize", {"safe_high": [[0.3]]}, [],
+     "synthesize.safe_high must be one number or 1, one per state coordinate"),
+    ("certify", {"basis": {"mode": "difference", "exponents": [[4], [2], [0]]}},
+     [], "unknown certify keys: ['basis']"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):
@@ -804,6 +827,69 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
     assert f"error in stage casestudy: {message}" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()  # refused before any stage ran
+
+
+def test_safe_band_length_follows_the_state_dimension():
+    doc = {"system": {"kind": "external", "command": ["oracle"],
+                      "state_box": [[-0.5, 0.5], [-1.0, 1.0]],
+                      "input_set": [[0.0]]},
+           "synthesize": {"safe_low": [-0.3, -0.2], "safe_high": 0.3}}
+    config = PipelineConfig.from_mapping(doc)
+    assert config.system.state_dim == 2
+    low, high = config.synthesize.safe_band(2)
+    assert low.tolist() == [-0.3, -0.2] and high.tolist() == [0.3, 0.3]
+    doc["synthesize"]["safe_low"] = [-0.3, -0.2, -0.1]
+    with pytest.raises(ConfigError, match="safe_low must be one number or 2"):
+        PipelineConfig.from_mapping(doc)
+    assert PipelineConfig().system.state_dim == 1
+
+
+def test_cli_uncertified_casestudy_exits_1_with_a_summary(mini_run, tmp_path,
+                                                          capsys):
+    # a slope estimate 100 times too steep leaves the margin positive; the
+    # directory holds an earlier, passing run, whose relation and
+    # simulation must not be reported as this run's
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    doc = yaml.safe_load(MINI_YAML)
+    doc["certify"]["lipschitz"] = {"safety": 100}
+    cfg = tmp_path / "steep.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    rc = cli.main(["casestudy", "--config", str(cfg), "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ""
+    summary = (run / "summary.txt").read_text()
+    assert captured.out == summary
+    assert "subsystems certified: 0 of 3\n" in summary
+    assert "certified: False\n" in summary
+    assert "circularity_ok" not in summary and "ok: " not in summary
+    for name in ("composed.json", "simulation.json", "trajectories.csv"):
+        assert not (run / name).exists(), name
+    # abstract and synthesize do not need the certificate and still run
+    assert (run / "controller_0.csv").exists()
+    assert "winning cells per subsystem: " in summary
+
+
+def test_certificate_with_another_basis_mode_is_refused(mini_run, tmp_path,
+                                                        capsys):
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / "certificates.json"
+    payload = json.loads(path.read_text())
+    payload["certificates"][0]["basis"] = {
+        "mode": "general", "exponents": [[[2], [0]], [[0], [2]], [[0], [0]]]}
+    path.write_text(json.dumps(payload))
+    cfg = tmp_path / "mini.yaml"
+    cfg.write_text(MINI_YAML)
+    rc = cli.main(["compose", "--config", str(cfg), "--out", str(run)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error in stage compose: {path}: basis mode must be " \
+        f"'difference', not 'general'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_simulate_without_runs_is_not_safe(mini_run, tmp_path, monkeypatch):

@@ -54,6 +54,8 @@ def test_basis_difference_mode_rejects_odd_exponents():
         BasisSpec(mode="difference", exponents=((2,), (2, 2)))
     with pytest.raises(ValueError):
         BasisSpec(mode="weird", exponents=((2,),))
+    with pytest.raises(ValueError, match="basis mode must be 'difference'"):
+        BasisSpec(mode="general", exponents=(((2,), (0,)),))
 
 
 def test_quartic_basis_layout_and_features():
@@ -65,13 +67,6 @@ def test_quartic_basis_layout_and_features():
     two = quartic_difference_basis(2)
     assert two.z == 5
     assert two.state_dim == 2
-
-
-def test_general_basis_features():
-    basis = BasisSpec(mode="general", exponents=(((2,), (0,)), ((0,), (2,)),
-                                                 ((1,), (1,))))
-    feats = basis.features([2.0], [3.0])
-    assert np.allclose(feats, [4.0, 9.0, 6.0])
 
 
 def test_basis_features_broadcast():
@@ -91,22 +86,15 @@ FEATURE_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160,
 
 
 def _feature_bases(rng, dim):
-    """Difference and general bases on dim coordinates whose tables use the
-    exponents 0, 1, 2, 3, 4 and 6 (even ones only in difference mode), from
-    one-entry tables up to five monomials."""
+    """Bases on dim coordinates whose tables use the exponents 0, 2, 4 and
+    6, from one-entry tables up to five monomials."""
     bases = [quartic_difference_basis(dim)]
     for e in (0, 2, 4, 6):
         bases.append(BasisSpec("difference", ((e,) * dim,)))
-    for e in (0, 1, 2, 3, 4, 6):
-        bases.append(BasisSpec("general", (((e,) * dim, (0,) * dim),)))
-        bases.append(BasisSpec("general", (((e,) * dim, (2,) * dim),
-                                           ((0,) * dim, (e,) * dim))))
+        bases.append(BasisSpec("difference", ((e,) * dim, (2,) * dim)))
     for z in (2, 3, 5):
         rows = rng.choice([0, 2, 4, 6], size=(z, dim))
         bases.append(BasisSpec("difference", tuple(map(tuple, rows))))
-        pairs = rng.choice([0, 1, 2, 3, 4, 6], size=(z, 2, dim))
-        bases.append(BasisSpec("general", tuple(
-            (tuple(a), tuple(b)) for a, b in pairs)))
     return bases
 
 
@@ -133,9 +121,7 @@ def test_basis_features_match_direct_powers_on_random_values():
                         rng.standard_normal(n // 2) * 1e3]).reshape(-1, 1)
     xh = rng.uniform(-0.5, 0.5, (n, 1))
     for basis in (quartic_difference_basis(1),
-                  BasisSpec("difference", ((6,), (2,), (0,))),
-                  BasisSpec("general", (((3,), (1,)), ((2,), (4,)),
-                                        ((0,), (6,)), ((1,), (0,))))):
+                  BasisSpec("difference", ((6,), (2,), (0,)))):
         got = basis.features(x, xh)
         assert got.tobytes() == basis_features_direct(basis, x, xh).tobytes()
     # the dim-3 quartic basis on 100,000 rows, each against 3 representatives
@@ -147,11 +133,13 @@ def test_basis_features_match_direct_powers_on_random_values():
 
 
 def test_basis_mapping_roundtrip():
-    for basis in (quartic_difference_basis(2),
-                  BasisSpec(mode="general", exponents=(((2, 0), (0, 0)),))):
-        back = BasisSpec.from_mapping(basis.to_mapping())
-        assert back.mode == basis.mode
-        assert back.exponents == basis.exponents
+    basis = quartic_difference_basis(2)
+    mapping = basis.to_mapping()
+    assert mapping == {"mode": "difference",
+                       "exponents": [[4, 0], [2, 0], [0, 4], [0, 2], [0, 0]]}
+    back = BasisSpec.from_mapping(mapping)
+    assert back.mode == basis.mode
+    assert back.exponents == basis.exponents
 
 
 # ---------------------------------------------------------------- samples
@@ -497,15 +485,8 @@ def test_sop_rows_match_manual_recomputation():
         assert np.isclose(resid[row], want, atol=1e-10)
 
 
-FACTORED_BASES = pytest.mark.parametrize("basis", [
-    quartic_difference_basis(1),
-    BasisSpec(mode="general", exponents=(((2,), (0,)), ((1,), (1,)),
-                                         ((0,), (2,)), ((0,), (0,)))),
-], ids=["difference", "general"])
-
-
-@FACTORED_BASES
-def test_sop_factored_residuals_match_gathered_rows(basis):
+def test_sop_factored_residuals_match_gathered_rows():
+    basis = quartic_difference_basis(1)
     sys = linear_system(a=1.1, gain=0.2)
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
@@ -527,13 +508,13 @@ def test_sop_factored_residuals_match_gathered_rows(basis):
     assert np.array_equal(sub_a, a[idx]) and np.array_equal(sub_b, b[idx])
 
 
-@FACTORED_BASES
-def test_sop_residual_blocks_tile_the_residuals(basis):
+def test_sop_residual_blocks_tile_the_residuals():
     sys = linear_system(a=1.1, gain=0.2)
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 7, seed=3)
-    inst = SopData(samples, sys, sg, dg, basis).instance(0.3)
+    inst = SopData(samples, sys, sg, dg,
+                   quartic_difference_basis(1)).instance(0.3)
     st = inst.structure
     per_sample = st.inputs * st.states * st.dists
     rng = np.random.default_rng(12)
@@ -555,13 +536,14 @@ def test_sop_residual_blocks_tile_the_residuals(basis):
         assert np.array_equal(np.concatenate(blocks), inst.residuals(vec))
 
 
-def pruning_instance(basis):
+def pruning_instance():
     """An instance whose successors escape on both sides of the state box."""
     sys = linear_system(a=1.1, gain=0.2)
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 40, seed=3)
-    return SopData(samples, sys, sg, dg, basis).instance(0.3)
+    return SopData(samples, sys, sg, dg,
+                   quartic_difference_basis(1)).instance(0.3)
 
 
 def random_vector(rng, inst, trial):
@@ -571,11 +553,10 @@ def random_vector(rng, inst, trial):
     return vec
 
 
-@FACTORED_BASES
-def test_sop_pruned_blocks_hold_no_row_above_the_floor(basis):
+def test_sop_pruned_blocks_hold_no_row_above_the_floor():
     # Floors one ulp below the next block's largest row must never skip it,
     # so a bound below any row of its block, by even one ulp, fails here.
-    inst = pruning_instance(basis)
+    inst = pruning_instance()
     st = inst.structure
     r1, per = st.h1_rows, st.inputs * st.states * st.dists
     rng = np.random.default_rng(13)
@@ -616,9 +597,8 @@ def test_sop_pruned_blocks_hold_no_row_above_the_floor(basis):
     assert pruned > 0
 
 
-@FACTORED_BASES
-def test_pruned_top_violators_match_brute_force(basis):
-    inst = pruning_instance(basis)
+def test_pruned_top_violators_match_brute_force():
+    inst = pruning_instance()
     rng = np.random.default_rng(14)
     pruned = inst.blocks_pruned
     for trial in range(80):

@@ -20,7 +20,6 @@ from symabs.synthesize import (
     FiniteTransitionSystem,
     RefinedController,
     enumerate_abstraction,
-    refine_controller,
     safety_synthesis,
     simulate_closed_loop,
 )
@@ -222,12 +221,12 @@ def test_refine_controller_prefers_v_minimizing_cell():
                                  dist_grid=trivial_grid(),
                                  inputs=np.array([[0.0], [1.0]]))
     ctrl = safety_synthesis(fts, safe=[0, 1, 2, 3])
-    refined = refine_controller(ctrl, QuadraticRelation(theta=1.0), grid)
+    refined = RefinedController(ctrl, QuadraticRelation(theta=1.0))
     # x = 1.2: centers are 0.5, 1.5, 2.5, 3.5; nearest winning cell is 1
     cell, u = refined.select([1.2])
     assert cell == 1
     assert u == 0
-    assert np.allclose(refined([1.2]), [0.0])
+    assert np.array_equal(fts.inputs[u], [0.0])
     # far outside every cell's theta ball
     with pytest.raises(RefinementError):
         refined.select([9.5])
@@ -244,7 +243,7 @@ def test_refine_controller_breaks_ties_by_lower_index():
                                  dist_grid=trivial_grid(),
                                  inputs=np.array([[7.0]]))
     ctrl = safety_synthesis(fts, safe=[0, 1, 2])
-    refined = refine_controller(ctrl, QuadraticRelation(theta=2.0), grid)
+    refined = RefinedController(ctrl, QuadraticRelation(theta=2.0))
     # x = 1.0 is equidistant from centers 0.5 and 1.5: lower index wins
     cell, _ = refined.select([1.0])
     assert cell == 0
@@ -258,7 +257,7 @@ def test_refine_controller_random_states_match_brute_force():
     fts = enumerate_abstraction(rooms[0], sg, dg)
     ctrl = safety_synthesis(fts, safe=range(4, 16))
     rel = QuadraticRelation(theta=0.08)
-    refined = refine_controller(ctrl, rel, sg)
+    refined = RefinedController(ctrl, rel)
     win = ctrl.winning_states
     assert win.size > 0
     hits = 0
@@ -291,7 +290,7 @@ def test_refine_with_component_relation_matches_per_cell_loop():
     dg = product_grid([sg, sg])
     ctrl = safety_synthesis(enumerate_abstraction(rooms[0], sg, dg),
                             safe=range(4, 16))
-    refined = refine_controller(ctrl, rel, sg)
+    refined = RefinedController(ctrl, rel)
     rng = np.random.default_rng(405)
     hits = misses = 0
     for x in rng.uniform(-0.5, 0.5, size=(300, 1)):
@@ -324,7 +323,7 @@ def test_refine_rejects_empty_winning_set():
     ctrl = safety_synthesis(fts, safe=[0])
     assert ctrl.winning_states.size == 0
     with pytest.raises(ValueError):
-        refine_controller(ctrl, QuadraticRelation(theta=1.0), grid)
+        RefinedController(ctrl, QuadraticRelation(theta=1.0))
 
 
 def build_controlled_rooms(num_rooms=3, theta=0.08):
@@ -339,7 +338,7 @@ def build_controlled_rooms(num_rooms=3, theta=0.08):
         safe_cells = [s for s in range(sg.total_cells)
                       if abs(sg.representative(s)[0]) <= 0.3 - 1e-12 + 0.025]
         ctrl = safety_synthesis(fts, safe=safe_cells)
-        controllers.append(refine_controller(ctrl, rel, sg))
+        controllers.append(RefinedController(ctrl, rel))
     return rooms, topo, controllers
 
 
@@ -451,10 +450,10 @@ def test_simulate_closed_loop_shared_controller_matches_copies(
     table = safety_synthesis(fts, safe=[
         s for s in range(sg.total_cells)
         if abs(sg.representative(s)[0]) <= 0.3 - 1e-12 + 0.025])
-    one_per_theta = {t: refine_controller(table, QuadraticRelation(t), sg)
+    one_per_theta = {t: RefinedController(table, QuadraticRelation(t))
                      for t in set(thetas)}
     shared = [one_per_theta[t] for t in thetas]
-    copies = [refine_controller(table, QuadraticRelation(t), sg) for t in thetas]
+    copies = [RefinedController(table, QuadraticRelation(t)) for t in thetas]
     starts = np.asarray(starts)
     calls = []
     select_rows = RefinedController.select_rows
@@ -534,8 +533,8 @@ def test_simulate_closed_loop_shared_system_matches_copies(
     if len(tables) == 2:  # the two tables name different inputs
         chosen = [t.fts.inputs[t.chosen[t.winning]] for t in tables.values()]
         assert not np.array_equal(*chosen)
-    refined = {key: refine_controller(tables[key[1]], QuadraticRelation(key[0]),
-                                      sg) for key in set(zip(thetas, reverse))}
+    refined = {key: RefinedController(tables[key[1]], QuadraticRelation(key[0]))
+               for key in set(zip(thetas, reverse))}
     controllers = [refined[key] for key in zip(thetas, reverse)]
     objects = {k: dataclasses.replace(rooms[0]) for k in set(share)}
     shared = [objects[k] for k in share]

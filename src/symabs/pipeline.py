@@ -615,7 +615,6 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         cert_cfg = config.certify
         state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma)
         state_dim = config.system.state_dim
-        basis = quartic_difference_basis(state_dim)
         q, unknowns = computed_sample_size(config, state_dim)
         batches = _load_or_draw_samples(config, out_dir, bundle, q)
         lip_cfg = cert_cfg.lipschitz_config()
@@ -623,7 +622,7 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         boxes = cert_cfg.variable_boxes()
         owners = _owners(config, bundle)
         certs = {i: scenario.certify_apbf(
-            bundle.subsystems[i], state_grids[i], dist_grids[i], basis,
+            bundle.subsystems[i], state_grids[i], dist_grids[i],
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
             boxes=boxes, unknowns=unknowns, seed=batch.seed,
             psi=cert_cfg.psi, lam=cert_cfg.lam,
@@ -640,12 +639,14 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         payload = {"shared": shared,
                    "certificates": [certs[i].to_mapping() for i in owners]}
         _write_json(os.path.join(out_dir, "certificates.json"), payload)
+        _discard(out_dir, "composed.json", "simulation.json", "trajectories.csv")
         return payload
 
 
 def load_certificates(out_dir: str):
-    """The certificates of certificates.json.  A basis in a mode other than
-    "difference" is refused as a configuration error that names the file."""
+    """The certificates of certificates.json.  A basis record other than the
+    one certify writes is refused as a configuration error that names the
+    file."""
     path = os.path.join(out_dir, "certificates.json")
     payload = _read_json(path)
     return _checked(path, lambda: [ApbfCertificate.from_mapping(c)
@@ -677,11 +678,13 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             payload.update({
                 "kappa": [float(v) for v in scalings.kappa],
                 "max_ratio": scalings.max_ratio,
-                "gamma": abf.gamma, "mu": abf.mu, "theta": abf.theta,
+                "gamma": float(abf.gamma), "mu": abf.mu,
+                "theta": float(abf.theta),
                 "confidence": abf.confidence, "eps_tilde": abf.eps_tilde,
                 "vacuous": bool(abf.eps_tilde >= narrowest / 2.0),
             })
         _write_json(os.path.join(out_dir, "composed.json"), payload)
+        _discard(out_dir, "simulation.json", "trajectories.csv")
         return payload
 
 
@@ -707,6 +710,8 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 bundle.subsystems[i], state_grids[i], dist_grids[i],
                 query_cap=config.synthesize.query_cap)
             write_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"), fts)
+            _discard(out_dir, f"controller_{i}.csv")
+        _discard(out_dir, "synthesis.json", "simulation.json", "trajectories.csv")
         return {"subsystems": bundle.count,
                 "shared": config.system.identical_subsystems}
 
@@ -734,6 +739,7 @@ def stage_synthesize(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         payload = {"winning": [winning[i] for i in owners],
                    "ok": all(c > 0 for c in winning.values())}
         _write_json(os.path.join(out_dir, "synthesis.json"), payload)
+        _discard(out_dir, "simulation.json", "trajectories.csv")
         return payload
 
 
@@ -881,6 +887,8 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"all trajectories safe: {sim['all_safe']}")
         ok = certified and circ_ok and syn_ok and sim["all_safe"]
         lines.append(f"ok: {ok}")
+    elif os.path.exists(os.path.join(out_dir, "certificates.json")):
+        lines.append("ok: False")  # a run that never simulated
 
     text = "\n".join(lines) + "\n"
     with open(os.path.join(out_dir, "summary.txt"), "w", encoding="utf-8") as fh:
@@ -899,8 +907,8 @@ class PipelineResult:
 
 
 def _discard(out_dir: str, *names) -> None:
-    """Remove what an earlier run left of a stage that this run skips, so
-    that `report` does not read it as this run's."""
+    """Remove the artifacts that a stage's new output invalidates, so that
+    `report` does not read them beside it."""
     for name in names:
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
@@ -910,7 +918,8 @@ def _discard(out_dir: str, *names) -> None:
 def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
     """Run every stage in order.  Compose needs every subsystem certified
     and simulate needs a relation and winning cells; a stage that cannot run
-    is skipped, its earlier artifacts are removed, and the run is not ok."""
+    is skipped and the run is not ok.  The stages before it removed what an
+    earlier run left of it."""
     out_dir = _ensure_out(out_dir)
     config.to_yaml(os.path.join(out_dir, "resolved_config.yaml"))
     with _systems(config, None) as bundle:
@@ -921,8 +930,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
         if certified:
             comp_payload = stage_compose(config, out_dir, bundle)
             circ_ok = bool(comp_payload["circularity_ok"])
-        else:
-            _discard(out_dir, "composed.json")
         stage_abstract(config, out_dir, bundle)
         syn_payload = stage_synthesize(config, out_dir, bundle)
         winning = syn_payload["winning"]
@@ -930,8 +937,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str) -> PipelineResult:
         if circ_ok and syn_payload["ok"]:
             sim_payload = stage_simulate(config, out_dir, bundle)
             all_safe = bool(sim_payload["all_safe"])
-        else:
-            _discard(out_dir, "simulation.json", "trajectories.csv")
         summary = stage_report(config, out_dir)
         ok = certified and circ_ok and syn_payload["ok"] and all_safe
         return PipelineResult(ok=ok, certified=certified, circularity_ok=circ_ok,

@@ -43,103 +43,66 @@ SAMPLE_CAP = 10_000_000
 # Score-function basis
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BasisSpec:
-    """Difference-monomial basis for S(x, xhat): exponents is a tuple of z
-    rows, each with one even exponent per state coordinate, and
-    g_j = prod_k (x_k - xhat_k)^e_jk.  Even exponents keep every monomial
-    sign-stable and monotone in |x - xhat|.  `mode` is always "difference";
-    the certificate records it with the exponents."""
+    """The quartic-difference basis for S(x, xhat) on state_dim coordinates:
+    with d = x - xhat, the features are d_k^4 and d_k^2 for each coordinate
+    k, then a constant, so z = 2 * state_dim + 1.  Every feature is
+    sign-stable and monotone in |d_k|."""
 
-    mode: str
-    exponents: tuple
-
-    def __post_init__(self):
-        if self.mode != "difference":
-            raise ValueError(f"basis mode must be 'difference', not "
-                             f"{self.mode!r}")
-        rows = tuple(tuple(int(e) for e in row) for row in self.exponents)
-        if not rows:
-            raise ValueError("basis needs at least one monomial")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("all exponent rows must share the state dimension")
-            for e in row:
-                if e < 0:
-                    raise ValueError("exponents must be non-negative")
-                if e % 2:
-                    raise ValueError(
-                        "difference-monomial exponents must be even so the "
-                        "monomials are sign-stable")
-        object.__setattr__(self, "exponents", rows)
+    state_dim: int
 
     @property
     def z(self) -> int:
-        return len(self.exponents)
+        return 2 * self.state_dim + 1
 
     @property
-    def state_dim(self) -> int:
-        return len(self.exponents[0])
+    def exponents(self) -> tuple:
+        """One row per feature: its exponent of each d_k, in feature order."""
+        rows = []
+        for k in range(self.state_dim):
+            for power in (4, 2):
+                row = [0] * self.state_dim
+                row[k] = power
+                rows.append(tuple(row))
+        rows.append((0,) * self.state_dim)
+        return tuple(rows)
 
     def features(self, x, xhat) -> Array:
-        """Evaluate all g_j; broadcasts over leading axes, returns (..., z).
-
-        Each distinct exponent is raised once per coordinate, not once per
-        monomial (see `_monomials`); the values equal those of the direct
-        form prod(diff[..., None, :] ** exponents) bit for bit."""
-        diff = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
-        return _monomials(diff, np.asarray(self.exponents))
+        """Evaluate all g_j; broadcasts over leading axes, returns (..., z)."""
+        d = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
+        if d.shape[-1:] != (self.state_dim,):
+            raise ValueError(f"points need {self.state_dim} coordinates, as "
+                             f"the basis has")
+        out = np.empty(d.shape[:-1] + (self.z,))
+        out[..., 0:-1:2] = d ** 4.0
+        # An array exponent, not d * d: numpy raises it with its vectorised
+        # pow, whose square differs from d * d in the last bit for some
+        # values, and every certificate so far was computed with it.
+        out[..., 1:-1:2] = d ** np.full(d.shape, 2.0)
+        out[..., -1] = 1.0
+        return out
 
     def to_mapping(self) -> dict:
-        return {"mode": self.mode,
+        return {"mode": "difference",
                 "exponents": [list(row) for row in self.exponents]}
 
     @classmethod
     def from_mapping(cls, data) -> "BasisSpec":
-        return cls(mode=data["mode"], exponents=tuple(data["exponents"]))
-
-
-def _monomials(v: Array, exp: Array) -> Array:
-    """prod_k v_k ** exp_jk for every exponent row j: (..., dim) -> (..., z).
-
-    The (..., z, dim) power array is filled from each distinct exponent
-    rather than by raising every entry: 0 gives 1.0, and any other e one
-    power of v.  numpy may raise an array exponent with a vectorised pow (an
-    AVX-512 build does, and its v ** 2 is one ulp from v * v for about 2 %
-    of values) but squares a broadcast scalar exponent 2.  So e = 2 keeps an
-    array exponent unless the table has one entry, and the entries equal
-    those of v[..., None, :] ** exp bit for bit.  The product runs over the
-    same axis in the same order.
-    """
-    if v.shape[-1:] != exp.shape[-1:]:
-        raise ValueError(f"points need {exp.shape[-1]} coordinates, as the "
-                         f"basis has")
-    pw = np.ones(v.shape[:-1] + exp.shape)
-    # not np.unique: its first call imports numpy.ma, about 1 MB of RSS
-    for e in sorted(set(exp.ravel().tolist()) - {0}):
-        if e == 2 and exp.size > 1:
-            # a fresh output: powering in place into the exponent array
-            # changed the bits of a one-element v
-            p = v ** np.full(v.shape, 2.0)
-        else:
-            p = v ** float(e)
-        for r, c in zip(*np.nonzero(exp == e)):
-            pw[..., r, c] = p[..., c]
-        del p  # at most one power of v alive at a time
-    return np.prod(pw, axis=-1)
+        """The basis whose `to_mapping` is `data`; any other record is a
+        ValueError."""
+        exponents = data.get("exponents") if isinstance(data, dict) else None
+        if isinstance(exponents, list) and len(exponents) >= 3:
+            basis = cls(len(exponents) // 2)
+            if data == basis.to_mapping():
+                return basis
+        raise ValueError(f"basis is not the quartic-difference record that "
+                         f"certify writes: {data!r}")
 
 
 def quartic_difference_basis(state_dim: int) -> BasisSpec:
     """Per-coordinate quartic and quadratic difference monomials plus a constant."""
-    rows = []
-    for k in range(state_dim):
-        for power in (4, 2):
-            row = [0] * state_dim
-            row[k] = power
-            rows.append(tuple(row))
-    rows.append(tuple([0] * state_dim))
-    return BasisSpec(mode="difference", exponents=tuple(rows))
+    return BasisSpec(state_dim)
 
 
 # ----------------------------------------------------------------------------
@@ -703,7 +666,7 @@ class SopData:
 
     def __init__(self, samples: SampleBatch, sys: BlackBoxSystem,
                  state_grid: UniformGrid, dist_grid: UniformGrid,
-                 basis: BasisSpec, row_cap: int = DEFAULT_ROW_CAP):
+                 row_cap: int = DEFAULT_ROW_CAP):
         sig = sys.signature
         if samples.state_dim != sig.state_dim or samples.dist_dim != sig.disturbance_dim:
             raise ValueError("sample batch does not match the system signature")
@@ -711,8 +674,6 @@ class SopData:
             raise ValueError("state grid does not match the state dimension")
         if dist_grid is None or dist_grid.dim != sig.disturbance_dim:
             raise ValueError("disturbance grid does not match the disturbance dimension")
-        if basis.state_dim != sig.state_dim:
-            raise ValueError("basis does not match the state dimension")
         self.samples = samples
         self.sys = sys
         self.state_grid = state_grid
@@ -750,6 +711,7 @@ class SopData:
         self.successor_reps = np.ascontiguousarray(rep_cell.transpose(1, 0, 2))
 
         # Per-sample geometry independent of mu.
+        basis = quartic_difference_basis(sig.state_dim)
         self.g_cur = basis.features(xs[:, None, :], state_reps[None, :, :])
         self.g_succ = basis.features(x_plus[:, :, None, :],
                                      state_reps[None, None, :, :])
@@ -953,6 +915,10 @@ class ApbfCertificate:
             raise ValueError("beta must lie in (0,1)")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0,1)")
+        if self.basis is not None and self.phi is not None \
+                and len(self.phi) != self.basis.z:
+            raise ValueError(f"{len(self.phi)} score weights for a basis of "
+                             f"{self.basis.z} features")
 
     @property
     def confidence(self) -> float:
@@ -988,7 +954,7 @@ class ApbfCertificate:
     @classmethod
     def from_mapping(cls, data) -> "ApbfCertificate":
         data = dict(data)
-        if data.get("basis"):
+        if data.get("basis") is not None:
             data["basis"] = BasisSpec.from_mapping(data["basis"])
         if data.get("boxes"):
             data["boxes"] = VariableBoxes.from_mapping(data["boxes"])
@@ -1000,7 +966,7 @@ class ApbfCertificate:
 
 
 def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
-                 dist_grid: UniformGrid, basis: BasisSpec, mu_grid, eps,
+                 dist_grid: UniformGrid, mu_grid, eps,
                  beta: float, lipschitz, boxes: VariableBoxes | None = None,
                  unknowns: int | None = None, seed: int = 0,
                  psi: float = 0.99, lam: float = 1.0,
@@ -1012,13 +978,14 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
     pre-drawn batch may be passed in; its size must match the minimal sample
     count implied by (eps, beta, unknowns).  Each level's margin uses the
     radius kappa^{-1}(eps) of the uniform sampling distribution on X x D."""
+    basis = quartic_difference_basis(sys.signature.state_dim)
     plan = sample_plan(mu_grid, eps, beta, basis.z, unknowns)
     if samples is None:
         samples = draw_samples(sys.signature, plan.q, seed)
     elif samples.count != plan.q:
         raise ValueError(f"sample batch has {samples.count} points, "
                          f"the settings require exactly {plan.q}")
-    data = SopData(samples, sys, state_grid, dist_grid, basis, row_cap=row_cap)
+    data = SopData(samples, sys, state_grid, dist_grid, row_cap=row_cap)
 
     sig = sys.signature
     dims = sig.state_dim + sig.disturbance_dim

@@ -6,6 +6,7 @@ correct, so the package's optimized implementations can be checked against
 them.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -128,12 +129,27 @@ def ball_radius(eps, dims, volume):
             / math.pi ** (dims / 2.0)) ** (1.0 / dims)
 
 
-def basis_features_direct(basis, x, xhat):
-    """BasisSpec.features by raising every exponent entry of every monomial
-    with one array-exponent power and multiplying over the coordinates."""
+def basis_features_direct(exponents, x, xhat):
+    """The difference monomials prod_k (x_k - xhat_k)^e_jk of an exponent
+    table (one row e_j per monomial), by raising every entry with one
+    array-exponent power and multiplying over the coordinates.  On
+    `BasisSpec.exponents` this is `BasisSpec.features`."""
     delta = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
-    exp = np.asarray(basis.exponents)
+    exp = np.asarray(exponents)
     return np.prod(delta[..., None, :] ** exp, axis=-1)
+
+
+def sop_instance_for_exponents(data, exponents, mu):
+    """`data.instance(mu)` with the score monomials of another exponent
+    table: the same samples, successors and cells, with g_cur and coef_phi
+    from `basis_features_direct`."""
+    reps = data.state_grid.all_representatives()
+    return dataclasses.replace(
+        data.instance(mu),
+        g_cur=basis_features_direct(exponents, data.samples.states[:, None, :],
+                                    reps[None, :, :]),
+        coef_phi=basis_features_direct(exponents, data.x_plus[:, :, None, :],
+                                       reps[None, None, :, :]))
 
 
 def closed_loop_room_by_room(subsystems, wiring, controllers, x0, horizon):

@@ -180,7 +180,6 @@ def test_criterion_05_scenario_certification_generalizes():
     room = rooms[0]
     sg = make_grid(room.signature.state_box, 0.025)
     dg = product_grid([sg, sg])
-    basis = quartic_difference_basis(1)
     q = min_sample_size([0.05], 0.01, 7)
     assert q == 288
     batch = draw_samples(room.signature, q, seed=5)
@@ -192,7 +191,7 @@ def test_criterion_05_scenario_certification_generalizes():
     certs = {}
     for target in (None, -9.0):
         certs[target] = certify_apbf(
-            room, sg, dg, basis, (0.5,), (0.05,), 0.01,
+            room, sg, dg, (0.5,), (0.05,), 0.01,
             DataLipschitz(pairs=64, seed=2), boxes=boxes, seed=5,
             xi_target=target, samples=batch)
     assert certs[None].xi_star <= 0.0

@@ -844,18 +844,26 @@ def test_safe_band_length_follows_the_state_dimension():
     assert PipelineConfig().system.state_dim == 1
 
 
-def test_cli_uncertified_casestudy_exits_1_with_a_summary(mini_run, tmp_path,
-                                                          capsys):
-    # a slope estimate 100 times too steep leaves the margin positive; the
-    # directory holds an earlier, passing run, whose relation and
-    # simulation must not be reported as this run's
-    _, out, _ = mini_run
-    run = tmp_path / "run"
-    shutil.copytree(out, run)
+def _steep_config(tmp_path):
+    # a slope estimate 100 times too steep leaves the margin positive
     doc = yaml.safe_load(MINI_YAML)
     doc["certify"]["lipschitz"] = {"safety": 100}
     cfg = tmp_path / "steep.yaml"
     cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+DOWNSTREAM = ("composed.json", "simulation.json", "trajectories.csv")
+
+
+def test_cli_uncertified_casestudy_exits_1_with_a_summary(mini_run, tmp_path,
+                                                          capsys):
+    # the directory holds an earlier, passing run, whose relation and
+    # simulation must not be reported as this run's
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = _steep_config(tmp_path)
     rc = cli.main(["casestudy", "--config", str(cfg), "--out", str(run)])
     captured = capsys.readouterr()
     assert rc == 1
@@ -864,31 +872,98 @@ def test_cli_uncertified_casestudy_exits_1_with_a_summary(mini_run, tmp_path,
     assert captured.out == summary
     assert "subsystems certified: 0 of 3\n" in summary
     assert "certified: False\n" in summary
-    assert "circularity_ok" not in summary and "ok: " not in summary
-    for name in ("composed.json", "simulation.json", "trajectories.csv"):
+    assert "circularity_ok" not in summary and "simulation runs" not in summary
+    assert summary.endswith("\nok: False\n")
+    for name in DOWNSTREAM:
         assert not (run / name).exists(), name
     # abstract and synthesize do not need the certificate and still run
     assert (run / "controller_0.csv").exists()
     assert "winning cells per subsystem: " in summary
 
 
-def test_certificate_with_another_basis_mode_is_refused(mini_run, tmp_path,
-                                                        capsys):
+def test_cli_certify_removes_what_it_invalidates(mini_run, tmp_path, capsys):
+    # run stage by stage over a passing run's directory, a failed certify
+    # leaves no relation or simulation of the old certificates behind
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    assert all((run / name).exists() for name in DOWNSTREAM)
+    cfg = _steep_config(tmp_path)
+    assert cli.main(["certify", "--config", str(cfg), "--out", str(run)]) == 1
+    for name in DOWNSTREAM:
+        assert not (run / name).exists(), name
+    assert cli.main(["report", "--config", str(cfg), "--out", str(run)]) == 0
+    summary = capsys.readouterr().out
+    assert "certified: False\n" in summary
+    for stale in ("circularity_ok", "eps_tilde", "all trajectories safe"):
+        assert stale not in summary, stale
+    assert summary.endswith("\nok: False\n")
+
+
+@pytest.mark.parametrize("stage, removed", [
+    ("compose", ()),
+    ("abstract", ("synthesis.json", "controller_0.csv")),
+    ("synthesize", ()),
+], ids=["compose", "abstract", "synthesize"])
+def test_cli_later_stages_remove_the_simulation(mini_run, tmp_path, capsys,
+                                                stage, removed):
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = tmp_path / "mini.yaml"
+    cfg.write_text(MINI_YAML)
+    assert cli.main([stage, "--config", str(cfg), "--out", str(run)]) == 0
+    for name in ("simulation.json", "trajectories.csv") + removed:
+        assert not (run / name).exists(), name
+    assert (run / "composed.json").exists()
+    assert cli.main(["report", "--config", str(cfg), "--out", str(run)]) == 0
+    summary = capsys.readouterr().out
+    assert "all trajectories safe" not in summary
+    assert ("winning cells" in summary) == (not removed)
+    assert summary.endswith("\nok: False\n")
+
+
+def test_cli_compose_prints_plain_floats(mini_run, tmp_path, capsys):
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = tmp_path / "mini.yaml"
+    cfg.write_text(MINI_YAML)
+    assert cli.main(["compose", "--config", str(cfg), "--out", str(run)]) == 0
+    comp = json.loads((run / "composed.json").read_text())
+    assert capsys.readouterr().out == (
+        f"circularity_ok: True\n"
+        f"gamma={comp['gamma']!r} mu={comp['mu']!r} theta={comp['theta']!r} "
+        f"confidence={comp['confidence']!r}\n")
+    assert (run / "composed.json").read_bytes() == \
+        (out / "composed.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["compose", "simulate"])
+@pytest.mark.parametrize("edit", [
+    {"basis": {"mode": "difference"}},
+    {"basis": {"mode": "difference", "exponents": [[2], [0]]}},
+    {"basis": {"mode": "difference", "exponents": [[6], [2], [0]]}},
+    {"basis": {"mode": "difference", "exponents": [[3], [2], [0]]}},
+    {"basis": {"mode": "difference", "exponents": []}},
+    {"basis": {"mode": "general", "exponents": [[4], [2], [0]]}},
+    {"phi": [1.0, 2.0]},
+], ids=["no-exponents", "2-0", "6-2-0", "odd", "empty", "general", "phi"])
+def test_certificate_with_another_basis_is_refused(mini_run, tmp_path, capsys,
+                                                   command, edit):
     _, out, _ = mini_run
     run = tmp_path / "run"
     shutil.copytree(out, run)
     path = run / "certificates.json"
     payload = json.loads(path.read_text())
-    payload["certificates"][0]["basis"] = {
-        "mode": "general", "exponents": [[[2], [0]], [[0], [2]], [[0], [0]]]}
+    payload["certificates"][0].update(edit)
     path.write_text(json.dumps(payload))
     cfg = tmp_path / "mini.yaml"
     cfg.write_text(MINI_YAML)
-    rc = cli.main(["compose", "--config", str(cfg), "--out", str(run)])
+    rc = cli.main([command, "--config", str(cfg), "--out", str(run)])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"error in stage compose: {path}: basis mode must be " \
-        f"'difference', not 'general'" in captured.err
+    assert captured.err.startswith(f"error in stage {command}: {path}: ")
     assert "Traceback" not in captured.err
 
 

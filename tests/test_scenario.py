@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (ball_fraction, ball_radius, basis_features_direct, brute_top,
-                     min_samples_binomial)
+                     min_samples_binomial, sop_instance_for_exponents)
 from symabs.errors import SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
@@ -45,17 +45,28 @@ def linear_system(a=0.8, gain=0.1, inputs=((-0.2,), (0.3,))):
 # ---------------------------------------------------------------- basis
 
 
+BAD_BASIS_RECORDS = [
+    {"mode": "difference"},
+    {"mode": "difference", "exponents": [[2], [0]]},
+    {"mode": "difference", "exponents": [[6], [2], [0]]},
+    {"mode": "difference", "exponents": [[3], [2], [0]]},
+    {"mode": "difference", "exponents": []},
+    {"mode": "difference", "exponents": [[4], [2], [0], [0]]},
+    {"mode": "difference", "exponents": [[4, 0], [2, 0], [0, 4], [0, 2]]},
+    {"mode": "general", "exponents": [[4], [2], [0]]},
+    {"mode": "difference", "exponents": [[4], [2], [0]], "extra": 1},
+    {"exponents": [[4], [2], [0]]},
+    [[4], [2], [0]],
+    "difference",
+]
+
+
 def test_basis_difference_mode_rejects_odd_exponents():
-    with pytest.raises(ValueError):
-        BasisSpec(mode="difference", exponents=((3,),))
-    with pytest.raises(ValueError):
-        BasisSpec(mode="difference", exponents=())
-    with pytest.raises(ValueError):
-        BasisSpec(mode="difference", exponents=((2,), (2, 2)))
-    with pytest.raises(ValueError):
-        BasisSpec(mode="weird", exponents=((2,),))
-    with pytest.raises(ValueError, match="basis mode must be 'difference'"):
-        BasisSpec(mode="general", exponents=(((2,), (0,)),))
+    # from_mapping takes only a record that to_mapping writes: no odd,
+    # other or missing exponents, no other mode and no extra key
+    for record in BAD_BASIS_RECORDS:
+        with pytest.raises(ValueError, match="not the quartic-difference"):
+            BasisSpec.from_mapping(record)
 
 
 def test_quartic_basis_layout_and_features():
@@ -85,33 +96,20 @@ FEATURE_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-160,
                              1.0, -1.0, 0.5])
 
 
-def _feature_bases(rng, dim):
-    """Bases on dim coordinates whose tables use the exponents 0, 2, 4 and
-    6, from one-entry tables up to five monomials."""
-    bases = [quartic_difference_basis(dim)]
-    for e in (0, 2, 4, 6):
-        bases.append(BasisSpec("difference", ((e,) * dim,)))
-        bases.append(BasisSpec("difference", ((e,) * dim, (2,) * dim)))
-    for z in (2, 3, 5):
-        rows = rng.choice([0, 2, 4, 6], size=(z, dim))
-        bases.append(BasisSpec("difference", tuple(map(tuple, rows))))
-    return bases
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_basis_features_match_direct_powers_bit_for_bit(dim):
     rng = np.random.default_rng(90 + dim)
     pool = np.concatenate([FEATURE_SPECIALS, rng.uniform(-2.0, 2.0, 40)])
     shapes = [((dim,), (dim,)), ((6, dim), (6, dim)), ((4, 1, dim), (1, 5, dim)),
               ((dim,), (3, 2, dim)), ((2, 1, 3, dim), (4, 1, dim))]
+    basis = quartic_difference_basis(dim)
     with np.errstate(all="ignore"):
-        for basis in _feature_bases(rng, dim):
-            for xs, hs in shapes:
-                x, xh = rng.choice(pool, size=xs), rng.choice(pool, size=hs)
-                got = basis.features(x, xh)
-                want = basis_features_direct(basis, x, xh)
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (basis, xs, hs)
+        for xs, hs in shapes:
+            x, xh = rng.choice(pool, size=xs), rng.choice(pool, size=hs)
+            got = basis.features(x, xh)
+            want = basis_features_direct(basis.exponents, x, xh)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (xs, hs)
 
 
 def test_basis_features_match_direct_powers_on_random_values():
@@ -120,16 +118,16 @@ def test_basis_features_match_direct_powers_on_random_values():
     x = np.concatenate([rng.uniform(-1.0, 1.0, n // 2),
                         rng.standard_normal(n // 2) * 1e3]).reshape(-1, 1)
     xh = rng.uniform(-0.5, 0.5, (n, 1))
-    for basis in (quartic_difference_basis(1),
-                  BasisSpec("difference", ((6,), (2,), (0,)))):
-        got = basis.features(x, xh)
-        assert got.tobytes() == basis_features_direct(basis, x, xh).tobytes()
+    basis = quartic_difference_basis(1)
+    got = basis.features(x, xh)
+    assert got.tobytes() == \
+        basis_features_direct(basis.exponents, x, xh).tobytes()
     # the dim-3 quartic basis on 100,000 rows, each against 3 representatives
     x3 = rng.uniform(-1.0, 1.0, (n // 3, 1, 3))
     reps = rng.uniform(-0.5, 0.5, (1, 3, 3))
     basis = quartic_difference_basis(3)
     assert basis.features(x3, reps).tobytes() == \
-        basis_features_direct(basis, x3, reps).tobytes()
+        basis_features_direct(basis.exponents, x3, reps).tobytes()
 
 
 def test_basis_mapping_roundtrip():
@@ -138,7 +136,7 @@ def test_basis_mapping_roundtrip():
     assert mapping == {"mode": "difference",
                        "exponents": [[4, 0], [2, 0], [0, 4], [0, 2], [0, 0]]}
     back = BasisSpec.from_mapping(mapping)
-    assert back.mode == basis.mode
+    assert back.state_dim == 2
     assert back.exponents == basis.exponents
 
 
@@ -413,7 +411,7 @@ def test_sop_row_counts_and_tags():
     sg = make_grid(sys.signature.state_box, 0.25)   # 4 cells
     dg = make_grid(sys.signature.disturbance_box, 0.34)  # 3 cells
     samples = draw_samples(sys.signature, 5, seed=0)
-    inst = SopData(samples, sys, sg, dg, quartic_difference_basis(1)).instance(0.5)
+    inst = SopData(samples, sys, sg, dg).instance(0.5)
     assert inst.structure.h1_rows == 5 * 4
     assert inst.structure.h2_rows == 5 * 2 * 4 * 3
     assert inst.row_count == 140
@@ -436,8 +434,8 @@ def test_sop_constant_basis_h1_coefficient():
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 4, seed=1)
-    basis = BasisSpec(mode="difference", exponents=((0,),))
-    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
+    inst = sop_instance_for_exponents(SopData(samples, sys, sg, dg),
+                                      ((0,),), 0.5)
     h1 = inst.structure.h1_rows
     a, _ = inst.gather(np.arange(h1))
     assert np.allclose(a[:, 3], -1.0)
@@ -447,10 +445,9 @@ def test_sop_rows_match_manual_recomputation():
     sys = linear_system(a=0.8, gain=0.1)
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
-    basis = quartic_difference_basis(1)
     samples = draw_samples(sys.signature, 6, seed=7)
     mu = 0.4
-    inst = SopData(samples, sys, sg, dg, basis).instance(mu)
+    inst = SopData(samples, sys, sg, dg).instance(mu)
 
     rng = np.random.default_rng(123)
     vec = np.concatenate([rng.uniform(0.1, 3.0, size=3),
@@ -494,7 +491,7 @@ def test_sop_factored_residuals_match_gathered_rows():
     sink = successor == sg.total_cells
     assert sink[0].any() and sink[-1].any()  # escapes on both sides
     samples = draw_samples(sys.signature, 7, seed=3)
-    inst = SopData(samples, sys, sg, dg, basis).instance(0.3)
+    inst = SopData(samples, sys, sg, dg).instance(0.3)
     a, b = inst.gather(np.arange(inst.row_count))
     assert a.shape == (inst.row_count, basis.z + 4)
     rng = np.random.default_rng(11)
@@ -513,8 +510,7 @@ def test_sop_residual_blocks_tile_the_residuals():
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 7, seed=3)
-    inst = SopData(samples, sys, sg, dg,
-                   quartic_difference_basis(1)).instance(0.3)
+    inst = SopData(samples, sys, sg, dg).instance(0.3)
     st = inst.structure
     per_sample = st.inputs * st.states * st.dists
     rng = np.random.default_rng(12)
@@ -542,8 +538,7 @@ def pruning_instance():
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 40, seed=3)
-    return SopData(samples, sys, sg, dg,
-                   quartic_difference_basis(1)).instance(0.3)
+    return SopData(samples, sys, sg, dg).instance(0.3)
 
 
 def random_vector(rng, inst, trial):
@@ -629,8 +624,8 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     sg = make_grid(sys.signature.state_box, 0.025)       # 40 cells
     dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
     samples = draw_samples(sys.signature, 700, seed=4)
-    basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
-    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
+    inst = sop_instance_for_exponents(SopData(samples, sys, sg, dg),
+                                      ((2,), (0,)), 0.5)
     rows = inst.row_count
     # Fixed allowance for what certify holds besides rows: the master (up to
     # max_master + batch rows of z+4 columns) with its residuals, one block
@@ -654,7 +649,7 @@ def test_sop_row_cap():
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 5, seed=0)
     with pytest.raises(CapacityError):
-        SopData(samples, sys, sg, dg, quartic_difference_basis(1), row_cap=100)
+        SopData(samples, sys, sg, dg, row_cap=100)
 
 
 # ---------------------------------------------------------------- LP
@@ -665,8 +660,7 @@ def build_tiny_instance(mu=0.5, boxes=None):
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
     samples = draw_samples(sys.signature, 6, seed=7)
-    return SopData(samples, sys, sg, dg,
-                   quartic_difference_basis(1)).instance(mu, boxes)
+    return SopData(samples, sys, sg, dg).instance(mu, boxes)
 
 
 def test_solve_lp_against_scipy():
@@ -693,8 +687,8 @@ def test_solve_lp_on_a_six_million_row_instance_matches_highs():
     sg = make_grid(sys.signature.state_box, 0.025)       # 40 cells
     dg = make_grid(sys.signature.disturbance_box, 0.0125)  # 80 cells
     samples = draw_samples(sys.signature, 1000, seed=4)
-    basis = BasisSpec(mode="difference", exponents=((2,), (0,)))
-    inst = SopData(samples, sys, sg, dg, basis).instance(0.5)
+    inst = sop_instance_for_exponents(SopData(samples, sys, sg, dg),
+                                      ((2,), (0,)), 0.5)
     assert inst.row_count == 6_440_000
     report = solve_lp(inst)
     assert float(max(np.max(blk) for _, blk in
@@ -882,6 +876,10 @@ def test_certificate_validation():
     with pytest.raises(ValueError):
         ApbfCertificate(gamma=1.0, mu=0.5, eta=0.0, theta=0.0, beta=0.0,
                         certified=False, margin=1.0)
+    with pytest.raises(ValueError, match="2 score weights for a basis of 3"):
+        ApbfCertificate(gamma=1.0, mu=0.5, eta=0.0, theta=0.0, beta=0.01,
+                        certified=False, margin=1.0,
+                        basis=quartic_difference_basis(1), phi=(1.0, 2.0))
 
 
 def test_certify_apbf_small_system_fields_consistent():
@@ -889,7 +887,7 @@ def test_certify_apbf_small_system_fields_consistent():
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.5)
     basis = quartic_difference_basis(1)
-    cert = certify_apbf(sys, sg, dg, basis, mu_grid=(0.5, 0.7), eps=0.3,
+    cert = certify_apbf(sys, sg, dg, mu_grid=(0.5, 0.7), eps=0.3,
                         beta=0.1, lipschitz=LinearLipschitz(a=0.5, b=0.0, e=0.05),
                         seed=5)
     q = min_sample_size([0.3, 0.3], 0.1, basis.z + 4)
@@ -914,10 +912,9 @@ def test_certify_apbf_rejects_wrong_sample_count():
     sys = linear_system(a=0.5, gain=0.05, inputs=((0.0,),))
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.5)
-    basis = quartic_difference_basis(1)
     bad = draw_samples(sys.signature, 11, seed=0)
     with pytest.raises(ValueError, match="sample batch"):
-        certify_apbf(sys, sg, dg, basis, mu_grid=(0.5,), eps=0.3, beta=0.1,
+        certify_apbf(sys, sg, dg, mu_grid=(0.5,), eps=0.3, beta=0.1,
                      lipschitz=LinearLipschitz(a=0.5), samples=bad)
 
 

@@ -32,7 +32,7 @@ from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        draw_samples, quartic_difference_basis)
 from .synthesize import (AbstractionHeader, ControllerTable,
                          FiniteTransitionSystem, RefinedController,
-                         enumerate_abstraction, safety_synthesis,
+                         Trajectory, enumerate_abstraction, safety_synthesis,
                          simulate_closed_loop)
 
 Array = np.ndarray
@@ -226,9 +226,11 @@ class SynthesizeConfig:
     query_cap: int = synthesize.DEFAULT_QUERY_CAP
 
     def __post_init__(self):
-        for name, low in (("horizon", 0), ("max_runs", 1)):
+        for name, low in (("horizon", 0), ("max_runs", 1), ("query_cap", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < low:
+            # YAML's true and false are bools, which are Integral too
+            if not isinstance(value, numbers.Integral) \
+                    or isinstance(value, bool) or value < low:
                 raise ConfigError(f"synthesize.{name} must be an integer of "
                                   f"at least {low}")
         if not isinstance(self.initial, str):
@@ -524,27 +526,45 @@ def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
     return ControllerTable(chosen=np.append(rows[:, 0], -1), fts=fts)
 
 
+# Stands in for the subsystem column while a trajectory's rows are shared:
+# no run label, integer or float repr contains it.
+_SUBSYSTEM = "\0"
+
+
+def _trajectory_rows(label, tr: Trajectory) -> str:
+    """The rows of one trajectory, with _SUBSYSTEM in the subsystem column:
+    one % pass over a row template; %r writes each float's repr."""
+    t = tr.inputs.shape[0]
+    head = f"{str(label).replace('%', '%%')},%d,{_SUBSYSTEM},"
+    state = ";".join(["%r"] * tr.states.shape[1])
+    nu = ";".join(["%r"] * tr.inputs.shape[1])
+    tail = f",%d,{int(tr.truncated_at is not None)}\n"
+    body = np.column_stack([np.arange(t), tr.states[:t], tr.input_indices,
+                            tr.inputs, tr.safe[:t]])
+    values = body.ravel().tolist()
+    values += [t, *tr.states[t].tolist(), int(bool(tr.safe[t]))]
+    return (f"{head}{state},%d,{nu}{tail}" * t
+            + f"{head}{state},,{tail}") % tuple(values)
+
+
 def write_trajectories(path, runs) -> None:
-    """runs: list of (run_label, list of Trajectory).  One % pass per run,
-    with a row template per trajectory; %r writes each float's repr."""
+    """runs: list of (run_label, list of Trajectory); a label holds no NUL
+    character.  Within a run, trajectories whose states, inputs, input
+    indices and safety flags match bit for bit and that share the
+    truncation flag are formatted once, and each gets its own subsystem
+    index in those rows."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
         for label, trajs in runs:
-            formats, values = [], []
+            rows, parts = {}, []
             for tr in trajs:
-                t = tr.inputs.shape[0]
-                head = f"{str(label).replace('%', '%%')},%d,{tr.subsystem},"
-                state = ";".join(["%r"] * tr.states.shape[1])
-                nu = ";".join(["%r"] * tr.inputs.shape[1])
-                tail = f",%d,{int(tr.truncated_at is not None)}\n"
-                formats.append(f"{head}{state},%d,{nu}{tail}" * t
-                               + f"{head}{state},,{tail}")
-                body = np.column_stack([np.arange(t), tr.states[:t],
-                                        tr.input_indices, tr.inputs,
-                                        tr.safe[:t]])
-                values += body.ravel().tolist()
-                values += [t, *tr.states[t].tolist(), int(bool(tr.safe[t]))]
-            fh.write("".join(formats) % tuple(values))
+                key = (tr.truncated_at is not None, *[
+                    (a.dtype, a.shape, a.tobytes()) for a in
+                    (tr.states, tr.inputs, tr.input_indices, tr.safe)])
+                if key not in rows:
+                    rows[key] = _trajectory_rows(label, tr)
+                parts.append(rows[key].replace(_SUBSYSTEM, str(tr.subsystem)))
+            fh.write("".join(parts))
 
 
 # ----------------------------------------------------------------------------
@@ -757,6 +777,9 @@ def _initial_conditions(config: PipelineConfig, controllers):
         if starts.ndim != 2 or starts.shape[1] != width:
             raise ConfigError(f"synthesize.initial: each start needs {width} "
                               f"coordinates, one per network state coordinate")
+        if not np.all(np.isfinite(starts)):
+            raise ConfigError("synthesize.initial: every start coordinate "
+                              "must be finite")
         return [f"x{k}" for k in range(starts.shape[0])], starts
     # winning-centers: every subsystem starts at the same winning cell center
     # of subsystem 0's grid (desk-scale sweep over winning cells).

@@ -163,6 +163,25 @@ def safety_synthesis(fts: FiniteTransitionSystem, safe) -> ControllerTable:
     return ControllerTable(chosen=chosen, fts=fts)
 
 
+def _distinct_rows(xs: Array) -> tuple[Array, Array]:
+    """(the distinct rows of the float stack xs, the index of each row's
+    distinct row).  Rows match by bit pattern, so -0.0 and 0.0, or two NaN
+    payloads, stay apart and each row keeps the bits of its own result.
+    Sorting the int64 view stands in for np.unique, whose first call
+    imports numpy.ma."""
+    bits = xs.view(np.int64)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    # new[j]: sorted row j differs from row j - 1, so it starts a new group
+    new = np.empty(xs.shape[0], dtype=bool)
+    new[:1] = False
+    np.logical_or.reduce(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    inverse = np.empty(xs.shape[0], dtype=np.intp)
+    inverse[order] = np.add.accumulate(new, dtype=np.intp)
+    new[:1] = True
+    return xs[order[new]], inverse
+
+
 @dataclass(frozen=True, eq=False)
 class RefinedController:
     """Concrete feedback from an abstract controller through the relation.
@@ -191,11 +210,14 @@ class RefinedController:
         """Row form of select for states xs (k, dim): the winning cell, its
         input index and the least V of each row.  A row with no related
         winning cell (least V above theta, or NaN) gets cell and input -1;
-        `miss` gives the error select raises for it."""
+        `miss` gives the error select raises for it.  Each distinct row is
+        scored once and its result copied to the rows that repeat it."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self._centers.shape[1])
-        vals = self.relation.value(xs[:, None, :], self._centers[None, :, :])
-        k = np.argmin(vals, axis=1)
-        least = vals[np.arange(xs.shape[0]), k]
+        distinct, inverse = _distinct_rows(xs)
+        vals = self.relation.value(distinct[:, None, :],
+                                   self._centers[None, :, :])
+        k = vals.argmin(axis=1)[inverse]
+        least = vals[inverse, k]
         related = least <= self.relation.theta  # NaN is never related
         cells = np.where(related, self._winning[k], -1)
         return cells, np.where(related, self.table.chosen[cells], -1), least
@@ -341,18 +363,19 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                            x[:, nbrs].reshape(rows, -1))
             states[k + 1, alive[:, None], cols] = nxt.reshape(alive.size, -1)
 
+    # each state's membership in its subsystem's box, for every run at once
+    box = np.concatenate([s.signature.state_box for s in subsystems])
+    inside = (states >= box[:, 0]) & (states <= box[:, 1])
+    safe = np.logical_and.reduceat(inside, offsets[:-1], axis=2)
     out = []
     for r in range(runs):
         t = int(steps[r])
         trajs = []
         for i in range(m):
-            xs = states[:t + 1, r, blocks[i]]
-            box = subsystems[i].signature.state_box
             trajs.append(Trajectory(
-                subsystem=i, states=xs,
+                subsystem=i, states=states[:t + 1, r, blocks[i]],
                 inputs=controllers[i].table.fts.inputs[chosen[:t, r, i]],
-                input_indices=chosen[:t, r, i],
-                safe=np.all((xs >= box[:, 0]) & (xs <= box[:, 1]), axis=1),
+                input_indices=chosen[:t, r, i], safe=safe[:t + 1, r, i],
                 truncated_at=t if t < horizon else None,
                 diagnostic=diagnostics[r][i]))
         out.append(trajs)

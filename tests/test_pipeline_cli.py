@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from symabs import cli, pipeline
+from symabs import cli, pipeline, scenario
 from symabs.errors import ConfigError, RefinementError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, build_room_network
 from symabs.pipeline import (
@@ -442,6 +442,13 @@ def test_write_trajectories_matches_row_writer(tmp_path):
             input_indices=rng.integers(0, 5, t),
             safe=rng.random(t + 1) < 0.7, truncated_at=truncated_at)
 
+    def like(tr, sub, **changes):
+        """A copy of tr for subsystem sub, with equal but distinct arrays."""
+        fields = {name: getattr(tr, name).copy() for name in
+                  ("states", "inputs", "input_indices", "safe")}
+        fields.update(truncated_at=tr.truncated_at, diagnostic=tr.diagnostic)
+        return Trajectory(subsystem=sub, **{**fields, **changes})
+
     runs = [("cell3", [traj(0, 1, 1, 6), traj(1, 2, 2, 6)]),
             ("x0", [traj(0, 1, 1, 2, truncated_at=2),
                     traj(1, 2, 2, 2, truncated_at=2)]),
@@ -449,11 +456,30 @@ def test_write_trajectories_matches_row_writer(tmp_path):
                     traj(1, 2, 2, 0, truncated_at=0)]),
             ("50%", [traj(0, 3, 1, 1)])]
     runs[0][1][0].states[2, 0] = -0.0
+    # runs whose subsystems repeat one trajectory, and pairs that differ
+    # only in the truncation flag, the sign of a zero or the input width
+    same = traj(0, 1, 1, 5)
+    same.states[3, 0] = 0.0
+    signed = like(same, 3)
+    signed.states[3, 0] = -0.0
+    start = traj(0, 1, 1, 0)
+    step = traj(0, 1, 1, 1)
+    runs += [("cell7", [same, like(same, 1), like(same, 2), signed,
+                        like(same, 4), like(signed, 5)]),
+             ("x2", [same, like(same, 1, truncated_at=5), like(same, 2),
+                     like(same, 3, truncated_at=5)]),
+             ("x3", [start, like(start, 1, inputs=np.zeros((0, 2))),
+                     like(start, 2), step,
+                     like(step, 4, inputs=np.tile(step.inputs, 2)),
+                     like(step, 5, inputs=step.inputs[:, [0, 0]])]),
+             ("5%d", [like(same, 0), like(same, 1, truncated_at=5)])]
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     pipeline.write_trajectories(got, runs)
     _write_trajectories_by_row(want, runs)
     assert got.read_bytes() == want.read_bytes()
-    assert "\nx1,0,1," in got.read_text()  # a run truncated at its start
+    text = got.read_text()
+    assert "\nx1,0,1," in text  # a run truncated at its start
+    assert "\ncell7,3,3,-0.0," in text and "\ncell7,3,2,0.0," in text
 
 
 @pytest.fixture(scope="module")
@@ -646,6 +672,37 @@ def test_simulate_reads_headers_and_steps_once_per_system(mini_run, tmp_path,
     assert len(calls) == config.synthesize.horizon
 
 
+def test_simulate_scores_each_distinct_room_state_once(mini_run, tmp_path,
+                                                      monkeypatch):
+    # the three identical rooms of a run share one controller and, started
+    # at one winning-cell center, one trajectory: each refinement step
+    # scores one state per distinct run state, not one per run and room
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    rows = []
+    features = scenario.BasisSpec.features
+
+    def counted(self, x, xhat):
+        rows.append(np.shape(x)[0])
+        return features(self, x, xhat)
+
+    monkeypatch.setattr(scenario.BasisSpec, "features", counted)
+    payload = stage_simulate(config, str(copy))
+    assert payload["all_safe"]  # so every run is alive at every step
+    assert (copy / "trajectories.csv").read_bytes() == \
+        (out / "trajectories.csv").read_bytes()
+    lines = (out / "trajectories.csv").read_text().splitlines()[1:]
+    states = {}
+    for line in lines:
+        run, time, _, state = line.split(",")[:4]
+        states.setdefault(int(time), set()).add((run, state))
+    horizon, runs = config.synthesize.horizon, payload["runs"]
+    assert all(len(states[k]) == runs for k in range(horizon + 1))
+    distinct = [len({s for _, s in states[k]}) for k in range(horizon)]
+    assert rows == distinct and max(rows) <= runs
+
+
 @pytest.mark.parametrize("where, edit, message", [
     ("abstraction_0.csv",
      lambda lines: [lines[0].replace("cells=[20]", "cells=[")] + lines[1:],
@@ -763,6 +820,10 @@ def test_cli_simulate_with_empty_winning_set_exits_2(mini_run, tmp_path,
     ("casestudy", {"max_runs": "3"}, "max_runs must be an integer of at least 1"),
     ("casestudy", {"horizon": -1}, "horizon must be an integer of at least 0"),
     ("casestudy", {"horizon": 2.5}, "horizon must be an integer of at least 0"),
+    ("simulate", {"initial": [[float("nan"), 0.0, 0.0]]},
+     "synthesize.initial: every start coordinate must be finite"),
+    ("simulate", {"initial": [[0.0, 0.1, 0.2], [0.0, float("-inf"), 0.0]]},
+     "synthesize.initial: every start coordinate must be finite"),
     ("simulate", {"initial": [[0.0, 0.1]]}, "each start needs 3 coordinates"),
     ("simulate", {"initial": [0.0, 0.1, 0.2, 0.0]},
      "each start needs 3 coordinates"),
@@ -813,6 +874,16 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
      "synthesize.safe_high must be one number or 1, one per state coordinate"),
     ("certify", {"basis": {"mode": "difference", "exponents": [[4], [2], [0]]}},
      [], "unknown certify keys: ['basis']"),
+    ("synthesize", {"horizon": True}, [],
+     "synthesize.horizon must be an integer of at least 0"),
+    ("synthesize", {"max_runs": True}, [],
+     "synthesize.max_runs must be an integer of at least 1"),
+    ("synthesize", {"query_cap": "x"}, [],
+     "synthesize.query_cap must be an integer of at least 1"),
+    ("synthesize", {"query_cap": 0}, [],
+     "synthesize.query_cap must be an integer of at least 1"),
+    ("synthesize", {"query_cap": -5}, [],
+     "synthesize.query_cap must be an integer of at least 1"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):

@@ -16,6 +16,7 @@ from symabs.model import (
 from symabs.quantize import make_grid, product_grid, quantize, trivial_grid
 from symabs.scenario import ApbfCertificate, quartic_difference_basis
 from symabs.synthesize import (
+    AbstractionHeader,
     ControllerTable,
     FiniteTransitionSystem,
     RefinedController,
@@ -276,15 +277,19 @@ def test_refine_controller_random_states_match_brute_force():
     assert hits > 100
 
 
-def test_refine_with_component_relation_matches_per_cell_loop():
-    # a real composed relation, restricted to a subsystem with kappa != 1
+def _component_relation():
+    """A real composed relation, restricted to a subsystem with kappa != 1."""
     certs = [ApbfCertificate(gamma=2.0, mu=0.5, eta=0.2, theta=0.005, beta=1e-4,
                              certified=True, margin=-0.01, state_dim=1,
                              basis=quartic_difference_basis(1), phi=phi)
              for phi in [(0.3, 2.0, 0.0), (5.0, 1.5, 0.001)]]
     sv = ScalingVector(kappa=np.array([1.0, 2.0]), max_ratio=0.5,
                        gains=GainMatrix(entries=0.5 * np.eye(2)))
-    rel = compose_abf(certs, sv).component(1)
+    return compose_abf(certs, sv).component(1)
+
+
+def test_refine_with_component_relation_matches_per_cell_loop():
+    rel = _component_relation()
     _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=5))
     sg = make_grid([(-0.5, 0.5)], 0.025)
     dg = product_grid([sg, sg])
@@ -310,6 +315,65 @@ def test_refine_with_component_relation_matches_per_cell_loop():
             hits += 1
             assert refined.select(x) == (best_cell, ctrl.input_index(best_cell))
     assert hits > 50 and misses > 50
+
+
+class SignedRelation:
+    """Relation stub that tells -0.0 from 0.0: ||x - xhat||^2 plus one per
+    coordinate of x whose sign bit is set."""
+
+    theta = 1.5
+
+    def value(self, x, xhat):
+        d = np.asarray(x, dtype=float) - np.asarray(xhat, dtype=float)
+        return np.sum(d * d, axis=-1) + np.sum(np.signbit(x), axis=-1)
+
+
+class CountingRelation:
+    """A relation that records how many states each value call scores."""
+
+    def __init__(self, relation):
+        self.relation, self.theta, self.rows = relation, relation.theta, []
+
+    def value(self, x, xhat):
+        self.rows.append(np.shape(x)[0])
+        return self.relation.value(x, xhat)
+
+
+def _nan(payload):
+    return np.array([0x7FF8000000000000 | payload]).view(float)[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_select_rows_scores_each_distinct_row_once(dim):
+    # repeated rows, rows one ulp apart, -0.0 beside 0.0, NaN rows with
+    # two payloads, rows differing only in their last coordinate, and rows
+    # with no related cell, each in a stack against the same row alone
+    grid = make_grid([(-0.5, 0.5)] * dim, 0.25)
+    chosen = np.arange(grid.total_cells + 1) % 3 - 1
+    chosen[-1] = -1
+    header = AbstractionHeader(state_grid=grid, dist_grid=trivial_grid(),
+                               inputs=np.array([[0.0], [1.0]]))
+    table = ControllerTable(chosen=chosen, fts=header)
+    rel = CountingRelation(_component_relation() if dim == 1
+                           else SignedRelation())
+    refined = RefinedController(table, rel)
+    specials = [[0.1, 0.2], [np.nextafter(0.1, 1.0), 0.2], [0.0, 0.2],
+                [-0.0, 0.2], [0.2, 0.0], [0.2, -0.0], [_nan(1), 0.2],
+                [_nan(2), 0.2], [0.1, np.nextafter(0.2, 1.0)], [0.15, 0.05],
+                [0.15, 0.06], [0.3, -0.1], [40.0, 40.0], [-0.2, 0.2]]
+    rows = np.array([r[:dim] for r in specials])
+    rng = np.random.default_rng(7)
+    xs = rows[rng.integers(0, len(rows), 60)]
+    cells, inputs, least = refined.select_rows(xs)
+    # the stack was scored once per distinct bit pattern
+    assert rel.rows == [len({x.tobytes() for x in xs})]
+    assert rel.rows[0] < xs.shape[0]
+    for j, x in enumerate(xs):
+        one = refined.select_rows(x[None, :])
+        assert (cells[j], inputs[j]) == (one[0][0], one[1][0])
+        assert least[j].tobytes() == one[2][0].tobytes()
+    assert (cells < 0).any() and (cells >= 0).any()
+    assert np.array_equal(cells < 0, ~(least <= rel.theta))
 
 
 def test_refine_rejects_empty_winning_set():

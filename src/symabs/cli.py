@@ -10,10 +10,11 @@ trajectory left the safe set, circularity violated), 2 when a stage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .errors import SymabsError
+import yaml
+
+from .errors import ConfigError, SymabsError
 from .extoracle import serve_oracle
 from .model import build_room_network
 from .pipeline import (PipelineConfig, run_pipeline, stage_abstract,
@@ -33,18 +34,22 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def load_config(args) -> PipelineConfig:
+    # the overrides go into the mapping, so that the config's checks see them
+    data = {}
     if args.config:
-        config = PipelineConfig.from_yaml(args.config)
-    else:
-        config = PipelineConfig()
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh) or {}
+    if not isinstance(data, dict):
+        raise ConfigError("the config must be a mapping")
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        data["seed"] = args.seed
     if args.rooms is not None:
-        if config.system.kind != "rooms":
-            raise SymabsError("--rooms only applies to the room network")
-        system = dataclasses.replace(config.system, num_rooms=args.rooms)
-        config = dataclasses.replace(config, system=system)
-    return config
+        system = data.get("system") or {}
+        if isinstance(system, dict):  # else from_mapping refuses it
+            if system.get("kind", "rooms") != "rooms":
+                raise SymabsError("--rooms only applies to the room network")
+            data["system"] = dict(system, num_rooms=args.rooms)
+    return PipelineConfig.from_mapping(data)
 
 
 def _cmd_casestudy(args) -> int:

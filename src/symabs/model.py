@@ -16,6 +16,7 @@ their two neighbors, a cooler, and the outside.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -23,6 +24,11 @@ from typing import Callable
 import numpy as np
 
 Array = np.ndarray
+
+
+def is_integer(value) -> bool:
+    """An integer but not a bool (YAML's true and false are Integral too)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def as_box(box) -> Array:
@@ -215,8 +221,12 @@ class RoomNetworkParams:
     state_high: float = 0.5
 
     def __post_init__(self):
+        if not is_integer(self.num_rooms):
+            raise ValueError("num_rooms must be an integer")
         if self.num_rooms < 2:
             raise ValueError("num_rooms must be at least 2")
+        if len(self.outside_temps) != self.num_rooms:
+            raise ValueError("outside_temp must be scalar or one value per room")
         if min(self.conduction, self.outside_coupling, self.cooler_coupling) <= 0:
             raise ValueError("thermal factors must be positive")
         if self.state_low >= self.state_high:
@@ -239,12 +249,8 @@ class RoomNetworkParams:
     @property
     def outside_temps(self) -> tuple:
         t = self.outside_temp
-        if np.isscalar(t):
-            return (float(t),) * self.num_rooms
-        t = tuple(float(v) for v in t)
-        if len(t) != self.num_rooms:
-            raise ValueError("outside_temp must be scalar or one value per room")
-        return t
+        return (float(t),) * self.num_rooms if np.isscalar(t) \
+            else tuple(float(v) for v in t)
 
 
 def _room_oracle(params: RoomNetworkParams, index: int):

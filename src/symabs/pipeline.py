@@ -25,7 +25,7 @@ from . import scenario, synthesize
 from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
-                    build_room_network)
+                    build_room_network, is_integer)
 from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
 from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        NonlinearLipschitz, SampleBatch, VariableBoxes,
@@ -94,11 +94,11 @@ class SystemConfig:
     def __post_init__(self):
         if self.kind not in ("rooms", "external"):
             raise ConfigError("system.kind must be 'rooms' or 'external'")
-        object.__setattr__(self, "input_levels", _tupled(self.input_levels))
-        object.__setattr__(self, "command", _tupled(self.command))
-        object.__setattr__(self, "state_box", _tupled(self.state_box))
-        object.__setattr__(self, "disturbance_box", _tupled(self.disturbance_box))
-        object.__setattr__(self, "input_set", _tupled(self.input_set))
+        if not (isinstance(self.timeout, numbers.Real) and 0 < self.timeout < np.inf):
+            raise ConfigError("system.timeout must be a positive number of seconds")
+        for name in ("input_levels", "command", "state_box", "disturbance_box",
+                     "input_set"):
+            object.__setattr__(self, name, _tupled(getattr(self, name)))
         if self.kind == "external":
             if not self.command:
                 raise ConfigError("external system needs a command")
@@ -192,6 +192,9 @@ class CertifyConfig:
             raise ConfigError("certify.psi must lie in (0, 1)")
         if not (isinstance(self.lam, numbers.Real) and self.lam > 0):
             raise ConfigError("certify.lam must be a positive number")
+        xi = self.xi_target
+        if xi is not None and not (isinstance(xi, numbers.Real) and np.isfinite(xi)):
+            raise ConfigError("certify.xi_target must be a finite number or null")
         _checked("certify.boxes", self.variable_boxes)
         self.lipschitz_config()
 
@@ -228,9 +231,7 @@ class SynthesizeConfig:
     def __post_init__(self):
         for name, low in (("horizon", 0), ("max_runs", 1), ("query_cap", 1)):
             value = getattr(self, name)
-            # YAML's true and false are bools, which are Integral too
-            if not isinstance(value, numbers.Integral) \
-                    or isinstance(value, bool) or value < low:
+            if not is_integer(value) or value < low:
                 raise ConfigError(f"synthesize.{name} must be an integer of "
                                   f"at least {low}")
         if not isinstance(self.initial, str):
@@ -258,6 +259,12 @@ class SynthesizeConfig:
 class ReportConfig:
     reference_sample_size: int | None = None
 
+    def __post_init__(self):
+        ref = self.reference_sample_size
+        if ref is not None and not (is_integer(ref) and ref > 0):
+            raise ConfigError("report.reference_sample_size must be a "
+                              "positive integer or null")
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -269,6 +276,8 @@ class PipelineConfig:
     report: ReportConfig = field(default_factory=ReportConfig)
 
     def __post_init__(self):
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         self.synthesize.safe_band(self.system.state_dim)
 
     @classmethod
@@ -279,7 +288,7 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             system=_from_mapping(SystemConfig, data.get("system"), "system"),
             certify=_from_mapping(CertifyConfig, data.get("certify"), "certify"),
             compose=_from_mapping(ComposeConfig, data.get("compose"), "compose"),
@@ -301,11 +310,6 @@ class PipelineConfig:
             out[name] = {f.name: plain(getattr(section, f.name))
                          for f in dataclasses.fields(section)}
         return out
-
-    @classmethod
-    def from_yaml(cls, path) -> "PipelineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_mapping(yaml.safe_load(fh) or {})
 
     def to_yaml(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -639,15 +643,16 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         batches = _load_or_draw_samples(config, out_dir, bundle, q)
         lip_cfg = cert_cfg.lipschitz_config()
         lipschitz = lip_cfg.source()
+        for system in bundle.subsystems:
+            _checked("certify.lipschitz", lambda: lipschitz.check(system.signature))
         boxes = cert_cfg.variable_boxes()
         owners = _owners(config, bundle)
         certs = {i: scenario.certify_apbf(
             bundle.subsystems[i], state_grids[i], dist_grids[i],
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
-            boxes=boxes, unknowns=unknowns, seed=batch.seed,
+            samples=batch, boxes=boxes, unknowns=unknowns,
             psi=cert_cfg.psi, lam=cert_cfg.lam,
-            xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap,
-            samples=batch)
+            xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap)
             for i, batch in zip(sorted(set(owners)), batches)}
         shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level, and the slope
@@ -842,7 +847,7 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
                  f"beta={config.certify.beta!r}, unknowns={unknowns}): {q}")
     ref = config.report.reference_sample_size
     if ref is not None:
-        flag = "MATCH" if int(ref) == q else "MISMATCH"
+        flag = "MATCH" if ref == q else "MISMATCH"
         lines.append(f"reference sample size: {ref}")
         lines.append(f"sample size comparison: computed {q} vs reference {ref} "
                      f"-> {flag}")

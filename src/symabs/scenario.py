@@ -19,12 +19,12 @@ grid quantizer itself is an infinity-norm object (see module quantize).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import CapacityError, SolverError
-from .model import BlackBoxSystem, SystemSignature
+from .model import BlackBoxSystem, SystemSignature, is_integer
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
 from .quantize import UniformGrid, abstract_transition, transition_table
@@ -160,8 +160,7 @@ def _log_binomial_tail(q: int, eps: float, c: int) -> float:
     return total
 
 
-def min_sample_size(eps, beta: float, unknowns: int,
-                    cap: int = SAMPLE_CAP) -> int:
+def min_sample_size(eps, beta: float, unknowns: int) -> int:
     """Smallest Q with sum_t sum_{i<unknowns} C(Q,i) eps_t^i (1-eps_t)^(Q-i) <= beta."""
     eps_list = [float(e) for e in (np.atleast_1d(eps))]
     if not eps_list:
@@ -185,10 +184,10 @@ def min_sample_size(eps, beta: float, unknowns: int,
 
     q = 1
     while not ok(q):
-        if q >= cap:
+        if q >= SAMPLE_CAP:
             raise CapacityError(
-                f"minimal sample size exceeds {cap}; relax eps or beta")
-        q = min(2 * q, cap)
+                f"minimal sample size exceeds {SAMPLE_CAP}; relax eps or beta")
+        q = min(2 * q, SAMPLE_CAP)
     lo, hi = q // 2, q  # ok(hi) holds; lo either 0 or known infeasible
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -335,6 +334,9 @@ class _SlopeSource:
     bounds on ||f|| and on its slopes in state and disturbance that
     `row_lipschitz` turns into the row-function Lipschitz constant."""
 
+    def check(self, signature: SystemSignature) -> None:
+        """Raise ValueError if the source cannot describe this signature."""
+
     def bound(self, sys: BlackBoxSystem, sigma: float, mu: float, eta: float) -> float:
         w1, _, w3 = domain_bounds(sys.signature)
         return row_lipschitz(*self.slopes(sys), w1, w3, sigma, mu, eta)
@@ -342,13 +344,25 @@ class _SlopeSource:
 
 @dataclass(frozen=True, eq=False)
 class LinearLipschitz(_SlopeSource):
-    """Slopes of known linear dynamics x+ = A x + B nu + E d."""
+    """Slopes of known linear dynamics x+ = A x + B nu + E d, with A n x n, B
+    n x m and E n x p; B and E may be left out."""
 
     a: object
     b: object = None
     e: object = None
 
+    def check(self, signature: SystemSignature) -> None:
+        n = signature.state_dim
+        for name, need in (("a", (n, n)), ("b", (n, signature.input_dim)),
+                           ("e", (n, signature.disturbance_dim))):
+            mat = getattr(self, name)
+            shape = need if mat is None else np.atleast_2d(mat).shape
+            if shape != need:
+                raise ValueError(f"{name} is {shape[0]}x{shape[1]}, but the "
+                                 f"system needs {need[0]}x{need[1]}")
+
     def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
+        self.check(sys.signature)
         j1, j2, j3 = _spectral(self.a), _spectral(self.b), _spectral(self.e)
         w1, w2, w3 = domain_bounds(sys.signature)
         return j1 * w1 + j2 * w2 + j3 * w3, j1, j3
@@ -384,8 +398,12 @@ class DataLipschitz(_SlopeSource):
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if not is_integer(self.pairs):
+            raise ValueError("pairs must be an integer")
         if self.pairs < 2:
             raise ValueError("need at least 2 pairs")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.safety < 0:
             raise ValueError("safety must be non-negative")
 
@@ -733,7 +751,7 @@ class SopData:
 
 
 # ----------------------------------------------------------------------------
-# LP solve with lexicographic refinement
+# LP solve: the xi phase, then three pin-and-refine phases
 # ----------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -760,79 +778,57 @@ class SolveReport:
         return {"H1": kinds.count("H1"), "H2": kinds.count("H2")}
 
 
-def _pin(width: int, index: int, sign: float, rhs: float):
-    """Constraint row  sign * x[index] <= rhs."""
-    row = np.zeros(width)
-    row[index] = sign
-    return row, rhs
+# solve_lp's phases in order: (name, index into (gamma, eta, theta, phi...,
+# xi), maximize).  eta goes down first: it couples subsystems at composition
+# time, and slack left in it would be parked at the box top by later phases.
+PHASES = (("xi", -1, False), ("eta", 1, False), ("gamma", 0, True),
+          ("theta", 2, False))
 
 
-def solve_lp(instance: SopInstance, lexicographic: bool = True,
-             batch: int = 64, tol: float = 1e-9, viol_tol: float = 1e-9,
-             xi_target: float | None = None) -> SolveReport:
-    """Minimize xi over all rows within the instance's variable boxes;
-    optionally refine the optimum lexicographically (min eta, then max gamma,
-    then min theta) with xi pinned at xi*.  A finite xi_target relaxes the
-    pin to max(xi*, xi_target): the refinement then trades unneeded slack
-    depth for better gains, and the certificate margin must be charged
-    against the achieved xi, not xi*.
+def solve_lp(instance: SopInstance, xi_target: float | None = None) -> SolveReport:
+    """Minimize xi over all rows within the instance's variable boxes, then
+    refine lexicographically through PHASES: each phase starts from the
+    previous phase's working rows and pins its variable at the value found.
+    xi is pinned at max(xi*, xi_target), or at xi* without a target: the
+    refinement then trades unneeded slack depth for better gains, and the
+    certificate margin must be charged against the achieved xi, not xi*.
     Every generated row holds at the returned vector."""
     if instance.row_count == 0:
         raise ValueError("instance has no rows")
-    z = instance.z
     nv = instance.n_vars
     scanned, pruned = instance.blocks_scanned, instance.blocks_pruned
-    lower, upper = instance.boxes.lower(z), instance.boxes.upper(z)
-
-    def objective(index: int) -> Array:
+    lower, upper = instance.boxes.lower(instance.z), instance.boxes.upper(instance.z)
+    pins, rhs, working = np.zeros((0, nv)), [], None
+    iterations = rounds = 0
+    for name, index, maximize in PHASES:
         c = np.zeros(nv)
         c[index] = 1.0
-        return c
-
-    result, working, active = solve_with_rows(
-        objective(nv - 1), instance, lower, upper, batch=batch, tol=tol,
-        viol_tol=viol_tol, context="SOP phase xi")
-    iterations, rounds = result.iterations, result.rounds
-    xi_star = float(result.objective)
-    vec = result.x
-
-    if lexicographic:
-        slack = lambda v: 1e-9 * max(1.0, abs(v))
-        xi_pin = xi_star
-        if xi_target is not None:
-            xi_pin = max(xi_star, float(xi_target))
-        row, rhs = _pin(nv, nv - 1, 1.0, xi_pin + slack(xi_pin))
-        extra_a, extra_b = [row], [rhs]
-        # eta down first: eta couples subsystems at composition time and any
-        # slack left in it would otherwise be parked at the box top by the
-        # later phases.  gamma up then theta down follow.
-        plan = [(1, False), (0, True), (2, False)]
-        for index, maximize in plan:
-            result, working, active = solve_with_rows(
-                objective(index), instance, lower, upper,
-                extra_a=np.asarray(extra_a), extra_b=np.asarray(extra_b),
-                maximize=maximize, start_rows=working, batch=batch, tol=tol,
-                viol_tol=viol_tol, context=f"SOP refine var {index}")
-            iterations += result.iterations
-            rounds += result.rounds
-            val = float(result.x[index])
-            if maximize:
-                row, rhs = _pin(nv, index, -1.0, -(val - slack(val)))
-            else:
-                row, rhs = _pin(nv, index, 1.0, val + slack(val))
-            extra_a.append(row)
-            extra_b.append(rhs)
-            vec = result.x
+        result, working, active = solve_with_rows(
+            c, instance, lower, upper, extra_a=pins, extra_b=np.asarray(rhs),
+            maximize=maximize, start_rows=working, context=f"SOP phase {name}")
+        iterations += result.iterations
+        rounds += result.rounds
+        val = float(result.objective)  # x[index], the phase's optimum
+        if name == "xi":
+            xi_star = val
+            if xi_target is not None:
+                val = max(val, float(xi_target))
+        # pin  sign * x[index] <= sign * val + slack, the slack facing outward
+        sign = -1.0 if maximize else 1.0
+        row = np.zeros(nv)
+        row[index] = sign
+        pins = np.vstack([pins, row])
+        rhs.append(sign * val + 1e-9 * max(1.0, abs(val)))
 
     # Blocks with no row above the limit are skipped: the verdict is the
     # same, and a reported violation is still the exact worst row.
     limit = 1e-7
     worst = max(float(np.max(block, initial=-np.inf))
-                for _, block in scan_above(instance.residual_blocks(vec),
+                for _, block in scan_above(instance.residual_blocks(result.x),
                                            lambda: limit))
     if worst > limit:
         raise SolverError(f"returned vector violates a row by {worst:.3e}")
-    decision = DecisionVector.from_array(vec, instance.mu)
+    decision = DecisionVector.from_array(result.x, instance.mu)
     tags = tuple(instance.tag(int(r)) for r in active)
     return SolveReport(decision=decision, xi_star=xi_star, active=tags,
                        iterations=iterations, master_rows=int(working.size),
@@ -909,6 +905,7 @@ class ApbfCertificate:
     sigma: float | None = None
     boxes: VariableBoxes | None = None
     lp_stats: tuple = ()
+    _SEQUENCES = ("eps", "mu_grid", "margins", "lipschitz", "kappa_radii")
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -932,23 +929,14 @@ class ApbfCertificate:
         return feats @ np.asarray(self.phi, dtype=float)
 
     def to_mapping(self) -> dict:
-        out = {
-            "gamma": self.gamma, "mu": self.mu, "eta": self.eta,
-            "theta": self.theta, "beta": self.beta, "certified": self.certified,
-            "margin": self.margin, "state_dim": self.state_dim,
-            "mu_tilde": self.mu_tilde, "eta_tilde": self.eta_tilde,
-            "theta_tilde": self.theta_tilde, "xi_star": self.xi_star,
-            "xi_achieved": self.xi_achieved,
-            "psi": self.psi, "lam": self.lam, "q": self.q, "seed": self.seed,
-            "unknowns": self.unknowns, "eps": list(self.eps),
-            "mu_grid": list(self.mu_grid), "margins": list(self.margins),
-            "lipschitz": list(self.lipschitz),
-            "kappa_radii": list(self.kappa_radii),
-            "basis": self.basis.to_mapping() if self.basis else None,
-            "phi": list(self.phi) if self.phi is not None else None,
-            "sigma": self.sigma,
-            "boxes": self.boxes.to_mapping() if self.boxes else None,
-        }
+        """Every field but `lp_stats`, with tuples as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "lp_stats"}
+        for key in self._SEQUENCES:
+            out[key] = list(out[key])
+        out["phi"] = list(self.phi) if self.phi is not None else None
+        out["basis"] = self.basis.to_mapping() if self.basis else None
+        out["boxes"] = self.boxes.to_mapping() if self.boxes else None
         return out
 
     @classmethod
@@ -958,7 +946,7 @@ class ApbfCertificate:
             data["basis"] = BasisSpec.from_mapping(data["basis"])
         if data.get("boxes"):
             data["boxes"] = VariableBoxes.from_mapping(data["boxes"])
-        for key in ("eps", "mu_grid", "margins", "lipschitz", "kappa_radii"):
+        for key in cls._SEQUENCES:
             data[key] = tuple(data.get(key) or ())
         if data.get("phi") is not None:
             data["phi"] = tuple(data["phi"])
@@ -966,23 +954,19 @@ class ApbfCertificate:
 
 
 def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
-                 dist_grid: UniformGrid, mu_grid, eps,
-                 beta: float, lipschitz, boxes: VariableBoxes | None = None,
-                 unknowns: int | None = None, seed: int = 0,
-                 psi: float = 0.99, lam: float = 1.0,
-                 xi_target: float | None = None,
-                 row_cap: int = DEFAULT_ROW_CAP,
-                 samples: SampleBatch | None = None) -> ApbfCertificate:
-    """Draw the minimal sample batch once, solve one LP per contraction level,
-    and emit the best-margin certificate (uncertified when margin > 0).  A
-    pre-drawn batch may be passed in; its size must match the minimal sample
-    count implied by (eps, beta, unknowns).  Each level's margin uses the
-    radius kappa^{-1}(eps) of the uniform sampling distribution on X x D."""
+                 dist_grid: UniformGrid, mu_grid, eps, beta: float, lipschitz,
+                 *, samples: SampleBatch, boxes: VariableBoxes | None = None,
+                 unknowns: int | None = None, psi: float = 0.99,
+                 lam: float = 1.0, xi_target: float | None = None,
+                 row_cap: int = DEFAULT_ROW_CAP) -> ApbfCertificate:
+    """Solve one LP per contraction level over the sample batch, and emit the
+    best-margin certificate (uncertified when margin > 0), which records the
+    batch's seed.  The batch size must match the minimal sample count implied
+    by (eps, beta, unknowns).  Each level's margin uses the radius
+    kappa^{-1}(eps) of the uniform sampling distribution on X x D."""
     basis = quartic_difference_basis(sys.signature.state_dim)
     plan = sample_plan(mu_grid, eps, beta, basis.z, unknowns)
-    if samples is None:
-        samples = draw_samples(sys.signature, plan.q, seed)
-    elif samples.count != plan.q:
+    if samples.count != plan.q:
         raise ValueError(f"sample batch has {samples.count} points, "
                          f"the settings require exactly {plan.q}")
     data = SopData(samples, sys, state_grid, dist_grid, row_cap=row_cap)
@@ -993,16 +977,15 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
     volume = float(np.prod(box[:, 1] - box[:, 0]))
     radii = [kappa_inverse(e, dims, volume) for e in plan.eps]
 
-    def solve_level(mu_t: float, radius: float):
-        inst = data.instance(mu_t, boxes)
-        report = solve_lp(inst, xi_target=xi_target)
+    solved = []
+    for mu_t, radius in zip(plan.mu_levels, radii):
+        report = solve_lp(data.instance(mu_t, boxes), xi_target=xi_target)
         level_l = lipschitz.bound(sys, sigma=state_grid.sigma, mu=mu_t,
                                   eta=report.decision.eta)
         # Charge the margin against the slack the returned vector actually
         # uses; with xi_target unset this equals xi* up to pin tolerance.
-        return report, level_l, apbf_margin(report.decision.xi, level_l, radius)
-
-    solved = [solve_level(m, r) for m, r in zip(plan.mu_levels, radii)]
+        solved.append((report, level_l,
+                       apbf_margin(report.decision.xi, level_l, radius)))
 
     margins = [s[2] for s in solved]
     best = int(np.argmin(margins))
@@ -1015,7 +998,7 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
         state_dim=sig.state_dim, mu_tilde=dec.mu, eta_tilde=dec.eta,
         theta_tilde=dec.theta, xi_star=report.xi_star,
         xi_achieved=float(dec.xi), psi=float(psi),
-        lam=float(lam), q=plan.q, seed=seed, unknowns=plan.unknowns,
+        lam=float(lam), q=plan.q, seed=samples.seed, unknowns=plan.unknowns,
         eps=plan.eps, mu_grid=plan.mu_levels, margins=tuple(margins),
         lipschitz=tuple(s[1] for s in solved), kappa_radii=tuple(radii),
         basis=basis, phi=tuple(float(v) for v in dec.phi),

@@ -86,7 +86,7 @@ def test_config_yaml_roundtrip(tmp_path):
         report=ReportConfig(reference_sample_size=99))
     path = tmp_path / "config.yaml"
     config.to_yaml(path)
-    back = PipelineConfig.from_yaml(path)
+    back = PipelineConfig.from_mapping(yaml.safe_load(path.read_text()))
     assert back.to_mapping() == config.to_mapping()
     assert back.certify.mu_grid == (0.4, 0.6)
     assert back.synthesize.horizon == 7
@@ -521,6 +521,30 @@ SLOPE_KINDS = {
 }
 
 
+@pytest.mark.parametrize("matrices, message", [
+    ({"a": [[0.9, 0.1]]}, "a is 1x2, but the system needs 1x1"),
+    ({"a": [[0.9]], "b": [[1, 2, 3]]}, "b is 1x3, but the system needs 1x1"),
+    # a room has two neighbours, so E has two columns
+    ({"a": [[0.93]], "e": [[0.005]]}, "e is 1x1, but the system needs 1x2"),
+])
+def test_cli_certify_refuses_misshaped_linear_matrices(tmp_path, capsys,
+                                                       matrices, message):
+    doc = yaml.safe_load(MINI_YAML)
+    doc["certify"]["lipschitz"] = dict(matrices, kind="linear")
+    cfg = tmp_path / "linear.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    rc = cli.main(["certify", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error in stage certify: certify.lipschitz: {message}" \
+        in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 @pytest.mark.parametrize("certified_by, reported_with", [
     ("data", "linear"), ("linear", "nonlinear"), ("nonlinear", "data")])
 def test_report_names_the_slope_source(mini_run, tmp_path, certified_by,
@@ -805,7 +829,8 @@ def test_cli_simulate_with_empty_winning_set_exits_2(mini_run, tmp_path,
     assert "winning cells per subsystem: [0, 0, 0]" in capsys.readouterr().out
     with pytest.raises(RefinementError, match="subsystem 0 has an empty "
                        "winning set"):
-        stage_simulate(PipelineConfig.from_yaml(cfg), str(run))
+        stage_simulate(PipelineConfig.from_mapping(yaml.safe_load(
+            cfg.read_text())), str(run))
     rc = cli.main(["simulate", "--config", str(cfg), "--out", str(run)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -884,11 +909,40 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
      "synthesize.query_cap must be an integer of at least 1"),
     ("synthesize", {"query_cap": -5}, [],
      "synthesize.query_cap must be an integer of at least 1"),
+    # section None sets top-level keys
+    (None, {"seed": "abc"}, [], "seed must be a non-negative integer"),
+    (None, {"seed": 1.7}, [], "seed must be a non-negative integer"),
+    (None, {"seed": True}, [], "seed must be a non-negative integer"),
+    (None, {"seed": -1}, [], "seed must be a non-negative integer"),
+    (None, {}, ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("system", {"num_rooms": 2.5}, [], "system: num_rooms must be an integer"),
+    ("system", {"num_rooms": True}, [], "system: num_rooms must be an integer"),
+    ("system", {"outside_temp": [-2, -1]}, [],
+     "system: outside_temp must be scalar or one value per room"),
+    # one temperature per configured room, but not per room of the override
+    ("system", {"outside_temp": [-2, -1.5, -1]}, ["--rooms", "4"],
+     "system: outside_temp must be scalar or one value per room"),
+    ("system", {"kind": "external", "command": ["oracle"],
+                "state_box": [[-0.5, 0.5]], "input_set": [[0.0]],
+                "timeout": 0}, [],
+     "system.timeout must be a positive number of seconds"),
+    ("certify", {"lipschitz": {"pairs": 2.5}}, [],
+     "certify.lipschitz: pairs must be an integer"),
+    ("certify", {"lipschitz": {"seed": "abc"}}, [],
+     "certify.lipschitz: seed must be a non-negative integer"),
+    ("certify", {"xi_target": "abc"}, [],
+     "certify.xi_target must be a finite number or null"),
+    ("certify", {"xi_target": float("inf")}, [],
+     "certify.xi_target must be a finite number or null"),
+    ("report", {"reference_sample_size": "abc"}, [],
+     "report.reference_sample_size must be a positive integer or null"),
+    ("report", {"reference_sample_size": 2.5}, [],
+     "report.reference_sample_size must be a positive integer or null"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):
     doc = yaml.safe_load(MINI_YAML)
-    doc.setdefault(section, {}).update(settings)
+    (doc if section is None else doc.setdefault(section, {})).update(settings)
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"

@@ -262,6 +262,15 @@ def test_lipschitz_linear_zero_case_and_sign_check():
             row_lipschitz(*args)
 
 
+def test_linear_slopes_refuse_matrices_of_the_wrong_shape():
+    sys = linear_system()  # one state, input and disturbance coordinate
+    for matrices in ({"a": [[0.9, 0.1]]}, {"a": [[0.9]], "b": [[1.0, 2.0]]},
+                     {"a": 0.9, "e": [[0.1], [0.1]]}):
+        with pytest.raises(ValueError, match="but the system needs 1x1"):
+            LinearLipschitz(**matrices).slopes(sys)
+    assert LinearLipschitz(a=[[0.9]], b=[1.0], e=0.1).slopes(sys)[1] == 0.9
+
+
 def _nine_term_linear_bound(a, b, e, w1, w2, w3, sigma, mu, eta):
     """The linear row bound written out term by term (P the identity)."""
     j1, j2, j3 = (float(np.linalg.norm(np.atleast_2d(m), 2)) for m in (a, b, e))
@@ -735,19 +744,44 @@ def test_solve_lp_reports_every_master_solve(monkeypatch):
 
     monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
     inst = build_tiny_instance()
-    for lexicographic, phases in ((False, 1), (True, 4)):
-        solves.clear()
-        report = solve_lp(inst, lexicographic=lexicographic)
-        assert report.rounds == len(solves) >= phases
-        assert report.iterations == sum(solves) > 0
-        assert report.binding == {
-            "H1": sum(t.kind == "H1" for t in report.active),
-            "H2": sum(t.kind == "H2" for t in report.active)}
-        assert sum(report.binding.values()) == len(report.active) >= 1
-        # one scan per round and one final check, every H2 block counted
-        assert report.blocks + report.pruned \
-            == (report.rounds + 1) * inst.structure.samples
-        assert report.pruned > 0
+    report = solve_lp(inst)
+    assert report.rounds == len(solves) >= 4
+    assert report.iterations == sum(solves) > 0
+    assert report.binding == {
+        "H1": sum(t.kind == "H1" for t in report.active),
+        "H2": sum(t.kind == "H2" for t in report.active)}
+    assert sum(report.binding.values()) == len(report.active) >= 1
+    # one scan per round and one final check, every H2 block counted
+    assert report.blocks + report.pruned \
+        == (report.rounds + 1) * inst.structure.samples
+    assert report.pruned > 0
+
+
+def test_solve_lp_runs_the_four_phases_in_order(monkeypatch):
+    # xi, then eta down, gamma up and theta down; each phase starts from the
+    # previous phase's working rows and carries one more pin row
+    import symabs.scenario as scenario_mod
+    real = scenario_mod.solve_with_rows
+    calls, handed = [], []
+
+    def spy(c, source, lower, upper, extra_a=None, extra_b=None,
+            maximize=False, start_rows=None, **kwargs):
+        calls.append((int(np.flatnonzero(c)[0]), maximize,
+                      np.asarray(extra_b).size))
+        handed.append(start_rows)
+        out = real(c, source, lower, upper, extra_a=extra_a, extra_b=extra_b,
+                   maximize=maximize, start_rows=start_rows, **kwargs)
+        handed.append(out[1])
+        return out
+
+    monkeypatch.setattr(scenario_mod, "solve_with_rows", spy)
+    inst = build_tiny_instance()
+    solve_lp(inst)
+    xi = inst.n_vars - 1
+    assert calls == [(xi, False, 0), (1, False, 1), (0, True, 2), (2, False, 3)]
+    assert handed[0] is None
+    for given, kept in zip(handed[2::2], handed[1::2]):
+        assert given is kept
 
 
 def test_solve_lp_final_check_finds_the_worst_row(monkeypatch):
@@ -757,7 +791,7 @@ def test_solve_lp_final_check_finds_the_worst_row(monkeypatch):
     from symabs.errors import SolverError
     from symabs.simplex import SimplexResult
     inst = build_tiny_instance()
-    good = solve_lp(inst, lexicographic=False).decision.as_array()
+    good = solve_lp(inst).decision.as_array()
     rng = np.random.default_rng(15)
     rejected = accepted = 0
     for scale in np.logspace(-10, -3, 15):
@@ -770,21 +804,24 @@ def test_solve_lp_final_check_finds_the_worst_row(monkeypatch):
         worst = float(np.max(inst.residuals(vec)))
         if worst > 1e-7:
             with pytest.raises(SolverError, match=f"by {worst:.3e}$"):
-                solve_lp(inst, lexicographic=False)
+                solve_lp(inst)
             rejected += 1
         else:
-            solve_lp(inst, lexicographic=False)
+            solve_lp(inst)
             accepted += 1
     assert rejected and accepted
 
 
 def test_solve_lp_lexicographic_refinement_improves_gamma():
     inst = build_tiny_instance()
-    plain = solve_lp(inst, lexicographic=False)
-    refined = solve_lp(inst, lexicographic=True)
-    assert np.isclose(plain.xi_star, refined.xi_star, atol=1e-7)
+    c = np.zeros(inst.n_vars)
+    c[-1] = 1.0
+    plain, _, _ = solve_with_rows(c, inst, inst.boxes.lower(inst.z),
+                                  inst.boxes.upper(inst.z))
+    refined = solve_lp(inst)
+    assert np.isclose(plain.objective, refined.xi_star, atol=1e-7)
     # refinement never worsens the slack and can only raise gamma
-    assert refined.decision.gamma >= plain.decision.gamma - 1e-9
+    assert refined.decision.gamma >= plain.x[0] - 1e-9
     assert refined.decision.xi <= refined.xi_star + 1e-6
 
 
@@ -887,10 +924,10 @@ def test_certify_apbf_small_system_fields_consistent():
     sg = make_grid(sys.signature.state_box, 0.25)
     dg = make_grid(sys.signature.disturbance_box, 0.5)
     basis = quartic_difference_basis(1)
+    q = min_sample_size([0.3, 0.3], 0.1, basis.z + 4)
     cert = certify_apbf(sys, sg, dg, mu_grid=(0.5, 0.7), eps=0.3,
                         beta=0.1, lipschitz=LinearLipschitz(a=0.5, b=0.0, e=0.05),
-                        seed=5)
-    q = min_sample_size([0.3, 0.3], 0.1, basis.z + 4)
+                        samples=draw_samples(sys.signature, q, seed=5))
     assert cert.q == q
     assert cert.unknowns == basis.z + 4
     assert len(cert.margins) == 2
@@ -906,6 +943,22 @@ def test_certify_apbf_small_system_fields_consistent():
     assert np.isclose(cert.theta, want_theta)
     # kappa radius over X x D with default volume
     assert np.isclose(cert.kappa_radii[0], kappa_inverse(0.3, 2, 4.0))
+
+
+def test_certify_apbf_records_the_seed_of_the_batch_it_is_handed():
+    sys = linear_system(a=0.5, gain=0.05, inputs=((0.0,),))
+    sg = make_grid(sys.signature.state_box, 0.25)
+    dg = make_grid(sys.signature.disturbance_box, 0.5)
+    q = min_sample_size([0.3], 0.1, quartic_difference_basis(1).z + 4)
+    lip = LinearLipschitz(a=0.5)
+    cert = certify_apbf(sys, sg, dg, (0.5,), 0.3, 0.1, lip,
+                        samples=draw_samples(sys.signature, q, seed=3))
+    assert cert.seed == 3 and cert.to_mapping()["seed"] == 3
+    # the batch is required, and no seed draws one in its place
+    with pytest.raises(TypeError):
+        certify_apbf(sys, sg, dg, (0.5,), 0.3, 0.1, lip)
+    with pytest.raises(TypeError):
+        certify_apbf(sys, sg, dg, (0.5,), 0.3, 0.1, lip, seed=3)
 
 
 def test_certify_apbf_rejects_wrong_sample_count():

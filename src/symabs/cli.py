@@ -38,7 +38,11 @@ def load_config(args) -> PipelineConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh) or {}
+            try:
+                data = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                # the parser's message names the file, line and column
+                raise ConfigError(f"the config is not valid YAML: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("the config must be a mapping")
     if args.seed is not None:

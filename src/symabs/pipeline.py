@@ -195,6 +195,11 @@ class CertifyConfig:
         xi = self.xi_target
         if xi is not None and not (isinstance(xi, numbers.Real) and np.isfinite(xi)):
             raise ConfigError("certify.xi_target must be a finite number or null")
+        if self.unknowns is not None and not (is_integer(self.unknowns)
+                                              and self.unknowns >= 1):
+            raise ConfigError("certify.unknowns must be a positive integer or null")
+        if not (is_integer(self.row_cap) and self.row_cap >= 1):
+            raise ConfigError("certify.row_cap must be a positive integer")
         _checked("certify.boxes", self.variable_boxes)
         self.lipschitz_config()
 
@@ -364,20 +369,26 @@ def _systems(config: PipelineConfig, bundle: SystemBundle | None):
             bundle.cleanup.close()
 
 
-def subsystem_grids(bundle: SystemBundle, sigma: float):
-    """Per-subsystem (state grid, disturbance grid); wired subsystems reuse
-    their neighbors' state grids as disturbance factors."""
-    state_grids = [make_grid(s.signature.state_box, sigma)
-                   for s in bundle.subsystems]
-    dist_grids = []
-    for i, sub in enumerate(bundle.subsystems):
-        wired = bundle.topology.wiring[i]
-        if wired:
-            dist_grids.append(product_grid([state_grids[j] for j in wired]))
+def subsystem_grids(bundle: SystemBundle, sigma: float, indices):
+    """(state grids, disturbance grids) of the subsystems `indices`, as dicts
+    keyed by subsystem index in ascending order; a repeated index is built
+    once.  Wired subsystems reuse their neighbors' state grids as disturbance
+    factors, so the state grids also hold those neighbors'; no other
+    subsystem's grid is built."""
+    indices = sorted(set(indices))
+    wiring = bundle.topology.wiring
+    needed = set(indices).union(*(wiring[i] for i in indices))
+    state_grids = {j: make_grid(bundle.subsystems[j].signature.state_box, sigma)
+                   for j in sorted(needed)}
+    dist_grids = {}
+    for i in indices:
+        sub = bundle.subsystems[i]
+        if wiring[i]:
+            dist_grids[i] = product_grid([state_grids[j] for j in wiring[i]])
         elif sub.signature.disturbance_dim == 0:
-            dist_grids.append(trivial_grid())
+            dist_grids[i] = trivial_grid()
         else:
-            dist_grids.append(make_grid(sub.signature.disturbance_box, sigma))
+            dist_grids[i] = make_grid(sub.signature.disturbance_box, sigma)
     return state_grids, dist_grids
 
 
@@ -637,7 +648,8 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
         cert_cfg = config.certify
-        state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma)
+        owners = _owners(config, bundle)
+        state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma, owners)
         state_dim = config.system.state_dim
         q, unknowns = computed_sample_size(config, state_dim)
         batches = _load_or_draw_samples(config, out_dir, bundle, q)
@@ -646,7 +658,6 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         for system in bundle.subsystems:
             _checked("certify.lipschitz", lambda: lipschitz.check(system.signature))
         boxes = cert_cfg.variable_boxes()
-        owners = _owners(config, bundle)
         certs = {i: scenario.certify_apbf(
             bundle.subsystems[i], state_grids[i], dist_grids[i],
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
@@ -729,8 +740,9 @@ def load_composed(out_dir: str) -> tuple[compose_mod.ComposedAbf, dict]:
 def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
-        state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma)
-        for i in sorted(set(_owners(config, bundle))):
+        state_grids, dist_grids = subsystem_grids(
+            bundle, config.certify.sigma, _owners(config, bundle))
+        for i in dist_grids:
             fts = enumerate_abstraction(
                 bundle.subsystems[i], state_grids[i], dist_grids[i],
                 query_cap=config.synthesize.query_cap)

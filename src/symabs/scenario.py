@@ -538,6 +538,11 @@ class SopInstance:
     bound is at least every row of the block bit for bit, and a block with
     bound <= floor holds no row above the floor.  The bound is exact only
     while both sums keep that order: change them together.
+    by_dist[i, d] = coef_eta[i, d] * eta is built only for a scanned block.
+    Its max comes from the dist extremes each instance precomputes: the row
+    max of coef_eta times eta, or the row min when eta < 0.  Rounded
+    multiplication is monotone too, so that product is max_d by_dist[i, d]
+    bit for bit (`dist_top`).
     `blocks_scanned` and `blocks_pruned` count the H2 blocks built and
     skipped.
     """
@@ -566,14 +571,21 @@ class SopInstance:
         # (u, s, d) -> column of the successor cell in coef_phi[i] @ phi,
         # flattened to u*s columns
         self._succ_column = np.arange(n_u)[:, None, None] * n_s + self.successor
-        # the distinct successor columns of each (u, s) pair across d, one
-        # run per pair laid end to end, and where each run starts
+        # the distinct successor columns of each (u, s) pair across d: row j
+        # holds every pair's j-th, and a pair with fewer repeats its first
+        # (max is idempotent), so the bound takes one maximum per row
         pairs = n_u * n_s
         hit = np.zeros((pairs, n_s), dtype=bool)
         hit[np.arange(pairs)[:, None], self.successor.reshape(pairs, n_d)] = True
-        pair, cell = np.nonzero(hit)
-        self._bound_columns = pair - pair % n_s + cell
-        self._bound_starts = np.searchsorted(pair, np.arange(pairs))
+        counts = hit.sum(axis=1)
+        width = int(counts.max(initial=1))
+        cells = np.argsort(~hit, axis=1, kind="stable")[:, :width]
+        cells = np.where(np.arange(width) < counts[:, None], cells, cells[:, :1])
+        first = np.arange(pairs) // n_s * n_s  # column of (u, 0)
+        self._bound_columns = np.ascontiguousarray((first[:, None] + cells).T)
+        # per sample, the extremes of coef_eta[i] across d; see dist_top
+        self._eta_max = self.coef_eta.max(axis=1)
+        self._eta_min = self.coef_eta.min(axis=1)
         self.blocks_scanned = 0
         self.blocks_pruned = 0
 
@@ -597,6 +609,11 @@ class SopInstance:
         i, u = np.divmod(rest, st.inputs)
         return i, u, xh, dh
 
+    def dist_top(self, eta: float) -> Array:
+        """max over d of coef_eta[i, d] * eta, per sample i, from the
+        precomputed row max of coef_eta (row min when eta < 0)."""
+        return (self._eta_min if eta < 0 else self._eta_max) * eta
+
     def residual_blocks(self, vec: Array):
         """Yield (start_row, A x - b over a block of rows), in row order: the
         H1 block, then one H2 block of u*s*d rows per sample.
@@ -619,15 +636,15 @@ class SopInstance:
         floor = yield 0, h1.reshape(-1)
         succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
         state_term = self.coef_theta * theta + self.const - xi - self.mu * cur
-        dist_term = self.coef_eta * eta
         # summed in the block's own order; see the class docstring
-        top = np.maximum.reduceat(succ[:, self._bound_columns],
-                                  self._bound_starts, axis=1)
+        top = succ[:, self._bound_columns[0]]
+        for columns in self._bound_columns[1:]:
+            np.maximum(top, succ[:, columns], out=top)
         bound = (top.reshape(q, n_u, n_s)
-                 + state_term[:, None, :]).max(axis=(1, 2)) + dist_term.max(axis=1)
+                 + state_term[:, None, :]).max(axis=(1, 2)) + self.dist_top(eta)
         by_state = state_term[:, None, :, None]
-        by_dist = dist_term[:, None, None, :]
         block = np.empty((n_u, n_s, n_d))
+        dist_term = np.empty(n_d)
         start = st.h1_rows
         for i in range(q):
             if floor is not None and bound[i] <= floor:
@@ -636,7 +653,7 @@ class SopInstance:
                 self.blocks_scanned += 1
                 np.take(succ[i], self._succ_column, out=block)
                 block += by_state[i]
-                block += by_dist[i]
+                block += np.multiply(self.coef_eta[i], eta, out=dist_term)
                 floor = yield start, block.reshape(-1)
             start += block.size
 

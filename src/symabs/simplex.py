@@ -43,9 +43,12 @@ added cuts leave it dual feasible, so a few dual pivots restore feasibility.
 
 The scan streams: the row source yields its residuals block by block, and
 `top_violators` keeps a running top-k of the rows outside the working set,
-so a round holds O(block + k) values and never one entry per row.  Among
-equal residuals the lower row index wins, which makes the chosen rows a
-function of the residual values alone, whatever the block boundaries.
+so a round holds O(block + k) values and never one entry per row.  The
+top-k is kept by selection, not by sorting: a partition finds the k-th
+largest residual, and of the rows tied at it the lowest-index ones stay.
+Among equal residuals the lower row index thus wins, which makes the chosen
+rows a function of the residual values alone, whatever the block
+boundaries.
 
 The scan is also pruned: `scan_above` sends the source, before each block
 after the first, the floor a row must exceed to be admitted, max(viol_tol,
@@ -353,14 +356,17 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
 
     `blocks` yields (start_row, residuals) in increasing row order; rows in
     the sorted array `skip` are passed over.  Among equal residuals the lower
-    row index wins.  A row joins the candidates only when it beats the
+    row index wins.  Once k candidates are held, each block that adds some
+    is cut back by selection: `np.partition` finds the k-th largest value,
+    every candidate above it stays, and the lowest-index candidates tied at
+    it fill the rest.  A row joins the candidates only when it beats the
     current k-th residual, and every earlier row has a lower index, so a tie
     with the k-th never displaces it.  That threshold, max(viol_tol, k-th
     residual), is the floor `scan_above` sends the source: a block it skips
     holds no row that would join.
     """
     val = np.empty(0)
-    idx = np.empty(0, dtype=int)
+    idx = np.empty(0, dtype=int)  # ascending: blocks and hits come in row order
     floor = viol_tol
     for start, block in scan_above(blocks, lambda: floor):
         hit = np.flatnonzero(block > floor)
@@ -372,10 +378,13 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
         val = np.concatenate([val, block[hit]])
         idx = np.concatenate([idx, hit + start])
         if val.size >= k:
-            keep = np.lexsort((idx, -val))[:k]
+            kth = np.partition(val, val.size - k)[val.size - k]
+            keep = val > kth
+            tied = np.flatnonzero(val == kth)
+            keep[tied[:k - np.count_nonzero(keep)]] = True
             val, idx = val[keep], idx[keep]
-            floor = max(viol_tol, val[-1])
-    return np.sort(idx)
+            floor = max(viol_tol, kth)
+    return idx
 
 
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,

@@ -586,6 +586,25 @@ def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
                      "write_controller": 1, "read_controller": 1}
 
 
+def test_subsystem_grids_builds_the_requested_rooms_and_their_neighbours():
+    # a shared ring certifies and abstracts room 0 only; its disturbance
+    # grid needs the state grids of its two wired neighbours and no other
+    bundle = build_systems(PipelineConfig.from_mapping(
+        {"system": {"num_rooms": 6}}))
+    every_state, every_dist = subsystem_grids(bundle, 0.05,
+                                             range(bundle.count))
+    assert sorted(every_state) == sorted(every_dist) == list(range(6))
+    state_grids, dist_grids = subsystem_grids(bundle, 0.05, [0, 0])
+    assert sorted(dist_grids) == [0]
+    assert sorted(state_grids) == sorted({0, *bundle.topology.wiring[0]}) \
+        and len(state_grids) == 3
+    for grids, every in ((state_grids, every_state), (dist_grids, every_dist)):
+        for i, grid in grids.items():
+            assert grid.cells_per_dim == every[i].cells_per_dim
+            assert grid.box.tobytes() == every[i].box.tobytes()
+            assert grid.sigma == every[i].sigma
+
+
 def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
                                                          monkeypatch):
     config = PipelineConfig.from_mapping(yaml.safe_load(hetero_yaml()))
@@ -608,7 +627,8 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
     # each room's files hold its own table and game, and simulate refines
     # each room's own controller, not a copy of room 0's
     bundle = build_systems(config)
-    state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma)
+    state_grids, dist_grids = subsystem_grids(bundle, config.certify.sigma,
+                                              range(bundle.count))
     chosen = []
     for i in range(3):
         fts = enumerate_abstraction(bundle.subsystems[i], state_grids[i],
@@ -938,13 +958,29 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
      "report.reference_sample_size must be a positive integer or null"),
     ("report", {"reference_sample_size": 2.5}, [],
      "report.reference_sample_size must be a positive integer or null"),
+    ("certify", {"row_cap": "abc"}, [],
+     "certify.row_cap must be a positive integer"),
+    ("certify", {"row_cap": 0}, [], "certify.row_cap must be a positive integer"),
+    ("certify", {"row_cap": 2.5}, [],
+     "certify.row_cap must be a positive integer"),
+    ("certify", {"unknowns": 7.9}, [],
+     "certify.unknowns must be a positive integer or null"),
+    ("certify", {"unknowns": True}, [],
+     "certify.unknowns must be a positive integer or null"),
+    ("certify", {"unknowns": 0}, [],
+     "certify.unknowns must be a positive integer or null"),
+    # a string is the whole file, here one that is not YAML
+    (None, "system: [1\n", [], "the config is not valid YAML"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):
-    doc = yaml.safe_load(MINI_YAML)
-    (doc if section is None else doc.setdefault(section, {})).update(settings)
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
+    if isinstance(settings, str):
+        cfg.write_text(settings)
+    else:
+        doc = yaml.safe_load(MINI_YAML)
+        (doc if section is None else doc.setdefault(section, {})).update(settings)
+        cfg.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
     rc = cli.main(["casestudy", "--config", str(cfg), "--out", str(out), *extra])
     captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -599,6 +600,28 @@ def test_sop_pruned_blocks_hold_no_row_above_the_floor():
         assert after[1] - before[1] == skipped
         pruned += skipped
     assert pruned > 0
+
+
+def test_dist_top_is_the_max_of_the_dist_terms_bit_for_bit():
+    # the bound's dist term comes from the row extremes of coef_eta; every
+    # sign of eta, subnormal products and mixed-sign coefficients included
+    inst = pruning_instance()
+    assert np.all(inst.coef_eta <= 0)
+    mixed = dataclasses.replace(
+        inst, coef_eta=np.random.default_rng(15).uniform(
+            -2.0, 2.0, inst.coef_eta.shape))
+    for eta in (-2.75, -1e-310, 0.0, 1e-310, 0.3, 7.0):
+        for case in (inst, mixed):
+            if eta == 0.0 and case is mixed:
+                continue  # 0.0 and -0.0 tie; only their order picks a sign
+            want = (case.coef_eta * eta).max(axis=1)
+            assert case.dist_top(eta).tobytes() == want.tobytes()
+    # and the rows themselves hold those products
+    a, _ = inst.gather(np.arange(inst.structure.h1_rows, inst.row_count))
+    per_sample = a[:, 1].reshape(inst.structure.samples, -1)
+    for eta in (-2.75, 0.0, 0.3):
+        assert inst.dist_top(eta).tobytes() == \
+            (per_sample * eta).max(axis=1).tobytes()
 
 
 def test_pruned_top_violators_match_brute_force():

@@ -135,6 +135,21 @@ def test_top_violators_matches_brute_force():
         k = int(rng.integers(1, m + 10))  # often more than the violators
         got = top_violators(reused_blocks(resid, cuts), skip, k, viol_tol)
         assert np.array_equal(got, brute_top(resid, skip, k, viol_tol))
+    none = np.empty(0, dtype=int)
+    for resid, cuts, k, want in [
+        # more than k candidates tie at the k-th value across two blocks:
+        # the lowest indices fill the places left beside the 3.0
+        ([1.0, 1.0, 1.0, 1.0, 3.0, 1.0], [2, 4], 3, [0, 1, 4]),
+        ([1.0, 1.0, 1.0, 3.0, 1.0], [1, 3], 3, [0, 1, 3]),
+        # k is first exceeded by the last block, whose 0.5 ties with two
+        # earlier rows; the lowest of the three wins
+        ([2.0, 0.5, 3.0, 0.5, 0.5, 4.0, 2.0], [2, 4], 5, [0, 1, 2, 5, 6]),
+        ([0.5, 0.5, 0.5, 0.5, 0.5, 0.5], [3], 2, [0, 1]),
+    ]:
+        resid = np.array(resid)
+        got = top_violators(reused_blocks(resid, cuts), none, k, viol_tol)
+        assert got.tolist() == want
+        assert np.array_equal(got, brute_top(resid, none, k, viol_tol))
 
 
 def test_top_violators_edge_cases():

@@ -402,6 +402,24 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_certificates(path, payload) -> None:
+    """Write {"shared": ..., "certificates": [...]} byte for byte as
+    `_write_json` would, encoding each distinct mapping in the (non-empty)
+    list once.  Rooms that share a certificate share one mapping object, and
+    json's indenting encoder is pure Python, so a 30-room ring would encode
+    the same certificate 30 times."""
+    texts = {}
+    for cert in payload["certificates"]:
+        if id(cert) not in texts:
+            # re-indented to list depth 2; json escapes newlines in strings
+            texts[id(cert)] = json.dumps(cert, sort_keys=True,
+                                         indent=1).replace("\n", "\n  ")
+    items = ",\n  ".join(texts[id(cert)] for cert in payload["certificates"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n "certificates": [\n  {items}\n ],\n'
+                 f' "shared": {json.dumps(payload["shared"])}\n}}\n')
+
+
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -672,9 +690,10 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         _write_json(os.path.join(out_dir, "lp_stats.json"),
                     {"shared": shared, "lipschitz_kind": lip_cfg.kind,
                      "subsystems": [list(c.lp_stats) for c in certs.values()]})
+        mappings = {i: cert.to_mapping() for i, cert in certs.items()}
         payload = {"shared": shared,
-                   "certificates": [certs[i].to_mapping() for i in owners]}
-        _write_json(os.path.join(out_dir, "certificates.json"), payload)
+                   "certificates": [mappings[i] for i in owners]}
+        _write_certificates(os.path.join(out_dir, "certificates.json"), payload)
         _discard(out_dir, "composed.json", "simulation.json", "trajectories.csv")
         return payload
 

@@ -86,10 +86,14 @@ class UniformGrid:
         counts = np.asarray(self.cells_per_dim, dtype=np.int64)
         # left-closed only at the low edge: ties go down
         multi = np.ceil((pts - lows) / self.widths).astype(np.int64) - 1
-        multi = np.clip(multi, 0, counts - 1)
-        strides = np.ones(self.dim, dtype=np.int64)  # last coordinate fastest
-        strides[:-1] = np.cumprod(counts[:0:-1])[::-1]
-        return multi @ strides
+        np.clip(multi, 0, counts - 1, out=multi)
+        # integer Horner steps, last coordinate fastest: an int64 matmul
+        # has no BLAS path and costs several times more
+        flat = np.zeros(multi.shape[:-1], dtype=np.int64)
+        for j, k in enumerate(self.cells_per_dim):
+            flat *= k
+            flat += multi[..., j]
+        return flat
 
     def cell_index(self, x) -> int:
         """Flat index of the cell containing x; boundary points snap to the
@@ -204,7 +208,7 @@ def abstract_transition(sys: BlackBoxSystem, state_grid: UniformGrid,
 
 def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
                      dist_grid: UniformGrid, inputs) -> tuple[Array, Array]:
-    """The abstract transition map: one oracle call over the broadcast
+    """The abstract transition map: one oracle call over the stacked
     (cell, input, disturbance cell) rows of representatives, all replies
     quantized at once.
 
@@ -217,16 +221,11 @@ def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
     dist_reps = dist_grid.all_representatives()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
     shape = (state_reps.shape[0], inputs.shape[0], dist_reps.shape[0])
-    rows = shape[0] * shape[1] * shape[2]
-
-    def stacked(block: Array) -> Array:
-        # explicit row count: the trivial disturbance grid has width 0
-        width = block.shape[-1]
-        return np.broadcast_to(block, shape + (width,)).reshape(rows, width)
-
-    replies = sys.step(stacked(state_reps[:, None, None, :]),
-                       stacked(inputs[None, :, None, :]),
-                       stacked(dist_reps[None, None, :, :]))
+    # rows in (cell, input, disturbance cell) order, the last fastest
+    replies = sys.step(np.repeat(state_reps, shape[1] * shape[2], axis=0),
+                       np.tile(np.repeat(inputs, shape[2], axis=0),
+                               (shape[0], 1)),
+                       np.tile(dist_reps, (shape[0] * shape[1], 1)))
     replies = replies.reshape(shape + (state_grid.dim,))
     _reject_nan(replies)
     lows, highs = state_grid.box[:, 0], state_grid.box[:, 1]

@@ -525,16 +525,18 @@ class SopInstance:
     0 (both 0-d); coef_phi (q, u, s, z) holds g(x+_iu, center of cell c) for
     every in-box cell c; g_cur (q, s, z) holds g(x_i, xhat_s); successor
     (u, s, d) is the in-box cell whose center represents the abstract
-    successor (the clamped nearest cell for the sink).  `gather` builds the
-    requested rows bit for bit as a dense matrix would hold them.
+    successor (the clamped nearest cell for the sink); an entry outside
+    [0, s) is refused.  `gather` builds the requested rows bit for bit as a
+    dense matrix would hold them.
 
-    `residual_blocks` skips an H2 block whose rows cannot exceed the floor
-    the scan sends it.  Sample i's row (u, s, d) is summed in the order
-    (succ[i, column(u, s, d)] + by_state[i, s]) + by_dist[i, d].  The block's
-    bound is summed in the same order from the largest term of each stage:
-    top[u, s] = the max of succ[i] over the successor columns of (u, s)
-    across all d, then max over (u, s) of (top[u, s] + by_state[i, s]), then
-    + max by_dist[i].  IEEE round-to-nearest addition is monotone, so the
+    Once the scan sends it a floor, `residual_blocks` visits the H2 blocks
+    largest bound first and stops at the first whose rows cannot exceed the
+    floor, as branch and bound does.  Sample i's row (u, s, d) is summed in
+    the order (succ[i, column(u, s, d)] + by_state[i, s]) + by_dist[i, d].
+    The block's bound is summed in the same order from the largest term of
+    each stage: top[u, s] = the max of succ[i] over the successor columns of
+    (u, s) across all d, then max over (u, s) of (top[u, s] + by_state[i,
+    s]), then + max by_dist[i].  IEEE round-to-nearest addition is monotone, so the
     bound is at least every row of the block bit for bit, and a block with
     bound <= floor holds no row above the floor.  The bound is exact only
     while both sums keep that order: change them together.
@@ -544,7 +546,7 @@ class SopInstance:
     multiplication is monotone too, so that product is max_d by_dist[i, d]
     bit for bit (`dist_top`).
     `blocks_scanned` and `blocks_pruned` count the H2 blocks built and
-    skipped.
+    skipped; each scan adds up to q.
     """
 
     coef_gamma: Array
@@ -568,6 +570,10 @@ class SopInstance:
         for name, shape in shapes.items():
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+        # blocks take from successor columns with mode="clip", which would
+        # hide a bad index, and gather would wrap a negative one
+        if np.any(self.successor < 0) or np.any(self.successor >= n_s):
+            raise ValueError(f"successor entries must lie in [0, {n_s})")
         # (u, s, d) -> column of the successor cell in coef_phi[i] @ phi,
         # flattened to u*s columns
         self._succ_column = np.arange(n_u)[:, None, None] * n_s + self.successor
@@ -615,15 +621,18 @@ class SopInstance:
         return (self._eta_min if eta < 0 else self._eta_max) * eta
 
     def residual_blocks(self, vec: Array):
-        """Yield (start_row, A x - b over a block of rows), in row order: the
-        H1 block, then one H2 block of u*s*d rows per sample.
+        """Yield (start_row, A x - b over a block of rows): the H1 block,
+        then one H2 block of u*s*d rows per sample.
 
-        A value sent into the generator is a floor: until the next one, H2
-        blocks whose bound (see the class docstring) is at or below it are
-        skipped, not yielded.  A plain iteration sends None and gets every
-        block.  Each call fills one buffer of its own and reuses it for every
-        H2 block, so a block holds its values only until the next one is
-        drawn; copy what must outlive that."""
+        A plain iteration sends None and gets every block in row order.  A
+        floor sent after the H1 block ranks the H2 blocks by their bound (see
+        the class docstring), largest first and NaN bounds ahead of all, and
+        the scan stops at the first block whose bound is at or below the
+        floor last sent; it and every later block are counted as pruned.
+        Floors sent into a plain iteration are ignored.  Each call fills one
+        buffer of its own and reuses it for every H2 block, so a block holds
+        its values only until the next one is drawn; copy what must outlive
+        that."""
         vec = np.asarray(vec, dtype=float)
         gamma, eta, theta = vec[0], vec[1], vec[2]
         phi, xi = vec[3:-1], vec[-1]
@@ -636,26 +645,30 @@ class SopInstance:
         floor = yield 0, h1.reshape(-1)
         succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
         state_term = self.coef_theta * theta + self.const - xi - self.mu * cur
-        # summed in the block's own order; see the class docstring
-        top = succ[:, self._bound_columns[0]]
-        for columns in self._bound_columns[1:]:
-            np.maximum(top, succ[:, columns], out=top)
-        bound = (top.reshape(q, n_u, n_s)
-                 + state_term[:, None, :]).max(axis=(1, 2)) + self.dist_top(eta)
+        ranked = floor is not None
+        if ranked:
+            # summed in the block's own order; see the class docstring
+            top = succ[:, self._bound_columns[0]]
+            for columns in self._bound_columns[1:]:
+                np.maximum(top, succ[:, columns], out=top)
+            pairs = top.reshape(q, n_u, n_s)
+            pairs += state_term[:, None, :]
+            bound = top.max(axis=1) + self.dist_top(eta)
+            order = np.lexsort((-bound, ~np.isnan(bound)))
+        else:
+            order = range(q)
         by_state = state_term[:, None, :, None]
         block = np.empty((n_u, n_s, n_d))
         dist_term = np.empty(n_d)
-        start = st.h1_rows
-        for i in range(q):
-            if floor is not None and bound[i] <= floor:
-                self.blocks_pruned += 1
-            else:
-                self.blocks_scanned += 1
-                np.take(succ[i], self._succ_column, out=block)
-                block += by_state[i]
-                block += np.multiply(self.coef_eta[i], eta, out=dist_term)
-                floor = yield start, block.reshape(-1)
-            start += block.size
+        for done, i in enumerate(order):
+            if ranked and floor is not None and bound[i] <= floor:
+                self.blocks_pruned += q - done
+                return
+            self.blocks_scanned += 1
+            np.take(succ[i], self._succ_column, out=block, mode="clip")
+            block += by_state[i]
+            block += np.multiply(self.coef_eta[i], eta, out=dist_term)
+            floor = yield st.h1_rows + i * block.size, block.reshape(-1)
 
     def residuals(self, vec: Array) -> Array:
         """A x - b over all rows, in row order: the blocks of

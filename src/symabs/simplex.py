@@ -48,15 +48,19 @@ top-k is kept by selection, not by sorting: a partition finds the k-th
 largest residual, and of the rows tied at it the lowest-index ones stay.
 Among equal residuals the lower row index thus wins, which makes the chosen
 rows a function of the residual values alone, whatever the block
-boundaries.
+boundaries and whatever order the blocks come in.
 
 The scan is also pruned: `scan_above` sends the source, before each block
-after the first, the floor a row must exceed to be admitted, max(viol_tol,
-running k-th residual).  A source that can bound a block's rows from cheap
+after the first, the floor a row must exceed to be admitted: viol_tol until
+k rows are held, then the larger of viol_tol and the largest float below
+the running k-th residual, since a later row tied with the k-th can still
+win on its index.  A source that can bound a block's rows from cheap
 factors skips every block whose bound is at or below that floor, without
-building it.  Only rows no consumer would admit are skipped, so the chosen
-rows are the same as from a full scan.  A source that cannot bound its
-blocks ignores the floor and yields them all.
+building it, and may visit its blocks largest bound first so that the
+floor rises early and it can stop at the first block the floor rules out.
+Only rows no consumer would admit are skipped, so the chosen rows are the
+same as from a full scan.  A source that cannot bound its blocks ignores
+the floor and yields them all.
 """
 
 from __future__ import annotations
@@ -351,40 +355,53 @@ def scan_above(blocks, floor):
         return
 
 
+def _top_k(val: Array, idx: Array, k: int) -> tuple[Array, Array, float]:
+    """The k candidates of largest value, ties to the lower index, and the
+    k-th largest value; needs val.size >= k.  `np.partition` finds the k-th
+    value, every candidate above it stays, and the lowest-index candidates
+    tied at it fill the rest."""
+    kth = np.partition(val, val.size - k)[val.size - k]
+    keep = val > kth
+    tied = np.flatnonzero(val == kth)
+    need = k - np.count_nonzero(keep)
+    keep[tied[np.argsort(idx[tied], kind="stable")[:need]]] = True
+    return val[keep], idx[keep], kth
+
+
 def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
     """Row indices of the k largest residuals above viol_tol, ascending.
 
-    `blocks` yields (start_row, residuals) in increasing row order; rows in
-    the sorted array `skip` are passed over.  Among equal residuals the lower
-    row index wins.  Once k candidates are held, each block that adds some
-    is cut back by selection: `np.partition` finds the k-th largest value,
-    every candidate above it stays, and the lowest-index candidates tied at
-    it fill the rest.  A row joins the candidates only when it beats the
-    current k-th residual, and every earlier row has a lower index, so a tie
-    with the k-th never displaces it.  That threshold, max(viol_tol, k-th
-    residual), is the floor `scan_above` sends the source: a block it skips
-    holds no row that would join.
+    `blocks` yields (start_row, residuals) in any block order; rows in the
+    sorted array `skip` are passed over.  Among equal residuals the lower row
+    index wins, so the result depends on the residual values alone.  A block
+    with more than k hits is first cut to its own top k, and once k
+    candidates are held each block that adds some is cut back by the same
+    selection (`_top_k`), so a round holds O(block + k) values.  A row below
+    the k-th residual cannot make the final top k, but one tied with it can
+    still win on its index when a later block brings it, so the floor is
+    max(viol_tol, the largest float below the k-th residual): every row at
+    or above the k-th value is admitted.  That floor is what `scan_above`
+    sends the source, so a block it skips holds no row that would join.
     """
     val = np.empty(0)
-    idx = np.empty(0, dtype=int)  # ascending: blocks and hits come in row order
+    idx = np.empty(0, dtype=int)
     floor = viol_tol
     for start, block in scan_above(blocks, lambda: floor):
-        hit = np.flatnonzero(block > floor)
+        admit = block > floor
+        lo, hi = np.searchsorted(skip, (start, start + block.size))
+        admit[skip[lo:hi] - start] = False
+        hit = np.flatnonzero(admit)
         if hit.size == 0:
             continue
-        lo, hi = np.searchsorted(skip, (start, start + block.size))
-        if hi > lo:
-            hit = np.setdiff1d(hit, skip[lo:hi] - start, assume_unique=True)
-        val = np.concatenate([val, block[hit]])
-        idx = np.concatenate([idx, hit + start])
+        new_val, new_idx = block[hit], hit + start
+        if new_val.size > k:
+            new_val, new_idx, _ = _top_k(new_val, new_idx, k)
+        val = np.concatenate([val, new_val])
+        idx = np.concatenate([idx, new_idx])
         if val.size >= k:
-            kth = np.partition(val, val.size - k)[val.size - k]
-            keep = val > kth
-            tied = np.flatnonzero(val == kth)
-            keep[tied[:k - np.count_nonzero(keep)]] = True
-            val, idx = val[keep], idx[keep]
-            floor = max(viol_tol, kth)
-    return idx
+            val, idx, kth = _top_k(val, idx, k)
+            floor = max(viol_tol, float(np.nextafter(kth, -np.inf)))
+    return np.sort(idx)
 
 
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
@@ -396,16 +413,16 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
 
     `source` exposes row_count, gather(indices) -> (A, b), and
     residual_blocks(x), which yields (start_row, A x - b over a block of
-    rows) covering all rows in increasing row order; a block need only stay
-    valid until the next is drawn.  When the scan sends it a floor (see
-    `scan_above`), the source may skip blocks with no row above it; a plain
-    iteration sends None and gets every block.  Each round adds the `batch`
-    most violated rows (ties to the lower index, see `top_violators`) and
-    re-solves the master from the previous round's optimal basis.  Extra rows
-    are always kept in the master.  Once the master would exceed max_master
-    rows, working rows slack at the current optimum are dropped (never a row
-    of the basis); dropped rows rejoin through the violation scan if they
-    ever bind again.
+    rows) covering every row once, in any block order; a block need only
+    stay valid until the next is drawn.  When the scan sends it a floor (see
+    `scan_above`), the source may skip blocks with no row above it and may
+    reorder the rest; a plain iteration sends None and gets every block.
+    Each round adds the `batch` most violated rows (ties to the lower index,
+    see `top_violators`) and re-solves the master from the previous round's
+    optimal basis.  Extra rows are always kept in the master.  Once the
+    master would exceed max_master rows, working rows slack at the current
+    optimum are dropped (never a row of the basis); dropped rows rejoin
+    through the violation scan if they ever bind again.
     Returns (SimplexResult, working row indices, active source row indices);
     the result's `iterations` and `rounds` add up every master solve.
     """

@@ -482,6 +482,23 @@ def test_write_trajectories_matches_row_writer(tmp_path):
     assert "\ncell7,3,3,-0.0," in text and "\ncell7,3,2,0.0," in text
 
 
+def test_write_certificates_matches_json_dump(tmp_path, mini_run):
+    _, out, _ = mini_run
+    cert = json.loads((out / "certificates.json").read_text())["certificates"][0]
+    other = dict(cert, gamma=-0.0, eps=[], margins=[float("nan"), 1e-17],
+                 note="two\nlines", boxes={"eta": [0.0, {"deep": [1, []]}]})
+    for payload in ({"shared": True, "certificates": [cert] * 30},
+                    {"shared": False,
+                     "certificates": [cert, other, dict(cert), other]},
+                    {"shared": False, "certificates": [other]}):
+        got, want = tmp_path / "got.json", tmp_path / "want.json"
+        pipeline._write_certificates(got, payload)
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+        assert got.read_bytes() == want.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def mini_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("mini")

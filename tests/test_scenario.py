@@ -33,7 +33,7 @@ from symabs.scenario import (
     sample_plan,
     solve_lp,
 )
-from symabs.simplex import solve_with_rows, top_violators
+from symabs.simplex import scan_above, solve_with_rows, top_violators
 
 
 def linear_system(a=0.8, gain=0.1, inputs=((-0.2,), (0.3,))):
@@ -558,9 +558,25 @@ def random_vector(rng, inst, trial):
     return vec
 
 
+def h2_bounds(inst, vec):
+    """Per sample, the H2 block bound as the SopInstance docstring sums it,
+    from a plain max over every d."""
+    st = inst.structure
+    eta, theta, phi, xi = vec[1], vec[2], vec[3:-1], vec[-1]
+    succ = (inst.coef_phi @ phi).reshape(st.samples, -1)
+    state_term = inst.coef_theta * theta + inst.const - xi \
+        - inst.mu * (inst.g_cur @ phi)
+    column = np.arange(st.inputs)[:, None, None] * st.states + inst.successor
+    top = succ[:, column].max(axis=-1)  # (q, u, s)
+    return (top + state_term[:, None, :]).max(axis=(1, 2)) \
+        + (inst.coef_eta * eta).max(axis=1)
+
+
 def test_sop_pruned_blocks_hold_no_row_above_the_floor():
-    # Floors one ulp below the next block's largest row must never skip it,
-    # so a bound below any row of its block, by even one ulp, fails here.
+    # Once sent a floor, the scan ranks the H2 blocks by bound and stops at
+    # the first at or below the floor.  Floors one ulp below a block's
+    # largest row must never stop it before that block, so a bound below any
+    # row of its block, by even one ulp, fails here.
     inst = pruning_instance()
     st = inst.structure
     r1, per = st.h1_rows, st.inputs * st.states * st.dists
@@ -570,36 +586,68 @@ def test_sop_pruned_blocks_hold_no_row_above_the_floor():
         vec = random_vector(rng, inst, trial)
         resid = inst.residuals(vec)
         tops = resid[r1:].reshape(st.samples, per).max(axis=1)
-        before = inst.blocks_scanned + inst.blocks_pruned, inst.blocks_pruned
+        before = inst.blocks_scanned, inst.blocks_pruned
         gen = inst.residual_blocks(vec)
         start, block = next(gen)
         assert start == 0 and np.array_equal(block, resid[:r1])
-        expect, skipped = 0, 0
+        seen = []
         while True:
-            nxt = tops[min(expect, st.samples - 1)]
+            left = np.setdiff1d(np.arange(st.samples), seen)
+            nxt = tops[rng.choice(left)] if left.size else 0.0
             floor = [np.nextafter(nxt, -np.inf), nxt, None,
                      float(rng.choice(resid))][int(rng.integers(4))]
+            if not seen and floor is None:
+                floor = nxt  # the first floor ranks the blocks
             try:
                 start, block = gen.send(floor)
             except StopIteration:
-                start = r1 + st.samples * per
-            i = (start - r1) // per
-            # every skipped block holds no row above the floor it was sent
-            if floor is None:
-                assert i == expect
-            else:
-                assert np.all(tops[expect:i] <= floor)
-            skipped += i - expect
-            if i == st.samples:
+                # every block left holds no row above the floor that
+                # stopped the scan
+                assert left.size == 0 or np.all(tops[left] <= floor)
                 break
-            assert start == r1 + i * per
+            i = (start - r1) // per
+            assert start == r1 + i * per and i not in seen
             assert np.array_equal(block, resid[start:start + per])
-            expect = i + 1
-        after = inst.blocks_scanned + inst.blocks_pruned, inst.blocks_pruned
-        assert after[0] - before[0] == st.samples
-        assert after[1] - before[1] == skipped
+            seen.append(i)
+        # largest bound first
+        assert np.all(np.diff(h2_bounds(inst, vec)[seen]) <= 0)
+        skipped = st.samples - len(seen)
+        assert inst.blocks_scanned - before[0] == len(seen)
+        assert inst.blocks_pruned - before[1] == skipped
         pruned += skipped
     assert pruned > 0
+
+
+def test_sop_ranked_scan_builds_nan_bound_blocks_first():
+    inst = pruning_instance()
+    st = inst.structure
+    r1, per = st.h1_rows, st.inputs * st.states * st.dists
+    coef_phi = inst.coef_phi.copy()
+    coef_phi[[30, 3], 0, 0, 0] = np.nan
+    nan_inst = dataclasses.replace(inst, coef_phi=coef_phi)
+    vec = random_vector(np.random.default_rng(16), inst, 1)
+    assert np.isnan(h2_bounds(nan_inst, vec)[[3, 30]]).all()
+    # a floor no row exceeds still builds the NaN-bound blocks, in row order
+    starts = [start for start, _ in
+              scan_above(nan_inst.residual_blocks(vec), lambda: np.inf)]
+    assert starts == [0, r1 + 3 * per, r1 + 30 * per]
+    assert (nan_inst.blocks_scanned, nan_inst.blocks_pruned) \
+        == (2, st.samples - 2)
+    # and ahead of every finite bound
+    starts = [start for start, _ in
+              scan_above(nan_inst.residual_blocks(vec), lambda: -np.inf)]
+    assert starts[1:3] == [r1 + 3 * per, r1 + 30 * per]
+    assert sorted(starts) == [0] + [r1 + i * per for i in range(st.samples)]
+
+
+def test_sop_instance_refuses_a_successor_outside_the_grid():
+    inst = pruning_instance()
+    n_s = inst.structure.states
+    for bad in (-1, n_s):
+        successor = inst.successor.copy()
+        successor[1, 2, 0] = bad
+        with pytest.raises(ValueError, match="successor"):
+            dataclasses.replace(inst, successor=successor)
 
 
 def test_dist_top_is_the_max_of_the_dist_terms_bit_for_bit():
@@ -778,6 +826,35 @@ def test_solve_lp_reports_every_master_solve(monkeypatch):
     assert report.blocks + report.pruned \
         == (report.rounds + 1) * inst.structure.samples
     assert report.pruned > 0
+
+
+class FloorBlind:
+    """The instance as a row source that ignores every floor: its scans get
+    each block in row order, none pruned."""
+
+    def __init__(self, inst):
+        self.inst = inst
+
+    def __getattr__(self, name):
+        return getattr(self.inst, name)
+
+    def residual_blocks(self, vec):
+        for item in self.inst.residual_blocks(vec):  # sends the inner None
+            yield item
+
+
+@pytest.mark.parametrize("make", [pruning_instance, build_tiny_instance])
+def test_solve_lp_does_not_depend_on_the_scan_order(make):
+    ranked = solve_lp(make())
+    blind = solve_lp(FloorBlind(make()))
+    assert ranked.decision.as_array().tobytes() \
+        == blind.decision.as_array().tobytes()
+    assert ranked.xi_star == blind.xi_star
+    assert ranked.active == blind.active
+    assert (ranked.rounds, ranked.iterations, ranked.master_rows) \
+        == (blind.rounds, blind.iterations, blind.master_rows)
+    assert blind.pruned == 0 and ranked.pruned > 0
+    assert ranked.blocks + ranked.pruned == blind.blocks
 
 
 def test_solve_lp_runs_the_four_phases_in_order(monkeypatch):

@@ -172,14 +172,16 @@ def test_top_violators_edge_cases():
     assert top_violators(iter([]), none, 4, 0.0).size == 0
 
 
-def pruning_blocks(resid, cuts, floors):
+def pruning_blocks(resid, cuts, floors, order=None):
     """`reused_blocks` for a source with the tightest exact bound, the block
     max: each block whose rows are all at or below the last floor sent is
-    skipped.  Every floor sent is appended to `floors`."""
+    skipped.  Every floor sent is appended to `floors`.  The blocks come in
+    `order` (block numbers), row order by default."""
     buf = np.empty(resid.size)
     bounds = [0, *cuts, resid.size]
     floor = None
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for j in range(len(bounds) - 1) if order is None else order:
+        lo, hi = bounds[j], bounds[j + 1]
         if floor is not None and resid[lo:hi].max() <= floor:
             continue
         block = buf[:hi - lo]
@@ -215,6 +217,47 @@ def test_top_violators_sends_its_admission_floor():
         assert all(f >= viol_tol for f in floors)
         skipped += len(cuts) + 1 - len(floors)
     assert skipped > 0  # the floor did prune
+
+
+def test_top_violators_is_exact_in_any_block_order():
+    # Blocks in shuffled order, with and without the source skipping every
+    # block the floor allows: a lower-index row tied with the k-th residual
+    # can arrive after k rows are held, and must still win.
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        m = int(rng.integers(1, 120))
+        resid = rng.integers(-3, 4, size=m) * 0.5
+        bump = rng.random(m) < 0.2
+        resid[bump] = np.nextafter(resid[bump], np.inf)
+        cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)),
+                                  replace=False)) if m > 1 else []
+        skip = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                  replace=False))
+        k = int(rng.integers(1, m + 10))
+        viol_tol = float(rng.choice([1e-9, 0.5]))
+        order = rng.permutation(len(cuts) + 1)
+        want = brute_top(resid, skip, k, viol_tol)
+        floors = []
+        assert np.array_equal(top_violators(
+            pruning_blocks(resid, cuts, floors, order), skip, k, viol_tol), want)
+        assert all(f >= viol_tol for f in floors)
+        blind = ((int(lo), block) for lo, block in
+                 pruning_blocks(resid, cuts, [], order))  # sends it nothing
+        assert np.array_equal(top_violators(blind, skip, k, viol_tol), want)
+    for resid, cuts, order, skip, k, want in [
+        # the lowest-index tie at the k-th value arrives last
+        ([1.0, 1.0, 3.0, 1.0], [1], [1, 0], [], 2, [0, 2]),
+        ([1.0, 1.0, 1.0, 1.0, 3.0, 1.0], [2, 4], [2, 1, 0], [], 3, [0, 1, 4]),
+        # a block with more than k hits is cut to its own top k first
+        ([0.5, 2.0, 2.0, 2.0, 2.0, 2.0], [1], [1, 0], [], 2, [1, 2]),
+        # working rows are passed over, and the next tied row wins
+        ([2.0, 1.0, 1.0, 1.0, 2.0], [2, 4], [2, 1, 0], [0], 2, [1, 4]),
+    ]:
+        resid, skip = np.array(resid), np.array(skip, dtype=int)
+        got = top_violators(pruning_blocks(resid, cuts, [], order), skip, k,
+                            1e-9)
+        assert got.tolist() == want
+        assert np.array_equal(got, brute_top(resid, skip, k, 1e-9))
 
 
 def test_scan_above_passes_plain_iterators_through():

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import numbers
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -63,6 +62,17 @@ def _checked(context: str, build):
         raise ConfigError(f"{context}: {exc}") from None
 
 
+def _levels(name: str, value) -> tuple:
+    """certify.<name>, one number or a non-empty list of them, each in
+    (0, 1), as a tuple of floats.  A bool is 0 or 1, so it is refused."""
+    levels = value if isinstance(value, (list, tuple)) else [value]
+    if not (levels and all(isinstance(v, numbers.Real) and 0 < v < 1
+                           for v in levels)):
+        raise ConfigError(f"certify.{name} must be a number in (0, 1) or a "
+                          f"non-empty list of them")
+    return tuple(float(v) for v in levels)
+
+
 def _tupled(value):
     if isinstance(value, (list, tuple)):
         return tuple(_tupled(v) for v in value)
@@ -104,6 +114,7 @@ class SystemConfig:
                 raise ConfigError("external system needs a command")
             if not self.state_box or not self.input_set:
                 raise ConfigError("external system needs state_box and input_set")
+            _checked("system", self.signature)
         else:
             _checked("system", self.room_params)
 
@@ -114,6 +125,14 @@ class SystemConfig:
             cooler_coupling=self.cooler_coupling, cooler_temp=self.cooler_temp,
             outside_temp=self.outside_temp, input_levels=self.input_levels,
             state_low=self.state_low, state_high=self.state_high)
+
+    def signature(self) -> SystemSignature:
+        """The external system's signature: its boxes and input set."""
+        return SystemSignature(
+            state_dim=len(self.state_box), input_set=self.input_set,
+            disturbance_dim=len(self.disturbance_box), state_box=self.state_box,
+            disturbance_box=np.asarray(self.disturbance_box,
+                                       dtype=float).reshape(-1, 2))
 
     @property
     def state_dim(self) -> int:
@@ -183,8 +202,13 @@ class CertifyConfig:
     row_cap: int = scenario.DEFAULT_ROW_CAP
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_grid", _tupled(self.mu_grid))
-        object.__setattr__(self, "eps", _tupled(np.atleast_1d(self.eps).tolist()))
+        object.__setattr__(self, "mu_grid", _levels("mu_grid", self.mu_grid))
+        object.__setattr__(self, "eps", _levels("eps", self.eps))
+        if not (isinstance(self.beta, numbers.Real) and 0 < self.beta < 1):
+            raise ConfigError("certify.beta must lie in (0, 1)")
+        if not (isinstance(self.boxes, dict) and all(
+                isinstance(box, (list, tuple)) for box in self.boxes.values())):
+            raise ConfigError("certify.boxes must map names to [low, high] pairs")
         object.__setattr__(self, "boxes", {k: tuple(v) for k, v in self.boxes.items()})
         if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
             raise ConfigError("certify.sigma must be a positive number")
@@ -207,7 +231,7 @@ class CertifyConfig:
         return VariableBoxes.from_mapping(self.boxes)
 
     def lipschitz_config(self) -> LipschitzBoundConfig:
-        return _from_mapping(LipschitzBoundConfig, dict(self.lipschitz),
+        return _from_mapping(LipschitzBoundConfig, self.lipschitz,
                              "certify.lipschitz")
 
 
@@ -342,13 +366,7 @@ def build_systems(config: PipelineConfig) -> SystemBundle:
     if sys_cfg.kind == "rooms":
         _, topology, rooms = build_room_network(sys_cfg.room_params())
         return SystemBundle(topology=topology, subsystems=rooms)
-    signature = SystemSignature(
-        state_dim=len(sys_cfg.state_box),
-        input_set=sys_cfg.input_set,
-        disturbance_dim=len(sys_cfg.disturbance_box),
-        state_box=sys_cfg.state_box,
-        disturbance_box=np.asarray(sys_cfg.disturbance_box, dtype=float).reshape(-1, 2))
-    oracle = ExternalOracle(list(sys_cfg.command), signature,
+    oracle = ExternalOracle(list(sys_cfg.command), sys_cfg.signature(),
                             timeout=sys_cfg.timeout)
     system = oracle.as_system()
     topology = InterconnectionTopology(wiring=((),))
@@ -437,98 +455,79 @@ def batch_from_mapping(data) -> SampleBatch:
                        points=np.asarray(data["points"], dtype=float))
 
 
-def _grid_header(tag: str, grid: UniformGrid) -> str:
-    box = ";".join(f"{float(lo)!r},{float(hi)!r}" for lo, hi in grid.box)
-    cells = ",".join(str(k) for k in grid.cells_per_dim)
-    return f"# {tag} box=[{box}] cells=[{cells}] sigma={float(grid.sigma)!r}\n"
+def _grid_mapping(grid: UniformGrid) -> dict:
+    return {"box": grid.box.tolist(), "cells": list(grid.cells_per_dim),
+            "sigma": float(grid.sigma)}
 
 
-def _parse_grid_header(line: str) -> UniformGrid:
-    body = line.split(None, 2)[2]
-    fields = {}
-    for part in body.split():
-        key, val = part.split("=", 1)
-        fields[key] = val
-    box_txt = fields["box"].strip("[]")
-    box = [tuple(float(v) for v in pair.split(",")) for pair in
-           box_txt.split(";")] if box_txt else []
-    cells_txt = fields["cells"].strip("[]")
-    cells = tuple(int(v) for v in cells_txt.split(",")) if cells_txt else ()
-    return UniformGrid(box=np.asarray(box, dtype=float).reshape(len(box), 2),
-                       cells_per_dim=cells, sigma=float(fields["sigma"]))
+def _grid_from_mapping(data) -> UniformGrid:
+    cells = data["cells"]
+    if not (isinstance(cells, list) and all(is_integer(k) for k in cells)):
+        raise ValueError(f"cells {cells!r} is not a list of integers")
+    return UniformGrid(box=data["box"], cells_per_dim=cells,
+                       sigma=float(data["sigma"]))
 
 
-def _read_int_rows(fh, path, rows: int, columns: int) -> Array:
-    """The rest of an artifact file, which must be a (rows, columns) table
-    of integers."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # an empty body is 0 x n
-        try:
-            body = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    shape = body.shape if body.size else (0, columns)
-    if shape != (rows, columns):
-        raise ConfigError(f"{path}: body is {shape[0]} x {shape[1]}, "
-                          f"expected {rows} x {columns}")
-    return body
+def _parsed(path, what: str, parse):
+    """parse(), with the error of a malformed, truncated or empty file
+    raised as a ConfigError that names the file."""
+    try:
+        return parse()
+    except (ValueError, TypeError, KeyError, OverflowError, EOFError) as exc:
+        raise ConfigError(f"{path}: malformed {what} ({exc})") from None
+
+
+def _header_path(path) -> str:
+    """The JSON header beside the abstraction table at path."""
+    return os.path.splitext(os.fspath(path))[0] + ".json"
 
 
 def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
-    """Write the header lines (grids, inputs, counts), then one row per
-    (state, input) in index order, holding the successors of its n_dists
-    disturbance cells in order.  The sink row is implied."""
-    n_s, n_u, n_d = fts.n_states, fts.n_inputs, fts.n_dists
-    line = ",".join(["%d"] * n_d) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_grid_header("state_grid", fts.state_grid))
-        fh.write(_grid_header("dist_grid", fts.dist_grid))
-        inputs = ";".join(",".join(repr(float(v)) for v in row)
-                          for row in fts.inputs)
-        fh.write(f"# inputs [{inputs}]\n")
-        fh.write(f"# counts states={n_s} inputs={n_u} dists={n_d}\n")
-        fh.write(line * (n_s * n_u) % tuple(fts.table[:n_s].ravel().tolist()))
-
-
-def _parse_abstraction_header(fh, path) -> AbstractionHeader:
-    """The grids and inputs from the four header lines of an abstraction
-    file, leaving fh at the first transition row.  The declared counts must
-    be those of the grids and the inputs."""
-    try:
-        state_grid = _parse_grid_header(fh.readline())
-        dist_grid = _parse_grid_header(fh.readline())
-        body = fh.readline().split(None, 2)[2].strip().strip("[]")
-        inputs = np.asarray([[float(v) for v in row.split(",")]
-                             for row in body.split(";")])
-        counts = dict(part.split("=") for part in
-                      fh.readline().split(None, 2)[2].split())
-        declared = tuple(int(counts[k]) for k in ("states", "inputs", "dists"))
-        header = AbstractionHeader(state_grid=state_grid, dist_grid=dist_grid,
-                                   inputs=inputs)
-    except (ValueError, KeyError, IndexError) as exc:
-        raise ConfigError(f"{path}: malformed abstraction header ({exc})") \
-            from None
-    if declared != (header.n_states, header.n_inputs, header.n_dists):
-        raise ConfigError(f"{path}: header counts {declared} do not match "
-                          f"its grids and inputs")
-    return header
+    """Write the successor table of the cells, shape (n_states, n_inputs,
+    n_dists), to path as .npy in the smallest unsigned dtype that holds the
+    sink (the sink row is implied), and the grids and inputs beside it as a
+    JSON header."""
+    with open(path, "wb") as fh:  # np.save would add .npy to a bare path
+        np.save(fh, fts.table[:fts.n_states].astype(np.min_scalar_type(fts.sink)))
+    _write_json(_header_path(path), {
+        "state_grid": _grid_mapping(fts.state_grid),
+        "dist_grid": _grid_mapping(fts.dist_grid),
+        "inputs": fts.inputs.tolist()})
 
 
 def read_abstraction_header(path) -> AbstractionHeader:
-    """Parse only the header of an abstraction file: its grids and inputs."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_abstraction_header(fh, path)
+    """The grids and inputs of the abstraction at path, from its JSON
+    header alone."""
+    path = _header_path(path)
+
+    def parse():
+        data = _read_json(path)
+        inputs = np.asarray(data["inputs"], dtype=float)
+        if inputs.ndim != 2 or 0 in inputs.shape:
+            raise ValueError("inputs must be a non-empty list of input vectors")
+        return AbstractionHeader(state_grid=_grid_from_mapping(data["state_grid"]),
+                                 dist_grid=_grid_from_mapping(data["dist_grid"]),
+                                 inputs=inputs)
+    return _parsed(path, "abstraction header", parse)
 
 
 def read_abstraction(path) -> FiniteTransitionSystem:
-    """Parse an abstraction file: the header, then n_states * n_inputs rows
-    of n_dists successors, each a cell or the sink."""
-    with open(path, "r", encoding="utf-8") as fh:
-        head = _parse_abstraction_header(fh, path)
-        n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
-        rows = _read_int_rows(fh, path, n_s * n_u, n_d)
+    """The abstraction at path: its header, and a table of n_states *
+    n_inputs * n_dists integer successors, each a cell or the sink."""
+    head = read_abstraction_header(path)
+    n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
+
+    def load():  # through a handle that is closed even when it holds an .npz
+        with open(path, "rb") as fh:
+            return np.load(fh, allow_pickle=False)
+    body = _parsed(path, "abstraction table", load)
+    if not isinstance(body, np.ndarray) or body.dtype.kind not in "iu":
+        raise ConfigError(f"{path}: the table is not an integer array")
+    if body.shape != (n_s, n_u, n_d):
+        raise ConfigError(f"{path}: the table has shape {body.shape}, "
+                          f"expected {(n_s, n_u, n_d)}")
     table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
-    table[:n_s] = rows.reshape(n_s, n_u, n_d)
+    table[:n_s] = body
     table[n_s] = n_s
     # the constructor checks that each successor is a cell or the sink
     return _checked(str(path), lambda: FiniteTransitionSystem(
@@ -537,26 +536,22 @@ def read_abstraction(path) -> FiniteTransitionSystem:
 
 
 def write_controller(path, ctrl: ControllerTable) -> None:
-    """Write a `# winning N of M` line, then one line per cell: its chosen
-    input index, or -1 where the cell is not winning."""
-    n_s = ctrl.fts.n_states
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# winning {ctrl.winning_states.size} of {n_s}\n")
-        fh.write("%d\n" * n_s % tuple(ctrl.chosen[:n_s].tolist()))
+    """Write {"chosen": [...]}: per cell, its chosen input index, or -1
+    where the cell is not winning."""
+    _write_json(path, {"chosen": ctrl.chosen[:ctrl.fts.n_states].tolist()})
 
 
 def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
-    """Parse a controller file against fts (the abstraction or its header):
-    one line per cell, each an input index of fts or -1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("# winning "):
-            raise ConfigError(f"{path}: unexpected controller header "
-                              f"{header.strip()!r}")
-        rows = _read_int_rows(fh, path, fts.n_states, 1)
-    if np.any(rows < -1) or np.any(rows >= fts.n_inputs):
+    """The controller at path, against fts (the abstraction or its header):
+    per cell, an input index of fts or -1."""
+    chosen = _parsed(path, "controller", lambda: _read_json(path)["chosen"])
+    if not (isinstance(chosen, list) and all(is_integer(u) for u in chosen)):
+        raise ConfigError(f"{path}: malformed controller (not a list of integers)")
+    if len(chosen) != fts.n_states:
+        raise ConfigError(f"{path}: {len(chosen)} cells, expected {fts.n_states}")
+    if not all(-1 <= u < fts.n_inputs for u in chosen):
         raise ConfigError(f"{path}: input index out of range")
-    return ControllerTable(chosen=np.append(rows[:, 0], -1), fts=fts)
+    return ControllerTable(chosen=np.array(chosen + [-1], dtype=np.int64), fts=fts)
 
 
 # Stands in for the subsystem column while a trajectory's rows are shared:
@@ -765,8 +760,8 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             fts = enumerate_abstraction(
                 bundle.subsystems[i], state_grids[i], dist_grids[i],
                 query_cap=config.synthesize.query_cap)
-            write_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"), fts)
-            _discard(out_dir, f"controller_{i}.csv")
+            write_abstraction(os.path.join(out_dir, f"abstraction_{i}.npy"), fts)
+            _discard(out_dir, f"controller_{i}.json")
         _discard(out_dir, "synthesis.json", "simulation.json", "trajectories.csv")
         return {"subsystems": bundle.count,
                 "shared": config.system.identical_subsystems}
@@ -788,9 +783,9 @@ def stage_synthesize(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         owners = _owners(config, bundle)
         winning = {}
         for i in sorted(set(owners)):
-            fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.csv"))
+            fts = read_abstraction(os.path.join(out_dir, f"abstraction_{i}.npy"))
             ctrl = safety_synthesis(fts, _safe_cells(config, fts))
-            write_controller(os.path.join(out_dir, f"controller_{i}.csv"), ctrl)
+            write_controller(os.path.join(out_dir, f"controller_{i}.json"), ctrl)
             winning[i] = int(ctrl.winning.sum())
         payload = {"winning": [winning[i] for i in owners],
                    "ok": all(c > 0 for c in winning.values())}
@@ -834,9 +829,9 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         tables = {}
         for i in sorted(set(owners)):
             header = read_abstraction_header(
-                os.path.join(out_dir, f"abstraction_{i}.csv"))
+                os.path.join(out_dir, f"abstraction_{i}.npy"))
             tables[i] = read_controller(
-                os.path.join(out_dir, f"controller_{i}.csv"), header)
+                os.path.join(out_dir, f"controller_{i}.json"), header)
             if not tables[i].winning.any():
                 raise RefinementError(
                     f"subsystem {i} has an empty winning set; there is no "

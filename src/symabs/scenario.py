@@ -32,9 +32,10 @@ from .simplex import scan_above, solve_with_rows
 
 Array = np.ndarray
 
-# Certify holds no array with one entry per SOP row (rows are rebuilt and
-# scanned one sample at a time), so this cap bounds run time, not memory: a
-# row-generation round scans at most every row once, and pruning only skips.
+# Bounds run time (a round scans at most every row once) and memory: no array
+# holds one entry per SOP row, but SopData's per-sample factors and a scan's
+# successor scores hold up to z entries per row, and without this cap only
+# SAMPLE_CAP bounds the sample count.
 DEFAULT_ROW_CAP = 50_000_000
 SAMPLE_CAP = 10_000_000
 

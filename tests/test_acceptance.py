@@ -353,8 +353,8 @@ def test_criterion_08_closed_loop_containment(default_pipeline_run):
     rows = _read_trajectory_rows(out / "trajectories.csv")
     assert rows
 
-    fts = read_abstraction(out / "abstraction_0.csv")
-    ctrl = read_controller(out / "controller_0.csv", fts)
+    fts = read_abstraction(out / "abstraction_0.npy")
+    ctrl = read_controller(out / "controller_0.json", fts)
     winning_centers = {float(fts.state_grid.representative(int(s))[0])
                        for s in ctrl.winning_states}
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -73,7 +74,7 @@ def hetero_yaml():
 
 
 def _artifact_names(out, stem):
-    return sorted(p.name for p in out.glob(f"{stem}_*.csv"))
+    return sorted(p.name for p in out.glob(f"{stem}_*"))
 
 
 def test_config_yaml_roundtrip(tmp_path):
@@ -177,7 +178,7 @@ def _assert_same_abstraction(back, fts):
 @pytest.mark.parametrize("make_fts", [
     # a room: 4 cells, 5 inputs, 16 disturbance cells
     lambda: _room_fts(0.125),
-    # no disturbance: one successor per row
+    # no disturbance: one successor per (state, input)
     lambda: _random_fts(make_grid([(-0.5, 0.5)], 0.1), trivial_grid(),
                         np.array([[0.0], [0.2]])),
     # a 2-D state grid with 2-D inputs
@@ -187,142 +188,181 @@ def _assert_same_abstraction(back, fts):
 ], ids=["room", "no-disturbance", "2d-state"])
 def test_abstraction_file_roundtrip(tmp_path, make_fts):
     fts = make_fts()
-    path = tmp_path / "abstraction.csv"
+    path = tmp_path / "abstraction.npy"
     write_abstraction(path, fts)
-    # after the four header lines, one row per (state, input) holding the
-    # successors of every disturbance cell, in index order
-    lines = path.read_text().splitlines(keepends=True)
-    assert all(line.startswith("# ") for line in lines[:4])
-    n_s, n_u, _ = fts.table[:-1].shape
-    body = "".join(",".join(str(v) for v in fts.table[s, u]) + "\n"
-                   for s in range(n_s) for u in range(n_u))
-    assert "".join(lines[4:]) == body
-    _assert_same_abstraction(read_abstraction(path), fts)
+    # the .npy holds the cells' rows in the smallest dtype that holds the
+    # sink, and the header beside it the grids and inputs
+    body = np.load(path, allow_pickle=False)
+    assert body.dtype == np.min_scalar_type(fts.sink) == np.uint8
+    assert np.array_equal(body, fts.table[:-1])
+    header = json.loads((tmp_path / "abstraction.json").read_text())
+    assert sorted(header) == ["dist_grid", "inputs", "state_grid"]
+    assert header["state_grid"]["cells"] == list(fts.state_grid.cells_per_dim)
+    assert header["inputs"] == fts.inputs.tolist()
+    back = read_abstraction(path)
+    _assert_same_abstraction(back, fts)
+    assert back.table.dtype == np.int64
     head = read_abstraction_header(path)
     assert (head.n_states, head.n_inputs, head.n_dists) == \
         (fts.n_states, fts.n_inputs, fts.n_dists)
+    assert np.array_equal(head.inputs, fts.inputs)
+
+
+def test_abstraction_table_dtype_holds_the_sink(tmp_path):
+    # 255 cells: the sink is 255, still a uint8; 256 cells need a uint16
+    for cells, dtype in ((255, np.uint8), (256, np.uint16)):
+        grid = make_grid([(0.0, 1.0)], 0.5 / cells)
+        assert grid.total_cells == cells
+        fts = _random_fts(grid, trivial_grid(), np.array([[0.0]]))
+        path = tmp_path / f"abstraction_{cells}.npy"
+        write_abstraction(path, fts)
+        assert np.load(path).dtype == dtype
+        _assert_same_abstraction(read_abstraction(path), fts)
 
 
 def test_controller_file_roundtrip(tmp_path):
     fts = _room_fts(0.05)
-    path = tmp_path / "controller.csv"
-    for safe in (range(2, 8), []):  # the empty winning set: every line -1
+    path = tmp_path / "controller.json"
+    for safe in (range(2, 8), []):  # the empty winning set: every entry -1
         ctrl = safety_synthesis(fts, safe=safe)
         assert (ctrl.winning_states.size > 0) == bool(safe)
         write_controller(path, ctrl)
-        lines = path.read_text().splitlines()
-        assert lines[0] == f"# winning {ctrl.winning_states.size} of 10"
-        assert lines[1:] == [str(u) for u in ctrl.chosen[:-1]]
+        assert json.loads(path.read_text()) == {
+            "chosen": ctrl.chosen[:-1].tolist()}
         back = read_controller(path, fts)
         assert np.array_equal(back.winning, ctrl.winning)
         assert np.array_equal(back.chosen, ctrl.chosen)
+        assert back.chosen.dtype == ctrl.chosen.dtype
 
 
-def _corrupt(path, edit):
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(edit(lines)))
+def _save(path, array, save=np.save, **kw):
+    with open(path, "wb") as fh:  # a handle: np.savez would append .npz
+        save(fh, array, **kw)
 
 
-def _last_field(lines, value):
-    """The last successor of the last row set to value."""
-    return lines[:-1] + [lines[-1].rsplit(",", 1)[0] + f",{value}\n"]
+def _with_last(body, value):
+    """The table as int64, with its last successor set to value."""
+    body = body.astype(np.int64)
+    body[-1, -1, -1] = value
+    return body
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:-1], "body is 19 x 16, expected 20 x 16"),
-    (lambda lines: lines + [lines[-1]], "body is 21 x 16, expected 20 x 16"),
-    (lambda lines: lines[:4] + [line.rsplit(",", 1)[0] + "\n"
-                                for line in lines[4:]],
-     "body is 20 x 15, expected 20 x 16"),
-    (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0] + "\n"],
-     "number of columns"),
-    (lambda lines: _last_field(lines, -1), "out of range"),
-    (lambda lines: _last_field(lines, 5), "out of range"),
-    (lambda lines: _last_field(lines, "x"), "could not convert"),
+    (lambda path, body: _save(path, body[:-1]),
+     r"has shape \(3, 5, 16\), expected \(4, 5, 16\)"),
+    (lambda path, body: _save(path, body[:, :, :-1]),
+     r"has shape \(4, 5, 15\), expected \(4, 5, 16\)"),
+    (lambda path, body: _save(path, body.reshape(20, 16)),
+     r"has shape \(20, 16\), expected \(4, 5, 16\)"),
+    (lambda path, body: _save(path, _with_last(body, -1)), "out of range"),
+    (lambda path, body: _save(path, _with_last(body, 5)), "out of range"),
+    (lambda path, body: _save(path, body.astype(np.float64)),
+     "not an integer array"),
+    (lambda path, body: _save(path, body.astype(np.bool_)),
+     "not an integer array"),
+    (lambda path, body: _save(path, body.astype(object), allow_pickle=True),
+     "malformed abstraction table .*allow_pickle"),
+    (lambda path, body: path.write_bytes(pickle.dumps(body)),
+     "malformed abstraction table .*allow_pickle"),
+    (lambda path, body: path.write_bytes(path.read_bytes()[:-7]),
+     "malformed abstraction table"),
+    (lambda path, body: path.write_bytes(path.read_bytes()[:20]),
+     "malformed abstraction table"),
+    (lambda path, body: path.write_bytes(b""), "malformed abstraction table"),
+    (lambda path, body: _save(path, body, np.savez), "not an integer array"),
 ])
 def test_abstraction_file_rejects_corrupt_body(tmp_path, edit, message):
-    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
-    path = tmp_path / "abstraction.csv"
+    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells: the sink is 4
+    path = tmp_path / "abstraction.npy"
     write_abstraction(path, fts)
-    assert path.read_text().endswith(
-        ",".join(str(v) for v in fts.table[3, 4]) + "\n")
-    _corrupt(path, edit)
+    edit(path, np.load(path))
     with pytest.raises(ConfigError, match=message) as err:
         read_abstraction(path)
     assert str(path) in str(err.value)
+    # simulate reads only the header, which is intact
+    assert read_abstraction_header(path).n_states == 4
 
 
-def test_old_layout_files_are_refused(tmp_path):
-    fts = _room_fts(0.125)
-    path = tmp_path / "abstraction.csv"
+@pytest.mark.parametrize("edit, cause", [
+    (lambda header: header.pop("inputs"), "'inputs'"),
+    (lambda header: header.pop("state_grid"), "'state_grid'"),
+    (lambda header: header["dist_grid"].pop("sigma"), "'sigma'"),
+    (lambda header: header["dist_grid"].update(sigma=10 ** 400), "too large"),
+    (lambda header: header["state_grid"].update(cells=["x"]),
+     r"cells \['x'\] is not a list of integers"),
+    (lambda header: header["state_grid"].update(cells=[4.5]),
+     r"cells \[4.5\] is not a list of integers"),
+    (lambda header: header["state_grid"].update(cells=4),
+     "cells 4 is not a list of integers"),
+    (lambda header: header["state_grid"].update(cells=[0]),
+     "one positive count per coordinate"),
+    (lambda header: header["state_grid"].update(cells=[4, 4]),
+     "one positive count per coordinate"),
+    (lambda header: header["state_grid"].update(box=[[0.5, -0.5]]),
+     "low < high"),
+    (lambda header: header.update(inputs=[]), "non-empty list of input"),
+    (lambda header: header.update(inputs=[[]]), "non-empty list of input"),
+    (lambda header: header.update(inputs=[[0.0], [0.1, 0.2]]), "inhomogeneous"),
+    (lambda header: header.update(inputs=["x"]), "could not convert"),
+    (lambda header: header.clear(), "'inputs'"),
+])
+def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, cause):
+    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
+    path = tmp_path / "abstraction.npy"
     write_abstraction(path, fts)
-    head = path.read_text().splitlines(keepends=True)[:4]
-    n_s, n_u, n_d = fts.table[:-1].shape
-    path.write_text("".join(head) + "state,input,dist,successor\n" + "".join(
-        f"{s},{u},{d},{fts.table[s, u, d]}\n" for s in range(n_s)
-        for u in range(n_u) for d in range(n_d)))
-    with pytest.raises(ConfigError) as err:
-        read_abstraction(path)
-    assert str(path) in str(err.value)
-    ctrl = safety_synthesis(fts, safe=range(4))
-    path = tmp_path / "controller.csv"
-    path.write_text(f"# winning {ctrl.winning_states.size} of 4\nstate,input\n"
-                    + "".join(f"{s},{ctrl.chosen[s]}\n"
-                              for s in ctrl.winning_states))
-    with pytest.raises(ConfigError) as err:
-        read_controller(path, fts)
-    assert str(path) in str(err.value)
+    header_path = tmp_path / "abstraction.json"
+    header = json.loads(header_path.read_text())
+    edit(header)
+    header_path.write_text(json.dumps(header))
+    for reader in (read_abstraction, read_abstraction_header):
+        with pytest.raises(ConfigError,
+                           match=f"malformed abstraction header .*{cause}") as err:
+            reader(path)
+        assert str(header_path) in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["", "{", "[1, 2]", "null"],
+                         ids=["empty", "truncated", "list", "null"])
+def test_artifact_json_that_does_not_parse_is_refused(tmp_path, text):
+    fts = _room_fts(0.125)
+    path = tmp_path / "abstraction.npy"
+    write_abstraction(path, fts)
+    (tmp_path / "abstraction.json").write_text(text)
+    with pytest.raises(ConfigError, match="malformed abstraction header"):
+        read_abstraction_header(path)
+    controller = tmp_path / "controller.json"
+    controller.write_text(text)
+    with pytest.raises(ConfigError, match="malformed controller") as err:
+        read_controller(controller, fts)
+    assert str(controller) in str(err.value)
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:-1] + ["-2\n"], "out of range"),
-    (lambda lines: lines[:-1] + ["5\n"], "out of range"),
-    (lambda lines: lines[:-1], "body is 9 x 1, expected 10 x 1"),
-    (lambda lines: lines + ["0\n"], "body is 11 x 1, expected 10 x 1"),
-    (lambda lines: lines[:-1] + ["0,1\n"], "number of columns"),
-    (lambda lines: lines[:-1] + ["x\n"], "could not convert"),
-    (lambda lines: ["state,input\n"] + lines[1:],
-     "unexpected controller header"),
+    (lambda chosen: chosen[:-1] + [-2], "out of range"),
+    (lambda chosen: chosen[:-1] + [5], "out of range"),
+    (lambda chosen: chosen[:-1], "9 cells, expected 10"),
+    (lambda chosen: chosen + [0], "11 cells, expected 10"),
+    (lambda chosen: chosen[:-1] + [0.0], "malformed controller"),
+    (lambda chosen: chosen[:-1] + [True], "malformed controller"),
+    (lambda chosen: chosen[:-1] + ["0"], "malformed controller"),
+    (lambda chosen: chosen[:-1] + [[0]], "malformed controller"),
+    (lambda chosen: {"0": 1}, "malformed controller"),
+    (lambda chosen: None, "malformed controller"),
 ])
 def test_controller_file_rejects_corrupt_body(tmp_path, edit, message):
     fts = _room_fts(0.05)  # 10 cells, 5 inputs
     ctrl = safety_synthesis(fts, safe=range(2, 8))
     assert not ctrl.winning[0]
-    path = tmp_path / "controller.csv"
+    path = tmp_path / "controller.json"
     write_controller(path, ctrl)
-    _corrupt(path, edit)
+    chosen = json.loads(path.read_text())["chosen"]
+    path.write_text(json.dumps({"chosen": edit(chosen)}))
     with pytest.raises(ConfigError, match=message) as err:
         read_controller(path, fts)
     assert str(path) in str(err.value)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[1:], "malformed abstraction header"),
-    (lambda lines: [lines[0].replace("cells=[4]", "cells=[x]")] + lines[1:],
-     "malformed abstraction header"),
-    (lambda lines: [lines[0].replace(" sigma=", " width=")] + lines[1:],
-     "malformed abstraction header"),
-    (lambda lines: lines[:2] + ["# inputs []\n"] + lines[3:],
-     "malformed abstraction header"),
-    (lambda lines: lines[:3] + [lines[3].replace(" dists=16", "")] + lines[4:],
-     "malformed abstraction header"),
-    (lambda lines: lines[:3] + [lines[3].replace("states=4", "states=5")]
-     + lines[4:], r"header counts \(5, 5, 16\) do not match"),
-    (lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=4")]
-     + lines[4:], r"header counts \(4, 4, 16\) do not match"),
-])
-def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, message):
-    fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
-    path = tmp_path / "abstraction.csv"
-    write_abstraction(path, fts)
-    head = read_abstraction_header(path)
-    assert (head.n_states, head.n_inputs, head.n_dists) == (4, 5, 16)
-    assert np.array_equal(head.inputs, fts.inputs)
-    _corrupt(path, edit)
-    for reader in (read_abstraction, read_abstraction_header):
-        with pytest.raises(ConfigError, match=message) as err:
-            reader(path)
-        assert str(path) in str(err.value)
+    path.write_text(json.dumps({"winning": chosen}))
+    with pytest.raises(ConfigError, match="malformed controller"):
+        read_controller(path, fts)
 
 
 def test_report_only_run_match_and_mismatch(tmp_path):
@@ -518,9 +558,11 @@ def test_mini_pipeline_end_to_end(mini_run):
                  "composed.json", "synthesis.json", "simulation.json",
                  "trajectories.csv", "summary.txt"):
         assert (out / name).exists(), name
-    # identical rooms share one abstraction and one controller file
-    assert _artifact_names(out, "abstraction") == ["abstraction_0.csv"]
-    assert _artifact_names(out, "controller") == ["controller_0.csv"]
+    # identical rooms share one abstraction (table and header) and one
+    # controller
+    assert _artifact_names(out, "abstraction") == ["abstraction_0.json",
+                                                   "abstraction_0.npy"]
+    assert _artifact_names(out, "controller") == ["controller_0.json"]
     assert result.winning == [result.winning[0]] * 3
     assert "ok: True" in result.summary
     composed = json.loads((out / "composed.json").read_text())
@@ -637,9 +679,9 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
     out = tmp_path / "hetero"
     result = run_pipeline(config, str(out))
     assert result.ok
-    assert _artifact_names(out, "abstraction") == [f"abstraction_{i}.csv"
-                                                   for i in range(3)]
-    assert _artifact_names(out, "controller") == [f"controller_{i}.csv"
+    assert _artifact_names(out, "abstraction") == [
+        f"abstraction_{i}.{ext}" for i in range(3) for ext in ("json", "npy")]
+    assert _artifact_names(out, "controller") == [f"controller_{i}.json"
                                                   for i in range(3)]
     # each room's files hold its own table and game, and simulate refines
     # each room's own controller, not a copy of room 0's
@@ -651,9 +693,9 @@ def test_hetero_pipeline_writes_one_abstraction_per_room(tmp_path,
         fts = enumerate_abstraction(bundle.subsystems[i], state_grids[i],
                                     dist_grids[i])
         assert np.array_equal(
-            read_abstraction(out / f"abstraction_{i}.csv").table, fts.table)
+            read_abstraction(out / f"abstraction_{i}.npy").table, fts.table)
         ctrl = safety_synthesis(fts, pipeline._safe_cells(config, fts))
-        back = read_controller(out / f"controller_{i}.csv", fts)
+        back = read_controller(out / f"controller_{i}.json", fts)
         assert np.array_equal(back.chosen, ctrl.chosen)
         assert np.array_equal(refined[i].table.chosen, ctrl.chosen)
         assert result.winning[i] == int(ctrl.winning.sum())
@@ -765,23 +807,26 @@ def test_simulate_scores_each_distinct_room_state_once(mini_run, tmp_path,
 
 
 @pytest.mark.parametrize("where, edit, message", [
-    ("abstraction_0.csv",
-     lambda lines: [lines[0].replace("cells=[20]", "cells=[")] + lines[1:],
+    ("abstraction_0.json",
+     lambda doc: doc["state_grid"].update(cells="[20]"),
      "malformed abstraction header"),
-    ("abstraction_0.csv",
-     lambda lines: lines[:3] + [lines[3].replace("inputs=5", "inputs=6")]
-     + lines[4:], "do not match"),
-    ("controller_0.csv", lambda lines: lines + ["0\n"],
-     "body is 21 x 1, expected 20 x 1"),
-    ("controller_0.csv", lambda lines: lines[:-1] + ["5\n"], "out of range"),
+    ("abstraction_0.json", lambda doc: doc.pop("dist_grid"),
+     "malformed abstraction header"),
+    ("controller_0.json", lambda doc: doc["chosen"].append(0),
+     "21 cells, expected 20"),
+    ("controller_0.json", lambda doc: doc["chosen"].__setitem__(-1, 5),
+     "out of range"),
 ])
 def test_simulate_rejects_corrupt_header_or_controller(mini_run, tmp_path,
                                                        where, edit, message):
     config, out, _ = mini_run
     copy = tmp_path / "mini"
     shutil.copytree(out, copy)
-    assert "cells=[20]" in (copy / "abstraction_0.csv").read_text()
-    _corrupt(copy / where, edit)
+    header = json.loads((copy / "abstraction_0.json").read_text())
+    assert header["state_grid"]["cells"] == [20]
+    doc = json.loads((copy / where).read_text())
+    edit(doc)
+    (copy / where).write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=message) as err:
         stage_simulate(config, str(copy))
     assert where in str(err.value)
@@ -811,6 +856,7 @@ def test_mini_pipeline_is_deterministic(mini_run, tmp_path):
     again = tmp_path / "again"
     run_pipeline(config, str(again))
     for name in ("samples.json", "certificates.json", "composed.json",
+                 "abstraction_0.npy", "abstraction_0.json", "controller_0.json",
                  "trajectories.csv", "summary.txt"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
@@ -911,6 +957,10 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
         (out / "simulation.json").read_bytes()
 
 
+EXTERNAL = {"kind": "external", "command": ["oracle"],
+            "state_box": [[-0.5, 0.5]], "input_set": [[0.0]]}
+
+
 @pytest.mark.parametrize("section, settings, extra, message", [
     ("certify", {"sigma": 0}, [], "certify.sigma must be a positive number"),
     ("certify", {"sigma": -0.1}, [], "certify.sigma must be a positive number"),
@@ -988,6 +1038,35 @@ def test_cli_rejects_bad_simulate_settings(mini_run, tmp_path, capsys, command,
      "certify.unknowns must be a positive integer or null"),
     # a string is the whole file, here one that is not YAML
     (None, "system: [1\n", [], "the config is not valid YAML"),
+    # wrongly typed values, refused by type and range, not by a traceback
+    ("certify", {"boxes": [1, 2]}, [],
+     "certify.boxes must map names to [low, high] pairs"),
+    ("certify", {"boxes": {"gamma": 5}}, [],
+     "certify.boxes must map names to [low, high] pairs"),
+    ("certify", {"lipschitz": [1]}, [], "certify.lipschitz must be a mapping"),
+    ("certify", {"eps": [[0.1]]}, [],
+     "certify.eps must be a number in (0, 1) or a non-empty list of them"),
+    ("certify", {"eps": []}, [],
+     "certify.eps must be a number in (0, 1) or a non-empty list of them"),
+    ("certify", {"eps": 1.5}, [],
+     "certify.eps must be a number in (0, 1) or a non-empty list of them"),
+    ("certify", {"mu_grid": {"a": 1}}, [],
+     "certify.mu_grid must be a number in (0, 1) or a non-empty list of them"),
+    ("certify", {"beta": "abc"}, [], "certify.beta must lie in (0, 1)"),
+    ("certify", {"beta": 1}, [], "certify.beta must lie in (0, 1)"),
+    ("certify", {"beta": True}, [], "certify.beta must lie in (0, 1)"),
+    # an external system's boxes and inputs, checked when the config is
+    # built rather than when sample builds the system
+    ("system", dict(EXTERNAL, state_box=[[0.5, -0.5]]), [],
+     "system: box rows must satisfy low < high"),
+    ("system", dict(EXTERNAL, input_set=[[0.0], [0.0]]), [],
+     "system: input_set must be duplicate-free"),
+    ("system", dict(EXTERNAL, disturbance_box=[[1, 0]]), [],
+     "system: box rows must satisfy low < high"),
+    ("system", dict(EXTERNAL, state_box=[-0.5, 0.5]), [],
+     "system: state_box must have one interval per state coordinate"),
+    ("system", dict(EXTERNAL, state_box=3), [],
+     "system: object of type 'int' has no len()"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):
@@ -1055,7 +1134,7 @@ def test_cli_uncertified_casestudy_exits_1_with_a_summary(mini_run, tmp_path,
     for name in DOWNSTREAM:
         assert not (run / name).exists(), name
     # abstract and synthesize do not need the certificate and still run
-    assert (run / "controller_0.csv").exists()
+    assert (run / "controller_0.json").exists()
     assert "winning cells per subsystem: " in summary
 
 
@@ -1080,7 +1159,7 @@ def test_cli_certify_removes_what_it_invalidates(mini_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("stage, removed", [
     ("compose", ()),
-    ("abstract", ("synthesis.json", "controller_0.csv")),
+    ("abstract", ("synthesis.json", "controller_0.json")),
     ("synthesize", ()),
 ], ids=["compose", "abstract", "synthesize"])
 def test_cli_later_stages_remove_the_simulation(mini_run, tmp_path, capsys,
@@ -1219,10 +1298,14 @@ def test_cli_stage_by_stage_matches_casestudy(tmp_path, capsys, text):
     capsys.readouterr()
     for name in ("trajectories.csv", "synthesis.json", "certificates.json"):
         assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
-    for stem in ("abstraction", "controller"):
-        assert _artifact_names(staged, stem) == _artifact_names(whole, stem)
-        assert len(_artifact_names(staged, stem)) == (1 if text == MINI_YAML
-                                                      else 3)
+    rooms = 1 if text == MINI_YAML else 3
+    for stem, files in (("abstraction", 2), ("controller", 1)):
+        names = _artifact_names(whole, stem)
+        assert _artifact_names(staged, stem) == names
+        assert len(names) == files * rooms
+        for name in names:
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), \
+                name
 
 
 def test_cli_rooms_override(tmp_path):

@@ -20,12 +20,13 @@ import numpy as np
 import yaml
 
 from . import compose as compose_mod
-from . import scenario, synthesize
+from . import scenario
 from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
                     build_room_network, is_integer)
-from .quantize import UniformGrid, make_grid, product_grid, trivial_grid
+from .quantize import (DEFAULT_TABLE_CAP, UniformGrid, make_grid, product_grid,
+                       trivial_grid)
 from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        NonlinearLipschitz, SampleBatch, VariableBoxes,
                        draw_samples, quartic_difference_basis)
@@ -199,7 +200,6 @@ class CertifyConfig:
         "gamma": (1e-3, 1e3), "eta": (0.0, 1e3),
         "theta": (0.0, 20.0), "phi": (0.0, 50.0)})
     lipschitz: dict = field(default_factory=dict)
-    row_cap: int = scenario.DEFAULT_ROW_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "mu_grid", _levels("mu_grid", self.mu_grid))
@@ -222,8 +222,6 @@ class CertifyConfig:
         if self.unknowns is not None and not (is_integer(self.unknowns)
                                               and self.unknowns >= 1):
             raise ConfigError("certify.unknowns must be a positive integer or null")
-        if not (is_integer(self.row_cap) and self.row_cap >= 1):
-            raise ConfigError("certify.row_cap must be a positive integer")
         _checked("certify.boxes", self.variable_boxes)
         self.lipschitz_config()
 
@@ -255,7 +253,8 @@ class SynthesizeConfig:
     horizon: int = 100
     initial: tuple | str = "winning-centers"
     max_runs: int = 64
-    query_cap: int = synthesize.DEFAULT_QUERY_CAP
+    # Entries of the transition table, for certify's as well as abstract's.
+    query_cap: int = DEFAULT_TABLE_CAP
 
     def __post_init__(self):
         for name, low in (("horizon", 0), ("max_runs", 1), ("query_cap", 1)):
@@ -676,7 +675,8 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
             samples=batch, boxes=boxes, unknowns=unknowns,
             psi=cert_cfg.psi, lam=cert_cfg.lam,
-            xi_target=cert_cfg.xi_target, row_cap=cert_cfg.row_cap)
+            xi_target=cert_cfg.xi_target,
+            table_cap=config.synthesize.query_cap)
             for i, batch in zip(sorted(set(owners)), batches)}
         shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level, and the slope

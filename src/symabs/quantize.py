@@ -22,6 +22,29 @@ Array = np.ndarray
 
 DEFAULT_CELL_CAP = 100_000_000
 
+# The one cap on table-sized work, in entries: the abstract transition table
+# (cells x inputs x disturbance cells) and every array that certify or
+# abstract keeps beside it that grows with the grid or the sample count.
+DEFAULT_TABLE_CAP = 10_000_000
+TABLE_NAME = "the transition table (cells x inputs x disturbance cells)"
+
+# Rows per oracle call of transition_table, rounded down to whole state cells.
+# On the room oracle (one core, numpy 2.4), 2**14 rows took 20-27 ns per
+# row, as fast as any size from 2**10 to 2**16, with about 1.2 MiB of chunk
+# temporaries at sigma 0.02; one call over all 5 M rows at sigma 0.005 took
+# 69 ns per row and 272 MiB.
+TABLE_CHUNK_ROWS = 1 << 14
+
+
+def check_table_cap(what: str, entries: int, cap: int) -> None:
+    """Raise CapacityError, naming `what` with its entries and their bytes at
+    8 bytes each (int64 or float64), when it would hold more than `cap`
+    entries; call it before allocating."""
+    if entries > cap:
+        raise CapacityError(
+            f"{what} would hold {entries:,} entries ({8 * entries:,} bytes), "
+            f"over the table cap of {cap:,} entries")
+
 
 @dataclass(frozen=True, eq=False)
 class UniformGrid:
@@ -207,29 +230,45 @@ def abstract_transition(sys: BlackBoxSystem, state_grid: UniformGrid,
 
 
 def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
-                     dist_grid: UniformGrid, inputs) -> tuple[Array, Array]:
-    """The abstract transition map: one oracle call over the stacked
-    (cell, input, disturbance cell) rows of representatives, all replies
-    quantized at once.
+                     dist_grid: UniformGrid, inputs,
+                     successor: Array | None = None,
+                     rep_cell: Array | None = None) -> None:
+    """The abstract transition map, walked over its (cell, input, disturbance
+    cell) rows of representatives in chunks of whole state cells: one oracle
+    call per chunk of about TABLE_CHUNK_ROWS rows (at least one cell), the
+    chunks in cell order, so the calls cover every row once, in order, the
+    disturbance cell fastest.
 
-    Returns (successor, rep_cell), both int64 of shape (cells, inputs,
-    disturbance cells).  successor is the quantized reply, or the sink
-    (= total_cells) when the reply leaves the state box; rep_cell is the
+    Each chunk's replies are quantized and written into the arrays the caller
+    passes, each of shape (cells, inputs, disturbance cells) or a view with
+    those axes: `successor` gets the quantized reply, or the sink
+    (= total_cells) when the reply leaves the state box; `rep_cell` gets the
     in-box cell whose center represents the successor, the nearest one after
-    clamping for the sink.  Agrees entry by entry with abstract_transition."""
+    clamping for the sink.  A caller passes only the half it keeps, so no
+    table-sized temporary is made.  Agrees entry by entry with
+    abstract_transition."""
     state_reps = state_grid.all_representatives()
     dist_reps = dist_grid.all_representatives()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    shape = (state_reps.shape[0], inputs.shape[0], dist_reps.shape[0])
-    # rows in (cell, input, disturbance cell) order, the last fastest
-    replies = sys.step(np.repeat(state_reps, shape[1] * shape[2], axis=0),
-                       np.tile(np.repeat(inputs, shape[2], axis=0),
-                               (shape[0], 1)),
-                       np.tile(dist_reps, (shape[0] * shape[1], 1)))
-    replies = replies.reshape(shape + (state_grid.dim,))
-    _reject_nan(replies)
+    n_s, n_u, n_d = state_reps.shape[0], inputs.shape[0], dist_reps.shape[0]
+    per_cell = n_u * n_d
+    step = min(n_s, max(1, TABLE_CHUNK_ROWS // per_cell))
+    # the input and disturbance columns repeat with every cell, so one copy
+    # for a full chunk serves all; read-only, as no oracle may change them
+    nu = np.tile(np.repeat(inputs, n_d, axis=0), (step, 1))
+    d = np.tile(dist_reps, (step * n_u, 1))
+    nu.flags.writeable = d.flags.writeable = False
     lows, highs = state_grid.box[:, 0], state_grid.box[:, 1]
-    inside = np.all((replies >= lows) & (replies <= highs), axis=-1)
-    rep_cell = state_grid.cell_indices(np.clip(replies, lows, highs))
-    successor = np.where(inside, rep_cell, state_grid.total_cells)
-    return successor, rep_cell
+    for lo in range(0, n_s, step):
+        hi = min(lo + step, n_s)
+        rows = (hi - lo) * per_cell
+        replies = sys.step(np.repeat(state_reps[lo:hi], per_cell, axis=0),
+                           nu[:rows], d[:rows])
+        replies = replies.reshape(hi - lo, n_u, n_d, state_grid.dim)
+        _reject_nan(replies)
+        cells = state_grid.cell_indices(np.clip(replies, lows, highs))
+        if rep_cell is not None:
+            rep_cell[lo:hi] = cells
+        if successor is not None:
+            inside = np.all((replies >= lows) & (replies <= highs), axis=-1)
+            successor[lo:hi] = np.where(inside, cells, n_s)

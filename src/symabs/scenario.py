@@ -27,17 +27,17 @@ from .errors import CapacityError, SolverError
 from .model import BlackBoxSystem, SystemSignature, is_integer
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
-from .quantize import UniformGrid, abstract_transition, transition_table
+from .quantize import (DEFAULT_TABLE_CAP, TABLE_NAME, UniformGrid,
+                       abstract_transition, check_table_cap, transition_table)
 from .simplex import scan_above, solve_with_rows
 
 Array = np.ndarray
 
-# Bounds run time (a round scans at most every row once) and memory: no array
-# holds one entry per SOP row, but SopData's per-sample factors and a scan's
-# successor scores hold up to z entries per row, and without this cap only
-# SAMPLE_CAP bounds the sample count.
-DEFAULT_ROW_CAP = 50_000_000
 SAMPLE_CAP = 10_000_000
+# Values per slice of the samples when SopData builds a distance factor.  At
+# sigma 0.005 (142 samples x 10,000 disturbance cells) slices of 2**12 to
+# 2**16 values took 19-20 ms, and the one-shot difference array 28 ms.
+FACTOR_SLICE = 1 << 14
 
 
 # ----------------------------------------------------------------------------
@@ -533,9 +533,10 @@ class SopInstance:
     Once the scan sends it a floor, `residual_blocks` visits the H2 blocks
     largest bound first and stops at the first whose rows cannot exceed the
     floor, as branch and bound does.  Sample i's row (u, s, d) is summed in
-    the order (succ[i, column(u, s, d)] + by_state[i, s]) + by_dist[i, d].
+    the order (succ[i, u, successor[u, s, d]] + by_state[i, s]) + by_dist[i,
+    d], where succ[i, u, c] = coef_phi[i, u, c] @ phi.
     The block's bound is summed in the same order from the largest term of
-    each stage: top[u, s] = the max of succ[i] over the successor columns of
+    each stage: top[u, s] = the max of succ[i, u] over the successor cells of
     (u, s) across all d, then max over (u, s) of (top[u, s] + by_state[i,
     s]), then + max by_dist[i].  IEEE round-to-nearest addition is monotone, so the
     bound is at least every row of the block bit for bit, and a block with
@@ -548,6 +549,11 @@ class SopInstance:
     bit for bit (`dist_top`).
     `blocks_scanned` and `blocks_pruned` count the H2 blocks built and
     skipped; each scan adds up to q.
+
+    Memory: `successor` is the one table-sized array an instance keeps (8
+    bytes per table entry as int64), and a scan adds one block buffer of
+    u*s*d floats (8 bytes per entry), filled one input at a time by taking
+    from successor[u]; no other array of a scan grows with the table.
     """
 
     coef_gamma: Array
@@ -571,13 +577,12 @@ class SopInstance:
         for name, shape in shapes.items():
             if np.shape(getattr(self, name)) != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-        # blocks take from successor columns with mode="clip", which would
-        # hide a bad index, and gather would wrap a negative one
-        if np.any(self.successor < 0) or np.any(self.successor >= n_s):
+        # blocks take from successor with mode="clip", which would hide a bad
+        # index, and gather would wrap a negative one; min and max make no
+        # table-sized temporary
+        if self.successor.size and (self.successor.min() < 0
+                                    or self.successor.max() >= n_s):
             raise ValueError(f"successor entries must lie in [0, {n_s})")
-        # (u, s, d) -> column of the successor cell in coef_phi[i] @ phi,
-        # flattened to u*s columns
-        self._succ_column = np.arange(n_u)[:, None, None] * n_s + self.successor
         # the distinct successor columns of each (u, s) pair across d: row j
         # holds every pair's j-th, and a pair with fewer repeats its first
         # (max is idempotent), so the bound takes one maximum per row
@@ -659,6 +664,7 @@ class SopInstance:
         else:
             order = range(q)
         by_state = state_term[:, None, :, None]
+        succ = succ.reshape(q, n_u, n_s)
         block = np.empty((n_u, n_s, n_d))
         dist_term = np.empty(n_d)
         for done, i in enumerate(order):
@@ -666,7 +672,8 @@ class SopInstance:
                 self.blocks_pruned += q - done
                 return
             self.blocks_scanned += 1
-            np.take(succ[i], self._succ_column, out=block, mode="clip")
+            for u in range(n_u):
+                np.take(succ[i, u], self.successor[u], out=block[u], mode="clip")
             block += by_state[i]
             block += np.multiply(self.coef_eta[i], eta, out=dist_term)
             floor = yield st.h1_rows + i * block.size, block.reshape(-1)
@@ -708,14 +715,30 @@ class SopInstance:
         return RowTag(kind="H2", sample=i, input=u, state=xh, dist=dh)
 
 
+def _squared_distances(points: Array, reps: Array) -> Array:
+    """||points[i] - reps[c]||^2 for every pair, shape (points, reps), built
+    over slices of the points so that the difference array stays near
+    FACTOR_SLICE values.  Each slice takes the one einsum of the whole, which
+    keeps every entry bit for bit; a loop over the coordinates would not."""
+    out = np.empty((points.shape[0], reps.shape[0]))
+    step = max(1, FACTOR_SLICE // max(1, reps.size))
+    for lo in range(0, points.shape[0], step):
+        diff = points[lo:lo + step, None, :] - reps[None, :, :]
+        out[lo:lo + step] = np.einsum("qsk,qsk->qs", diff, diff)
+    return out
+
+
 class SopData:
     """Sampled transitions and the mu-independent factors of the scenario
     program, reusable across the per-mu LP instances of one certification
-    run."""
+    run.  The transition table (cells x inputs x disturbance cells), the
+    per-sample factors (samples x inputs x cells x features) and the
+    disturbance distances (samples x disturbance cells) are each held to
+    `table_cap` entries, checked before anything is built."""
 
     def __init__(self, samples: SampleBatch, sys: BlackBoxSystem,
                  state_grid: UniformGrid, dist_grid: UniformGrid,
-                 row_cap: int = DEFAULT_ROW_CAP):
+                 table_cap: int = DEFAULT_TABLE_CAP):
         sig = sys.signature
         if samples.state_dim != sig.state_dim or samples.dist_dim != sig.disturbance_dim:
             raise ValueError("sample batch does not match the system signature")
@@ -733,12 +756,14 @@ class SopData:
         n_dists = dist_grid.total_cells
         self.structure = SopStructure(samples=q, inputs=n_inputs,
                                       states=n_states, dists=n_dists)
-        rows = self.structure.h1_rows + self.structure.h2_rows
-        if rows > row_cap:
-            raise CapacityError(
-                f"{rows} SOP rows exceed the cap {row_cap}; a row-generation "
-                "round may scan every row, so the cap bounds the worst-case "
-                "certify time")
+        # Every kept array grows like one of these, refused before any is
+        # made; the scan's block buffer is the size of the table.
+        basis = quartic_difference_basis(sig.state_dim)
+        check_table_cap(TABLE_NAME, n_states * n_inputs * n_dists, table_cap)
+        check_table_cap("the per-sample factors (samples x inputs x cells x "
+                        "features)", q * n_inputs * n_states * basis.z, table_cap)
+        check_table_cap("the per-sample disturbance distances (samples x "
+                        "disturbance cells)", q * n_dists, table_cap)
 
         state_reps = state_grid.all_representatives()
         dist_reps = dist_grid.all_representatives()
@@ -755,19 +780,19 @@ class SopData:
         # One oracle query per (state cell, input, disturbance cell).
         # successor_reps[u, s, d] is the in-box cell whose center represents
         # the successor; a sink successor gets its clamped nearest cell, so
-        # the score stays evaluable on every row.
-        _, rep_cell = transition_table(sys, state_grid, dist_grid, inputs)
-        self.successor_reps = np.ascontiguousarray(rep_cell.transpose(1, 0, 2))
+        # the score stays evaluable on every row.  The table writes it in
+        # place, through a view with its own (cell, input, disturbance) axes.
+        self.successor_reps = np.empty((n_inputs, n_states, n_dists),
+                                       dtype=np.int64)
+        transition_table(sys, state_grid, dist_grid, inputs,
+                         rep_cell=self.successor_reps.transpose(1, 0, 2))
 
         # Per-sample geometry independent of mu.
-        basis = quartic_difference_basis(sig.state_dim)
         self.g_cur = basis.features(xs[:, None, :], state_reps[None, :, :])
         self.g_succ = basis.features(x_plus[:, :, None, :],
                                      state_reps[None, None, :, :])
-        diff_x = xs[:, None, :] - state_reps[None, :, :]
-        self.dist2_state = np.einsum("qsk,qsk->qs", diff_x, diff_x)
-        diff_d = ds[:, None, :] - dist_reps[None, :, :]
-        self.dist2_dist = np.einsum("qdk,qdk->qd", diff_d, diff_d)
+        self.dist2_state = _squared_distances(xs, state_reps)
+        self.dist2_dist = _squared_distances(ds, dist_reps)
 
     def instance(self, mu: float, boxes: VariableBoxes | None = None) -> SopInstance:
         if not 0.0 < mu < 1.0:
@@ -989,18 +1014,20 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
                  *, samples: SampleBatch, boxes: VariableBoxes | None = None,
                  unknowns: int | None = None, psi: float = 0.99,
                  lam: float = 1.0, xi_target: float | None = None,
-                 row_cap: int = DEFAULT_ROW_CAP) -> ApbfCertificate:
+                 table_cap: int = DEFAULT_TABLE_CAP) -> ApbfCertificate:
     """Solve one LP per contraction level over the sample batch, and emit the
     best-margin certificate (uncertified when margin > 0), which records the
     batch's seed.  The batch size must match the minimal sample count implied
     by (eps, beta, unknowns).  Each level's margin uses the radius
-    kappa^{-1}(eps) of the uniform sampling distribution on X x D."""
+    kappa^{-1}(eps) of the uniform sampling distribution on X x D.  A grid
+    whose table or per-sample factors exceed `table_cap` entries is refused
+    with a CapacityError before any query (see SopData)."""
     basis = quartic_difference_basis(sys.signature.state_dim)
     plan = sample_plan(mu_grid, eps, beta, basis.z, unknowns)
     if samples.count != plan.q:
         raise ValueError(f"sample batch has {samples.count} points, "
                          f"the settings require exactly {plan.q}")
-    data = SopData(samples, sys, state_grid, dist_grid, row_cap=row_cap)
+    data = SopData(samples, sys, state_grid, dist_grid, table_cap=table_cap)
 
     sig = sys.signature
     dims = sig.state_dim + sig.disturbance_dim

@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, RefinementError
+from .errors import ConfigError, RefinementError
 from .model import BlackBoxSystem, InterconnectionTopology
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
-from .quantize import (UniformGrid, abstract_transition,
-                       transition_table, trivial_grid)
+from .quantize import (DEFAULT_TABLE_CAP, TABLE_NAME, UniformGrid,
+                       abstract_transition, check_table_cap, transition_table,
+                       trivial_grid)
 
 Array = np.ndarray
-
-DEFAULT_QUERY_CAP = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,9 +78,10 @@ class FiniteTransitionSystem(AbstractionHeader):
 
 def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
                           dist_grid: UniformGrid | None = None, inputs=None,
-                          query_cap: int = DEFAULT_QUERY_CAP) -> FiniteTransitionSystem:
+                          query_cap: int = DEFAULT_TABLE_CAP) -> FiniteTransitionSystem:
     """Tabulate the abstract transition map with exactly one oracle query per
-    (cell, input, disturbance cell)."""
+    (cell, input, disturbance cell), refused before any query when the table
+    would exceed `query_cap` entries."""
     sig = sys.signature
     if dist_grid is None:
         if sig.disturbance_dim != 0:
@@ -98,13 +98,9 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
     n_s = state_grid.total_cells
     n_u = inputs.shape[0]
     n_d = dist_grid.total_cells
-    if n_s * n_u * n_d > query_cap:
-        raise CapacityError(
-            f"{n_s * n_u * n_d} abstraction queries exceed the cap {query_cap}")
-
-    successor, _ = transition_table(sys, state_grid, dist_grid, inputs)
+    check_table_cap(TABLE_NAME, n_s * n_u * n_d, query_cap)
     table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
-    table[:n_s] = successor
+    transition_table(sys, state_grid, dist_grid, inputs, successor=table[:n_s])
     table[n_s] = n_s
     return FiniteTransitionSystem(table=table, state_grid=state_grid,
                                   dist_grid=dist_grid, inputs=inputs)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1025,11 +1026,11 @@ EXTERNAL = {"kind": "external", "command": ["oracle"],
      "report.reference_sample_size must be a positive integer or null"),
     ("report", {"reference_sample_size": 2.5}, [],
      "report.reference_sample_size must be a positive integer or null"),
-    ("certify", {"row_cap": "abc"}, [],
-     "certify.row_cap must be a positive integer"),
-    ("certify", {"row_cap": 0}, [], "certify.row_cap must be a positive integer"),
-    ("certify", {"row_cap": 2.5}, [],
-     "certify.row_cap must be a positive integer"),
+    # the row cap is gone, whatever an old config sets it to:
+    # synthesize.query_cap caps certify's table too
+    ("certify", {"row_cap": 50_000_000}, [], "unknown certify keys: ['row_cap']"),
+    ("certify", {"row_cap": 10 ** 9}, [], "unknown certify keys: ['row_cap']"),
+    ("certify", {"row_cap": "abc"}, [], "unknown certify keys: ['row_cap']"),
     ("certify", {"unknowns": 7.9}, [],
      "certify.unknowns must be a positive integer or null"),
     ("certify", {"unknowns": True}, [],
@@ -1084,6 +1085,71 @@ def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
     assert f"error in stage casestudy: {message}" in captured.err
     assert "Traceback" not in captured.err
     assert not out.exists()  # refused before any stage ran
+
+
+# The default room at sigma 0.01: 50 cells, 5 inputs and 50 x 50
+# disturbance cells, one table entry each.
+FINE_SIGMA, FINE_ENTRIES = 0.01, 50 * 5 * 2500
+
+
+def test_cli_refuses_a_table_past_the_cap_before_allocating_it(tmp_path,
+                                                               capsys):
+    # sigma 0.005: 100 cells, 5 inputs and 100 x 100 disturbance cells
+    entries = 100 * 5 * 10_000
+    cfg = tmp_path / "cap.yaml"
+    cfg.write_text(yaml.safe_dump({"certify": {"sigma": 0.005},
+                                   "synthesize": {"query_cap": 100_000}}))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["casestudy", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert (f"transition table (cells x inputs x disturbance cells) would "
+            f"hold {entries:,} entries ({8 * entries:,} bytes), over the "
+            f"table cap of 100,000 entries") in err
+    # refused before the table, or any array the size of it, was made
+    assert peak < 8 * entries / 20, peak
+    # abstract is held to the same cap
+    rc = cli.main(["abstract", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{entries:,} entries" in capsys.readouterr().err
+
+
+def test_certify_peak_is_a_small_multiple_of_the_tables_it_keeps(
+        tmp_path, monkeypatch):
+    # What SopData keeps: the successor table (8 bytes per table entry) and
+    # the per-sample factors.  Besides them certify holds one scan block
+    # (another 8 bytes per entry), each mu level's negated disturbance
+    # distances and transients bounded by the chunk and slice constants, so
+    # its traced peak stays within 2.5 times what it keeps; the row-stacked
+    # table and the one-shot scan and distance copies of earlier versions
+    # came to 4.8 times.
+    config = PipelineConfig.from_mapping({"certify": {"sigma": FINE_SIGMA}})
+    stage_sample(config, str(tmp_path))
+    kept = {}
+    instance = scenario.SopData.instance
+
+    def spy(data, *args, **kwargs):
+        kept.update({name: getattr(data, name).nbytes for name in (
+            "x_plus", "successor_reps", "g_cur", "g_succ", "dist2_state",
+            "dist2_dist")})
+        return instance(data, *args, **kwargs)
+
+    monkeypatch.setattr(scenario.SopData, "instance", spy)
+    tracemalloc.start()
+    try:
+        stage_certify(config, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept["successor_reps"] == 8 * FINE_ENTRIES
+    assert peak < 2.5 * sum(kept.values()), (peak, kept)
 
 
 def test_safe_band_length_follows_the_state_dimension():

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -138,12 +139,21 @@ def test_abstract_transition_escaping_output_hits_sink():
     assert nxt.index == g.total_cells
 
 
+def full_table(sys, sg, dg, inputs):
+    """(successor, rep_cell) from one transition_table call that keeps both
+    halves."""
+    shape = (sg.total_cells, len(inputs), dg.total_cells)
+    successor = np.empty(shape, dtype=np.int64)
+    rep_cell = np.empty(shape, dtype=np.int64)
+    transition_table(sys, sg, dg, inputs, successor=successor, rep_cell=rep_cell)
+    return successor, rep_cell
+
+
 def assert_table_matches_per_point(sys, sg, dg, inputs):
     """transition_table agrees with abstract_transition on every entry, in
     the successor index and bit for bit in the representative."""
-    successor, rep_cell = transition_table(sys, sg, dg, inputs)
+    successor, rep_cell = full_table(sys, sg, dg, inputs)
     shape = (sg.total_cells, len(inputs), dg.total_cells)
-    assert successor.shape == rep_cell.shape == shape
     reps = sg.all_representatives()
     for s, u, d in itertools.product(*map(range, shape)):
         nxt = abstract_transition(
@@ -172,30 +182,63 @@ def test_transition_table_matches_per_point_on_2d_grid():
     assert not sink.all()
 
 
-def test_transition_table_makes_one_oracle_call_over_every_row():
+def one_shot_table(sys, sg, dg, inputs):
+    """The table from a single oracle call over every stacked row, as
+    transition_table computed it before it walked its rows in chunks."""
+    shape = (sg.total_cells, len(inputs), dg.total_cells)
+    s, u, d = np.unravel_index(np.arange(np.prod(shape)), shape)
+    replies = sys.step(sg.all_representatives()[s], inputs[u],
+                       dg.all_representatives()[d])
+    lows, highs = sg.box[:, 0], sg.box[:, 1]
+    inside = np.all((replies >= lows) & (replies <= highs), axis=-1)
+    rep_cell = sg.cell_indices(np.clip(replies, lows, highs))
+    return (np.where(inside, rep_cell, sg.total_cells).reshape(shape),
+            rep_cell.reshape(shape))
+
+
+@pytest.mark.parametrize("chunk", ["one", "non-divisor", "whole"])
+def test_transition_table_calls_cover_every_row_once_in_order(monkeypatch,
+                                                              chunk):
     room = build_room_network(RoomNetworkParams(num_rooms=5))[2][0]
     calls = []
 
     def recorded(x, nu, d):
-        calls.append((x, nu, d))
+        calls.append((x.copy(), nu.copy(), d.copy()))
         return room.oracle(x, nu, d)
 
     sys = BlackBoxSystem(signature=room.signature, oracle=recorded)
     sg = make_grid([(-0.5, 0.5)], 0.1)
     dg = product_grid([sg, sg])
     inputs = room.signature.input_array()
-    successor, rep_cell = transition_table(sys, sg, dg, inputs)
     n_s, n_u, n_d = sg.total_cells, inputs.shape[0], dg.total_cells
-    assert len(calls) == 1
-    x, nu, d = calls[0]
+    assert n_s == 5
+    # rows per call: 1 (one cell per chunk), 2 cells (5 is no multiple of
+    # 2), and more rows than the whole table
+    rows = {"one": 1, "non-divisor": 2 * n_u * n_d,
+            "whole": 3 * n_s * n_u * n_d}[chunk]
+    monkeypatch.setattr(importlib.import_module("symabs.quantize"),
+                        "TABLE_CHUNK_ROWS", rows)
+    successor, rep_cell = full_table(sys, sg, dg, inputs)
+    per_call = {"one": [n_u * n_d] * n_s,
+                "non-divisor": [2 * n_u * n_d] * 2 + [n_u * n_d],
+                "whole": [n_s * n_u * n_d]}[chunk]
+    assert [c[0].shape[0] for c in calls] == per_call
+    x, nu, d = (np.concatenate(parts) for parts in zip(*calls))
     assert x.shape == (n_s * n_u * n_d, 1) and d.shape == (n_s * n_u * n_d, 2)
-    # rows run over (cell, input, disturbance cell), the last fastest
+    # the calls run over (cell, input, disturbance cell), the last fastest
     s, u, dd = np.unravel_index(np.arange(x.shape[0]), (n_s, n_u, n_d))
     assert np.array_equal(x, sg.all_representatives()[s])
     assert np.array_equal(nu, inputs[u])
     assert np.array_equal(d, dg.all_representatives()[dd])
-    want = transition_table(room, sg, dg, inputs)
+    want = one_shot_table(room, sg, dg, inputs)
     assert np.array_equal(successor, want[0]) and np.array_equal(rep_cell, want[1])
+    # each half can be written alone, into a caller's view
+    table = np.full((n_s + 1, n_u, n_d), -1)
+    transition_table(room, sg, dg, inputs, successor=table[:n_s])
+    assert np.array_equal(table[:n_s], want[0]) and np.all(table[n_s] == -1)
+    by_input = np.empty((n_u, n_s, n_d), dtype=np.int64)
+    transition_table(room, sg, dg, inputs, rep_cell=by_input.transpose(1, 0, 2))
+    assert np.array_equal(by_input, want[1].transpose(1, 0, 2))
     # the trivial disturbance grid gives one zero-width column block
     calls.clear()
     free = BlackBoxSystem(
@@ -204,7 +247,23 @@ def test_transition_table_makes_one_oracle_call_over_every_row():
                                   disturbance_box=[]),
         oracle=lambda x, nu, d: calls.append(d.shape) or x)
     transition_table(free, sg, trivial_grid(), [[0.0], [0.5]])
-    assert calls == [(n_s * 2, 0)]
+    assert sum(shape[0] for shape in calls) == n_s * 2
+    assert all(shape[1] == 0 for shape in calls)
+
+
+def test_transition_table_hands_the_oracle_read_only_columns():
+    sig = SystemSignature(state_dim=1, input_set=[(0.0,), (0.5,)],
+                          disturbance_dim=0, state_box=[(-1.0, 1.0)],
+                          disturbance_box=[])
+
+    def mutating(x, nu, d):
+        nu += 1.0  # an oracle may not change the rows it is handed
+        return x
+
+    g = make_grid(sig.state_box, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        transition_table(BlackBoxSystem(signature=sig, oracle=mutating), g,
+                         trivial_grid(), sig.input_array())
 
 
 def test_transition_table_without_disturbance_and_on_cell_edges():

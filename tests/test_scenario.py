@@ -6,7 +6,8 @@ import pytest
 
 from oracles import (ball_fraction, ball_radius, basis_features_direct, brute_top,
                      min_samples_binomial, sop_instance_for_exponents)
-from symabs.errors import SolverError
+import symabs.scenario as scenario_mod
+from symabs.errors import CapacityError, SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
                              transition_table)
@@ -497,7 +498,10 @@ def test_sop_factored_residuals_match_gathered_rows():
     sys = linear_system(a=1.1, gain=0.2)
     sg = make_grid(sys.signature.state_box, 0.125)
     dg = make_grid(sys.signature.disturbance_box, 0.34)
-    successor, _ = transition_table(sys, sg, dg, sys.signature.input_array())
+    inputs = sys.signature.input_array()
+    successor = np.empty((sg.total_cells, len(inputs), dg.total_cells),
+                         dtype=np.int64)
+    transition_table(sys, sg, dg, inputs, successor=successor)
     sink = successor == sg.total_cells
     assert sink[0].any() and sink[-1].any()  # escapes on both sides
     samples = draw_samples(sys.signature, 7, seed=3)
@@ -709,10 +713,11 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     rows = inst.row_count
     # Fixed allowance for what certify holds besides rows: the master (up to
     # max_master + batch rows of z+4 columns) with its residuals, one block
-    # buffer and the per-sample tables of q x u*s floats.  The rows
-    # are many enough that one float64 per row would fill it four times over.
-    allowance = 8 << 20
-    assert 8 * rows >= 4 * allowance
+    # buffer and the per-sample tables of q x u*s floats.  The rows are
+    # many enough that one float64 per row would fill it eight times over;
+    # the solve peaked at about 2.1 MB when the allowance was cut from 8 MB.
+    allowance = 4 << 20
+    assert 8 * rows >= 8 * allowance
     tracemalloc.start()
     try:
         solve_lp(inst)
@@ -722,14 +727,58 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     assert peak < allowance, (peak, rows)
 
 
-def test_sop_row_cap():
-    from symabs.errors import CapacityError
-    sys = linear_system()
-    sg = make_grid(sys.signature.state_box, 0.25)
-    dg = make_grid(sys.signature.disturbance_box, 0.34)
-    samples = draw_samples(sys.signature, 5, seed=0)
-    with pytest.raises(CapacityError):
-        SopData(samples, sys, sg, dg, row_cap=100)
+def box_system(state_dim, dist_dim):
+    """A contraction on [-1, 1]^state_dim driven by the disturbance sum."""
+    sig = SystemSignature(state_dim=state_dim, input_set=[(0.0,), (0.2,)],
+                          disturbance_dim=dist_dim,
+                          state_box=[(-1.0, 1.0)] * state_dim,
+                          disturbance_box=[(-1.0, 1.0)] * dist_dim)
+    return BlackBoxSystem(signature=sig, oracle=lambda x, nu, d: 0.5 * x + nu
+                          + 0.1 * d.sum(axis=1, keepdims=True))
+
+
+def one_shot_dist2(points, reps):
+    diff = points[:, None, :] - reps[None, :, :]
+    return np.einsum("qsk,qsk->qs", diff, diff)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("slice_values", [1, 7, 1 << 14])
+def test_distance_factors_equal_the_one_shot_einsum_bit_for_bit(
+        monkeypatch, dim, slice_values):
+    monkeypatch.setattr(scenario_mod, "FACTOR_SLICE", slice_values)
+    sys = box_system(dim, dim)
+    sg = make_grid(sys.signature.state_box, 0.25)  # 4 cells a coordinate
+    dg = make_grid(sys.signature.disturbance_box, 0.34)  # 3 a coordinate
+    samples = draw_samples(sys.signature, 53, seed=dim)
+    data = SopData(samples, sys, sg, dg)
+    want_state = one_shot_dist2(samples.states, sg.all_representatives())
+    want_dist = one_shot_dist2(samples.disturbances, dg.all_representatives())
+    assert np.array_equal(data.dist2_state, want_state)
+    assert np.array_equal(data.dist2_dist, want_dist)
+
+
+def test_sop_table_cap_refuses_before_any_oracle_call():
+    calls = []
+    room = build_room_network(RoomNetworkParams(num_rooms=5))[2][0]
+    sys = BlackBoxSystem(signature=room.signature,
+                         oracle=lambda x, nu, d: calls.append(1) or x)
+    sg = make_grid(room.signature.state_box, 0.1)  # 5 cells
+    dg = product_grid([sg, sg])
+    samples = draw_samples(room.signature, 10, seed=0)
+    table = 5 * room.signature.n_inputs * 25
+    with pytest.raises(CapacityError, match=(
+            rf"transition table .* {table:,} entries \({8 * table:,} bytes\), "
+            rf"over the table cap of {table - 1:,} entries")):
+        SopData(samples, sys, sg, dg, table_cap=table - 1)
+    # the per-sample factors grow with the samples, not with the table
+    factors = 10 * room.signature.n_inputs * 5 * 3
+    with pytest.raises(CapacityError, match=rf"per-sample factors .* "
+                                            rf"{factors:,} entries"):
+        SopData(samples, sys, sg, dg, table_cap=factors - 1)
+    assert calls == []
+    SopData(samples, sys, sg, dg, table_cap=max(table, factors))
+    assert calls
 
 
 # ---------------------------------------------------------------- LP
@@ -860,7 +909,6 @@ def test_solve_lp_does_not_depend_on_the_scan_order(make):
 def test_solve_lp_runs_the_four_phases_in_order(monkeypatch):
     # xi, then eta down, gamma up and theta down; each phase starts from the
     # previous phase's working rows and carries one more pin row
-    import symabs.scenario as scenario_mod
     real = scenario_mod.solve_with_rows
     calls, handed = [], []
 
@@ -887,8 +935,6 @@ def test_solve_lp_runs_the_four_phases_in_order(monkeypatch):
 def test_solve_lp_final_check_finds_the_worst_row(monkeypatch):
     # The check skips blocks with no row above 1e-7, so it must still reject
     # every vector with a row above 1e-7 and report that row's residual.
-    import symabs.scenario as scenario_mod
-    from symabs.errors import SolverError
     from symabs.simplex import SimplexResult
     inst = build_tiny_instance()
     good = solve_lp(inst).decision.as_array()

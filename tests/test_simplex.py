@@ -219,10 +219,13 @@ def test_top_violators_sends_its_admission_floor():
     assert skipped > 0  # the floor did prune
 
 
-def test_top_violators_is_exact_in_any_block_order():
+@pytest.mark.parametrize("slice_rows", [1, 7, "block", 1 << 30])
+def test_top_violators_is_exact_in_any_block_order(monkeypatch, slice_rows):
     # Blocks in shuffled order, with and without the source skipping every
-    # block the floor allows: a lower-index row tied with the k-th residual
-    # can arrive after k rows are held, and must still win.
+    # block the floor allows, each read in slices of 1 row, 7 rows, the
+    # largest block's rows, or more than any block: a lower-index row tied
+    # with the k-th residual can arrive after k rows are held, and must
+    # still win.
     rng = np.random.default_rng(8)
     for trial in range(300):
         m = int(rng.integers(1, 120))
@@ -231,6 +234,9 @@ def test_top_violators_is_exact_in_any_block_order():
         resid[bump] = np.nextafter(resid[bump], np.inf)
         cuts = np.sort(rng.choice(np.arange(1, m), size=int(rng.integers(0, m)),
                                   replace=False)) if m > 1 else []
+        longest = int(np.diff([0, *cuts, m]).max())
+        monkeypatch.setattr(simplex_mod, "SCAN_SLICE",
+                            longest if slice_rows == "block" else slice_rows)
         skip = np.sort(rng.choice(m, size=int(rng.integers(0, m + 1)),
                                   replace=False))
         k = int(rng.integers(1, m + 10))

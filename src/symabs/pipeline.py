@@ -512,7 +512,9 @@ def read_abstraction_header(path) -> AbstractionHeader:
 
 def read_abstraction(path) -> FiniteTransitionSystem:
     """The abstraction at path: its header, and a table of n_states *
-    n_inputs * n_dists integer successors, each a cell or the sink."""
+    n_inputs * n_dists integer successors, each a cell or the sink.  The
+    table keeps the stored dtype, widened only when it cannot hold the
+    sink."""
     head = read_abstraction_header(path)
     n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
 
@@ -525,7 +527,9 @@ def read_abstraction(path) -> FiniteTransitionSystem:
     if body.shape != (n_s, n_u, n_d):
         raise ConfigError(f"{path}: the table has shape {body.shape}, "
                           f"expected {(n_s, n_u, n_d)}")
-    table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
+    dtype = body.dtype if np.iinfo(body.dtype).max >= n_s \
+        else np.promote_types(body.dtype, np.min_scalar_type(n_s))
+    table = np.empty((n_s + 1, n_u, n_d), dtype=dtype)
     table[:n_s] = body
     table[n_s] = n_s
     # the constructor checks that each successor is a cell or the sink
@@ -696,11 +700,23 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 def load_certificates(out_dir: str):
     """The certificates of certificates.json.  A basis record other than the
     one certify writes is refused as a configuration error that names the
-    file."""
+    file.  Each run of equal mappings, as a shared ring writes, is parsed
+    once and gives one object.  Mappings count as equal only when their
+    marshal bytes are too, which tells 1 from 1.0 and true and 0.0 from
+    -0.0 (format 2, whose bytes do not depend on reference counts); the
+    file's `shared` flag is not trusted for this."""
     path = os.path.join(out_dir, "certificates.json")
     payload = _read_json(path)
-    return _checked(path, lambda: [ApbfCertificate.from_mapping(c)
-                                   for c in payload["certificates"]])
+
+    def parse():
+        import marshal  # built in and loaded with the interpreter
+        certs, last = [], None
+        for c in payload["certificates"]:
+            if c != last or marshal.dumps(c, 2) != marshal.dumps(last, 2):
+                cert, last = ApbfCertificate.from_mapping(c), c
+            certs.append(cert)
+        return certs
+    return _checked(path, parse)
 
 
 def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -852,9 +868,10 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         runs = list(zip(labels, simulate_closed_loop(
             [bundle.subsystems[o] for o in owners], bundle.topology, refined,
             starts, config.synthesize.horizon)))
-        all_safe = bool(runs) and all(
-            tr.truncated_at is None and bool(tr.safe.all())
-            for _, trajs in runs for tr in trajs)
+        trajs = [tr for _, run in runs for tr in run]
+        all_safe = bool(trajs) and all(
+            tr.truncated_at is None for tr in trajs) and bool(
+            np.concatenate([tr.safe for tr in trajs]).all())
         write_trajectories(os.path.join(out_dir, "trajectories.csv"), runs)
         payload = {"runs": len(runs), "all_safe": all_safe,
                    "horizon": config.synthesize.horizon}

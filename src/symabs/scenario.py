@@ -518,17 +518,18 @@ class SopInstance:
     - H1 row (i, s), sample-major:
       coef_gamma[i,s]*gamma - g_cur[i,s].phi - xi <= 0;
     - H2 row (i, u, s, d), after all H1 rows and in that order:
-      (coef_phi[i,u,c] - mu*g_cur[i,s]).phi + coef_eta[i,d]*eta
+      (coef_phi[i,u,c] - mu*g_cur[i,s]).phi - coef_eta[i,d]*eta
       + coef_theta*theta + const - xi <= 0, with c = successor[u,s,d].
 
     coef_gamma (q, s) holds ||x_i - xhat_s||^2; coef_eta (q, d) holds
-    -||d_i - dhat_d||^2; coef_theta is the constant -1 and const the constant
-    0 (both 0-d); coef_phi (q, u, s, z) holds g(x+_iu, center of cell c) for
-    every in-box cell c; g_cur (q, s, z) holds g(x_i, xhat_s); successor
-    (u, s, d) is the in-box cell whose center represents the abstract
-    successor (the clamped nearest cell for the sink); an entry outside
-    [0, s) is refused.  `gather` builds the requested rows bit for bit as a
-    dense matrix would hold them.
+    ||d_i - dhat_d||^2, which enters each row negated, so an instance shares
+    the distances of its `SopData` instead of a negated copy; coef_theta is
+    the constant -1 and const the constant 0 (both 0-d); coef_phi (q, u, s,
+    z) holds g(x+_iu, center of cell c) for every in-box cell c; g_cur (q,
+    s, z) holds g(x_i, xhat_s); successor (u, s, d) is the in-box cell whose
+    center represents the abstract successor (the clamped nearest cell for
+    the sink); an entry outside [0, s) is refused.  `gather` builds the
+    requested rows bit for bit as a dense matrix would hold them.
 
     Once the scan sends it a floor, `residual_blocks` visits the H2 blocks
     largest bound first and stops at the first whose rows cannot exceed the
@@ -542,9 +543,10 @@ class SopInstance:
     bound is at least every row of the block bit for bit, and a block with
     bound <= floor holds no row above the floor.  The bound is exact only
     while both sums keep that order: change them together.
-    by_dist[i, d] = coef_eta[i, d] * eta is built only for a scanned block.
+    by_dist[i, d] = coef_eta[i, d] * -eta, which IEEE sign symmetry makes
+    the bits of -coef_eta[i, d] * eta, is built only for a scanned block.
     Its max comes from the dist extremes each instance precomputes: the row
-    max of coef_eta times eta, or the row min when eta < 0.  Rounded
+    max of coef_eta times -eta, or the row min when -eta < 0.  Rounded
     multiplication is monotone too, so that product is max_d by_dist[i, d]
     bit for bit (`dist_top`).
     `blocks_scanned` and `blocks_pruned` count the H2 blocks built and
@@ -622,9 +624,11 @@ class SopInstance:
         return i, u, xh, dh
 
     def dist_top(self, eta: float) -> Array:
-        """max over d of coef_eta[i, d] * eta, per sample i, from the
-        precomputed row max of coef_eta (row min when eta < 0)."""
-        return (self._eta_min if eta < 0 else self._eta_max) * eta
+        """max over d of coef_eta[i, d] * -eta, the rows' eta terms, per
+        sample i, from the precomputed row max of coef_eta (row min when
+        -eta < 0)."""
+        neg = -eta
+        return (self._eta_min if neg < 0 else self._eta_max) * neg
 
     def residual_blocks(self, vec: Array):
         """Yield (start_row, A x - b over a block of rows): the H1 block,
@@ -675,7 +679,7 @@ class SopInstance:
             for u in range(n_u):
                 np.take(succ[i, u], self.successor[u], out=block[u], mode="clip")
             block += by_state[i]
-            block += np.multiply(self.coef_eta[i], eta, out=dist_term)
+            block += np.multiply(self.coef_eta[i], -eta, out=dist_term)
             floor = yield st.h1_rows + i * block.size, block.reshape(-1)
 
     def residuals(self, vec: Array) -> Array:
@@ -698,7 +702,7 @@ class SopInstance:
         a[one, 3:-1] = -self.g_cur[i, xh]
         two = ~one
         i, u, xh, dh = self._h2_index(idx[two] - r1)
-        a[two, 1] = self.coef_eta[i, dh]
+        a[two, 1] = -self.coef_eta[i, dh]
         a[two, 2] = self.coef_theta
         a[two, 3:-1] = (self.coef_phi[i, u, self.successor[u, xh, dh]]
                         - self.mu * self.g_cur[i, xh])
@@ -798,7 +802,7 @@ class SopData:
         if not 0.0 < mu < 1.0:
             raise ValueError("mu must lie in (0,1)")
         return SopInstance(coef_gamma=self.dist2_state,
-                           coef_eta=-self.dist2_dist,
+                           coef_eta=self.dist2_dist,
                            coef_theta=np.array(-1.0), coef_phi=self.g_succ,
                            const=np.array(0.0), g_cur=self.g_cur,
                            successor=self.successor_reps, mu=float(mu),

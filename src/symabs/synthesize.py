@@ -57,12 +57,15 @@ class AbstractionHeader:
 class FiniteTransitionSystem(AbstractionHeader):
     """The header plus the dense transition table over its cells and the
     sink: table[s, u, d] is the successor index, shape (n_states + 1,
-    n_inputs, n_dists); row `sink` is absorbing."""
+    n_inputs, n_dists), in any integer dtype that holds the sink; row
+    `sink` is absorbing."""
 
     table: Array
 
     def __post_init__(self):
         tab = np.asarray(self.table)
+        if tab.dtype.kind not in "iu":
+            raise ValueError(f"table has dtype {tab.dtype}, expected integers")
         shape = (self.n_states + 1, self.n_inputs, self.n_dists)
         if tab.shape != shape:
             raise ValueError(f"table has shape {tab.shape}, expected {shape} "
@@ -207,16 +210,18 @@ class RefinedController:
         input index and the least V of each row.  A row with no related
         winning cell (least V above theta, or NaN) gets cell and input -1;
         `miss` gives the error select raises for it.  Each distinct row is
-        scored once and its result copied to the rows that repeat it."""
+        scored and resolved once, and its results copied to the rows that
+        repeat it."""
         xs = np.asarray(xs, dtype=float).reshape(-1, self._centers.shape[1])
         distinct, inverse = _distinct_rows(xs)
         vals = self.relation.value(distinct[:, None, :],
                                    self._centers[None, :, :])
-        k = vals.argmin(axis=1)[inverse]
-        least = vals[inverse, k]
+        k = vals.argmin(axis=1)
+        least = vals[np.arange(k.size), k]
         related = least <= self.relation.theta  # NaN is never related
         cells = np.where(related, self._winning[k], -1)
-        return cells, np.where(related, self.table.chosen[cells], -1), least
+        inputs = np.where(related, self.table.chosen[cells], -1)
+        return cells[inverse], inputs[inverse], least[inverse]
 
     def miss(self, x, least: float) -> RefinementError:
         """The refinement error for state x, whose least V is `least`."""
@@ -266,6 +271,16 @@ def _groups(objects) -> list:
     return list(out.values())
 
 
+def _selector(index):
+    """Ascending distinct indices as a slice when they form one contiguous
+    run, so that gathers and scatters through them are views and basic
+    assignments; otherwise as an index array."""
+    index = np.asarray(index, dtype=np.intp)
+    if index.size and index[-1] - index[0] == index.size - 1:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
 def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                          controllers, x0, horizon: int):
     """Run the wired network from a stack of starts under per-subsystem
@@ -276,13 +291,23 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     object form a group, and each step refines the inputs of every alive run
     in every subsystem of a group in one row-form call.  A refinement failure
     truncates that run's trajectories at that step; of the subsystems that
-    miss, the lowest-index one carries the diagnostic.  Subsystems that are
-    the same system object likewise advance together: one step call per
-    distinct object and step, on the stacked (alive runs x members) rows,
-    each member with the inputs of its own controller and the states of its
-    own neighbours.  The oracle answers row by row, so the successors are
-    those of one call per subsystem.  Safety flags record membership of each
-    state in its subsystem's declared state box.
+    miss, the lowest-index one carries the diagnostic, and the other runs go
+    on.  Subsystems that are the same system object likewise advance
+    together: one step call per distinct object and step, on the stacked
+    (alive runs x members) rows, each member with the inputs of its own
+    controller and the states of its own neighbours.  The oracle answers row
+    by row, so the successors are those of one call per subsystem.  Safety
+    flags record membership of each state in its subsystem's declared state
+    box.  With no runs or a zero horizon no step is taken.
+
+    Each group's members and state columns are fixed before the loop, as a
+    slice when they are one contiguous run (a shared ring's one controller
+    and one system cover every room in order), so that a step reads and
+    writes them through views.  Until the first miss a step works on the
+    whole stack of runs in place; only then does it gather and scatter the
+    surviving runs.  The trajectories are views into one state and one
+    input-index array, and into one played-input array per distinct input
+    table.
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -309,70 +334,90 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     neighbours = [np.array([c for j in topology.wiring[i]
                             for c in range(offsets[j], offsets[j + 1])],
                            dtype=np.intp) for i in range(m)]
-    # the subsystems of each distinct controller, and their state columns
-    refiners = [(controllers[g[0]], g, np.concatenate([columns[i] for i in g]))
-                for g in _groups(controllers)]
+    tables = [c.table.fts.inputs for c in controllers]
+    # the subsystems of each distinct controller and their state columns,
+    # and where each subsystem sits among them: (group, position)
+    refiners, place = [], {}
+    for g in _groups(controllers):
+        for p, i in enumerate(g):
+            place[i] = (len(refiners), p)
+        refiners.append((controllers[g[0]], _selector(g),
+                         _selector(np.concatenate([columns[i] for i in g]))))
     # the subsystems of each distinct system object: their state and
     # neighbour columns, and their input tables stacked, with each member's
     # offset into the stack
     steppers = []
     for g in _groups(subsystems):
-        tables = [controllers[i].table.fts.inputs for i in g]
-        shift = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
-        steppers.append((subsystems[g[0]], g,
-                         np.concatenate([columns[i] for i in g]),
+        shift = np.cumsum([0] + [tables[i].shape[0] for i in g[:-1]])
+        steppers.append((subsystems[g[0]], _selector(g),
+                         _selector(np.concatenate([columns[i] for i in g])),
                          np.concatenate([neighbours[i] for i in g]),
-                         np.concatenate(tables), shift))
+                         np.concatenate([tables[i] for i in g]), shift))
 
     states = np.full((horizon + 1, runs, offsets[-1]), np.nan)
     states[0] = x0
     chosen = np.full((horizon, runs, m), -1, dtype=np.int64)
     steps = np.full(runs, horizon)  # steps taken; fewer when truncated
     diagnostics = [[None] * m for _ in range(runs)]
-    alive = np.arange(runs)
-    for k in range(horizon):
-        x = states[k, alive]
-        u = np.empty((alive.size, m), dtype=np.int64)
-        least = np.empty((alive.size, m))
+    alive = None  # every run, until the first miss; then the survivors
+    for k in range(horizon if runs else 0):
+        if alive is None:
+            x, u, nxt = states[k], chosen[k], states[k + 1]
+        else:
+            x = states[k, alive]
+            u = np.empty((alive.size, m), dtype=np.int64)
+            nxt = np.empty_like(x)
+        n = x.shape[0]
+        least = []
         for ctrl, members, cols in refiners:
             _, u_g, least_g = ctrl.select_rows(x[:, cols])
-            u[:, members] = u_g.reshape(alive.size, len(members))
-            least[:, members] = least_g.reshape(alive.size, len(members))
-        missed = u < 0
-        failed = missed.any(axis=1)
-        for j in np.flatnonzero(failed):
-            i = int(np.argmax(missed[j]))  # the lowest-index miss reports
-            diagnostics[alive[j]][i] = str(
-                controllers[i].miss(x[j, blocks[i]], least[j, i]))
-            steps[alive[j]] = k
-        kept = ~failed
-        alive = alive[kept]
-        if alive.size == 0:
-            break
-        u = u[kept]
-        chosen[k, alive] = u
-        x = x[kept]
+            u[:, members] = u_g.reshape(n, -1)
+            least.append(least_g)
+        if u.min() < 0:
+            missed = u < 0
+            failed = missed.any(axis=1)
+            ids = np.arange(runs) if alive is None else alive
+            for j in np.flatnonzero(failed):
+                i = int(np.argmax(missed[j]))  # the lowest-index miss reports
+                g, p = place[i]
+                diagnostics[ids[j]][i] = str(controllers[i].miss(
+                    x[j, blocks[i]], least[g].reshape(n, -1)[j, p]))
+                steps[ids[j]] = k
+            kept = ~failed
+            alive = ids[kept]
+            if alive.size == 0:
+                break
+            x, u, n = x[kept], u[kept], alive.size
+            nxt = np.empty_like(x)
         for sub, members, cols, nbrs, inputs, shift in steppers:
-            rows = alive.size * len(members)
-            nxt = sub.step(x[:, cols].reshape(rows, -1),
-                           inputs[u[:, members] + shift].reshape(rows, -1),
-                           x[:, nbrs].reshape(rows, -1))
-            states[k + 1, alive[:, None], cols] = nxt.reshape(alive.size, -1)
+            picks = u[:, members] + shift
+            rows = picks.size
+            succ = sub.step(x[:, cols].reshape(rows, -1),
+                            inputs[picks].reshape(rows, -1),
+                            x[:, nbrs].reshape(rows, -1))
+            nxt[:, cols] = succ.reshape(n, -1)
+        if alive is not None:
+            chosen[k, alive] = u
+            states[k + 1, alive] = nxt
 
     # each state's membership in its subsystem's box, for every run at once
     box = np.concatenate([s.signature.state_box for s in subsystems])
     inside = (states >= box[:, 0]) & (states <= box[:, 1])
     safe = np.logical_and.reduceat(inside, offsets[:-1], axis=2)
+    # the played inputs, one take per distinct input table; the -1 and
+    # half-written entries past a truncation are taken but never shown
+    played = [None] * m
+    for g in _groups(tables):
+        taken = tables[g[0]][chosen[:, :, _selector(g)]]
+        for p, i in enumerate(g):
+            played[i] = taken[:, :, p]
     out = []
     for r in range(runs):
         t = int(steps[r])
-        trajs = []
-        for i in range(m):
-            trajs.append(Trajectory(
-                subsystem=i, states=states[:t + 1, r, blocks[i]],
-                inputs=controllers[i].table.fts.inputs[chosen[:t, r, i]],
-                input_indices=chosen[:t, r, i], safe=safe[:t + 1, r, i],
-                truncated_at=t if t < horizon else None,
-                diagnostic=diagnostics[r][i]))
-        out.append(trajs)
+        cut = t if t < horizon else None
+        out.append([Trajectory(
+            subsystem=i, states=states[:t + 1, r, blocks[i]],
+            inputs=played[i][:t, r], input_indices=chosen[:t, r, i],
+            safe=safe[:t + 1, r, i], truncated_at=cut,
+            diagnostic=diagnostics[r][i]) for i in range(m)])
     return out

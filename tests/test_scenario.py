@@ -573,7 +573,7 @@ def h2_bounds(inst, vec):
     column = np.arange(st.inputs)[:, None, None] * st.states + inst.successor
     top = succ[:, column].max(axis=-1)  # (q, u, s)
     return (top + state_term[:, None, :]).max(axis=(1, 2)) \
-        + (inst.coef_eta * eta).max(axis=1)
+        + (inst.coef_eta * -eta).max(axis=1)
 
 
 def test_sop_pruned_blocks_hold_no_row_above_the_floor():
@@ -655,10 +655,11 @@ def test_sop_instance_refuses_a_successor_outside_the_grid():
 
 
 def test_dist_top_is_the_max_of_the_dist_terms_bit_for_bit():
-    # the bound's dist term comes from the row extremes of coef_eta; every
-    # sign of eta, subnormal products and mixed-sign coefficients included
+    # the bound's dist term comes from the row extremes of coef_eta, the
+    # distances that enter each row negated; every sign of eta, subnormal
+    # products and mixed-sign coefficients included
     inst = pruning_instance()
-    assert np.all(inst.coef_eta <= 0)
+    assert np.all(inst.coef_eta >= 0)
     mixed = dataclasses.replace(
         inst, coef_eta=np.random.default_rng(15).uniform(
             -2.0, 2.0, inst.coef_eta.shape))
@@ -666,7 +667,7 @@ def test_dist_top_is_the_max_of_the_dist_terms_bit_for_bit():
         for case in (inst, mixed):
             if eta == 0.0 and case is mixed:
                 continue  # 0.0 and -0.0 tie; only their order picks a sign
-            want = (case.coef_eta * eta).max(axis=1)
+            want = (-case.coef_eta * eta).max(axis=1)
             assert case.dist_top(eta).tobytes() == want.tobytes()
     # and the rows themselves hold those products
     a, _ = inst.gather(np.arange(inst.structure.h1_rows, inst.row_count))
@@ -725,6 +726,26 @@ def test_solve_lp_holds_less_than_one_float_per_row():
     finally:
         tracemalloc.stop()
     assert peak < allowance, (peak, rows)
+
+
+def test_instance_shares_the_disturbance_distances():
+    # an instance keeps SopData's positive distances and negates eta where
+    # a row uses them, so it copies nothing the size of dist2_dist; the
+    # default room at sigma 0.01 has 2,500 disturbance cells
+    import tracemalloc
+    room = build_room_network(RoomNetworkParams(num_rooms=5))[2][0]
+    sg = make_grid(room.signature.state_box, 0.01)
+    data = SopData(draw_samples(room.signature, 200, seed=1), room, sg,
+                   product_grid([sg, sg]))
+    assert data.dist2_dist.nbytes == 8 * 200 * 2500
+    tracemalloc.start()
+    try:
+        inst = data.instance(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.coef_eta is data.dist2_dist
+    assert peak < data.dist2_dist.nbytes / 20, peak
 
 
 def box_system(state_dim, dist_dim):

@@ -62,6 +62,13 @@ def test_fts_validation():
     over[0, 0, 0] = 9
     with pytest.raises(ValueError):
         fts_from_table(over)
+    # any integer dtype that holds the sink; never floats
+    narrow = fts_from_table(good)
+    for dtype in (np.uint8, np.int16, np.uint64):
+        fts = dataclasses.replace(narrow, table=good.astype(dtype))
+        assert safety_synthesis(fts, safe=[0, 1]).chosen.tolist() == [0, 0, -1]
+    with pytest.raises(ValueError, match="integers"):
+        dataclasses.replace(narrow, table=good.astype(float))
 
 
 def _two_state_fts():
@@ -636,3 +643,80 @@ def test_simulate_closed_loop_shared_system_matches_copies(
             assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
             assert np.array_equal(tr.input_indices, indices[:, i])
             assert tr.diagnostic == (message if i == room else None)
+
+
+@pytest.mark.parametrize("refiners, objects", [
+    ("ABABA", "XXYXY"),  # every group interleaved: index arrays throughout
+    ("AAAAA", "XXXXX"),  # one controller and one object over the whole ring
+    ("AABBB", "XXXYY"),  # contiguous groups that are not the whole ring
+    ("ABABA", "XXXXX"),  # interleaved controllers on one object
+])
+def test_simulate_closed_loop_five_room_groups_match_room_by_room(
+        refiners, objects, monkeypatch):
+    # Groups of one controller or one object are read and written through a
+    # slice when their rooms are contiguous and through an index array when
+    # not; either way every run matches refining and stepping one room at a
+    # time, whether it reaches the horizon or misses at some step.
+    _, topo, rooms = build_room_network(RoomNetworkParams(num_rooms=5))
+    sg = make_grid([(-0.5, 0.5)], 0.025)
+    # thetas at which the starts below reach the horizon, miss at step 0 and
+    # miss at several later steps under every layout
+    by_name = {"A": RefinedController(_room_table(rooms[0], sg),
+                                      QuadraticRelation(0.0015)),
+               "B": RefinedController(_room_table(rooms[0], sg, reverse=True),
+                                      QuadraticRelation(0.0006))}
+    controllers = [by_name[c] for c in refiners]
+    made = {k: dataclasses.replace(rooms[0]) for k in set(objects)}
+    subsystems = [made[k] for k in objects]
+    levels = np.array([-0.225, -0.125, 0.025, 0.225, 0.275, 0.6])
+    starts = levels[np.random.default_rng(5).integers(0, len(levels), (32, 5))]
+    calls = []
+    select_rows, step = RefinedController.select_rows, BlackBoxSystem.step
+
+    def counted_select(self, xs):
+        calls.append("select")
+        return select_rows(self, xs)
+
+    def counted_step(self, *args):
+        calls.append("step")
+        return step(self, *args)
+
+    monkeypatch.setattr(RefinedController, "select_rows", counted_select)
+    monkeypatch.setattr(BlackBoxSystem, "step", counted_step)
+    got = simulate_closed_loop(subsystems, topo, controllers, starts, horizon=12)
+    # one refinement call per distinct controller and step, one oracle call
+    # per distinct object and step with a survivor
+    taken = [12 if trajs[0].truncated_at is None else trajs[0].truncated_at
+             for trajs in got]
+    assert calls.count("select") == len(set(refiners)) * min(12, max(taken) + 1)
+    assert calls.count("step") == len(set(objects)) * max(taken)
+    monkeypatch.undo()
+    cuts = set()
+    for r, trajs in enumerate(got):
+        states, indices, t, room, message = closed_loop_room_by_room(
+            subsystems, topo.wiring, controllers, starts[r], 12)
+        cuts.add(None if room is None else t)
+        for i, tr in enumerate(trajs):
+            assert tr.subsystem == i
+            assert tr.truncated_at == (None if room is None else t)
+            assert tr.diagnostic == (message if i == room else None)
+            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
+            assert np.array_equal(tr.input_indices, indices[:, i])
+            assert tr.inputs.tobytes() == \
+                controllers[i].table.fts.inputs[indices[:, i]].tobytes()
+            assert np.array_equal(tr.safe, np.abs(states[:, i]) <= 0.5)
+    # the starts reach the horizon and miss at step 0 and at later steps
+    assert None in cuts and 0 in cuts and len(cuts - {None, 0}) >= 2, cuts
+    # with no runs, or no steps, no refinement or oracle call is made
+    monkeypatch.setattr(RefinedController, "select_rows", counted_select)
+    monkeypatch.setattr(BlackBoxSystem, "step", counted_step)
+    calls.clear()
+    assert simulate_closed_loop(subsystems, topo, controllers,
+                                np.empty((0, 5)), horizon=12) == []
+    still = simulate_closed_loop(subsystems, topo, controllers, starts,
+                                 horizon=0)
+    assert calls == []
+    for trajs, start in zip(still, starts):
+        for i, tr in enumerate(trajs):
+            assert tr.horizon == 0 and tr.truncated_at is None
+            assert tr.states.tobytes() == start[i:i + 1].tobytes()

@@ -25,15 +25,15 @@ from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
                     build_room_network, is_integer)
-from .quantize import (DEFAULT_TABLE_CAP, UniformGrid, make_grid, product_grid,
-                       trivial_grid)
+from .quantize import (DEFAULT_TABLE_CAP, UniformGrid, check_table_cap,
+                       make_grid, product_grid, trivial_grid)
 from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        NonlinearLipschitz, SampleBatch, VariableBoxes,
                        draw_samples, quartic_difference_basis)
 from .synthesize import (AbstractionHeader, ControllerTable,
                          FiniteTransitionSystem, RefinedController,
                          Trajectory, enumerate_abstraction, safety_synthesis,
-                         simulate_closed_loop)
+                         simulate_closed_loop, table_dtype)
 
 Array = np.ndarray
 
@@ -482,12 +482,11 @@ def _header_path(path) -> str:
 
 
 def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
-    """Write the successor table of the cells, shape (n_states, n_inputs,
-    n_dists), to path as .npy in the smallest unsigned dtype that holds the
-    sink (the sink row is implied), and the grids and inputs beside it as a
-    JSON header."""
+    """Write the successor table, shape (n_states, n_inputs, n_dists), to
+    path as .npy in table_dtype, the smallest unsigned dtype that holds the
+    sink, and the grids and inputs beside it as a JSON header."""
     with open(path, "wb") as fh:  # np.save would add .npy to a bare path
-        np.save(fh, fts.table[:fts.n_states].astype(np.min_scalar_type(fts.sink)))
+        np.save(fh, fts.table.astype(table_dtype(fts.n_states), copy=False))
     _write_json(_header_path(path), {
         "state_grid": _grid_mapping(fts.state_grid),
         "dist_grid": _grid_mapping(fts.dist_grid),
@@ -513,10 +512,8 @@ def read_abstraction_header(path) -> AbstractionHeader:
 def read_abstraction(path) -> FiniteTransitionSystem:
     """The abstraction at path: its header, and a table of n_states *
     n_inputs * n_dists integer successors, each a cell or the sink.  The
-    table keeps the stored dtype, widened only when it cannot hold the
-    sink."""
+    loaded table is the abstraction's own, in the stored dtype."""
     head = read_abstraction_header(path)
-    n_s, n_u, n_d = head.n_states, head.n_inputs, head.n_dists
 
     def load():  # through a handle that is closed even when it holds an .npz
         with open(path, "rb") as fh:
@@ -524,24 +521,16 @@ def read_abstraction(path) -> FiniteTransitionSystem:
     body = _parsed(path, "abstraction table", load)
     if not isinstance(body, np.ndarray) or body.dtype.kind not in "iu":
         raise ConfigError(f"{path}: the table is not an integer array")
-    if body.shape != (n_s, n_u, n_d):
-        raise ConfigError(f"{path}: the table has shape {body.shape}, "
-                          f"expected {(n_s, n_u, n_d)}")
-    dtype = body.dtype if np.iinfo(body.dtype).max >= n_s \
-        else np.promote_types(body.dtype, np.min_scalar_type(n_s))
-    table = np.empty((n_s + 1, n_u, n_d), dtype=dtype)
-    table[:n_s] = body
-    table[n_s] = n_s
-    # the constructor checks that each successor is a cell or the sink
+    # the constructor checks the shape and the range of the successors
     return _checked(str(path), lambda: FiniteTransitionSystem(
-        table=table, state_grid=head.state_grid, dist_grid=head.dist_grid,
+        table=body, state_grid=head.state_grid, dist_grid=head.dist_grid,
         inputs=head.inputs))
 
 
 def write_controller(path, ctrl: ControllerTable) -> None:
     """Write {"chosen": [...]}: per cell, its chosen input index, or -1
     where the cell is not winning."""
-    _write_json(path, {"chosen": ctrl.chosen[:ctrl.fts.n_states].tolist()})
+    _write_json(path, {"chosen": ctrl.chosen.tolist()})
 
 
 def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
@@ -554,7 +543,7 @@ def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
         raise ConfigError(f"{path}: {len(chosen)} cells, expected {fts.n_states}")
     if not all(-1 <= u < fts.n_inputs for u in chosen):
         raise ConfigError(f"{path}: input index out of range")
-    return ControllerTable(chosen=np.array(chosen + [-1], dtype=np.int64), fts=fts)
+    return ControllerTable(chosen=np.array(chosen, dtype=np.int64), fts=fts)
 
 
 # Stands in for the subsystem column while a trajectory's rows are shared:
@@ -863,18 +852,21 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 by_key[key] = RefinedController(c, rel.component(i))
             refined.append(by_key[key])
         labels, starts = _initial_conditions(config, controllers)
+        horizon = config.synthesize.horizon
+        check_table_cap("the closed-loop states (horizon + 1 x runs x state "
+                        "coordinates)", (horizon + 1) * starts.size,
+                        config.synthesize.query_cap)
         # every room steps with its owner's system, so rooms that share an
         # owner share one object and advance in one oracle call per step
         runs = list(zip(labels, simulate_closed_loop(
             [bundle.subsystems[o] for o in owners], bundle.topology, refined,
-            starts, config.synthesize.horizon)))
+            starts, horizon)))
         trajs = [tr for _, run in runs for tr in run]
         all_safe = bool(trajs) and all(
             tr.truncated_at is None for tr in trajs) and bool(
             np.concatenate([tr.safe for tr in trajs]).all())
         write_trajectories(os.path.join(out_dir, "trajectories.csv"), runs)
-        payload = {"runs": len(runs), "all_safe": all_safe,
-                   "horizon": config.synthesize.horizon}
+        payload = {"runs": len(runs), "all_safe": all_safe, "horizon": horizon}
         _write_json(os.path.join(out_dir, "simulation.json"), payload)
         return payload
 

@@ -32,7 +32,8 @@ TABLE_NAME = "the transition table (cells x inputs x disturbance cells)"
 # On the room oracle (one core, numpy 2.4), 2**14 rows took 20-27 ns per
 # row, as fast as any size from 2**10 to 2**16, with about 1.2 MiB of chunk
 # temporaries at sigma 0.02; one call over all 5 M rows at sigma 0.005 took
-# 69 ns per row and 272 MiB.
+# 69 ns per row and 272 MiB.  The safety game reads the table in the same
+# chunks; there 2**12 to 2**18 entries took the same time at sigma 0.005.
 TABLE_CHUNK_ROWS = 1 << 14
 
 

@@ -403,6 +403,9 @@ class DataLipschitz(_SlopeSource):
             raise ValueError("pairs must be an integer")
         if self.pairs < 2:
             raise ValueError("need at least 2 pairs")
+        if self.pairs > SAMPLE_CAP:
+            raise ValueError(f"pairs must be at most {SAMPLE_CAP:,}, the sample cap "
+                             f"on the slope probe's (pairs x coordinates) arrays")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.safety < 0:
@@ -585,18 +588,28 @@ class SopInstance:
         if self.successor.size and (self.successor.min() < 0
                                     or self.successor.max() >= n_s):
             raise ValueError(f"successor entries must lie in [0, {n_s})")
-        # the distinct successor columns of each (u, s) pair across d: row j
-        # holds every pair's j-th, and a pair with fewer repeats its first
-        # (max is idempotent), so the bound takes one maximum per row
+        # the distinct successor columns of each (u, s) pair across d, found
+        # ascending by a presence mask over slices of about FACTOR_SLICE
+        # (pair, cell) entries: row j holds every pair's j-th, and a pair with
+        # fewer repeats its first (max is idempotent), so the bound takes one
+        # maximum per row
         pairs = n_u * n_s
-        hit = np.zeros((pairs, n_s), dtype=bool)
-        hit[np.arange(pairs)[:, None], self.successor.reshape(pairs, n_d)] = True
-        counts = hit.sum(axis=1)
-        width = int(counts.max(initial=1))
-        cells = np.argsort(~hit, axis=1, kind="stable")[:, :width]
-        cells = np.where(np.arange(width) < counts[:, None], cells, cells[:, :1])
-        first = np.arange(pairs) // n_s * n_s  # column of (u, 0)
-        self._bound_columns = np.ascontiguousarray((first[:, None] + cells).T)
+        succ = self.successor.reshape(pairs, n_d)
+        step = max(1, FACTOR_SLICE // n_s)
+        hits = []  # flat (pair, cell) indices
+        for lo in range(0, pairs, step):
+            part = succ[lo:lo + step]
+            hit = np.zeros((part.shape[0], n_s), dtype=bool)
+            hit[np.arange(part.shape[0])[:, None], part] = True
+            hits.append(np.flatnonzero(hit) + lo * n_s)
+        rows, cells = np.divmod(np.concatenate(hits), n_s)
+        cells += rows // n_s * n_s  # the column of (u, cell)
+        counts = np.bincount(rows, minlength=pairs)
+        starts = np.cumsum(counts) - counts
+        columns = np.repeat(cells[starts], int(counts.max(initial=1)))
+        columns = columns.reshape(pairs, -1)
+        columns[rows, np.arange(rows.size) - starts[rows]] = cells
+        self._bound_columns = np.ascontiguousarray(columns.T)
         # per sample, the extremes of coef_eta[i] across d; see dist_top
         self._eta_max = self.coef_eta.max(axis=1)
         self._eta_min = self.coef_eta.min(axis=1)

@@ -1,11 +1,12 @@
 """Finite abstractions, safety games, refinement, closed-loop simulation.
 
 The abstraction of a subsystem is a finite transition system over the grid
-cells plus one absorbing sink for out-of-box excursions.  Safety controllers
-come from the maximal fixed point of the safety game (some input keeps every
-disturbance successor winning).  The abstract controller is refined to the
-concrete system through the relation V(x, xhat) <= theta: a concrete state
-picks the V-minimizing winning cell and plays its input.
+cells; out-of-box excursions go to one absorbing sink, a successor index with
+no row.  Safety controllers come from the maximal fixed point of the safety
+game (some input keeps every disturbance successor winning).  The abstract
+controller is refined to the concrete system through the relation V(x, xhat)
+<= theta: a concrete state picks the V-minimizing winning cell and plays its
+input.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from .errors import ConfigError, RefinementError
 from .model import BlackBoxSystem, InterconnectionTopology
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
-from .quantize import (DEFAULT_TABLE_CAP, TABLE_NAME, UniformGrid,
-                       abstract_transition, check_table_cap, transition_table,
-                       trivial_grid)
+from .quantize import (DEFAULT_TABLE_CAP, TABLE_CHUNK_ROWS, TABLE_NAME,
+                       UniformGrid, abstract_transition, check_table_cap,
+                       transition_table, trivial_grid)
 
 Array = np.ndarray
 
@@ -53,12 +54,19 @@ class AbstractionHeader:
         return self.dist_grid.total_cells
 
 
+def table_dtype(n_states: int) -> np.dtype:
+    """The dtype of an enumerated table and of its file: the smallest
+    unsigned one that holds the sink, n_states."""
+    return np.min_scalar_type(n_states)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteTransitionSystem(AbstractionHeader):
-    """The header plus the dense transition table over its cells and the
-    sink: table[s, u, d] is the successor index, shape (n_states + 1,
-    n_inputs, n_dists), in any integer dtype that holds the sink; row
-    `sink` is absorbing."""
+    """The header plus the dense transition table over its cells:
+    table[s, u, d] is the successor index, shape (n_states, n_inputs,
+    n_dists), in any integer dtype that holds the sink.  The sink is only a
+    successor index, `sink` == n_states; it is absorbing and never winning,
+    so it has no row."""
 
     table: Array
 
@@ -66,14 +74,12 @@ class FiniteTransitionSystem(AbstractionHeader):
         tab = np.asarray(self.table)
         if tab.dtype.kind not in "iu":
             raise ValueError(f"table has dtype {tab.dtype}, expected integers")
-        shape = (self.n_states + 1, self.n_inputs, self.n_dists)
+        shape = (self.n_states, self.n_inputs, self.n_dists)
         if tab.shape != shape:
             raise ValueError(f"table has shape {tab.shape}, expected {shape} "
-                             f"(states + sink, inputs, disturbances)")
-        if np.any(tab < 0) or np.any(tab > self.sink):
+                             f"(states, inputs, disturbances)")
+        if tab.size and (tab.min() < 0 or tab.max() > self.sink):
             raise ValueError("successor indices out of range")
-        if not np.all(tab[-1] == self.sink):
-            raise ValueError("sink row must be absorbing")
 
     def successor(self, state: int, inp: int, dist: int) -> int:
         return int(self.table[state, inp, dist])
@@ -84,7 +90,7 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
                           query_cap: int = DEFAULT_TABLE_CAP) -> FiniteTransitionSystem:
     """Tabulate the abstract transition map with exactly one oracle query per
     (cell, input, disturbance cell), refused before any query when the table
-    would exceed `query_cap` entries."""
+    would exceed `query_cap` entries.  The table is built in table_dtype."""
     sig = sys.signature
     if dist_grid is None:
         if sig.disturbance_dim != 0:
@@ -94,25 +100,20 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
         raise ValueError("disturbance grid does not match the signature")
     if state_grid.dim != sig.state_dim:
         raise ValueError("state grid does not match the signature")
-    if inputs is None:
-        inputs = sig.input_array()
-    else:
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n_s = state_grid.total_cells
-    n_u = inputs.shape[0]
-    n_d = dist_grid.total_cells
-    check_table_cap(TABLE_NAME, n_s * n_u * n_d, query_cap)
-    table = np.empty((n_s + 1, n_u, n_d), dtype=np.int64)
-    transition_table(sys, state_grid, dist_grid, inputs, successor=table[:n_s])
-    table[n_s] = n_s
+    inputs = sig.input_array() if inputs is None else \
+        np.atleast_2d(np.asarray(inputs, dtype=float))
+    shape = (state_grid.total_cells, inputs.shape[0], dist_grid.total_cells)
+    check_table_cap(TABLE_NAME, shape[0] * shape[1] * shape[2], query_cap)
+    table = np.empty(shape, dtype=table_dtype(shape[0]))
+    transition_table(sys, state_grid, dist_grid, inputs, successor=table)
     return FiniteTransitionSystem(table=table, state_grid=state_grid,
                                   dist_grid=dist_grid, inputs=inputs)
 
 
 @dataclass(frozen=True, eq=False)
 class ControllerTable:
-    """The chosen input index per state of the safety game's winning set
-    (-1 elsewhere, and at the sink).  `fts` is the abstraction the game was
+    """The chosen input index per cell of the safety game's winning set (-1
+    elsewhere), one entry per cell.  `fts` is the abstraction the game was
     solved on, or only its header when the table is read back for
     refinement."""
 
@@ -137,28 +138,24 @@ def safety_synthesis(fts: FiniteTransitionSystem, safe) -> ControllerTable:
     """Maximal fixed point of W -> {s in W : exists u, all d: tau(s,u,d) in W},
     started from the safe set.  The chosen input is the first qualifying one
     in declared order; the sink is never winning."""
-    n_total = fts.n_states + 1
-    mask = np.zeros(n_total, dtype=bool)
+    n_s, table = fts.n_states, fts.table
+    win = np.zeros(n_s + 1, dtype=bool)  # the last entry, the sink, stays False
     for s in safe:
-        s = int(s)
-        if s == fts.sink:
-            raise ValueError("safe set must exclude the sink")
-        if not 0 <= s < fts.n_states:
-            raise ValueError(f"safe state {s} out of range")
-        mask[s] = True
-
-    win = mask.copy()
+        if not 0 <= int(s) < n_s:
+            raise ValueError(f"safe state {s} out of range (the sink is {n_s})")
+        win[int(s)] = True
+    # ok[s, u]: every successor of (s, u) is winning; np.take copies the
+    # indices it is handed to intp, so it gets transition_table's chunks
+    ok = np.empty((n_s, fts.n_inputs), dtype=bool)
+    step = max(1, TABLE_CHUNK_ROWS // (fts.n_inputs * fts.n_dists))
     while True:
-        ok = win[fts.table].all(axis=2)  # (states+1, inputs)
-        nxt = win & ok.any(axis=1)
-        if np.array_equal(nxt, win):
+        for lo in range(0, n_s, step):
+            np.take(win, table[lo:lo + step]).all(axis=2, out=ok[lo:lo + step])
+        nxt = win[:n_s] & ok.any(axis=1)
+        if np.array_equal(nxt, win[:n_s]):
             break
-        win = nxt
-    chosen = np.full(n_total, -1, dtype=np.int64)
-    if win.any():
-        ok = win[fts.table].all(axis=2)
-        first = np.argmax(ok, axis=1)
-        chosen[win] = first[win]
+        win[:n_s] = nxt
+    chosen = np.where(nxt, np.argmax(ok, axis=1), -1)  # ok over the final win
     return ControllerTable(chosen=chosen, fts=fts)
 
 
@@ -220,6 +217,7 @@ class RefinedController:
         least = vals[np.arange(k.size), k]
         related = least <= self.relation.theta  # NaN is never related
         cells = np.where(related, self._winning[k], -1)
+        # an unrelated row's -1 reads the last cell's entry; related masks it
         inputs = np.where(related, self.table.chosen[cells], -1)
         return cells[inverse], inputs[inverse], least[inverse]
 
@@ -287,27 +285,22 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     refined controllers; returns one list of per-subsystem Trajectory per run.
 
     x0 is (runs, network state dim).  Each step reads neighbor states as
-    disturbances (d_ij = x_j).  Subsystems that are given the same controller
-    object form a group, and each step refines the inputs of every alive run
-    in every subsystem of a group in one row-form call.  A refinement failure
-    truncates that run's trajectories at that step; of the subsystems that
-    miss, the lowest-index one carries the diagnostic, and the other runs go
-    on.  Subsystems that are the same system object likewise advance
-    together: one step call per distinct object and step, on the stacked
-    (alive runs x members) rows, each member with the inputs of its own
-    controller and the states of its own neighbours.  The oracle answers row
-    by row, so the successors are those of one call per subsystem.  Safety
-    flags record membership of each state in its subsystem's declared state
+    disturbances (d_ij = x_j).  Subsystems given the same controller object
+    form a group, refined for every alive run in one row-form call per step.
+    A refinement failure truncates that run's trajectories at that step; of
+    the subsystems that miss, the lowest-index one carries the diagnostic,
+    and the other runs go on.  Subsystems that are the same system object
+    advance in one step call per step, on the stacked (alive runs x members)
+    rows, each member with its own inputs and neighbours; the oracle answers
+    row by row, so the successors are those of one call per subsystem.
+    Safety flags record membership of each state in its subsystem's state
     box.  With no runs or a zero horizon no step is taken.
 
-    Each group's members and state columns are fixed before the loop, as a
-    slice when they are one contiguous run (a shared ring's one controller
-    and one system cover every room in order), so that a step reads and
-    writes them through views.  Until the first miss a step works on the
-    whole stack of runs in place; only then does it gather and scatter the
-    surviving runs.  The trajectories are views into one state and one
-    input-index array, and into one played-input array per distinct input
-    table.
+    Each group's members and columns are fixed before the loop, as a slice
+    when contiguous, so a step reads and writes them through views; only
+    after the first miss does it gather and scatter the surviving runs.  The
+    trajectories are views into one state, one input-index and one
+    played-input array per distinct input table.
     """
     subsystems = list(subsystems)
     controllers = list(controllers)

@@ -66,7 +66,8 @@ def brute_top(resid, skip, k, viol_tol):
 def solve_safety_game(table, safe):
     """Maximal winning set by plain fixed-point iteration on Python sets.
 
-    table: (n_states+1, n_inputs, n_dists) int array, last row the sink.
+    table: (n_states, n_inputs, n_dists) int array of successor indices,
+    n_states being the sink, which has no row and is never winning.
     safe: iterable of safe state indices (sink excluded).
     Returns (winning set, {state: chosen input}) with the first qualifying
     input in index order.

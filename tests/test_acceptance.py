@@ -278,7 +278,7 @@ def test_criterion_06_ring_composition_reproduces_reported_gains():
 
 def _fts_from_table(table):
     table = np.asarray(table, dtype=np.int64)
-    n_states = table.shape[0] - 1
+    n_states = table.shape[0]  # the sink is the successor index n_states
     grid = make_grid([(0.0, float(n_states))], 0.5)
     inputs = np.arange(table.shape[1], dtype=float).reshape(-1, 1)
     dist_grid = trivial_grid() if table.shape[2] == 1 else \
@@ -304,8 +304,7 @@ def test_criterion_07_safety_game_matches_backward_induction():
         n = int(rng.integers(2, 11))
         n_u = int(rng.integers(1, 4))
         n_d = int(rng.integers(1, 4))
-        table = rng.integers(0, n + 1, size=(n + 1, n_u, n_d))
-        table[n] = n  # absorbing sink
+        table = rng.integers(0, n + 1, size=(n, n_u, n_d))  # n is the sink
         fts = _fts_from_table(table)
         k = int(rng.integers(1, n + 1))
         safe = sorted(rng.choice(n, size=k, replace=False).tolist())
@@ -321,7 +320,7 @@ def test_criterion_07_safety_game_matches_backward_induction():
     sg = make_grid(rooms[0].signature.state_box, 0.025)
     dg = product_grid([sg, sg])
     fts = enumerate_abstraction(rooms[0], sg, dg)
-    assert fts.table.shape == (21, 5, 400)
+    assert fts.table.shape == (20, 5, 400)
     half = 0.025
     safe = [s for s in range(sg.total_cells)
             if abs(float(sg.representative(s)[0])) <= 0.3 - half + 1e-12]

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 from symabs import cli, pipeline, scenario
-from symabs.errors import ConfigError, RefinementError
+from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, build_room_network
 from symabs.pipeline import (
     CertifyConfig,
@@ -157,11 +157,10 @@ def _room_fts(sigma):
 
 
 def _random_fts(state_grid, dist_grid, inputs, seed=0):
-    """An abstraction with random successors (cells and the sink)."""
+    """An abstraction with random int64 successors (cells and the sink)."""
     n_s = state_grid.total_cells
-    shape = (n_s + 1, inputs.shape[0], dist_grid.total_cells)
+    shape = (n_s, inputs.shape[0], dist_grid.total_cells)
     table = np.random.default_rng(seed).integers(0, n_s + 1, size=shape)
-    table[n_s] = n_s
     return FiniteTransitionSystem(state_grid=state_grid, dist_grid=dist_grid,
                                   inputs=inputs, table=table)
 
@@ -191,11 +190,12 @@ def test_abstraction_file_roundtrip(tmp_path, make_fts):
     fts = make_fts()
     path = tmp_path / "abstraction.npy"
     write_abstraction(path, fts)
-    # the .npy holds the cells' rows in the smallest dtype that holds the
-    # sink, and the header beside it the grids and inputs
+    # the .npy holds the table, one row per cell, in the smallest dtype
+    # that holds the sink, and the header beside it the grids and inputs
     body = np.load(path, allow_pickle=False)
     assert body.dtype == np.min_scalar_type(fts.sink) == np.uint8
-    assert np.array_equal(body, fts.table[:-1])
+    assert body.shape == (fts.n_states, fts.n_inputs, fts.n_dists)
+    assert np.array_equal(body, fts.table)
     header = json.loads((tmp_path / "abstraction.json").read_text())
     assert sorted(header) == ["dist_grid", "inputs", "state_grid"]
     assert header["state_grid"]["cells"] == list(fts.state_grid.cells_per_dim)
@@ -222,23 +222,24 @@ def test_abstraction_table_dtype_holds_the_sink(tmp_path):
 
 
 def test_abstraction_table_keeps_the_stored_dtype(tmp_path):
-    # the table is read in the dtype it was stored in, and widened only when
-    # that dtype cannot hold the sink; the game plays the same on each
+    # the table is read in the dtype it was stored in, never widened: over
+    # 300 cells a uint8 or int8 body can hold only cells, and is kept as
+    # stored; the game plays the same on each
     fts = _random_fts(make_grid([(0.0, 1.0)], 0.5 / 300), trivial_grid(),
                       np.array([[0.0], [1.0]]))
-    body = fts.table[:-1]
+    body = fts.table
     want = safety_synthesis(fts, safe=range(10, 290)).chosen
+    small = dataclasses.replace(fts, table=body % 100)  # any cell fits a byte
+    want_small = safety_synthesis(small, safe=range(10, 290)).chosen
     path = tmp_path / "abstraction.npy"
     write_abstraction(path, fts)
-    # an int8 is widened as numpy promotes it with uint16
-    for stored, kept in ((np.uint16, np.uint16), (np.int64, np.int64),
-                         (np.int32, np.int32), (np.uint8, np.uint16),
-                         (np.int8, np.int32)):
-        _save(path, (body % 100).astype(stored))  # any cell fits a byte
+    for stored in (np.uint16, np.int64, np.int32, np.uint8, np.int8):
+        _save(path, small.table.astype(stored))
         back = read_abstraction(path)
-        assert back.table.dtype == kept, stored
-        assert back.table[-1].tolist() == [[300], [300]]
-        assert np.array_equal(back.table[:-1], body % 100)
+        assert back.table.dtype == stored
+        assert np.array_equal(back.table, small.table)
+        assert np.array_equal(
+            safety_synthesis(back, safe=range(10, 290)).chosen, want_small)
     _save(path, body.astype(np.uint16))
     back = read_abstraction(path)
     assert np.array_equal(safety_synthesis(back, safe=range(10, 290)).chosen,
@@ -252,8 +253,9 @@ def test_controller_file_roundtrip(tmp_path):
         ctrl = safety_synthesis(fts, safe=safe)
         assert (ctrl.winning_states.size > 0) == bool(safe)
         write_controller(path, ctrl)
+        assert ctrl.chosen.shape == (fts.n_states,)  # one entry per cell
         assert json.loads(path.read_text()) == {
-            "chosen": ctrl.chosen[:-1].tolist()}
+            "chosen": ctrl.chosen.tolist()}
         back = read_controller(path, fts)
         assert np.array_equal(back.winning, ctrl.winning)
         assert np.array_equal(back.chosen, ctrl.chosen)
@@ -1021,6 +1023,10 @@ EXTERNAL = {"kind": "external", "command": ["oracle"],
     ("certify", {"sigma": -0.1}, [], "certify.sigma must be a positive number"),
     ("certify", {"lipschitz": {"pairs": 1}}, [],
      "certify.lipschitz: need at least 2 pairs"),
+    # past the sample cap the slope probe's arrays could not be allocated
+    ("certify", {"lipschitz": {"pairs": 2 ** 62}}, [],
+     "certify.lipschitz: pairs must be at most 10,000,000, the sample cap "
+     "on the slope probe's (pairs x coordinates) arrays"),
     ("certify", {"boxes": {"gamma": [1, 0]}}, [],
      "certify.boxes: gamma box must be finite with lo < hi"),
     ("system", {"num_rooms": 1}, [], "system: num_rooms must be at least 2"),
@@ -1175,6 +1181,38 @@ def test_cli_refuses_a_table_past_the_cap_before_allocating_it(tmp_path,
     assert f"{entries:,} entries" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_closed_loop_past_the_cap_before_allocating_it(
+        tmp_path, capsys):
+    # simulate keeps (horizon + 1) x runs x state coordinates states; a
+    # horizon of 2**62 is refused against the table cap before the loop
+    doc = yaml.safe_load(MINI_YAML)
+    doc["synthesize"]["horizon"] = 2 ** 62
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    for command in ("casestudy", "simulate"):
+        rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert "Traceback" not in err
+        assert (f"error in stage {command}: the closed-loop states (horizon "
+                f"+ 1 x runs x state coordinates) would hold ") in err
+        assert "over the table cap of 10,000,000 entries" in err
+        assert not (out / "trajectories.csv").exists()
+    # the cap is exact: 31 steps x 8 runs x 3 rooms fit 744 entries
+    config = mini_config()
+    run_pipeline(config, str(out))
+    synth = config.synthesize
+    for cap, fits in ((744, True), (743, False)):
+        capped = dataclasses.replace(config, synthesize=dataclasses.replace(
+            synth, query_cap=cap))
+        if fits:
+            assert stage_simulate(capped, str(out))["runs"] == 8
+        else:
+            with pytest.raises(CapacityError, match="744 entries"):
+                stage_simulate(capped, str(out))
+
+
 def test_certify_peak_is_a_small_multiple_of_the_tables_it_keeps(
         tmp_path, monkeypatch):
     # What SopData keeps: the successor table (8 bytes per table entry) and
@@ -1206,9 +1244,25 @@ def test_certify_peak_is_a_small_multiple_of_the_tables_it_keeps(
     assert peak < 2.0 * sum(kept.values()), (peak, kept)
 
 
+def test_abstract_peak_is_a_small_multiple_of_the_stored_table(tmp_path):
+    # the table is enumerated in the file's uint8 dtype (one byte per
+    # entry) and saved without a copy; with an int64 table and a sink row
+    # the stage traced 5.88 MiB, 9.9 times the table
+    config = PipelineConfig.from_mapping({"certify": {"sigma": FINE_SIGMA}})
+    tracemalloc.start()
+    try:
+        stage_abstract(config, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.load(tmp_path / "abstraction_0.npy").nbytes == FINE_ENTRIES
+    assert peak < 4 * FINE_ENTRIES, peak
+
+
 def test_synthesize_peak_is_a_small_multiple_of_the_stored_table(tmp_path):
-    # the table read back keeps the file's uint8 entries (one byte each);
-    # widened to int64 the stage traced ten times the file
+    # the table read back is the file's own uint8 array (one byte per
+    # entry), and the game takes it in slices; widened to int64 the stage
+    # traced ten times the file
     config = PipelineConfig.from_mapping({"certify": {"sigma": FINE_SIGMA}})
     stage_abstract(config, str(tmp_path))
     stored = os.path.getsize(tmp_path / "abstraction_0.npy")

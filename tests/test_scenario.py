@@ -10,7 +10,7 @@ import symabs.scenario as scenario_mod
 from symabs.errors import CapacityError, SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
-                             transition_table)
+                             transition_table, trivial_grid)
 from symabs.scenario import (
     ApbfCertificate,
     BasisSpec,
@@ -746,6 +746,62 @@ def test_instance_shares_the_disturbance_distances():
         tracemalloc.stop()
     assert inst.coef_eta is data.dist2_dist
     assert peak < data.dist2_dist.nbytes / 20, peak
+
+
+def dense_bound_columns(successor, n_s):
+    """The bound columns found through one dense (pairs x cells) presence
+    mask and a stable argsort of it."""
+    n_u, _, n_d = successor.shape
+    pairs = n_u * n_s
+    hit = np.zeros((pairs, n_s), dtype=bool)
+    hit[np.arange(pairs)[:, None], successor.reshape(pairs, n_d)] = True
+    counts = hit.sum(axis=1)
+    width = int(counts.max(initial=1))
+    cells = np.argsort(~hit, axis=1, kind="stable")[:, :width]
+    cells = np.where(np.arange(width) < counts[:, None], cells, cells[:, :1])
+    return ((np.arange(pairs) // n_s * n_s)[:, None] + cells).T
+
+
+@pytest.mark.parametrize("slice_values", [1, 20, 1 << 14])
+def test_bound_columns_equal_the_dense_mask(monkeypatch, slice_values):
+    # one pair per slice, two with a remainder, and every pair in one slice;
+    # pairs with one successor cell, a few, and up to every cell
+    monkeypatch.setattr(scenario_mod, "FACTOR_SLICE", slice_values)
+    inst = pruning_instance()
+    n_s = inst.structure.states
+    shape = inst.successor.shape
+    rng = np.random.default_rng(18)
+    tables = [inst.successor]
+    for spread in (1, 3, n_s):
+        base = rng.integers(0, n_s, size=shape[:2] + (1,))
+        tables.append(np.minimum(base + rng.integers(0, spread, size=shape),
+                                 n_s - 1))
+    for table in tables:
+        got = dataclasses.replace(inst, successor=table)._bound_columns
+        want = dense_bound_columns(table, n_s)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_instance_bound_columns_need_no_pairs_by_cells_mask():
+    # a 2-D state grid of 40 x 40 cells, 2 inputs and no disturbance: the
+    # dense (pairs x cells) mask and its argsort traced 48.9 MiB here, for
+    # a 3,200-entry successor table
+    import tracemalloc
+    sys = box_system(2, 0)
+    sg = make_grid(sys.signature.state_box, 0.025)
+    assert sg.total_cells == 1600
+    data = SopData(draw_samples(sys.signature, 5, seed=1), sys, sg,
+                   trivial_grid())
+    tracemalloc.start()
+    try:
+        inst = data.instance(0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.successor.size == 3200
+    assert np.array_equal(inst._bound_columns,
+                          dense_bound_columns(inst.successor, 1600))
+    assert peak < 2 * 2 ** 20, peak
 
 
 def box_system(state_dim, dist_dim):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import closed_loop_room_by_room, solve_safety_game
+import symabs.synthesize as synthesize_mod
 from symabs.compose import GainMatrix, ScalingVector, compose_abf
 from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import (
@@ -38,9 +39,10 @@ class QuadraticRelation:
 
 
 def fts_from_table(table, n_inputs=None):
-    """Wrap a dense integer table in an FTS over dummy unit grids."""
+    """Wrap a dense (states, inputs, disturbances) integer table in an FTS
+    over dummy unit grids; the sink is the successor index n_states."""
     table = np.asarray(table, dtype=np.int64)
-    n_states = table.shape[0] - 1
+    n_states = table.shape[0]
     grid = make_grid([(0.0, float(n_states))], 0.5)
     assert grid.total_cells == n_states
     inputs = np.arange(table.shape[1], dtype=float).reshape(-1, 1)
@@ -51,29 +53,30 @@ def fts_from_table(table, n_inputs=None):
 
 
 def test_fts_validation():
-    good = np.zeros((3, 1, 1), dtype=np.int64)
-    good[2] = 2
+    good = np.zeros((2, 1, 1), dtype=np.int64)
     fts_from_table(good)
-    bad = good.copy()
-    bad[2] = 0  # sink must absorb
-    with pytest.raises(ValueError):
-        fts_from_table(bad)
-    over = good.copy()
-    over[0, 0, 0] = 9
-    with pytest.raises(ValueError):
-        fts_from_table(over)
+    to_sink = good.copy()
+    to_sink[1] = 2  # the sink is a successor index, not a row
+    assert fts_from_table(to_sink).successor(1, 0, 0) == 2
+    for value in (3, 9, -1):
+        over = good.copy()
+        over[0, 0, 0] = value
+        with pytest.raises(ValueError, match="out of range"):
+            fts_from_table(over)
+    with pytest.raises(ValueError, match="expected"):  # no sink row
+        dataclasses.replace(fts_from_table(good),
+                            table=np.zeros((3, 1, 1), dtype=np.int64))
     # any integer dtype that holds the sink; never floats
     narrow = fts_from_table(good)
     for dtype in (np.uint8, np.int16, np.uint64):
         fts = dataclasses.replace(narrow, table=good.astype(dtype))
-        assert safety_synthesis(fts, safe=[0, 1]).chosen.tolist() == [0, 0, -1]
+        assert safety_synthesis(fts, safe=[0, 1]).chosen.tolist() == [0, 0]
     with pytest.raises(ValueError, match="integers"):
         dataclasses.replace(narrow, table=good.astype(float))
 
 
 def _two_state_fts():
-    table = np.zeros((3, 2, 1), dtype=np.int64)
-    table[2] = 2
+    table = np.zeros((2, 2, 1), dtype=np.int64)
     fts = fts_from_table(table)
     assert (fts.n_states, fts.n_inputs, fts.n_dists) == (2, 2, 1)
     return fts
@@ -98,14 +101,13 @@ def test_fts_disturbance_axis_must_match_dist_grid():
 def test_three_state_game_hand_solved():
     # states a=0, b=1, c=2 (+ sink 3); u1: a->a, b->a, c->c; u2: a->b, b->c,
     # c->c; safe {a, b}: winning {a, b}, both choose u1
-    table = np.zeros((4, 2, 1), dtype=np.int64)
+    table = np.zeros((3, 2, 1), dtype=np.int64)
     table[0, 0, 0] = 0
     table[1, 0, 0] = 0
     table[2, 0, 0] = 2
     table[0, 1, 0] = 1
     table[1, 1, 0] = 2
     table[2, 1, 0] = 2
-    table[3] = 3
     fts = fts_from_table(table)
     ctrl = safety_synthesis(fts, safe=[0, 1])
     assert set(ctrl.winning_states.tolist()) == {0, 1}
@@ -116,10 +118,9 @@ def test_three_state_game_hand_solved():
 
 
 def test_safety_synthesis_empty_and_full_cases():
-    table = np.zeros((4, 2, 1), dtype=np.int64)
+    table = np.zeros((3, 2, 1), dtype=np.int64)
     table[1] = 1
     table[2] = 2
-    table[3] = 3
     fts = fts_from_table(table)
     assert safety_synthesis(fts, safe=[]).winning_states.size == 0
     ctrl = safety_synthesis(fts, safe=[0, 1, 2])
@@ -131,30 +132,35 @@ def test_safety_synthesis_empty_and_full_cases():
         safety_synthesis(fts, safe=[9])
 
 
-def test_safety_synthesis_matches_backward_induction_oracle():
+def test_safety_synthesis_matches_backward_induction_oracle(monkeypatch):
     rng = np.random.default_rng(2718)
     for _ in range(60):
         n = int(rng.integers(2, 11))
         n_u = int(rng.integers(1, 4))
         n_d = int(rng.integers(1, 4))
-        table = rng.integers(0, n + 1, size=(n + 1, n_u, n_d))
-        table[n] = n
+        table = rng.integers(0, n + 1, size=(n, n_u, n_d))
         fts = fts_from_table(table.astype(np.int64))
         k = int(rng.integers(1, n + 1))
         safe = sorted(rng.choice(n, size=k, replace=False).tolist())
-        ctrl = safety_synthesis(fts, safe=safe)
         want_win, want_inputs = solve_safety_game(table, safe)
-        assert set(ctrl.winning_states.tolist()) == want_win
-        for s in want_win:
-            assert ctrl.input_index(s) == want_inputs[s]
+        # the game takes the table in chunks of whole cells: one cell per
+        # take, a few cells with a remainder, and the whole table; int64 and
+        # uint8 tables play the same
+        for chunk in (1, 5, 1 << 14):
+            monkeypatch.setattr(synthesize_mod, "TABLE_CHUNK_ROWS", chunk)
+            for game in (fts, dataclasses.replace(fts, table=table.astype(np.uint8))):
+                ctrl = safety_synthesis(game, safe=safe)
+                assert ctrl.chosen.shape == (n,)
+                assert set(ctrl.winning_states.tolist()) == want_win
+                for s in want_win:
+                    assert ctrl.input_index(s) == want_inputs[s]
 
 
 def test_winning_set_monotone_in_safe_set():
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = 8
-        table = rng.integers(0, n + 1, size=(n + 1, 2, 2))
-        table[n] = n
+        table = rng.integers(0, n + 1, size=(n, 2, 2))
         fts = fts_from_table(table.astype(np.int64))
         small = sorted(rng.choice(n, size=3, replace=False).tolist())
         large = sorted(set(small) | set(rng.choice(n, size=3).tolist()))
@@ -166,8 +172,7 @@ def test_winning_set_monotone_in_safe_set():
 def test_fixed_point_soundness_exhaustive():
     rng = np.random.default_rng(6)
     n, n_u, n_d = 12, 3, 3
-    table = rng.integers(0, n + 1, size=(n + 1, n_u, n_d))
-    table[n] = n
+    table = rng.integers(0, n + 1, size=(n, n_u, n_d))
     fts = fts_from_table(table.astype(np.int64))
     ctrl = safety_synthesis(fts, safe=range(n))
     win = set(ctrl.winning_states.tolist())
@@ -192,7 +197,6 @@ def test_enumerate_abstraction_identity_and_counts():
     for s in range(fts.n_states):
         assert fts.successor(s, 0, 0) == s
         assert fts.successor(s, 1, 0) == s
-    assert fts.successor(fts.sink, 0, 0) == fts.sink
     with pytest.raises(CapacityError):
         enumerate_abstraction(sys, g, query_cap=10)
 
@@ -202,7 +206,8 @@ def test_enumerate_abstraction_room_spot_checks():
     sg = make_grid([(-0.5, 0.5)], 0.025)
     dg = product_grid([sg, sg])
     fts = enumerate_abstraction(rooms[0], sg, dg)
-    assert fts.table.shape == (21, 5, 400)
+    assert fts.table.shape == (20, 5, 400)
+    assert fts.table.dtype == np.uint8  # the file's dtype: 20 cells and the sink
     # 0-cell under nu=0 with 0-cell neighbors lands at center -0.125 (cell 7)
     s0 = quantize(sg, [0.0]).index
     d0 = dg.cell_index([0.0, 0.0])
@@ -219,11 +224,10 @@ def test_enumerate_abstraction_room_spot_checks():
 
 
 def test_refine_controller_prefers_v_minimizing_cell():
-    table = np.zeros((5, 2, 1), dtype=np.int64)
+    table = np.zeros((4, 2, 1), dtype=np.int64)
     for s in range(4):
         table[s, 0, 0] = s
         table[s, 1, 0] = min(s + 1, 3)
-    table[4] = 4
     grid = make_grid([(0.0, 4.0)], 0.5)
     fts = FiniteTransitionSystem(table=table, state_grid=grid,
                                  dist_grid=trivial_grid(),
@@ -241,11 +245,10 @@ def test_refine_controller_prefers_v_minimizing_cell():
 
 
 def test_refine_controller_breaks_ties_by_lower_index():
-    table = np.zeros((4, 1, 1), dtype=np.int64)
+    table = np.zeros((3, 1, 1), dtype=np.int64)
     table[0] = 0
     table[1] = 1
     table[2] = 2
-    table[3] = 3
     grid = make_grid([(0.0, 3.0)], 0.5)
     fts = FiniteTransitionSystem(table=table, state_grid=grid,
                                  dist_grid=trivial_grid(),
@@ -356,8 +359,7 @@ def test_select_rows_scores_each_distinct_row_once(dim):
     # two payloads, rows differing only in their last coordinate, and rows
     # with no related cell, each in a stack against the same row alone
     grid = make_grid([(-0.5, 0.5)] * dim, 0.25)
-    chosen = np.arange(grid.total_cells + 1) % 3 - 1
-    chosen[-1] = -1
+    chosen = np.arange(grid.total_cells) % 3 - 1
     header = AbstractionHeader(state_grid=grid, dist_grid=trivial_grid(),
                                inputs=np.array([[0.0], [1.0]]))
     table = ControllerTable(chosen=chosen, fts=header)
@@ -384,9 +386,7 @@ def test_select_rows_scores_each_distinct_row_once(dim):
 
 
 def test_refine_rejects_empty_winning_set():
-    table = np.zeros((2, 1, 1), dtype=np.int64)
-    table[0] = 1  # jumps straight to the sink
-    table[1] = 1
+    table = np.ones((1, 1, 1), dtype=np.int64)  # jumps straight to the sink
     grid = make_grid([(0.0, 1.0)], 0.5)
     fts = FiniteTransitionSystem(table=table, state_grid=grid,
                                  dist_grid=trivial_grid(),

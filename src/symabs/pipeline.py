@@ -655,21 +655,24 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         cert_cfg = config.certify
         owners = _owners(config, bundle)
         state_grids, dist_grids = subsystem_grids(bundle, cert_cfg.sigma, owners)
-        state_dim = config.system.state_dim
-        q, unknowns = computed_sample_size(config, state_dim)
-        batches = _load_or_draw_samples(config, out_dir, bundle, q)
+        q, unknowns = computed_sample_size(config, config.system.state_dim)
+        cap = config.synthesize.query_cap
         lip_cfg = cert_cfg.lipschitz_config()
         lipschitz = lip_cfg.source()
-        for system in bundle.subsystems:
-            _checked("certify.lipschitz", lambda: lipschitz.check(system.signature))
+        for sig in (system.signature for system in bundle.subsystems):
+            _checked("certify.lipschitz", lambda: lipschitz.check(sig))
+            if lip_cfg.kind == "data":  # before the probe draws them
+                check_table_cap("the slope probe's point pairs (pairs x state and "
+                                "disturbance coordinates)", lip_cfg.pairs * (
+                                    sig.state_dim + sig.disturbance_dim), cap)
+        batches = _load_or_draw_samples(config, out_dir, bundle, q)
         boxes = cert_cfg.variable_boxes()
         certs = {i: scenario.certify_apbf(
             bundle.subsystems[i], state_grids[i], dist_grids[i],
             cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
             samples=batch, boxes=boxes, unknowns=unknowns,
             psi=cert_cfg.psi, lam=cert_cfg.lam,
-            xi_target=cert_cfg.xi_target,
-            table_cap=config.synthesize.query_cap)
+            xi_target=cert_cfg.xi_target, table_cap=cap)
             for i, batch in zip(sorted(set(owners)), batches)}
         shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level, and the slope

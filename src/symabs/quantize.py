@@ -37,14 +37,14 @@ TABLE_NAME = "the transition table (cells x inputs x disturbance cells)"
 TABLE_CHUNK_ROWS = 1 << 14
 
 
-def check_table_cap(what: str, entries: int, cap: int) -> None:
+def check_table_cap(what: str, entries: int, cap: int, itemsize: int = 8) -> None:
     """Raise CapacityError, naming `what` with its entries and their bytes at
-    8 bytes each (int64 or float64), when it would hold more than `cap`
-    entries; call it before allocating."""
+    `itemsize` each (8 for int64 or float64), when it would hold more than
+    `cap` entries; call it before allocating."""
     if entries > cap:
         raise CapacityError(
-            f"{what} would hold {entries:,} entries ({8 * entries:,} bytes), "
-            f"over the table cap of {cap:,} entries")
+            f"{what} would hold {entries:,} entries ({itemsize * entries:,} "
+            f"bytes), over the table cap of {cap:,} entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +128,16 @@ class UniformGrid:
         multi = np.asarray(self.multi_index(flat), dtype=float)
         return self.box[:, 0] + (multi + 0.5) * self.widths
 
+    def axis_centers(self) -> list:
+        """Per coordinate, the cell centers along that axis, ascending."""
+        return [self.box[j, 0] + (np.arange(k) + 0.5) * self.widths[j]
+                for j, k in enumerate(self.cells_per_dim)]
+
     def all_representatives(self) -> Array:
         """Centers of all cells, shape (total_cells, dim), in flat-index order."""
         if self.dim == 0:
             return np.zeros((1, 0))
-        axes = [self.box[j, 0] + (np.arange(self.cells_per_dim[j]) + 0.5) * self.widths[j]
-                for j in range(self.dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*self.axis_centers(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def contains(self, x) -> bool:

@@ -34,9 +34,8 @@ from .simplex import scan_above, solve_with_rows
 Array = np.ndarray
 
 SAMPLE_CAP = 10_000_000
-# Values per slice of the samples when SopData builds a distance factor.  At
-# sigma 0.005 (142 samples x 10,000 disturbance cells) slices of 2**12 to
-# 2**16 values took 19-20 ms, and the one-shot difference array 28 ms.
+# (pair, cell) entries per slice of the presence mask from which SopInstance
+# finds its bound columns; a whole mask would hold pairs x cells entries.
 FACTOR_SLICE = 1 << 14
 
 
@@ -666,7 +665,7 @@ class SopInstance:
         h1 -= cur
         h1 -= xi
         floor = yield 0, h1.reshape(-1)
-        succ = (self.coef_phi @ phi).reshape(q, n_u * n_s)
+        succ = (self.coef_phi.reshape(-1, phi.size) @ phi).reshape(q, n_u * n_s)
         state_term = self.coef_theta * theta + self.const - xi - self.mu * cur
         ranked = floor is not None
         if ranked:
@@ -732,16 +731,17 @@ class SopInstance:
         return RowTag(kind="H2", sample=i, input=u, state=xh, dist=dh)
 
 
-def _squared_distances(points: Array, reps: Array) -> Array:
-    """||points[i] - reps[c]||^2 for every pair, shape (points, reps), built
-    over slices of the points so that the difference array stays near
-    FACTOR_SLICE values.  Each slice takes the one einsum of the whole, which
-    keeps every entry bit for bit; a loop over the coordinates would not."""
-    out = np.empty((points.shape[0], reps.shape[0]))
-    step = max(1, FACTOR_SLICE // max(1, reps.size))
-    for lo in range(0, points.shape[0], step):
-        diff = points[lo:lo + step, None, :] - reps[None, :, :]
-        out[lo:lo + step] = np.einsum("qsk,qsk->qs", diff, diff)
+def _squared_distances(points: Array, grid: UniformGrid) -> Array:
+    """||points[i] - center[c]||^2 for every point and cell of the grid, shape
+    (points, cells), from per-axis factors: with g_j the squared gaps to the
+    centers along axis j, the sum (g_0 + g_1) + g_2 ... over the grid's
+    product order, in axis order.  No (points x cells x axes) array is made.
+    With one or two axes a sum rounds once, so it has the bits of an einsum
+    over the difference array; with more, the axis order fixes them."""
+    out = np.zeros((points.shape[0], 1))
+    for j, centers in enumerate(grid.axis_centers()):
+        gap = points[:, j, None] - centers
+        out = (out[:, :, None] + (gap * gap)[:, None, :]).reshape(out.shape[0], -1)
     return out
 
 
@@ -783,7 +783,6 @@ class SopData:
                         "disturbance cells)", q * n_dists, table_cap)
 
         state_reps = state_grid.all_representatives()
-        dist_reps = dist_grid.all_representatives()
         inputs = sig.input_array()
 
         # One oracle call over the (sample, input) rows.
@@ -808,8 +807,8 @@ class SopData:
         self.g_cur = basis.features(xs[:, None, :], state_reps[None, :, :])
         self.g_succ = basis.features(x_plus[:, :, None, :],
                                      state_reps[None, None, :, :])
-        self.dist2_state = _squared_distances(xs, state_reps)
-        self.dist2_dist = _squared_distances(ds, dist_reps)
+        self.dist2_state = _squared_distances(xs, state_grid)
+        self.dist2_dist = _squared_distances(ds, dist_grid)
 
     def instance(self, mu: float, boxes: VariableBoxes | None = None) -> SopInstance:
         if not 0.0 < mu < 1.0:

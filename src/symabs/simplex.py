@@ -32,7 +32,8 @@ constraint index.  Pricing takes the largest violation or multiplier while
 the objective moves; after a run of degenerate pivots it switches to Bland's
 rule (the lowest-index eligible constraint, ratio ties to the lowest index),
 whose termination guarantee then applies, and returns on the next strict
-improvement.
+improvement.  The ratio tests pick in plain floats: the dual one weighs only
+the n basis entries, and the primal one only the rows its step meets.
 
 `solve_with_rows` wraps the solver in Kelley's cutting-plane loop for row
 sets too large to hand it at once: solve a master over a working subset,
@@ -40,28 +41,20 @@ scan all rows for violations, add the worst offenders, drop rows that have
 gone slack once the master is over budget, repeat until every row holds.
 Each round's master starts from the previous round's optimal basis; the
 added cuts leave it dual feasible, so a few dual pivots restore feasibility.
+The working rows are carried from round to round, so a round gathers only
+its new cuts.
 
 The scan streams: the row source yields its residuals block by block, and
-`top_violators` reads each block in fixed slices and keeps a running top-k
-of the rows outside the working set, so besides the block it is handed a
-round holds O(slice + k) values and never one entry per row.  The
-top-k is kept by selection, not by sorting: a partition finds the k-th
-largest residual, and of the rows tied at it the lowest-index ones stay.
-Among equal residuals the lower row index thus wins, which makes the chosen
-rows a function of the residual values alone, whatever the block
-boundaries and whatever order the blocks come in.
-
-The scan is also pruned: `scan_above` sends the source, before each block
-after the first, the floor a row must exceed to be admitted: viol_tol until
-k rows are held, then the larger of viol_tol and the largest float below
-the running k-th residual, since a later row tied with the k-th can still
-win on its index.  A source that can bound a block's rows from cheap
-factors skips every block whose bound is at or below that floor, without
-building it, and may visit its blocks largest bound first so that the
-floor rises early and it can stop at the first block the floor rules out.
-Only rows no consumer would admit are skipped, so the chosen rows are the
-same as from a full scan.  A source that cannot bound its blocks ignores
-the floor and yields them all.
+`top_violators` keeps a running top-k of the rows outside the working set by
+selection over fixed slices, so a round holds O(slice + k) values besides
+the block, never one entry per row.  Ties go to the lower row index, which
+makes the chosen rows a function of the residual values alone, whatever the
+block boundaries and order.  The scan is also pruned: before each block
+after the first, `scan_above` sends the source the floor a row must exceed
+to be admitted.  A source that can bound a block's rows from cheap factors
+skips every block whose bound is at or below that floor without building it,
+and may visit its blocks largest bound first, so that it can stop at the
+first block the floor rules out; the chosen rows are those of a full scan.
 """
 
 from __future__ import annotations
@@ -163,15 +156,17 @@ def _solve(mat: Array, rhs: Array) -> Array:
         raise SolverError("simplex basis became singular") from exc
 
 
-def _pick(ratio: Array, weight: Array, order: Array, bland: bool) -> int:
+def _pick(ratio: list, weight: list, order: list, bland: bool) -> int:
     """Position of the smallest ratio; ties go to the largest weight, then to
-    the lowest order, or straight to the lowest order under Bland's rule."""
-    best = float(np.min(ratio))
-    tied = np.flatnonzero(ratio <= best + 1e-12 * max(1.0, abs(best)))
+    the lowest order, or straight to the lowest order under Bland's rule.
+    Plain floats: the candidates are a basis or the rows one step meets."""
+    best = min(ratio)
+    cut = best + 1e-12 * max(1.0, abs(best))
+    tied = [k for k, r in enumerate(ratio) if r <= cut]
     if not bland:
-        w = weight[tied]
-        tied = tied[w >= np.max(w)]
-    return int(tied[np.argmin(order[tied])])
+        top = max(weight[k] for k in tied)
+        tied = [k for k in tied if weight[k] >= top]
+    return min(tied, key=order.__getitem__)
 
 
 class _Pricing:
@@ -219,17 +214,16 @@ def _dual(lp: _Constraints, basis: Array, cost: Array, tol: float,
             if not resid[enter] > tol:
                 return "feasible", it
         yw = _solve(gb.T, np.column_stack([-cost, lp.g[enter]]))
-        y, w = yw[:, 0], yw[:, 1]
         # The entering row takes multiplier t >= 0 and the basis moves to
         # y - t w: sign-constrained entries must stay >= 0, pins at 0.
-        pin = basis >= lp.real
-        ok = np.where(pin, np.abs(w) > _PIVOT_TOL, w > _PIVOT_TOL)
-        if not ok.any():
+        ys, ws, codes = yw[:, 0].tolist(), yw[:, 1].tolist(), basis.tolist()
+        ok = [k for k, code in enumerate(codes)
+              if (abs(ws[k]) if code >= lp.real else ws[k]) > _PIVOT_TOL]
+        if not ok:
             return "infeasible", it
-        ratio = np.full(basis.size, np.inf)
-        ratio[ok] = np.where(pin[ok], 0.0, np.maximum(y[ok], 0.0) / w[ok])
-        leave = _pick(ratio, np.abs(w), basis, pricing.bland)
-        basis[leave] = enter
+        ratio = [0.0 if codes[k] >= lp.real else max(0.0, ys[k]) / ws[k] for k in ok]
+        basis[ok[_pick(ratio, [abs(ws[k]) for k in ok], [codes[k] for k in ok],
+                       pricing.bland)]] = enter
         it += 1
         if it > budget:
             raise SolverError(f"simplex exceeded {budget} iterations")
@@ -271,7 +265,8 @@ def _primal(lp: _Constraints, basis: Array, cost: Array, tol: float,
         ratio = slack / rate[ok]
         if not np.any(np.isfinite(ratio)):
             return "unbounded", it
-        enter = int(items[ok][_pick(ratio, rate[ok], items[ok], pricing.bland)])
+        cand = items[ok]
+        enter = cand[_pick(ratio.tolist(), rate[ok].tolist(), cand.tolist(), pricing.bland)]
         basis[leave] = enter
         it += 1
         if it > budget:
@@ -454,16 +449,11 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
 
     basis = None
     pivots = 0
+    ga, gb = source.gather(working)  # carried across rounds, new cuts added
     for rounds in range(1, max_rounds + 1):
-        if working.size:
-            ga, gb = source.gather(working)
-            a = np.vstack([ga, extra_a])
-            b = np.concatenate([gb, extra_b])
-        else:
-            ga, gb = np.zeros((0, n)), np.zeros(0)
-            a, b = extra_a, extra_b
-        result = solve_simplex(c, a, b, lower, upper, maximize=maximize, tol=tol,
-                               basis=basis)
+        result = solve_simplex(c, np.vstack([ga, extra_a]),
+                               np.concatenate([gb, extra_b]), lower, upper,
+                               maximize=maximize, tol=tol, basis=basis)
         pivots += result.iterations
         if result.status == "infeasible":
             raise InfeasibleError(f"{context}: master infeasible")
@@ -477,9 +467,7 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
                               batch, viol_tol)
         if worst.size == 0:
             act = result.active_rows
-            active_source = working[act[act < working.size]] if working.size else \
-                np.empty(0, dtype=int)
-            return total, working, active_source
+            return total, working, working[act[act < working.size]]
         # Master rows are [working, extra]; carry the basis to the next
         # round's rows: kept working rows keep their order, the new cuts
         # follow them, and the extra rows come last.
@@ -493,6 +481,8 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
             keep[basis[in_working]] = True
         basis[extra] += int(keep.sum()) + worst.size - working.size
         basis[in_working] = (np.cumsum(keep) - 1)[basis[in_working]]
+        new_a, new_b = source.gather(worst)
+        ga, gb = np.vstack([ga[keep], new_a]), np.concatenate([gb[keep], new_b])
         working = np.concatenate([working[keep], worst])
     raise SolverError(f"{context}: row generation did not settle "
                       f"within {max_rounds} rounds")

@@ -103,7 +103,8 @@ def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
     inputs = sig.input_array() if inputs is None else \
         np.atleast_2d(np.asarray(inputs, dtype=float))
     shape = (state_grid.total_cells, inputs.shape[0], dist_grid.total_cells)
-    check_table_cap(TABLE_NAME, shape[0] * shape[1] * shape[2], query_cap)
+    check_table_cap(TABLE_NAME, shape[0] * shape[1] * shape[2], query_cap,
+                    table_dtype(shape[0]).itemsize)
     table = np.empty(shape, dtype=table_dtype(shape[0]))
     transition_table(sys, state_grid, dist_grid, inputs, successor=table)
     return FiniteTransitionSystem(table=table, state_grid=state_grid,

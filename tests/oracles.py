@@ -63,6 +63,77 @@ def brute_top(resid, skip, k, viol_tol):
     return np.sort(order[resid[order] > viol_tol])
 
 
+def squared_distances_einsum(points, reps):
+    """||points[i] - reps[c]||^2 for every pair, as one einsum over the
+    whole (points x reps x coordinates) difference array."""
+    diff = points[:, None, :] - reps[None, :, :]
+    return np.einsum("qsk,qsk->qs", diff, diff)
+
+
+def squared_distances_in_axis_order(points, reps):
+    """||points[i] - reps[c]||^2 for every pair, one pair and one coordinate
+    at a time, summed in axis order: ((d_0^2 + d_1^2) + d_2^2) and so on."""
+    out = np.zeros((len(points), len(reps)))
+    for i, point in enumerate(points):
+        for c, rep in enumerate(reps):
+            total = 0.0
+            for p, r in zip(point.tolist(), rep.tolist()):
+                total += (p - r) * (p - r)
+            out[i, c] = total
+    return out
+
+
+def pick_numpy(ratio, weight, order, bland):
+    """Position of the smallest ratio; ties within 1e-12 go to the largest
+    weight, then to the lowest order, or straight to the lowest order under
+    Bland's rule.  The simplex solver's selection in numpy arrays, as it was
+    before it moved to plain floats; takes lists or arrays."""
+    ratio, weight, order = (np.asarray(v) for v in (ratio, weight, order))
+    best = float(np.min(ratio))
+    tied = np.flatnonzero(ratio <= best + 1e-12 * max(1.0, abs(best)))
+    if not bland:
+        w = weight[tied]
+        tied = tied[w >= np.max(w)]
+    return int(tied[np.argmin(order[tied])])
+
+
+def dual_simplex_numpy(lp, basis, cost, tol, budget):
+    """The solver's dual loop with its ratio test in numpy arrays over every
+    basis entry (inf where an entry does not limit the step), picked by
+    `pick_numpy`, as it was before the test moved to plain floats.  It reuses
+    the solver's basis solve and pricing, which that move left alone."""
+    from symabs import simplex
+    pricing = simplex._Pricing(+1.0)
+    it = 0
+    while True:
+        gb = lp.g[basis]
+        x = simplex._solve(gb, lp.h[basis])
+        resid = lp.g[:lp.real] @ x - lp.h[:lp.real]
+        resid[basis[basis < lp.real]] = -np.inf
+        pricing.update(float(cost @ x))
+        if pricing.bland:
+            cand = np.flatnonzero(resid > tol)
+            if cand.size == 0:
+                return "feasible", it
+            enter = int(cand[0])
+        else:
+            enter = int(np.argmax(resid))
+            if not resid[enter] > tol:
+                return "feasible", it
+        yw = simplex._solve(gb.T, np.column_stack([-cost, lp.g[enter]]))
+        y, w = yw[:, 0], yw[:, 1]
+        pin = basis >= lp.real
+        ok = np.where(pin, np.abs(w) > simplex._PIVOT_TOL, w > simplex._PIVOT_TOL)
+        if not ok.any():
+            return "infeasible", it
+        ratio = np.full(basis.size, np.inf)
+        ratio[ok] = np.where(pin[ok], 0.0, np.maximum(y[ok], 0.0) / w[ok])
+        basis[pick_numpy(ratio, np.abs(w), basis, pricing.bland)] = enter
+        it += 1
+        if it > budget:
+            raise simplex.SolverError(f"simplex exceeded {budget} iterations")
+
+
 def solve_safety_game(table, safe):
     """Maximal winning set by plain fixed-point iteration on Python sets.
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import yaml
 
+from oracles import squared_distances_einsum
 from symabs import cli, pipeline, scenario
 from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, build_room_network
@@ -1211,6 +1212,77 @@ def test_cli_refuses_a_closed_loop_past_the_cap_before_allocating_it(
         else:
             with pytest.raises(CapacityError, match="744 entries"):
                 stage_simulate(capped, str(out))
+
+
+def test_cap_messages_name_each_arrays_own_bytes(tmp_path, capsys):
+    # The default room's table holds 20 x 5 x 400 entries: abstract builds
+    # it in uint8 (20 cells), certify keeps an int64 copy.
+    cfg = tmp_path / "cap.yaml"
+    cfg.write_text(yaml.safe_dump({"synthesize": {"query_cap": 1000}}))
+    for command, itemsize in (("abstract", 1), ("certify", 8)):
+        rc = cli.main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert "Traceback" not in err
+        assert (f"error in stage {command}: the transition table (cells x "
+                f"inputs x disturbance cells) would hold 40,000 entries "
+                f"({itemsize * 40_000:,} bytes), over the table cap of 1,000 "
+                f"entries") in err
+
+
+def test_cli_refuses_a_slope_probe_past_the_cap_before_drawing_it(tmp_path,
+                                                                  capsys):
+    # A million pairs would have the probe draw 1 M x 3 coordinates per
+    # array (at SAMPLE_CAP, 10 M x 3); a cap one entry short refuses them
+    # before any draw.
+    cfg = tmp_path / "probe.yaml"
+    cfg.write_text(yaml.safe_dump(
+        {"certify": {"lipschitz": {"pairs": 1_000_000}},
+         "synthesize": {"query_cap": 2_999_999}}))
+    tracemalloc.start()
+    try:
+        rc = cli.main(["certify", "--config", str(cfg), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert ("error in stage certify: the slope probe's point pairs (pairs x "
+            "state and disturbance coordinates) would hold 3,000,000 entries "
+            "(24,000,000 bytes), over the table cap of 2,999,999 entries") in err
+    assert peak < 8 * 2 ** 20, peak
+    assert not (tmp_path / "certificates.json").exists()
+    # the cap is exact: the default 200 pairs x 3 coordinates fit 600 entries,
+    # and the stage goes on to the table, which that cap refuses in turn
+    config = PipelineConfig()
+    for cap, what in ((599, "slope probe's point pairs"), (600, "transition table")):
+        capped = dataclasses.replace(config, synthesize=dataclasses.replace(
+            config.synthesize, query_cap=cap))
+        with pytest.raises(CapacityError, match=what):
+            stage_certify(capped, str(tmp_path))
+
+
+def test_distance_factors_keep_the_ring5_fine_certificate_bytes(tmp_path,
+                                                                monkeypatch):
+    # A room has two disturbance axes and one state axis, and a sum of at
+    # most two squared gaps rounds once in any order, so the bench's
+    # five-room ring at sigma 0.02 certifies to the same bytes as with the
+    # one-shot einsum over the whole difference array.
+    config = PipelineConfig.from_mapping({
+        "seed": 0, "system": {"num_rooms": 5,
+                              "input_levels": [0.0, 0.05, 0.1, 0.15, 0.2]},
+        "certify": {"sigma": 0.02, "lipschitz": {"seed": 1}}})
+    run_pipeline(config, str(tmp_path / "factors"))
+    calls = []
+    monkeypatch.setattr(scenario, "_squared_distances", lambda points, grid: (
+        calls.append(grid) or squared_distances_einsum(
+            points, grid.all_representatives())))
+    run_pipeline(config, str(tmp_path / "einsum"))
+    assert len(calls) == 2
+    for name in ("certificates.json", "lp_stats.json"):
+        assert (tmp_path / "factors" / name).read_bytes() == \
+            (tmp_path / "einsum" / name).read_bytes(), name
 
 
 def test_certify_peak_is_a_small_multiple_of_the_tables_it_keeps(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (ball_fraction, ball_radius, basis_features_direct, brute_top,
-                     min_samples_binomial, sop_instance_for_exponents)
+                     min_samples_binomial, sop_instance_for_exponents,
+                     squared_distances_einsum, squared_distances_in_axis_order)
 import symabs.scenario as scenario_mod
 from symabs.errors import CapacityError, SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
@@ -814,23 +815,21 @@ def box_system(state_dim, dist_dim):
                           + 0.1 * d.sum(axis=1, keepdims=True))
 
 
-def one_shot_dist2(points, reps):
-    diff = points[:, None, :] - reps[None, :, :]
-    return np.einsum("qsk,qsk->qs", diff, diff)
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3])
-@pytest.mark.parametrize("slice_values", [1, 7, 1 << 14])
-def test_distance_factors_equal_the_one_shot_einsum_bit_for_bit(
-        monkeypatch, dim, slice_values):
-    monkeypatch.setattr(scenario_mod, "FACTOR_SLICE", slice_values)
+@pytest.mark.parametrize("count", [1, 7, 53])
+def test_distance_factors_equal_the_one_shot_einsum_bit_for_bit(dim, count):
+    # A sum of one or two squared gaps has one rounding whatever the order,
+    # so it keeps the one-shot einsum's bits; past two axes the factors sum
+    # in axis order, which the reference does one coordinate at a time.
+    reference = squared_distances_einsum if dim < 3 else \
+        squared_distances_in_axis_order
     sys = box_system(dim, dim)
     sg = make_grid(sys.signature.state_box, 0.25)  # 4 cells a coordinate
     dg = make_grid(sys.signature.disturbance_box, 0.34)  # 3 a coordinate
-    samples = draw_samples(sys.signature, 53, seed=dim)
+    samples = draw_samples(sys.signature, count, seed=dim)
     data = SopData(samples, sys, sg, dg)
-    want_state = one_shot_dist2(samples.states, sg.all_representatives())
-    want_dist = one_shot_dist2(samples.disturbances, dg.all_representatives())
+    want_state = reference(samples.states, sg.all_representatives())
+    want_dist = reference(samples.disturbances, dg.all_representatives())
     assert np.array_equal(data.dist2_state, want_state)
     assert np.array_equal(data.dist2_dist, want_dist)
 

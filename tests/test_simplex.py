@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import brute_top, lp_by_vertices
+from oracles import brute_top, dual_simplex_numpy, lp_by_vertices, pick_numpy
 import symabs.simplex as simplex_mod
 from symabs.errors import InfeasibleError
 from symabs.simplex import (SimplexResult, scan_above, solve_simplex, solve_with_rows,
@@ -404,6 +405,66 @@ def test_degenerate_random_lps_match_highs(stall_limit, monkeypatch):
     assert min(seen.values()) >= 40, seen
 
 
+def solve_both_ways(c, a, b, lower, upper, maximize, stall_limit, warm):
+    """solve_simplex as it is, then with its dual loop and picks switched to
+    the numpy ratio test and selection of `oracles`; a `warm` solve starts
+    from the optimal basis of the first half of the rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex_mod, "_STALL_LIMIT", stall_limit)
+        results = []
+        for dual, pick in ((simplex_mod._dual, simplex_mod._pick),
+                           (dual_simplex_numpy, pick_numpy)):
+            mp.setattr(simplex_mod, "_dual", dual)
+            mp.setattr(simplex_mod, "_pick", pick)
+            basis = None
+            if warm:
+                half = a.shape[0] // 2
+                basis = solve_simplex(c, a[:half], b[:half], lower, upper,
+                                      maximize=maximize).basis
+            results.append(solve_simplex(c, a, b, lower, upper,
+                                         maximize=maximize, basis=basis))
+    return results
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), stall_limit=st.sampled_from([12, 1]),
+       warm=st.booleans())
+def test_plain_float_ratio_tests_pivot_as_the_numpy_ones(seed, stall_limit, warm):
+    # The dual ratio test and every pick run in plain floats; on LPs full of
+    # ties, with free variables pinned, and under Bland's rule after one
+    # degenerate pivot (stall_limit 1), every pivot must be the same as with
+    # the numpy arrays they replaced, so the bits of the answer are too.
+    got, want = solve_both_ways(*degenerate_lp(np.random.default_rng(seed)),
+                                stall_limit, warm)
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    for name in ("basis", "x", "active_rows"):
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert (mine is None and theirs is None) or np.array_equal(mine, theirs)
+    assert got.objective == want.objective
+
+
+def test_random_lps_exercise_pins_bland_and_ratio_ties(monkeypatch):
+    # The LPs of the property above do reach what it is meant to cover.
+    seen = {"tie": 0, "bland": 0, "pin": 0, "pivots": 0}
+    pick = simplex_mod._pick
+
+    def spy(ratio, weight, order, bland):
+        seen["tie"] += sorted(ratio)[:2].count(min(ratio)) > 1
+        seen["bland"] += bland
+        return pick(ratio, weight, order, bland)
+
+    monkeypatch.setattr(simplex_mod, "_pick", spy)
+    monkeypatch.setattr(simplex_mod, "_STALL_LIMIT", 1)
+    rng = np.random.default_rng(77)
+    for _ in range(200):
+        c, a, b, lower, upper, maximize = degenerate_lp(rng)
+        r = solve_simplex(c, a, b, lower, upper, maximize=maximize)
+        seen["pivots"] += r.iterations
+        seen["pin"] += bool(np.any(np.isinf(lower) & np.isinf(upper)))
+    assert min(seen.values()) >= 20, seen
+
+
 def constraint_vectors(basis, a, n):
     """The constraint each basis entry names, as a row of G x <= h over the
     stacked list [a rows, lower bounds, upper bounds, pins]."""
@@ -492,6 +553,53 @@ def test_row_generation_carries_the_basis_between_rounds(monkeypatch):
     direct = solve_simplex(c, np.vstack([a, extra_a]), np.concatenate([b, extra_b]),
                            lower, upper)
     assert abs(direct.objective - result.objective) <= 1e-9
+
+
+@pytest.mark.parametrize("max_master", [12, 10_000])
+def test_row_generation_gathers_only_new_cuts(monkeypatch, max_master):
+    # Rows are carried from round to round, so after the first round only
+    # the new cuts are gathered; each master must still get exactly the
+    # rows a fresh gather of its working set gives, in working order, with
+    # the extra rows last.  max_master 12 makes rounds drop slack rows.
+    masters, gathered = [], []
+    real = simplex_mod.solve_simplex
+
+    def spy(c, a_ub, b_ub, lower, upper, **kwargs):
+        masters.append((np.array(a_ub), np.array(b_ub)))
+        return real(c, a_ub, b_ub, lower, upper, **kwargs)
+
+    class Logged(DenseRows):
+        def gather(self, idx):
+            gathered.append(np.array(idx))
+            return super().gather(idx)
+
+    monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
+    rng = np.random.default_rng(43)
+    n, m = 4, 400
+    a = rng.normal(size=(m, n))  # distinct rows, so a row names its index
+    b = rng.uniform(0.5, 2.0, size=m)
+    extra_a, extra_b = np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([0.5])
+    result, working, _ = solve_with_rows(
+        rng.normal(size=n), Logged(a, b), np.full(n, -10.0), np.full(n, 10.0),
+        extra_a=extra_a, extra_b=extra_b, batch=6, max_master=max_master,
+        start_rows=[5, 3, 5])
+    index = {row.tobytes(): k for k, row in enumerate(a)}
+    assert len(masters) == len(gathered) == result.rounds >= 4
+    assert gathered[0].tolist() == [3, 5]
+    prev, dropped = None, 0
+    for (a_ub, b_ub), new in zip(masters, gathered[1:] + [None]):
+        rows = [index[row.tobytes()] for row in a_ub[:-1]]
+        assert np.array_equal(a_ub, np.vstack([a[rows], extra_a]))
+        assert np.array_equal(b_ub, np.concatenate([b[rows], extra_b]))
+        if prev is not None:  # kept rows in their order, then the cuts
+            kept = rows[:len(rows) - len(cuts)]
+            assert rows[len(kept):] == cuts.tolist()
+            assert kept == [r for r in prev if r in set(kept)]
+            assert not set(cuts.tolist()) & set(prev)
+            dropped += len(kept) < len(prev)
+        prev, cuts = rows, new
+    assert rows == working.tolist()
+    assert (dropped > 0) == (max_master == 12)
 
 
 def test_pricing_falls_back_to_bland_after_a_stall():

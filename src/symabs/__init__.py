@@ -27,9 +27,10 @@ from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        convert_gains, draw_samples, kappa, kappa_inverse,
                        min_sample_size, quartic_difference_basis, solve_lp)
 from .simplex import SimplexResult, solve_simplex, solve_with_rows
-from .synthesize import (ControllerTable, FiniteTransitionSystem,
-                         RefinedController, Trajectory, enumerate_abstraction,
-                         safety_synthesis, simulate_closed_loop)
+from .synthesize import (ClosedLoopLog, ControllerTable,
+                         FiniteTransitionSystem, RefinedController, Trajectory,
+                         enumerate_abstraction, safety_synthesis,
+                         simulate_closed_loop)
 
 __version__ = "0.1.0"
 
@@ -42,7 +43,7 @@ __all__ = [
     "NonlinearLipschitz", "OracleError", "PipelineConfig", "ProtocolError",
     "RefinedController", "RefinementError", "RoomNetworkParams", "SampleBatch",
     "ScalingVector", "SimplexResult", "SolverError", "SymabsError",
-    "SystemSignature", "Trajectory", "UnboundedError",
+    "SystemSignature", "Trajectory", "UnboundedError", "ClosedLoopLog",
     "UniformGrid", "VariableBoxes", "abstract_transition", "apbf_margin",
     "build_gain_matrix", "build_room_network", "certify_apbf",
     "check_circularity", "compose_abf", "convert_gains", "draw_samples",

@@ -32,7 +32,7 @@ from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        draw_samples, quartic_difference_basis)
 from .synthesize import (AbstractionHeader, ControllerTable,
                          FiniteTransitionSystem, RefinedController,
-                         Trajectory, enumerate_abstraction, safety_synthesis,
+                         enumerate_abstraction, safety_synthesis,
                          simulate_closed_loop, table_dtype)
 
 Array = np.ndarray
@@ -546,44 +546,51 @@ def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
     return ControllerTable(chosen=np.array(chosen, dtype=np.int64), fts=fts)
 
 
-# Stands in for the subsystem column while a trajectory's rows are shared:
-# no run label, integer or float repr contains it.
+# Stands in for the subsystem column while a room's rows are shared: no run
+# label (write_trajectories refuses one with it), integer or float repr has it.
 _SUBSYSTEM = "\0"
 
 
-def _trajectory_rows(label, tr: Trajectory) -> str:
-    """The rows of one trajectory, with _SUBSYSTEM in the subsystem column:
-    one % pass over a row template; %r writes each float's repr."""
-    t = tr.inputs.shape[0]
-    head = f"{str(label).replace('%', '%%')},%d,{_SUBSYSTEM},"
-    state = ";".join(["%r"] * tr.states.shape[1])
-    nu = ";".join(["%r"] * tr.inputs.shape[1])
-    tail = f",%d,{int(tr.truncated_at is not None)}\n"
-    body = np.column_stack([np.arange(t), tr.states[:t], tr.input_indices,
-                            tr.inputs, tr.safe[:t]])
-    values = body.ravel().tolist()
-    values += [t, *tr.states[t].tolist(), int(bool(tr.safe[t]))]
-    return (f"{head}{state},%d,{nu}{tail}" * t
-            + f"{head}{state},,{tail}") % tuple(values)
+def _room_rows(head, tail, states, indices, safe, inputs) -> str:
+    """The rows of one room, states (T+1, n), with _SUBSYSTEM in the
+    subsystem column: one % pass over a row template; inputs[j] is the
+    text of input j."""
+    t, n = indices.shape[0], states.shape[1]
+    body = np.empty((t, n + 4), dtype=object)  # Python ints, floats, bools
+    body[:, 0], body[:, 1:n + 1], body[:, n + 1] = range(t), states[:t], indices
+    body[:, n + 2], body[:, n + 3] = [inputs[j] for j in indices.tolist()], safe[:t]
+    values = body.ravel().tolist() + [t, *states[t].tolist(), int(safe[t])]
+    state = ";".join(["%r"] * n)
+    return (f"{head}{state},%d,%s{tail}" * t + f"{head}{state},,{tail}") % tuple(values)
 
 
-def write_trajectories(path, runs) -> None:
-    """runs: list of (run_label, list of Trajectory); a label holds no NUL
-    character.  Within a run, trajectories whose states, inputs, input
-    indices and safety flags match bit for bit and that share the
-    truncation flag are formatted once, and each gets its own subsystem
-    index in those rows."""
+def write_trajectories(path, labels, log) -> None:
+    """Write the ClosedLoopLog `log`, run r under labels[r], which must not
+    hold a NUL character.  Within a run, rooms whose states, input indices
+    and safety flags match bit for bit over one input table are formatted
+    once, and each room's index is joined into the pieces of that text."""
+    if len(labels) != len(log) or any(_SUBSYSTEM in str(s) for s in labels):
+        raise ValueError(f"need {len(log)} run labels, none with a NUL character")
+    off = log.offsets.tolist()
+    texts = {id(tab): [";".join(map(repr, nu)) for nu in
+                       np.asarray(tab, float).tolist()] for tab in log.tables}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
-        for label, trajs in runs:
-            rows, parts = {}, []
-            for tr in trajs:
-                key = (tr.truncated_at is not None, *[
-                    (a.dtype, a.shape, a.tobytes()) for a in
-                    (tr.states, tr.inputs, tr.input_indices, tr.safe)])
-                if key not in rows:
-                    rows[key] = _trajectory_rows(label, tr)
-                parts.append(rows[key].replace(_SUBSYSTEM, str(tr.subsystem)))
+        for r, label in enumerate(labels):
+            t = int(log.steps[r])
+            head = f"{str(label).replace('%', '%%')},%d,{_SUBSYSTEM},"
+            tail = f",%d,{int(t < log.horizon)}\n"
+            # transposed: each room's states, indices and flags are rows
+            x, u, ok = (np.ascontiguousarray(a[:t + k, r].T) for a, k in (
+                (log.states, 1), (log.input_indices, 0), (log.safe, 1)))
+            rooms, parts = {}, []
+            for i, tab in enumerate(log.tables):
+                xi = x[off[i]:off[i + 1]]
+                key = (id(tab), xi.tobytes() + u[i].tobytes() + ok[i].tobytes())
+                if key not in rooms:
+                    rooms[key] = _room_rows(head, tail, xi.T, u[i], ok[i],
+                                            texts[id(tab)]).split(_SUBSYSTEM)
+                parts.append(str(i).join(rooms[key]))
             fh.write("".join(parts))
 
 
@@ -861,15 +868,13 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                         config.synthesize.query_cap)
         # every room steps with its owner's system, so rooms that share an
         # owner share one object and advance in one oracle call per step
-        runs = list(zip(labels, simulate_closed_loop(
+        log = simulate_closed_loop(
             [bundle.subsystems[o] for o in owners], bundle.topology, refined,
-            starts, horizon)))
-        trajs = [tr for _, run in runs for tr in run]
-        all_safe = bool(trajs) and all(
-            tr.truncated_at is None for tr in trajs) and bool(
-            np.concatenate([tr.safe for tr in trajs]).all())
-        write_trajectories(os.path.join(out_dir, "trajectories.csv"), runs)
-        payload = {"runs": len(runs), "all_safe": all_safe, "horizon": horizon}
+            starts, horizon)
+        all_safe = bool(log.safe.size and (log.steps == horizon).all()
+                        and log.safe.all())
+        write_trajectories(os.path.join(out_dir, "trajectories.csv"), labels, log)
+        payload = {"runs": len(log), "all_safe": all_safe, "horizon": horizon}
         _write_json(os.path.join(out_dir, "simulation.json"), payload)
         return payload
 

@@ -81,9 +81,6 @@ class FiniteTransitionSystem(AbstractionHeader):
         if tab.size and (tab.min() < 0 or tab.max() > self.sink):
             raise ValueError("successor indices out of range")
 
-    def successor(self, state: int, inp: int, dist: int) -> int:
-        return int(self.table[state, inp, dist])
-
 
 def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
                           dist_grid: UniformGrid | None = None, inputs=None,
@@ -128,11 +125,6 @@ class ControllerTable:
     @property
     def winning_states(self) -> Array:
         return np.flatnonzero(self.winning)
-
-    def input_index(self, state: int) -> int:
-        if not self.winning[state]:
-            raise ValueError(f"state {state} is not winning")
-        return int(self.chosen[state])
 
 
 def safety_synthesis(fts: FiniteTransitionSystem, safe) -> ControllerTable:
@@ -239,9 +231,8 @@ class RefinedController:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Closed-loop log of one subsystem: states (T+1 rows), inputs and their
-    indices (T rows), per-state safety flags, and an optional truncation
-    marker with diagnostic."""
+    """One subsystem in one run of a ClosedLoopLog: states and safety flags
+    (T+1 rows), inputs and their indices (T rows), truncation and diagnostic."""
 
     subsystem: int
     states: Array
@@ -251,15 +242,37 @@ class Trajectory:
     truncated_at: int | None = None
     diagnostic: str | None = None
 
-    def __post_init__(self):
-        t = self.inputs.shape[0]
-        if self.states.shape[0] != t + 1 or self.safe.shape[0] != t + 1 \
-                or self.input_indices.shape[0] != t:
-            raise ValueError("trajectory lengths are inconsistent")
+
+@dataclass(frozen=True, eq=False)
+class ClosedLoopLog:
+    """Every closed-loop run in the loop's arrays: `states` (horizon + 1,
+    runs, state coordinates), subsystem i in columns offsets[i]:offsets[i+1];
+    `input_indices` (horizon, runs, subsystems) into each subsystem's input
+    table; `safe` (horizon + 1, runs, subsystems); the `steps` each run took
+    (fewer than the horizon when truncated) and its diagnostic per subsystem.
+    log[r] builds run r as one Trajectory view per subsystem."""
+
+    states: Array
+    offsets: Array
+    input_indices: Array
+    tables: list
+    safe: Array
+    steps: Array
+    diagnostics: list
 
     @property
     def horizon(self) -> int:
-        return self.inputs.shape[0]
+        return self.input_indices.shape[0]
+
+    def __len__(self) -> int:
+        return self.steps.shape[0]
+
+    def __getitem__(self, r: int) -> list:
+        t, off, u = int(self.steps[r]), self.offsets, self.input_indices
+        return [Trajectory(i, self.states[:t + 1, r, off[i]:off[i + 1]],
+                           tab[u[:t, r, i]], u[:t, r, i], self.safe[:t + 1, r, i],
+                           t if t < self.horizon else None, self.diagnostics[r][i])
+                for i, tab in enumerate(self.tables)]
 
 
 def _groups(objects) -> list:
@@ -282,26 +295,23 @@ def _selector(index):
 
 def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                          controllers, x0, horizon: int):
-    """Run the wired network from a stack of starts under per-subsystem
-    refined controllers; returns one list of per-subsystem Trajectory per run.
+    """Run the wired network from the starts x0 (runs, network state dim)
+    under per-subsystem refined controllers; returns the ClosedLoopLog that
+    keeps the loop's own state, input-index and safety arrays.
 
-    x0 is (runs, network state dim).  Each step reads neighbor states as
-    disturbances (d_ij = x_j).  Subsystems given the same controller object
-    form a group, refined for every alive run in one row-form call per step.
-    A refinement failure truncates that run's trajectories at that step; of
-    the subsystems that miss, the lowest-index one carries the diagnostic,
-    and the other runs go on.  Subsystems that are the same system object
-    advance in one step call per step, on the stacked (alive runs x members)
-    rows, each member with its own inputs and neighbours; the oracle answers
-    row by row, so the successors are those of one call per subsystem.
-    Safety flags record membership of each state in its subsystem's state
-    box.  With no runs or a zero horizon no step is taken.
-
-    Each group's members and columns are fixed before the loop, as a slice
-    when contiguous, so a step reads and writes them through views; only
-    after the first miss does it gather and scatter the surviving runs.  The
-    trajectories are views into one state, one input-index and one
-    played-input array per distinct input table.
+    Each step reads neighbour states as disturbances (d_ij = x_j) and
+    refines each group of subsystems given the same controller object in one
+    row-form call for every alive run.  A miss truncates that run at that
+    step, with the diagnostic on the lowest-index subsystem that missed; the
+    other runs go on.  Subsystems that are the same system object advance in
+    one step call on the stacked (alive runs x members) rows, each member
+    with its own inputs and neighbours; the oracle answers row by row, so
+    the successors are those of one call per subsystem.  Safety flags record
+    membership of each state in its subsystem's state box.  Each group's
+    members and columns are fixed before the loop, as a slice when
+    contiguous, so a step works through views until the first miss, and
+    then gathers and scatters the surviving runs.  With no runs or a zero
+    horizon no step is taken.
     """
     subsystems = list(subsystems)
     controllers = list(controllers)
@@ -323,11 +333,9 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     if x0.ndim != 2 or x0.shape[1] != offsets[-1]:
         raise ValueError(f"x0 must be a (runs, {offsets[-1]}) stack of starts")
     runs = x0.shape[0]
-    blocks = [slice(offsets[i], offsets[i + 1]) for i in range(m)]
     columns = [np.arange(offsets[i], offsets[i + 1]) for i in range(m)]
-    neighbours = [np.array([c for j in topology.wiring[i]
-                            for c in range(offsets[j], offsets[j + 1])],
-                           dtype=np.intp) for i in range(m)]
+    neighbours = [np.concatenate([columns[j] for j in topology.wiring[i]]
+                                 + [np.empty(0, np.intp)]) for i in range(m)]
     tables = [c.table.fts.inputs for c in controllers]
     # the subsystems of each distinct controller and their state columns,
     # and where each subsystem sits among them: (group, position)
@@ -375,7 +383,7 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
                 i = int(np.argmax(missed[j]))  # the lowest-index miss reports
                 g, p = place[i]
                 diagnostics[ids[j]][i] = str(controllers[i].miss(
-                    x[j, blocks[i]], least[g].reshape(n, -1)[j, p]))
+                    x[j, offsets[i]:offsets[i + 1]], least[g].reshape(n, -1)[j, p]))
                 steps[ids[j]] = k
             kept = ~failed
             alive = ids[kept]
@@ -398,20 +406,5 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     box = np.concatenate([s.signature.state_box for s in subsystems])
     inside = (states >= box[:, 0]) & (states <= box[:, 1])
     safe = np.logical_and.reduceat(inside, offsets[:-1], axis=2)
-    # the played inputs, one take per distinct input table; the -1 and
-    # half-written entries past a truncation are taken but never shown
-    played = [None] * m
-    for g in _groups(tables):
-        taken = tables[g[0]][chosen[:, :, _selector(g)]]
-        for p, i in enumerate(g):
-            played[i] = taken[:, :, p]
-    out = []
-    for r in range(runs):
-        t = int(steps[r])
-        cut = t if t < horizon else None
-        out.append([Trajectory(
-            subsystem=i, states=states[:t + 1, r, blocks[i]],
-            inputs=played[i][:t, r], input_indices=chosen[:t, r, i],
-            safe=safe[:t + 1, r, i], truncated_at=cut,
-            diagnostic=diagnostics[r][i]) for i in range(m)])
-    return out
+    return ClosedLoopLog(states, offsets, chosen, tables, safe, steps,
+                         diagnostics)

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import squared_distances_einsum
 from symabs import cli, pipeline, scenario
@@ -45,7 +46,7 @@ from symabs.pipeline import (
 from symabs.quantize import make_grid, product_grid, trivial_grid
 from symabs.scenario import (ApbfCertificate, draw_samples, min_sample_size,
                              quartic_difference_basis)
-from symabs.synthesize import (FiniteTransitionSystem, Trajectory,
+from symabs.synthesize import (ClosedLoopLog, FiniteTransitionSystem,
                                enumerate_abstraction, safety_synthesis,
                                simulate_closed_loop)
 
@@ -482,7 +483,7 @@ def test_certify_redraws_samples_stored_under_another_seed(tmp_path):
 
 def _write_trajectories_by_row(path, runs):
     """The row-at-a-time writer that write_trajectories replaced; the
-    reference for its bytes."""
+    reference for its bytes.  runs: (label, list of Trajectory) pairs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
         for label, trajs in runs:
@@ -500,54 +501,132 @@ def _write_trajectories_by_row(path, runs):
                              f"{int(bool(tr.safe[k]))},{trunc}\n")
 
 
+def _matches_row_writer(tmp_path, labels, log):
+    """write_trajectories writes the row writer's bytes over log's views."""
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    pipeline.write_trajectories(got, labels, log)
+    _write_trajectories_by_row(want, list(zip(labels, log)))
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_text()
+
+
+def _random_log(rng, dims, tables, steps, horizon):
+    """A log of len(steps) runs over rooms of the given state dims and input
+    tables (shared objects where repeated), with entries past each run's
+    steps left as they were drawn."""
+    runs, m = len(steps), len(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    return ClosedLoopLog(
+        states=rng.uniform(-1, 1, (horizon + 1, runs, offsets[-1])) / 3.0,
+        offsets=offsets,
+        input_indices=np.stack([rng.integers(0, len(t), (horizon, runs))
+                                for t in tables], axis=2),
+        tables=list(tables), safe=rng.random((horizon + 1, runs, m)) < 0.7,
+        steps=np.asarray(steps, dtype=np.int64),
+        diagnostics=[[None] * m for _ in range(runs)])
+
+
 def test_write_trajectories_matches_row_writer(tmp_path):
     rng = np.random.default_rng(0)
+    levels = np.array([[0.0], [0.05], [-0.1], [1e-17], [0.2]])
+    pairs = np.array([[0.0, 0.05], [-0.1, 1e-17], [0.2, 0.2]])
+    # rooms of state dimension 1 and 2 and input widths 1 and 2, in runs
+    # that reach the horizon and runs truncated mid-run and at step 0
+    log = _random_log(rng, [1, 2], [levels, pairs], [6, 2, 0, 6], 6)
+    log.states[2, 0, 0] = -0.0
+    text = _matches_row_writer(tmp_path, ["cell3", "x0", "x1", "50%"], log)
+    assert "\ncell3,2,0,-0.0," in text
+    assert "\nx1,0,1," in text and "\nx1,1," not in text  # truncated at 0
+    # rooms that repeat one room, or differ from it only in the sign of a
+    # zero, in a safety flag, or in the input table behind equal indices:
+    # the same values in another object, other values, or another width
+    same = levels.copy()
+    other = levels[[1, 2, 3, 4, 0]]  # another input at every index
+    wide = np.tile(levels, 2)
+    tables = [levels, levels, same, other, wide, levels]
+    log = _random_log(rng, [1] * 6, tables, [5, 3, 0, 5], 5)
+    for array in (log.states, log.input_indices, log.safe):
+        array[...] = array[:, :, :1]  # every room as room 0
+    log.states[3, :, 1] = 0.0
+    log.states[3, :, [0, 2, 3, 4, 5]] = -0.0
+    log.safe[1, :, 5] = ~log.safe[1, :, 0]
+    text = _matches_row_writer(tmp_path, ["cell7", "x2", "x3", "5%d"], log)
+    assert "\ncell7,3,0,-0.0," in text and "\ncell7,3,1,0.0," in text
+    idx = int(log.input_indices[0, 0, 0])
+    state, nu = float(log.states[0, 0, 3]), float(other[idx, 0])
+    assert f"\ncell7,0,3,{state!r},{idx},{nu!r}," in text
+    # a label holding the subsystem column's stand-in, and a label count
+    # other than the run count, are refused
+    for label in ("x\0", "\0"):
+        with pytest.raises(ValueError, match="NUL"):
+            pipeline.write_trajectories(tmp_path / "bad.csv", [label] * 4, log)
+    with pytest.raises(ValueError, match="need 4 run labels"):
+        pipeline.write_trajectories(tmp_path / "bad.csv", ["x"] * 3, log)
 
-    def traj(sub, n, p, t, truncated_at=None):
-        return Trajectory(
-            subsystem=sub, states=rng.uniform(-1, 1, (t + 1, n)) / 3.0,
-            inputs=rng.choice([0.0, 0.05, -0.1, 1e-17], (t, p)),
-            input_indices=rng.integers(0, 5, t),
-            safe=rng.random(t + 1) < 0.7, truncated_at=truncated_at)
 
-    def like(tr, sub, **changes):
-        """A copy of tr for subsystem sub, with equal but distinct arrays."""
-        fields = {name: getattr(tr, name).copy() for name in
-                  ("states", "inputs", "input_indices", "safe")}
-        fields.update(truncated_at=tr.truncated_at, diagnostic=tr.diagnostic)
-        return Trajectory(subsystem=sub, **{**fields, **changes})
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_write_trajectories_matches_row_writer_on_random_logs(tmp_path, data):
+    # small values drawn from a short list, so that rooms repeat, and zeros
+    # of both signs
+    values = st.sampled_from([0.0, -0.0, 0.1, -0.25, 1e-17])
+    pool = [np.array([[0.0], [0.05]]), np.array([[0.0], [0.05]]),
+            np.array([[0.05], [0.0], [-0.1]]), np.array([[0.0, 0.1], [0.2, -0.0]])]
+    m = data.draw(st.integers(1, 4))
+    dims = data.draw(st.lists(st.integers(1, 2), min_size=m, max_size=m))
+    tables = data.draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    horizon = data.draw(st.integers(0, 4))
+    steps = data.draw(st.lists(st.integers(0, horizon), max_size=3))
+    log = _random_log(np.random.default_rng(0), dims, tables, steps, horizon)
+    log.states[...] = np.reshape(data.draw(st.lists(
+        values, min_size=log.states.size, max_size=log.states.size)),
+        log.states.shape)
+    log.input_indices[...] = np.reshape(data.draw(st.lists(
+        st.integers(0, 1), min_size=log.input_indices.size,
+        max_size=log.input_indices.size)), log.input_indices.shape)
+    log.safe[...] = np.reshape(data.draw(st.lists(
+        st.booleans(), min_size=log.safe.size, max_size=log.safe.size)),
+        log.safe.shape)
+    labels = data.draw(st.lists(st.sampled_from(["x0", "50%", "5%d", "c,7"]),
+                                min_size=len(steps), max_size=len(steps)))
+    _matches_row_writer(tmp_path, labels, log)
 
-    runs = [("cell3", [traj(0, 1, 1, 6), traj(1, 2, 2, 6)]),
-            ("x0", [traj(0, 1, 1, 2, truncated_at=2),
-                    traj(1, 2, 2, 2, truncated_at=2)]),
-            ("x1", [traj(0, 1, 1, 0, truncated_at=0),
-                    traj(1, 2, 2, 0, truncated_at=0)]),
-            ("50%", [traj(0, 3, 1, 1)])]
-    runs[0][1][0].states[2, 0] = -0.0
-    # runs whose subsystems repeat one trajectory, and pairs that differ
-    # only in the truncation flag, the sign of a zero or the input width
-    same = traj(0, 1, 1, 5)
-    same.states[3, 0] = 0.0
-    signed = like(same, 3)
-    signed.states[3, 0] = -0.0
-    start = traj(0, 1, 1, 0)
-    step = traj(0, 1, 1, 1)
-    runs += [("cell7", [same, like(same, 1), like(same, 2), signed,
-                        like(same, 4), like(signed, 5)]),
-             ("x2", [same, like(same, 1, truncated_at=5), like(same, 2),
-                     like(same, 3, truncated_at=5)]),
-             ("x3", [start, like(start, 1, inputs=np.zeros((0, 2))),
-                     like(start, 2), step,
-                     like(step, 4, inputs=np.tile(step.inputs, 2)),
-                     like(step, 5, inputs=step.inputs[:, [0, 0]])]),
-             ("5%d", [like(same, 0), like(same, 1, truncated_at=5)])]
-    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-    pipeline.write_trajectories(got, runs)
-    _write_trajectories_by_row(want, runs)
-    assert got.read_bytes() == want.read_bytes()
-    text = got.read_text()
-    assert "\nx1,0,1," in text  # a run truncated at its start
-    assert "\ncell7,3,3,-0.0," in text and "\ncell7,3,2,0.0," in text
+
+def _all_safe_by_trajectory(log):
+    """all_safe as it was defined over the per-room trajectories."""
+    trajs = [tr for run in log for tr in run]
+    return bool(trajs) and all(tr.truncated_at is None for tr in trajs) \
+        and bool(np.concatenate([tr.safe for tr in trajs]).all())
+
+
+@pytest.mark.parametrize("case", ["as run", "one unsafe state", "truncated",
+                                  "no runs"])
+def test_simulate_all_safe_matches_the_trajectory_definition(
+        mini_run, tmp_path, monkeypatch, case):
+    config, out, _ = mini_run
+    copy = tmp_path / "mini"
+    shutil.copytree(out, copy)
+    logs = []
+
+    def loop(*args):
+        log = simulate_closed_loop(*args)
+        if case == "one unsafe state":
+            log.safe[4, 1, 2] = False
+        elif case == "truncated":  # its later states and flags left as run
+            log.steps[1] = 3
+        logs.append(log)
+        return log
+
+    monkeypatch.setattr(pipeline, "simulate_closed_loop", loop)
+    if case == "no runs":
+        monkeypatch.setattr(pipeline, "_initial_conditions",
+                            lambda config, controllers: ([], np.empty((0, 3))))
+    payload = stage_simulate(config, str(copy))
+    [log] = logs
+    assert payload["all_safe"] == _all_safe_by_trajectory(log) \
+        == (case == "as run")
+    assert payload["runs"] == len(log) == (0 if case == "no runs" else 8)
 
 
 def test_write_certificates_matches_json_dump(tmp_path, mini_run):

@@ -521,6 +521,30 @@ def test_warm_basis_is_validated():
             solve_simplex([-1.0, -2.0], a, b, lower=[0.0, 0.0], basis=bad)
 
 
+def test_dual_ratio_test_clips_a_slightly_negative_multiplier():
+    # A warm basis counts as dual feasible while no multiplier is below
+    # -tol, so the dual loop may start with one slightly negative: here
+    # (0, -5e-10) at rows 0 and 1, and row 2 enters.  The ratio test clips
+    # the negative multiplier to 0, so both basis rows tie at ratio 0 and
+    # the larger pivot element (row 0's 1 against row 1's 1e-3) leaves; row
+    # 2 enters with multiplier 0.  Without the clip, row 1's ratio
+    # -5e-10 / 1e-3 would win alone and hand row 2 the multiplier -5e-7,
+    # far past the tolerance, at a vertex then reported optimal.
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-3]])
+    b = np.array([1.0, 1.0, 0.5])
+    c = np.array([0.0, 5e-10])
+    r = solve_simplex(c, a, b, lower=[-1e3, -1e3], upper=[1e3, 1e3],
+                      basis=[0, 1])
+    assert r.status == "optimal" and r.iterations == 1
+    assert r.basis.tolist() == [2, 1]
+    assert np.allclose(r.x, [0.499, 1.0])
+    # the returned basis is dual feasible to the tolerance (rows are
+    # equilibrated to unit max-abs entries, as the solver scales them)
+    rows = a / np.abs(a).max(axis=1)[:, None]
+    y = np.linalg.solve(rows[r.basis].T, -c)
+    assert np.all(y >= -1e-9), y
+
+
 def test_row_generation_carries_the_basis_between_rounds(monkeypatch):
     # Every round after the first must start from the previous round's
     # optimal basis, naming the same constraints in the new master's

@@ -57,7 +57,7 @@ def test_fts_validation():
     fts_from_table(good)
     to_sink = good.copy()
     to_sink[1] = 2  # the sink is a successor index, not a row
-    assert fts_from_table(to_sink).successor(1, 0, 0) == 2
+    assert int(fts_from_table(to_sink).table[1, 0, 0]) == 2
     for value in (3, 9, -1):
         over = good.copy()
         over[0, 0, 0] = value
@@ -111,10 +111,7 @@ def test_three_state_game_hand_solved():
     fts = fts_from_table(table)
     ctrl = safety_synthesis(fts, safe=[0, 1])
     assert set(ctrl.winning_states.tolist()) == {0, 1}
-    assert ctrl.input_index(0) == 0
-    assert ctrl.input_index(1) == 0
-    with pytest.raises(ValueError):
-        ctrl.input_index(2)
+    assert ctrl.chosen.tolist() == [0, 0, -1]  # -1: state 2 is not winning
 
 
 def test_safety_synthesis_empty_and_full_cases():
@@ -153,7 +150,7 @@ def test_safety_synthesis_matches_backward_induction_oracle(monkeypatch):
                 assert ctrl.chosen.shape == (n,)
                 assert set(ctrl.winning_states.tolist()) == want_win
                 for s in want_win:
-                    assert ctrl.input_index(s) == want_inputs[s]
+                    assert int(ctrl.chosen[s]) == want_inputs[s]
 
 
 def test_winning_set_monotone_in_safe_set():
@@ -177,9 +174,9 @@ def test_fixed_point_soundness_exhaustive():
     ctrl = safety_synthesis(fts, safe=range(n))
     win = set(ctrl.winning_states.tolist())
     for s in win:
-        u = ctrl.input_index(s)
+        u = int(ctrl.chosen[s])
         for d in range(n_d):
-            assert fts.successor(s, u, d) in win
+            assert int(fts.table[s, u, d]) in win
 
 
 def test_enumerate_abstraction_identity_and_counts():
@@ -195,8 +192,8 @@ def test_enumerate_abstraction_identity_and_counts():
     assert fts.n_states == g.total_cells
     assert fts.n_dists == 1
     for s in range(fts.n_states):
-        assert fts.successor(s, 0, 0) == s
-        assert fts.successor(s, 1, 0) == s
+        assert int(fts.table[s, 0, 0]) == s
+        assert int(fts.table[s, 1, 0]) == s
     with pytest.raises(CapacityError):
         enumerate_abstraction(sys, g, query_cap=10)
 
@@ -211,15 +208,15 @@ def test_enumerate_abstraction_room_spot_checks():
     # 0-cell under nu=0 with 0-cell neighbors lands at center -0.125 (cell 7)
     s0 = quantize(sg, [0.0]).index
     d0 = dg.cell_index([0.0, 0.0])
-    succ = fts.successor(s0, 0, d0)
+    succ = int(fts.table[s0, 0, d0])
     assert np.isclose(sg.representative(succ)[0], -0.125)
     # hottest cell under full cooling and cold neighbors moves down a cell
     hot = sg.total_cells - 1
     d_cold = dg.cell_index([-0.475, -0.475])
-    succ = fts.successor(hot, 4, d_cold)
+    succ = int(fts.table[hot, 4, d_cold])
     assert sg.representative(succ)[0] < sg.representative(hot)[0]
     # coldest cell with no cooling drifts out of the box into the sink
-    succ = fts.successor(0, 0, d_cold)
+    succ = int(fts.table[0, 0, d_cold])
     assert succ == fts.sink
 
 
@@ -283,7 +280,7 @@ def test_refine_controller_random_states_match_brute_force():
             hits += 1
             cell, u = refined.select(x)
             assert cell == int(win[best])
-            assert u == ctrl.input_index(cell)
+            assert u == int(ctrl.chosen[cell])
     assert hits > 100
 
 
@@ -323,7 +320,7 @@ def test_refine_with_component_relation_matches_per_cell_loop():
                 f"{best_val:.6g} > theta = {rel.theta:.6g})")
         else:
             hits += 1
-            assert refined.select(x) == (best_cell, ctrl.input_index(best_cell))
+            assert refined.select(x) == (best_cell, int(ctrl.chosen[best_cell]))
     assert hits > 50 and misses > 50
 
 
@@ -419,7 +416,7 @@ def test_simulate_closed_loop_horizon_zero_and_logging():
     [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=0)
     assert len(trajs) == 3
     for tr in trajs:
-        assert tr.horizon == 0
+        assert tr.inputs.shape[0] == 0
         assert tr.states.shape == (1, 1)
         assert tr.inputs.shape == (0, 1)
         assert tr.safe.shape == (1,)
@@ -431,7 +428,7 @@ def test_simulate_closed_loop_runs_and_stays_in_band():
     x0 = np.full((1, 3), -0.2)
     [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=40)
     for tr in trajs:
-        assert tr.horizon == 40
+        assert tr.inputs.shape[0] == 40
         assert tr.states.shape == (41, 1)
         assert np.all(np.abs(tr.states) <= 0.5)
         assert np.all(tr.safe)
@@ -448,7 +445,7 @@ def test_simulate_closed_loop_truncates_on_refinement_miss():
     assert any(tr.diagnostic for tr in trajs)
     for tr in trajs:
         assert tr.states.shape == (1, 1)
-        assert tr.horizon == 0
+        assert tr.inputs.shape[0] == 0
 
 
 def test_simulate_validates_shapes():
@@ -624,7 +621,7 @@ def test_simulate_closed_loop_shared_system_matches_copies(
     calls.clear()
     want = simulate_closed_loop(copies, topo, controllers, starts, horizon=12)
     # one step call per distinct system object per step taken
-    steps = max(tr.horizon for trajs in got for tr in trajs)
+    steps = max(tr.inputs.shape[0] for trajs in got for tr in trajs)
     assert [trajs[0].truncated_at for trajs in got] == truncated
     assert len(shared_calls) == len(objects) * steps
     assert len(calls) == 3 * steps
@@ -711,12 +708,12 @@ def test_simulate_closed_loop_five_room_groups_match_room_by_room(
     monkeypatch.setattr(RefinedController, "select_rows", counted_select)
     monkeypatch.setattr(BlackBoxSystem, "step", counted_step)
     calls.clear()
-    assert simulate_closed_loop(subsystems, topo, controllers,
-                                np.empty((0, 5)), horizon=12) == []
+    assert len(simulate_closed_loop(subsystems, topo, controllers,
+                                    np.empty((0, 5)), horizon=12)) == 0
     still = simulate_closed_loop(subsystems, topo, controllers, starts,
                                  horizon=0)
     assert calls == []
     for trajs, start in zip(still, starts):
         for i, tr in enumerate(trajs):
-            assert tr.horizon == 0 and tr.truncated_at is None
+            assert tr.inputs.shape[0] == 0 and tr.truncated_at is None
             assert tr.states.tobytes() == start[i:i + 1].tobytes()

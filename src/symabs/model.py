@@ -47,10 +47,6 @@ def as_box(box) -> Array:
     return b
 
 
-def box_contains(box: Array, point: Array) -> bool:
-    return bool(np.all(point >= box[:, 0]) and np.all(point <= box[:, 1]))
-
-
 class ProductInputSet(Sequence):
     """Cartesian product of per-subsystem input sets, enumerated lazily.
 
@@ -138,12 +134,6 @@ class SystemSignature:
     def input_array(self) -> Array:
         """All inputs stacked as an (n_inputs, input_dim) array."""
         return np.asarray([self.input_set[i] for i in range(self.n_inputs)], dtype=float)
-
-    def contains_state(self, x) -> bool:
-        return box_contains(self.state_box, np.asarray(x, dtype=float))
-
-    def contains_disturbance(self, d) -> bool:
-        return box_contains(self.disturbance_box, np.asarray(d, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

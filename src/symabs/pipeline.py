@@ -25,8 +25,8 @@ from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
                     build_room_network, is_integer)
-from .quantize import (DEFAULT_TABLE_CAP, UniformGrid, check_table_cap,
-                       make_grid, product_grid, trivial_grid)
+from .quantize import (DEFAULT_TABLE_CAP, TABLE_NAME, UniformGrid,
+                       check_table_cap, make_grid, product_grid, trivial_grid)
 from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
                        NonlinearLipschitz, SampleBatch, VariableBoxes,
                        draw_samples, quartic_difference_basis)
@@ -467,13 +467,26 @@ def _grid_from_mapping(data) -> UniformGrid:
                        sigma=float(data["sigma"]))
 
 
-def _parsed(path, what: str, parse):
-    """parse(), with the error of a malformed, truncated or empty file
-    raised as a ConfigError that names the file."""
+@contextmanager
+def _reading(path, what: str):
+    """Raise the error of a malformed, truncated or empty file, met while
+    the block reads or parses it, as a ConfigError that names the file."""
     try:
-        return parse()
+        yield
     except (ValueError, TypeError, KeyError, OverflowError, EOFError) as exc:
         raise ConfigError(f"{path}: malformed {what} ({exc})") from None
+
+
+def _stored(path, what: str, wanted, parse):
+    """The artifact at path when it serves this config, else None, also
+    when there is no file.  parse(data) gives (record, artifact) from the
+    file's JSON, and the artifact serves when its record equals `wanted`,
+    the record this config gives."""
+    if not os.path.exists(path):
+        return None
+    with _reading(path, what):
+        record, artifact = parse(_read_json(path))
+    return artifact if record == wanted else None
 
 
 def _header_path(path) -> str:
@@ -481,24 +494,31 @@ def _header_path(path) -> str:
     return os.path.splitext(os.fspath(path))[0] + ".json"
 
 
-def write_abstraction(path, fts: FiniteTransitionSystem) -> None:
+def _abstraction_header(state_grid: UniformGrid, dist_grid: UniformGrid,
+                        inputs: Array, system) -> dict:
+    return {"state_grid": _grid_mapping(state_grid),
+            "dist_grid": _grid_mapping(dist_grid),
+            "inputs": inputs.tolist(), "system": system}
+
+
+def write_abstraction(path, fts: FiniteTransitionSystem,
+                      system: dict | None) -> None:
     """Write the successor table, shape (n_states, n_inputs, n_dists), to
     path as .npy in table_dtype, the smallest unsigned dtype that holds the
-    sink, and the grids and inputs beside it as a JSON header."""
+    sink, and beside it a JSON header of the grids, the inputs and
+    `system`, the stages' record of the system queried: the config's
+    `system` section."""
     with open(path, "wb") as fh:  # np.save would add .npy to a bare path
         np.save(fh, fts.table.astype(table_dtype(fts.n_states), copy=False))
-    _write_json(_header_path(path), {
-        "state_grid": _grid_mapping(fts.state_grid),
-        "dist_grid": _grid_mapping(fts.dist_grid),
-        "inputs": fts.inputs.tolist()})
+    _write_json(_header_path(path), _abstraction_header(
+        fts.state_grid, fts.dist_grid, fts.inputs, system))
 
 
 def read_abstraction_header(path) -> AbstractionHeader:
     """The grids and inputs of the abstraction at path, from its JSON
     header alone."""
     path = _header_path(path)
-
-    def parse():
+    with _reading(path, "abstraction header"):
         data = _read_json(path)
         inputs = np.asarray(data["inputs"], dtype=float)
         if inputs.ndim != 2 or 0 in inputs.shape:
@@ -506,7 +526,6 @@ def read_abstraction_header(path) -> AbstractionHeader:
         return AbstractionHeader(state_grid=_grid_from_mapping(data["state_grid"]),
                                  dist_grid=_grid_from_mapping(data["dist_grid"]),
                                  inputs=inputs)
-    return _parsed(path, "abstraction header", parse)
 
 
 def read_abstraction(path) -> FiniteTransitionSystem:
@@ -515,10 +534,9 @@ def read_abstraction(path) -> FiniteTransitionSystem:
     loaded table is the abstraction's own, in the stored dtype."""
     head = read_abstraction_header(path)
 
-    def load():  # through a handle that is closed even when it holds an .npz
-        with open(path, "rb") as fh:
-            return np.load(fh, allow_pickle=False)
-    body = _parsed(path, "abstraction table", load)
+    # through a handle that is closed even when it holds an .npz
+    with _reading(path, "abstraction table"), open(path, "rb") as fh:
+        body = np.load(fh, allow_pickle=False)
     if not isinstance(body, np.ndarray) or body.dtype.kind not in "iu":
         raise ConfigError(f"{path}: the table is not an integer array")
     # the constructor checks the shape and the range of the successors
@@ -536,7 +554,8 @@ def write_controller(path, ctrl: ControllerTable) -> None:
 def read_controller(path, fts: AbstractionHeader) -> ControllerTable:
     """The controller at path, against fts (the abstraction or its header):
     per cell, an input index of fts or -1."""
-    chosen = _parsed(path, "controller", lambda: _read_json(path)["chosen"])
+    with _reading(path, "controller"):
+        chosen = _read_json(path)["chosen"]
     if not (isinstance(chosen, list) and all(is_integer(u) for u in chosen)):
         raise ConfigError(f"{path}: malformed controller (not a list of integers)")
     if len(chosen) != fts.n_states:
@@ -643,17 +662,35 @@ def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
 
 def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
                           bundle: SystemBundle, q: int):
-    """The stored batches if they are the ones this config draws (same q and
-    sharing, one per distinct owner at seed + owner), else a fresh draw."""
-    path = os.path.join(out_dir, "samples.json")
-    if os.path.exists(path):
-        payload = _read_json(path)
-        seeds = [config.seed + i for i in sorted(set(_owners(config, bundle)))]
-        if payload.get("q") == q and \
-                payload.get("shared") == config.system.identical_subsystems and \
-                [b["seed"] for b in payload["batches"]] == seeds:
-            return [batch_from_mapping(b) for b in payload["batches"]]
-    return _draw_batches(config, bundle, q)
+    """The stored batches if this config could have drawn them, else a fresh
+    draw: the same q and sharing, and one batch per distinct owner at seed +
+    owner, with q points of its dimensions inside its state and disturbance
+    box.  samples.json records no box, so a batch drawn over a smaller box
+    inside this one still serves, as a batch edited by hand does."""
+    owners = sorted(set(_owners(config, bundle)))
+    sigs = [bundle.subsystems[i].signature for i in owners]
+
+    def inside(batch, sig) -> bool:
+        box = np.vstack([sig.state_box, sig.disturbance_box])
+        pts = batch.points
+        return (batch.state_dim, batch.dist_dim) == (sig.state_dim,
+                                                     sig.disturbance_dim) \
+            and pts.shape == (q, box.shape[0]) \
+            and bool(np.all((pts >= box[:, 0]) & (pts <= box[:, 1])))
+
+    def parse(data):
+        batches = [batch_from_mapping(b) for b in data["batches"]]
+        return {"q": data["q"], "shared": data["shared"],
+                "seeds": [b.seed for b in batches],
+                "inside": [inside(b, sig) for b, sig in zip(batches, sigs)]
+                }, batches
+
+    wanted = {"q": q, "shared": config.system.identical_subsystems,
+              "seeds": [config.seed + i for i in owners],
+              "inside": [True] * len(owners)}
+    batches = _stored(os.path.join(out_dir, "samples.json"), "sample batches",
+                      wanted, parse)
+    return _draw_batches(config, bundle, q) if batches is None else batches
 
 
 def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -674,13 +711,30 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                                     sig.state_dim + sig.disturbance_dim), cap)
         batches = _load_or_draw_samples(config, out_dir, bundle, q)
         boxes = cert_cfg.variable_boxes()
-        certs = {i: scenario.certify_apbf(
-            bundle.subsystems[i], state_grids[i], dist_grids[i],
-            cert_cfg.mu_grid, cert_cfg.eps, cert_cfg.beta, lipschitz,
-            samples=batch, boxes=boxes, unknowns=unknowns,
-            psi=cert_cfg.psi, lam=cert_cfg.lam,
-            xi_target=cert_cfg.xi_target, table_cap=cap)
-            for i, batch in zip(sorted(set(owners)), batches)}
+        system = config.to_mapping()["system"]
+        certs = {}
+        for i, batch in zip(sorted(set(owners)), batches):
+            sub, grid = bundle.subsystems[i], state_grids[i]
+            # certify's one oracle pass over the table also fills the
+            # abstraction, which abstract then finds stored.  Past the cap
+            # the table is refused before it is made, with the message of
+            # certify's own int64 copy.
+            shape = (grid.total_cells, sub.signature.n_inputs,
+                     dist_grids[i].total_cells)
+            check_table_cap(TABLE_NAME, shape[0] * shape[1] * shape[2], cap)
+            table = np.empty(shape, dtype=table_dtype(shape[0]))
+            certs[i] = scenario.certify_apbf(
+                sub, grid, dist_grids[i], cert_cfg.mu_grid, cert_cfg.eps,
+                cert_cfg.beta, lipschitz, samples=batch, boxes=boxes,
+                unknowns=unknowns, psi=cert_cfg.psi, lam=cert_cfg.lam,
+                xi_target=cert_cfg.xi_target, table_cap=cap, successor=table)
+            _discard(out_dir, f"controller_{i}.json", "synthesis.json")
+            write_abstraction(
+                os.path.join(out_dir, f"abstraction_{i}.npy"),
+                FiniteTransitionSystem(table=table, state_grid=grid,
+                                       dist_grid=dist_grids[i],
+                                       inputs=sub.signature.input_array()),
+                system)
         shared = config.system.identical_subsystems
         # LP telemetry per certified subsystem and mu level, and the slope
         # source; kept out of certificates.json, whose bytes reruns must
@@ -704,18 +758,15 @@ def load_certificates(out_dir: str):
     marshal bytes are too, which tells 1 from 1.0 and true and 0.0 from
     -0.0 (format 2, whose bytes do not depend on reference counts); the
     file's `shared` flag is not trusted for this."""
+    import marshal  # built in and loaded with the interpreter
     path = os.path.join(out_dir, "certificates.json")
-    payload = _read_json(path)
-
-    def parse():
-        import marshal  # built in and loaded with the interpreter
-        certs, last = [], None
-        for c in payload["certificates"]:
+    certs, last = [], None
+    with _reading(path, "certificates"):
+        for c in _read_json(path)["certificates"]:
             if c != last or marshal.dumps(c, 2) != marshal.dumps(last, 2):
                 cert, last = ApbfCertificate.from_mapping(c), c
             certs.append(cert)
-        return certs
-    return _checked(path, parse)
+    return certs
 
 
 def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -753,29 +804,48 @@ def stage_compose(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
         return payload
 
 
-def load_composed(out_dir: str) -> tuple[compose_mod.ComposedAbf, dict]:
-    payload = _read_json(os.path.join(out_dir, "composed.json"))
-    if not payload.get("circularity_ok"):
-        raise ConfigError("composition failed; no relation available")
+def load_composed(out_dir: str) -> compose_mod.ComposedAbf:
+    """The network relation of composed.json and the certificates."""
+    path = os.path.join(out_dir, "composed.json")
+    with _reading(path, "composition"):
+        payload = _read_json(path)
+        if not payload["circularity_ok"]:
+            raise ConfigError("composition failed; no relation available")
     certs = load_certificates(out_dir)
-    gains = compose_mod.GainMatrix(
-        entries=np.asarray(payload["gain_matrix"], dtype=float))
-    scalings = compose_mod.ScalingVector(
-        kappa=np.asarray(payload["kappa"], dtype=float),
-        max_ratio=float(payload["max_ratio"]), gains=gains)
-    return compose_mod.compose_abf(certs, scalings), payload
+    with _reading(path, "composition"):
+        gains = compose_mod.GainMatrix(
+            entries=np.asarray(payload["gain_matrix"], dtype=float))
+        return compose_mod.compose_abf(certs, compose_mod.ScalingVector(
+            kappa=np.asarray(payload["kappa"], dtype=float),
+            max_ratio=float(payload["max_ratio"]), gains=gains))
 
 
 def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
+    """Write each distinct owner's abstraction, unless the stored one serves
+    this config: a table whose header holds this config's grids, inputs and
+    system record, as certify writes it.  Otherwise query the oracle."""
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
         state_grids, dist_grids = subsystem_grids(
             bundle, config.certify.sigma, _owners(config, bundle))
+        system = config.to_mapping()["system"]
+        cap = config.synthesize.query_cap
         for i in dist_grids:
-            fts = enumerate_abstraction(
-                bundle.subsystems[i], state_grids[i], dist_grids[i],
-                query_cap=config.synthesize.query_cap)
-            write_abstraction(os.path.join(out_dir, f"abstraction_{i}.npy"), fts)
+            path = os.path.join(out_dir, f"abstraction_{i}.npy")
+            sub, grid = bundle.subsystems[i], state_grids[i]
+            inputs = sub.signature.input_array()
+            wanted = _abstraction_header(grid, dist_grids[i], inputs, system)
+            if os.path.exists(path) and _stored(
+                    _header_path(path), "abstraction header", wanted,
+                    lambda data: (data, data)) is not None:
+                # a stored table is held to the cap, as a queried one is
+                check_table_cap(TABLE_NAME, grid.total_cells * len(inputs)
+                                * dist_grids[i].total_cells, cap,
+                                table_dtype(grid.total_cells).itemsize)
+            else:
+                fts = enumerate_abstraction(sub, grid, dist_grids[i],
+                                            query_cap=cap)
+                write_abstraction(path, fts, system)
             _discard(out_dir, f"controller_{i}.json")
         _discard(out_dir, "synthesis.json", "simulation.json", "trajectories.csv")
         return {"subsystems": bundle.count,
@@ -839,7 +909,7 @@ def _initial_conditions(config: PipelineConfig, controllers):
 def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
     out_dir = _ensure_out(out_dir)
     with _systems(config, bundle) as bundle:
-        rel, _ = load_composed(out_dir)
+        rel = load_composed(out_dir)
         owners = _owners(config, bundle)
         tables = {}
         for i in sorted(set(owners)):
@@ -897,7 +967,21 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
 
     certified = circ_ok = syn_ok = False
     lp_path = os.path.join(out_dir, "lp_stats.json")
-    lp_stats = _read_json(lp_path) if os.path.exists(lp_path) else {}
+    kind = lp_line = None
+    if os.path.exists(lp_path):
+        with _reading(lp_path, "LP statistics"):
+            lp_stats = _read_json(lp_path)
+            levels = [lvl for sub in lp_stats["subsystems"] for lvl in sub]
+            kind = lp_stats.get("lipschitz_kind")
+            lp_line = (
+                f"lp ({len(levels)} solves): "
+                f"rounds={sum(lvl['rounds'] for lvl in levels)} "
+                f"pivots={sum(lvl['pivots'] for lvl in levels)} "
+                f"master_rows_max={max(lvl['master_rows'] for lvl in levels)} "
+                f"binding H1={sum(lvl['binding']['H1'] for lvl in levels)} "
+                f"H2={sum(lvl['binding']['H2'] for lvl in levels)} "
+                f"pruned={sum(lvl['pruned'] for lvl in levels)}/"
+                f"{sum(lvl['blocks'] + lvl['pruned'] for lvl in levels)}")
     if os.path.exists(os.path.join(out_dir, "certificates.json")):
         certs = load_certificates(out_dir)
         certified = all(c.certified for c in certs)
@@ -909,7 +993,6 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"xi_achieved: {cert.xi_achieved!r}")
         lines.append(f"lipschitz: {list(cert.lipschitz)!r}")
         # the kind that certified the run, not the one configured now
-        kind = lp_stats.get("lipschitz_kind")
         if kind in SLOPE_SOURCES:
             lines.append(f"lipschitz source: {kind} ({SLOPE_SOURCES[kind]})")
         lines.append(f"kappa_radii: {list(cert.kappa_radii)!r}")
@@ -917,46 +1000,41 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
         lines.append(f"certified: {cert.certified}")
         lines.append(f"subsystem gains: gamma={cert.gamma!r} mu={cert.mu!r} "
                      f"eta={cert.eta!r} theta={cert.theta!r}")
-    if lp_stats:
-        levels = [lvl for sub in lp_stats["subsystems"] for lvl in sub]
-        lines.append(
-            f"lp ({len(levels)} solves): "
-            f"rounds={sum(lvl['rounds'] for lvl in levels)} "
-            f"pivots={sum(lvl['pivots'] for lvl in levels)} "
-            f"master_rows_max={max(lvl['master_rows'] for lvl in levels)} "
-            f"binding H1={sum(lvl['binding']['H1'] for lvl in levels)} "
-            f"H2={sum(lvl['binding']['H2'] for lvl in levels)} "
-            f"pruned={sum(lvl['pruned'] for lvl in levels)}/"
-            f"{sum(lvl['blocks'] + lvl['pruned'] for lvl in levels)}")
+    if lp_line is not None:
+        lines.append(lp_line)
 
     comp_path = os.path.join(out_dir, "composed.json")
     if os.path.exists(comp_path):
-        comp = _read_json(comp_path)
-        circ_ok = bool(comp["circularity_ok"])
-        lines.append(f"circularity_ok: {comp['circularity_ok']}")
-        lines.append(f"worst_pair_product: {comp['worst_pair_product']!r}")
-        if circ_ok:
-            lines.append(f"kappa: {comp['kappa']!r}")
-            lines.append(f"composed: gamma={comp['gamma']!r} mu={comp['mu']!r} "
-                         f"theta={comp['theta']!r}")
-            lines.append(f"eps_tilde: {comp['eps_tilde']!r} "
-                         f"vacuous: {comp['vacuous']}")
-            lines.append(f"confidence: {comp['confidence']!r}")
-        else:
-            lines.append(f"violating cycle: {comp['witness']!r} "
-                         f"gain product: {comp['witness_product']!r}")
+        with _reading(comp_path, "composition"):
+            comp = _read_json(comp_path)
+            circ_ok = bool(comp["circularity_ok"])
+            lines.append(f"circularity_ok: {comp['circularity_ok']}")
+            lines.append(f"worst_pair_product: {comp['worst_pair_product']!r}")
+            if circ_ok:
+                lines.append(f"kappa: {comp['kappa']!r}")
+                lines.append(f"composed: gamma={comp['gamma']!r} "
+                             f"mu={comp['mu']!r} theta={comp['theta']!r}")
+                lines.append(f"eps_tilde: {comp['eps_tilde']!r} "
+                             f"vacuous: {comp['vacuous']}")
+                lines.append(f"confidence: {comp['confidence']!r}")
+            else:
+                lines.append(f"violating cycle: {comp['witness']!r} "
+                             f"gain product: {comp['witness_product']!r}")
 
     syn_path = os.path.join(out_dir, "synthesis.json")
     if os.path.exists(syn_path):
-        syn = _read_json(syn_path)
-        syn_ok = syn["ok"]
-        lines.append(f"winning cells per subsystem: {syn['winning']}")
+        with _reading(syn_path, "synthesis"):
+            syn = _read_json(syn_path)
+            syn_ok = syn["ok"]
+            lines.append(f"winning cells per subsystem: {syn['winning']}")
     sim_path = os.path.join(out_dir, "simulation.json")
     if os.path.exists(sim_path):
-        sim = _read_json(sim_path)
-        lines.append(f"simulation runs: {sim['runs']} horizon: {sim['horizon']}")
-        lines.append(f"all trajectories safe: {sim['all_safe']}")
-        ok = certified and circ_ok and syn_ok and sim["all_safe"]
+        with _reading(sim_path, "simulation"):
+            sim = _read_json(sim_path)
+            lines.append(f"simulation runs: {sim['runs']} "
+                         f"horizon: {sim['horizon']}")
+            lines.append(f"all trajectories safe: {sim['all_safe']}")
+            ok = certified and circ_ok and syn_ok and sim["all_safe"]
         lines.append(f"ok: {ok}")
     elif os.path.exists(os.path.join(out_dir, "certificates.json")):
         lines.append("ok: False")  # a run that never simulated

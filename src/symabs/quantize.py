@@ -85,14 +85,6 @@ class UniformGrid:
             out.append(r)
         return tuple(reversed(out))
 
-    def flat_index(self, multi) -> int:
-        flat = 0
-        for i, k in zip(multi, self.cells_per_dim):
-            if not 0 <= i < k:
-                raise ValueError("multi index out of range")
-            flat = flat * k + int(i)
-        return flat
-
     def cell_indices(self, points) -> Array:
         """Flat indices of the cells containing each point, shape (..., dim)
         -> (...); boundary points snap to the lower-index cell.  Raises
@@ -248,9 +240,9 @@ def transition_table(sys: BlackBoxSystem, state_grid: UniformGrid,
     those axes: `successor` gets the quantized reply, or the sink
     (= total_cells) when the reply leaves the state box; `rep_cell` gets the
     in-box cell whose center represents the successor, the nearest one after
-    clamping for the sink.  A caller passes only the half it keeps, so no
-    table-sized temporary is made.  Agrees entry by entry with
-    abstract_transition."""
+    clamping for the sink.  A caller passes the halves it keeps, both from
+    the one pass, and no table-sized temporary is made.  Agrees entry by
+    entry with abstract_transition."""
     state_reps = state_grid.all_representatives()
     dist_reps = dist_grid.all_representatives()
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))

@@ -751,11 +751,15 @@ class SopData:
     run.  The transition table (cells x inputs x disturbance cells), the
     per-sample factors (samples x inputs x cells x features) and the
     disturbance distances (samples x disturbance cells) are each held to
-    `table_cap` entries, checked before anything is built."""
+    `table_cap` entries, checked before anything is built.  `successor`, an
+    integer array of shape (cells, inputs, disturbance cells) when given,
+    receives the abstract transition table from the same oracle pass: each
+    entry the quantized successor, or the sink (= cells)."""
 
     def __init__(self, samples: SampleBatch, sys: BlackBoxSystem,
                  state_grid: UniformGrid, dist_grid: UniformGrid,
-                 table_cap: int = DEFAULT_TABLE_CAP):
+                 table_cap: int = DEFAULT_TABLE_CAP,
+                 successor: Array | None = None):
         sig = sys.signature
         if samples.state_dim != sig.state_dim or samples.dist_dim != sig.disturbance_dim:
             raise ValueError("sample batch does not match the system signature")
@@ -800,7 +804,7 @@ class SopData:
         # place, through a view with its own (cell, input, disturbance) axes.
         self.successor_reps = np.empty((n_inputs, n_states, n_dists),
                                        dtype=np.int64)
-        transition_table(sys, state_grid, dist_grid, inputs,
+        transition_table(sys, state_grid, dist_grid, inputs, successor=successor,
                          rep_cell=self.successor_reps.transpose(1, 0, 2))
 
         # Per-sample geometry independent of mu.
@@ -1030,20 +1034,23 @@ def certify_apbf(sys: BlackBoxSystem, state_grid: UniformGrid,
                  *, samples: SampleBatch, boxes: VariableBoxes | None = None,
                  unknowns: int | None = None, psi: float = 0.99,
                  lam: float = 1.0, xi_target: float | None = None,
-                 table_cap: int = DEFAULT_TABLE_CAP) -> ApbfCertificate:
+                 table_cap: int = DEFAULT_TABLE_CAP,
+                 successor: Array | None = None) -> ApbfCertificate:
     """Solve one LP per contraction level over the sample batch, and emit the
     best-margin certificate (uncertified when margin > 0), which records the
     batch's seed.  The batch size must match the minimal sample count implied
     by (eps, beta, unknowns).  Each level's margin uses the radius
     kappa^{-1}(eps) of the uniform sampling distribution on X x D.  A grid
     whose table or per-sample factors exceed `table_cap` entries is refused
-    with a CapacityError before any query (see SopData)."""
+    with a CapacityError before any query (see SopData), which also fills
+    `successor`, when given, with the abstract transition table."""
     basis = quartic_difference_basis(sys.signature.state_dim)
     plan = sample_plan(mu_grid, eps, beta, basis.z, unknowns)
     if samples.count != plan.q:
         raise ValueError(f"sample batch has {samples.count} points, "
                          f"the settings require exactly {plan.q}")
-    data = SopData(samples, sys, state_grid, dist_grid, table_cap=table_cap)
+    data = SopData(samples, sys, state_grid, dist_grid, table_cap=table_cap,
+                   successor=successor)
 
     sig = sys.signature
     dims = sig.state_dim + sig.disturbance_dim

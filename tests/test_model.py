@@ -8,7 +8,6 @@ from symabs.model import (
     RoomNetworkParams,
     SystemSignature,
     as_box,
-    box_contains,
     build_room_network,
 )
 
@@ -29,8 +28,6 @@ def scalar_system(dist_dim=0, oracle=None):
 def test_as_box_shapes_and_validation():
     box = as_box([(-1.0, 2.0), (0.0, 3.0)])
     assert box.shape == (2, 2)
-    assert box_contains(box, np.array([0.0, 1.5]))
-    assert not box_contains(box, np.array([0.0, 3.5]))
     assert as_box([]).shape == (0, 2)
     with pytest.raises(ValueError):
         as_box([(1.0, -1.0)])
@@ -63,9 +60,6 @@ def test_signature_dims_and_input_array():
     assert sig.n_inputs == 2
     assert sig.input_array().shape == (2, 1)
     assert np.allclose(sig.input(1), [0.1])
-    assert sig.contains_state([0.2, -0.9])
-    assert not sig.contains_state([0.2, -1.1])
-    assert sig.contains_disturbance([0.5])
 
 
 def test_signature_rejects_bad_input_sets():

@@ -14,7 +14,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from oracles import squared_distances_einsum
-from symabs import cli, pipeline, scenario
+from symabs import cli, pipeline, scenario, synthesize
 from symabs.errors import CapacityError, ConfigError, RefinementError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, build_room_network
 from symabs.pipeline import (
@@ -191,15 +191,17 @@ def _assert_same_abstraction(back, fts):
 def test_abstraction_file_roundtrip(tmp_path, make_fts):
     fts = make_fts()
     path = tmp_path / "abstraction.npy"
-    write_abstraction(path, fts)
+    write_abstraction(path, fts, None)
     # the .npy holds the table, one row per cell, in the smallest dtype
-    # that holds the sink, and the header beside it the grids and inputs
+    # that holds the sink, and the header beside it the grids, the inputs
+    # and the record of the system queried (none here)
     body = np.load(path, allow_pickle=False)
     assert body.dtype == np.min_scalar_type(fts.sink) == np.uint8
     assert body.shape == (fts.n_states, fts.n_inputs, fts.n_dists)
     assert np.array_equal(body, fts.table)
     header = json.loads((tmp_path / "abstraction.json").read_text())
-    assert sorted(header) == ["dist_grid", "inputs", "state_grid"]
+    assert sorted(header) == ["dist_grid", "inputs", "state_grid", "system"]
+    assert header["system"] is None
     assert header["state_grid"]["cells"] == list(fts.state_grid.cells_per_dim)
     assert header["inputs"] == fts.inputs.tolist()
     back = read_abstraction(path)
@@ -218,7 +220,7 @@ def test_abstraction_table_dtype_holds_the_sink(tmp_path):
         assert grid.total_cells == cells
         fts = _random_fts(grid, trivial_grid(), np.array([[0.0]]))
         path = tmp_path / f"abstraction_{cells}.npy"
-        write_abstraction(path, fts)
+        write_abstraction(path, fts, None)
         assert np.load(path).dtype == dtype
         _assert_same_abstraction(read_abstraction(path), fts)
 
@@ -234,7 +236,7 @@ def test_abstraction_table_keeps_the_stored_dtype(tmp_path):
     small = dataclasses.replace(fts, table=body % 100)  # any cell fits a byte
     want_small = safety_synthesis(small, safe=range(10, 290)).chosen
     path = tmp_path / "abstraction.npy"
-    write_abstraction(path, fts)
+    write_abstraction(path, fts, None)
     for stored in (np.uint16, np.int64, np.int32, np.uint8, np.int8):
         _save(path, small.table.astype(stored))
         back = read_abstraction(path)
@@ -303,7 +305,7 @@ def _with_last(body, value):
 def test_abstraction_file_rejects_corrupt_body(tmp_path, edit, message):
     fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells: the sink is 4
     path = tmp_path / "abstraction.npy"
-    write_abstraction(path, fts)
+    write_abstraction(path, fts, None)
     edit(path, np.load(path))
     with pytest.raises(ConfigError, match=message) as err:
         read_abstraction(path)
@@ -338,7 +340,7 @@ def test_abstraction_file_rejects_corrupt_body(tmp_path, edit, message):
 def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, cause):
     fts = _room_fts(0.125)  # 4 cells, 5 inputs, 16 dist cells
     path = tmp_path / "abstraction.npy"
-    write_abstraction(path, fts)
+    write_abstraction(path, fts, None)
     header_path = tmp_path / "abstraction.json"
     header = json.loads(header_path.read_text())
     edit(header)
@@ -355,7 +357,7 @@ def test_abstraction_file_rejects_corrupt_header(tmp_path, edit, cause):
 def test_artifact_json_that_does_not_parse_is_refused(tmp_path, text):
     fts = _room_fts(0.125)
     path = tmp_path / "abstraction.npy"
-    write_abstraction(path, fts)
+    write_abstraction(path, fts, None)
     (tmp_path / "abstraction.json").write_text(text)
     with pytest.raises(ConfigError, match="malformed abstraction header"):
         read_abstraction_header(path)
@@ -479,6 +481,149 @@ def test_certify_redraws_samples_stored_under_another_seed(tmp_path):
         (fresh / "certificates.json").read_bytes()
     cert = json.loads((fresh / "certificates.json").read_text())
     assert cert["certificates"][0]["seed"] == 4
+
+
+def test_certify_redraws_samples_drawn_over_another_box(tmp_path):
+    # the stored batches match in q, sharing and seeds, but were drawn over
+    # the default box; the shifted box reaches down to -0.4 only
+    config = mini_config()
+    shifted = dataclasses.replace(config, system=dataclasses.replace(
+        config.system, state_low=-0.4, state_high=0.6))
+    staged, fresh = tmp_path / "staged", tmp_path / "fresh"
+    bundle = build_systems(shifted)
+    stage_sample(config, str(staged))
+    assert min(p[0] for p in json.loads((staged / "samples.json").read_text())
+               ["batches"][0]["points"]) < -0.4
+    stage_certify(shifted, str(staged), bundle)
+    stage_sample(shifted, str(fresh), bundle)
+    stage_certify(shifted, str(fresh), bundle)
+    assert (staged / "certificates.json").read_bytes() == \
+        (fresh / "certificates.json").read_bytes()
+
+
+STAGES = ("sample", "certify", "compose", "abstract", "synthesize", "simulate")
+
+
+def _rows_per_stage(monkeypatch):
+    """Counts of oracle rows per stage, keyed by the stage_* function that
+    is running; each stage starts at 0."""
+    rows, running = {name: 0 for name in STAGES}, []
+    step = BlackBoxSystem.step
+
+    def counted(self, x, nu, d=None):
+        rows[running[-1]] += np.atleast_2d(np.asarray(x)).shape[0]
+        return step(self, x, nu, d)
+
+    for name in STAGES:
+        def staged(*args, _inner=getattr(pipeline, f"stage_{name}"),
+                   _name=name, **kw):
+            running.append(_name)
+            try:
+                return _inner(*args, **kw)
+            finally:
+                running.pop()
+        monkeypatch.setattr(pipeline, f"stage_{name}", staged)
+    monkeypatch.setattr(BlackBoxSystem, "step", counted)
+    return rows
+
+
+@pytest.mark.parametrize("how", ["casestudy", "stage by stage"])
+def test_each_table_entry_is_queried_once(tmp_path, monkeypatch, how):
+    # the default room's table holds 20 x 5 x 400 = 40,000 entries; certify
+    # queries them beside its 2,710 sample and slope rows, and abstract
+    # keeps the table certify wrote
+    rows = _rows_per_stage(monkeypatch)
+    config, out = PipelineConfig(), str(tmp_path / "out")
+    if how == "casestudy":
+        assert run_pipeline(config, out).ok
+    else:
+        for name in STAGES:
+            getattr(pipeline, f"stage_{name}")(config, out)
+    assert rows == {"sample": 0, "certify": 42_710, "compose": 0,
+                    "abstract": 0, "synthesize": 0, "simulate": 6_000}
+
+
+def _abstraction_bytes(out, i=0):
+    return [(out / f"abstraction_{i}.{ext}").read_bytes()
+            for ext in ("npy", "json")]
+
+
+def test_abstract_reuses_certify_table_only_for_its_own_system(tmp_path,
+                                                               monkeypatch):
+    config = mini_config()
+    warmer = dataclasses.replace(config, system=dataclasses.replace(
+        config.system, outside_temp=-1.0))
+    staged, alone, warm_alone = (tmp_path / name for name in
+                                 ("staged", "alone", "warm"))
+    stage_abstract(config, str(alone))
+    stage_abstract(warmer, str(warm_alone))
+    assert _abstraction_bytes(alone) != _abstraction_bytes(warm_alone)
+    rows = _rows_per_stage(monkeypatch)
+    pipeline.stage_certify(config, str(staged))
+    assert _abstraction_bytes(staged) == _abstraction_bytes(alone)
+    # the same config keeps certify's table, which is abstract's own
+    pipeline.stage_abstract(config, str(staged))
+    assert rows["abstract"] == 0
+    assert _abstraction_bytes(staged) == _abstraction_bytes(alone)
+    # another outside temperature asks the oracle again, for its own table
+    pipeline.stage_abstract(warmer, str(staged))
+    assert rows["abstract"] == 20 * 5 * 400
+    assert _abstraction_bytes(staged) == _abstraction_bytes(warm_alone)
+    # so does a header without the system record, as older runs wrote
+    header = json.loads((staged / "abstraction_0.json").read_text())
+    del header["system"]
+    (staged / "abstraction_0.json").write_text(json.dumps(header))
+    pipeline.stage_abstract(warmer, str(staged))
+    assert rows["abstract"] == 2 * 20 * 5 * 400
+    assert _abstraction_bytes(staged) == _abstraction_bytes(warm_alone)
+
+
+def test_abstract_holds_a_stored_table_to_the_cap(tmp_path, capsys):
+    # certify wrote the default room's 40,000-entry table under the default
+    # cap; abstract under a cap of 1,000 refuses it as it refuses a query
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--out", str(out)]) == 0
+    stored = _abstraction_bytes(out)
+    cfg = tmp_path / "cap.yaml"
+    cfg.write_text(yaml.safe_dump({"synthesize": {"query_cap": 1000}}))
+    rc = cli.main(["abstract", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert ("error in stage abstract: the transition table (cells x inputs "
+            "x disturbance cells) would hold 40,000 entries (40,000 bytes), "
+            "over the table cap of 1,000 entries") in err
+    assert _abstraction_bytes(out) == stored
+
+
+@pytest.mark.parametrize("name, command, text", [
+    ("samples.json", "certify", '{"q": 1'),
+    ("samples.json", "certify", '{"shared": true}'),
+    ("samples.json", "certify", "[]"),
+    ("composed.json", "simulate", ""),
+    ("composed.json", "simulate", '{"circularity_ok": true}'),
+    ("composed.json", "report", '{"circularity_ok": true}'),
+    ("synthesis.json", "report", '{"ok": true}'),
+    ("synthesis.json", "report", "{"),
+    ("lp_stats.json", "report", '{"subsystems": [[{}]]}'),
+    ("simulation.json", "report", '{"runs": 1}'),
+    ("certificates.json", "report", "not json"),
+])
+def test_cli_names_a_malformed_artifact(mini_run, tmp_path, capsys, name,
+                                        command, text):
+    # exit 1 is a negative verdict: a bad file is a stage error (exit 2)
+    # that names it, with no traceback
+    _, out, _ = mini_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    (run / name).write_text(text)
+    cfg = tmp_path / "mini.yaml"
+    cfg.write_text(MINI_YAML)
+    rc = cli.main([command, "--config", str(cfg), "--out", str(run)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error in stage {command}: {run / name}: malformed ")
+    assert "Traceback" not in err
 
 
 def _write_trajectories_by_row(path, runs):
@@ -765,19 +910,22 @@ def test_report_names_the_slope_source(mini_run, tmp_path, certified_by,
 
 
 def test_shared_run_enumerates_solves_and_reads_once(tmp_path, monkeypatch):
-    # identical rooms: one table, one game, one file of each, and one read
-    # of the abstraction, in synthesize; simulate reads only its header
+    # identical rooms: one table pass, certify's, whose abstraction file
+    # abstract finds and keeps; one game, one file of each, and one read of
+    # the abstraction, in synthesize; simulate reads only its header
     calls = {}
-    for name in ("enumerate_abstraction", "safety_synthesis",
-                 "write_abstraction", "read_abstraction", "write_controller",
-                 "read_controller"):
-        def counted(*args, _inner=getattr(pipeline, name), _name=name, **kw):
+    for module, name in (
+            (pipeline, "enumerate_abstraction"), (pipeline, "safety_synthesis"),
+            (pipeline, "write_abstraction"), (pipeline, "read_abstraction"),
+            (pipeline, "write_controller"), (pipeline, "read_controller"),
+            (scenario, "transition_table"), (synthesize, "transition_table")):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kw):
             calls[_name] = calls.get(_name, 0) + 1
             return _inner(*args, **kw)
-        monkeypatch.setattr(pipeline, name, counted)
+        monkeypatch.setattr(module, name, counted)
     result = run_pipeline(mini_config(), str(tmp_path / "out"))
     assert result.ok
-    assert calls == {"enumerate_abstraction": 1, "safety_synthesis": 1,
+    assert calls == {"transition_table": 1, "safety_synthesis": 1,
                      "write_abstraction": 1, "read_abstraction": 1,
                      "write_controller": 1, "read_controller": 1}
 
@@ -1488,12 +1636,14 @@ def test_cli_certify_removes_what_it_invalidates(mini_run, tmp_path, capsys):
     assert all((run / name).exists() for name in DOWNSTREAM)
     cfg = _steep_config(tmp_path)
     assert cli.main(["certify", "--config", str(cfg), "--out", str(run)]) == 1
-    for name in DOWNSTREAM:
+    # certify also rewrites the table, so the game played on it goes too
+    for name in DOWNSTREAM + ("synthesis.json", "controller_0.json"):
         assert not (run / name).exists(), name
     assert cli.main(["report", "--config", str(cfg), "--out", str(run)]) == 0
     summary = capsys.readouterr().out
     assert "certified: False\n" in summary
-    for stale in ("circularity_ok", "eps_tilde", "all trajectories safe"):
+    for stale in ("circularity_ok", "eps_tilde", "all trajectories safe",
+                  "winning cells"):
         assert stale not in summary, stale
     assert summary.endswith("\nok: False\n")
 

@@ -37,7 +37,7 @@ def test_flat_and_multi_index_roundtrip():
     g = UniformGrid(box=[(0.0, 1.0), (0.0, 2.0)], cells_per_dim=(3, 4), sigma=0.25)
     assert g.total_cells == 12
     for flat in range(12):
-        assert g.flat_index(g.multi_index(flat)) == flat
+        assert g.cell_index(g.representative(flat)) == flat
     # last coordinate fastest
     assert g.multi_index(1) == (0, 1)
     assert g.multi_index(4) == (1, 0)

@@ -63,6 +63,11 @@ def _checked(context: str, build):
         raise ConfigError(f"{context}: {exc}") from None
 
 
+def _real(value) -> bool:
+    """A real number other than a bool, which YAML's true would pass as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _levels(name: str, value) -> tuple:
     """certify.<name>, one number or a non-empty list of them, each in
     (0, 1), as a tuple of floats.  A bool is 0 or 1, so it is refused."""
@@ -105,7 +110,7 @@ class SystemConfig:
     def __post_init__(self):
         if self.kind not in ("rooms", "external"):
             raise ConfigError("system.kind must be 'rooms' or 'external'")
-        if not (isinstance(self.timeout, numbers.Real) and 0 < self.timeout < np.inf):
+        if not (_real(self.timeout) and 0 < self.timeout < np.inf):
             raise ConfigError("system.timeout must be a positive number of seconds")
         for name in ("input_levels", "command", "state_box", "disturbance_box",
                      "input_set"):
@@ -210,14 +215,14 @@ class CertifyConfig:
                 isinstance(box, (list, tuple)) for box in self.boxes.values())):
             raise ConfigError("certify.boxes must map names to [low, high] pairs")
         object.__setattr__(self, "boxes", {k: tuple(v) for k, v in self.boxes.items()})
-        if not (isinstance(self.sigma, numbers.Real) and self.sigma > 0):
+        if not (_real(self.sigma) and self.sigma > 0):
             raise ConfigError("certify.sigma must be a positive number")
         if not (isinstance(self.psi, numbers.Real) and 0 < self.psi < 1):
             raise ConfigError("certify.psi must lie in (0, 1)")
-        if not (isinstance(self.lam, numbers.Real) and self.lam > 0):
+        if not (_real(self.lam) and self.lam > 0):
             raise ConfigError("certify.lam must be a positive number")
         xi = self.xi_target
-        if xi is not None and not (isinstance(xi, numbers.Real) and np.isfinite(xi)):
+        if xi is not None and not (_real(xi) and np.isfinite(xi)):
             raise ConfigError("certify.xi_target must be a finite number or null")
         if self.unknowns is not None and not (is_integer(self.unknowns)
                                               and self.unknowns >= 1):
@@ -448,12 +453,6 @@ def batch_to_mapping(batch: SampleBatch) -> dict:
             "points": [[float(v) for v in row] for row in batch.points]}
 
 
-def batch_from_mapping(data) -> SampleBatch:
-    return SampleBatch(seed=int(data["seed"]), state_dim=int(data["state_dim"]),
-                       dist_dim=int(data["dist_dim"]),
-                       points=np.asarray(data["points"], dtype=float))
-
-
 def _grid_mapping(grid: UniformGrid) -> dict:
     return {"box": grid.box.tolist(), "cells": list(grid.cells_per_dim),
             "sigma": float(grid.sigma)}
@@ -475,18 +474,6 @@ def _reading(path, what: str):
         yield
     except (ValueError, TypeError, KeyError, OverflowError, EOFError) as exc:
         raise ConfigError(f"{path}: malformed {what} ({exc})") from None
-
-
-def _stored(path, what: str, wanted, parse):
-    """The artifact at path when it serves this config, else None, also
-    when there is no file.  parse(data) gives (record, artifact) from the
-    file's JSON, and the artifact serves when its record equals `wanted`,
-    the record this config gives."""
-    if not os.path.exists(path):
-        return None
-    with _reading(path, what):
-        record, artifact = parse(_read_json(path))
-    return artifact if record == wanted else None
 
 
 def _header_path(path) -> str:
@@ -644,7 +631,10 @@ def _owners(config: PipelineConfig, bundle: SystemBundle) -> list:
 
 
 def _draw_batches(config: PipelineConfig, bundle: SystemBundle, q: int):
-    """One sample batch per distinct owner, in index order."""
+    """One sample batch per distinct owner, in index order: owner i's q
+    points drawn at seed + i over its state and disturbance box.  Certify
+    draws its batches here on every run; samples.json holds the same
+    batches for inspection and is never read back."""
     return [draw_samples(bundle.subsystems[i].signature, q, config.seed + i)
             for i in sorted(set(_owners(config, bundle)))]
 
@@ -658,39 +648,6 @@ def stage_sample(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                    "batches": [batch_to_mapping(b) for b in batches]}
         _write_json(os.path.join(out_dir, "samples.json"), payload)
         return payload
-
-
-def _load_or_draw_samples(config: PipelineConfig, out_dir: str,
-                          bundle: SystemBundle, q: int):
-    """The stored batches if this config could have drawn them, else a fresh
-    draw: the same q and sharing, and one batch per distinct owner at seed +
-    owner, with q points of its dimensions inside its state and disturbance
-    box.  samples.json records no box, so a batch drawn over a smaller box
-    inside this one still serves, as a batch edited by hand does."""
-    owners = sorted(set(_owners(config, bundle)))
-    sigs = [bundle.subsystems[i].signature for i in owners]
-
-    def inside(batch, sig) -> bool:
-        box = np.vstack([sig.state_box, sig.disturbance_box])
-        pts = batch.points
-        return (batch.state_dim, batch.dist_dim) == (sig.state_dim,
-                                                     sig.disturbance_dim) \
-            and pts.shape == (q, box.shape[0]) \
-            and bool(np.all((pts >= box[:, 0]) & (pts <= box[:, 1])))
-
-    def parse(data):
-        batches = [batch_from_mapping(b) for b in data["batches"]]
-        return {"q": data["q"], "shared": data["shared"],
-                "seeds": [b.seed for b in batches],
-                "inside": [inside(b, sig) for b, sig in zip(batches, sigs)]
-                }, batches
-
-    wanted = {"q": q, "shared": config.system.identical_subsystems,
-              "seeds": [config.seed + i for i in owners],
-              "inside": [True] * len(owners)}
-    batches = _stored(os.path.join(out_dir, "samples.json"), "sample batches",
-                      wanted, parse)
-    return _draw_batches(config, bundle, q) if batches is None else batches
 
 
 def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
@@ -709,7 +666,7 @@ def stage_certify(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                 check_table_cap("the slope probe's point pairs (pairs x state and "
                                 "disturbance coordinates)", lip_cfg.pairs * (
                                     sig.state_dim + sig.disturbance_dim), cap)
-        batches = _load_or_draw_samples(config, out_dir, bundle, q)
+        batches = _draw_batches(config, bundle, q)
         boxes = cert_cfg.variable_boxes()
         system = config.to_mapping()["system"]
         certs = {}
@@ -834,10 +791,12 @@ def stage_abstract(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
             path = os.path.join(out_dir, f"abstraction_{i}.npy")
             sub, grid = bundle.subsystems[i], state_grids[i]
             inputs = sub.signature.input_array()
-            wanted = _abstraction_header(grid, dist_grids[i], inputs, system)
-            if os.path.exists(path) and _stored(
-                    _header_path(path), "abstraction header", wanted,
-                    lambda data: (data, data)) is not None:
+            head, stored = _header_path(path), False
+            if os.path.exists(path) and os.path.exists(head):
+                with _reading(head, "abstraction header"):
+                    stored = _read_json(head) == _abstraction_header(
+                        grid, dist_grids[i], inputs, system)
+            if stored:
                 # a stored table is held to the cap, as a queried one is
                 check_table_cap(TABLE_NAME, grid.total_cells * len(inputs)
                                 * dist_grids[i].total_cells, cap,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import CapacityError, SolverError
+from .errors import CapacityError, DomainError, SolverError
 from .model import BlackBoxSystem, SystemSignature, is_integer
 # abstract_transition is no longer called here; the import is kept because
 # bench/tracing.py wraps it by this module attribute.
@@ -270,7 +270,11 @@ def row_lipschitz(j_f, j_x, j_d, state_bound: float, dist_bound: float,
     """Row-function Lipschitz constant from bounds on the dynamics: j_f on
     ||f||, j_x and j_d on its slopes in state and disturbance, over a state
     box of norm state_bound and a disturbance box of norm dist_bound."""
-    if min(j_f, j_x, j_d, state_bound, dist_bound, sigma, mu, eta) < 0:
+    bounds = (j_f, j_x, j_d, state_bound, dist_bound, sigma, mu, eta)
+    # max() and min() pass a NaN through when it is not the first argument
+    if not all(math.isfinite(v) for v in bounds):
+        raise ValueError("all bounds must be finite")
+    if min(bounds) < 0:
         raise ValueError("all bounds must be non-negative")
     w1, w3 = float(state_bound), float(dist_bound)
     l1 = 8.0 * w1
@@ -324,6 +328,10 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
         nus = np.broadcast_to(nu, (pairs, nu.size))
         ya = sys.step(first[:, :n], nus, first[:, n:])
         yb = sys.step(second[:, :n], nus, second[:, n:])
+        # max() below would drop a NaN slope, and an infinite reply has none
+        if not (np.isfinite(ya).all() and np.isfinite(yb).all()):
+            raise DomainError("oracle reply is not finite; the slope probe "
+                              "cannot bound it")
         slope = max(slope, float(np.max(np.linalg.norm(ya - yb, axis=1) / gaps)))
         fmax = max(fmax, float(np.max(np.linalg.norm(np.vstack([ya, yb]), axis=1))))
     return slope, fmax
@@ -378,8 +386,9 @@ class NonlinearLipschitz(_SlopeSource):
     j_d: float
 
     def __post_init__(self):
-        if min(self.j_f, self.j_x, self.j_d) < 0:
-            raise ValueError("j_f, j_x and j_d must be non-negative")
+        if not all(math.isfinite(v) and v >= 0
+                   for v in (self.j_f, self.j_x, self.j_d)):
+            raise ValueError("j_f, j_x and j_d must be non-negative and finite")
 
     def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
         return self.j_f, self.j_x, self.j_d
@@ -407,8 +416,8 @@ class DataLipschitz(_SlopeSource):
                              f"on the slope probe's (pairs x coordinates) arrays")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.safety < 0:
-            raise ValueError("safety must be non-negative")
+        if not (math.isfinite(self.safety) and self.safety >= 0):
+            raise ValueError("safety must be non-negative and finite")
 
     def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
         if sys not in self._cache:

@@ -23,8 +23,6 @@ from symabs.pipeline import (
     ReportConfig,
     SynthesizeConfig,
     SystemConfig,
-    _load_or_draw_samples,
-    batch_from_mapping,
     batch_to_mapping,
     build_systems,
     computed_sample_size,
@@ -143,12 +141,12 @@ def test_computed_sample_size_matches_direct_call():
 
 
 def test_sample_batch_mapping_roundtrip():
+    # samples.json holds each point to the bit, through its JSON text
     _, _, rooms = build_room_network(RoomNetworkParams(num_rooms=3))
     batch = draw_samples(rooms[0].signature, 17, seed=9)
-    back = batch_from_mapping(batch_to_mapping(batch))
-    assert back.seed == batch.seed
-    assert back.count == 17
-    assert np.array_equal(back.points, batch.points)
+    back = json.loads(json.dumps(batch_to_mapping(batch)))
+    assert (back["seed"], back["state_dim"], back["dist_dim"]) == (9, 1, 2)
+    assert np.array_equal(np.asarray(back["points"]), batch.points)
 
 
 def _room_fts(sigma):
@@ -441,31 +439,35 @@ def test_compose_writes_the_violating_cycle(tmp_path):
         pipeline.load_composed(str(tmp_path))
 
 
-def test_certify_reuses_stored_sample_batches(tmp_path):
+@pytest.mark.parametrize("edit", ["tampered", "inner box", "malformed",
+                                  "missing"])
+def test_certify_never_reads_samples_json(tmp_path, edit):
+    # certify draws its batches from seed + owner on every run, so what is
+    # left in samples.json cannot change its certificates
     config = mini_config()
-    out = str(tmp_path / "out")
+    staged, fresh = tmp_path / "staged", tmp_path / "fresh"
     bundle = build_systems(config)
-    payload = stage_sample(config, out, bundle)
-    q = payload["q"]
-    # tamper one stored coordinate; the loader must hand back exactly what is
-    # on disk whenever q and the sharing flag agree
-    path = tmp_path / "out" / "samples.json"
-    data = json.loads(path.read_text())
-    data["batches"][0]["points"][0][0] = 0.123456
-    path.write_text(json.dumps(data))
-    batches = _load_or_draw_samples(config, out, bundle, q)
-    assert payload["shared"] and len(batches) == 1  # one batch serves all
-    assert batches[0].points[0][0] == 0.123456
-    # a q mismatch forces a fresh draw of the requested size
-    batches = _load_or_draw_samples(config, out, bundle, q + 1)
-    assert batches[0].count == q + 1
-    assert batches[0].points[0][0] != 0.123456
-    # so does a batch count other than one per distinct subsystem
-    data["batches"].append(data["batches"][0])
-    path.write_text(json.dumps(data))
-    batches = _load_or_draw_samples(config, out, bundle, q)
-    assert len(batches) == 1
-    assert batches[0].points[0][0] != 0.123456
+    if edit == "inner box":
+        # the same q, sharing and seeds, drawn over a box inside this one
+        stage_sample(dataclasses.replace(config, system=dataclasses.replace(
+            config.system, state_low=-0.25, state_high=0.25)), str(staged))
+    else:
+        stage_sample(config, str(staged), bundle)
+    path = staged / "samples.json"
+    if edit == "tampered":
+        data = json.loads(path.read_text())
+        for point in data["batches"][0]["points"]:
+            point[0] /= 2.0  # still inside the box
+        path.write_text(json.dumps(data))
+    elif edit == "malformed":
+        path.write_text("{")
+    elif edit == "missing":
+        path.unlink()
+    stage_certify(config, str(staged), bundle)
+    stage_certify(config, str(fresh), bundle)
+    assert (staged / "certificates.json").read_bytes() == \
+        (fresh / "certificates.json").read_bytes()
+    assert not (fresh / "samples.json").exists()
 
 
 def test_certify_redraws_samples_stored_under_another_seed(tmp_path):
@@ -597,9 +599,6 @@ def test_abstract_holds_a_stored_table_to_the_cap(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name, command, text", [
-    ("samples.json", "certify", '{"q": 1'),
-    ("samples.json", "certify", '{"shared": true}'),
-    ("samples.json", "certify", "[]"),
     ("composed.json", "simulate", ""),
     ("composed.json", "simulate", '{"circularity_ok": true}'),
     ("composed.json", "report", '{"circularity_ok": true}'),
@@ -1356,6 +1355,28 @@ EXTERNAL = {"kind": "external", "command": ["oracle"],
      "system: state_box must have one interval per state coordinate"),
     ("system", dict(EXTERNAL, state_box=3), [],
      "system: object of type 'int' has no len()"),
+    # a NaN slope setting would pass max() and min() unseen, and 0 * inf
+    # is NaN
+    ("certify", {"lipschitz": {"safety": float("nan")}}, [],
+     "certify.lipschitz: safety must be non-negative and finite"),
+    ("certify", {"lipschitz": {"safety": float("inf")}}, [],
+     "certify.lipschitz: safety must be non-negative and finite"),
+    ("certify", {"lipschitz": {"kind": "nonlinear", "j_f": float("nan"),
+                               "j_x": 0.9, "j_d": 0.1}}, [],
+     "certify.lipschitz: j_f, j_x and j_d must be non-negative and finite"),
+    ("certify", {"lipschitz": {"kind": "nonlinear", "j_f": 0,
+                               "j_x": float("inf"), "j_d": 0.1}}, [],
+     "certify.lipschitz: j_f, j_x and j_d must be non-negative and finite"),
+    ("certify", {"lipschitz": {"kind": "nonlinear", "j_f": 1.0, "j_x": 0.9,
+                               "j_d": float("nan")}}, [],
+     "certify.lipschitz: j_f, j_x and j_d must be non-negative and finite"),
+    # YAML's true is a number to isinstance, and would pass as 1
+    ("certify", {"sigma": True}, [], "certify.sigma must be a positive number"),
+    ("certify", {"lam": True}, [], "certify.lam must be a positive number"),
+    ("certify", {"xi_target": True}, [],
+     "certify.xi_target must be a finite number or null"),
+    ("system", dict(EXTERNAL, timeout=True), [],
+     "system.timeout must be a positive number of seconds"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):

@@ -8,7 +8,7 @@ from oracles import (ball_fraction, ball_radius, basis_features_direct, brute_to
                      min_samples_binomial, sop_instance_for_exponents,
                      squared_distances_einsum, squared_distances_in_axis_order)
 import symabs.scenario as scenario_mod
-from symabs.errors import CapacityError, SolverError
+from symabs.errors import CapacityError, DomainError, SolverError
 from symabs.model import BlackBoxSystem, RoomNetworkParams, SystemSignature, build_room_network
 from symabs.quantize import (AbstractPoint, abstract_transition, make_grid, product_grid, quantize,
                              transition_table, trivial_grid)
@@ -265,6 +265,24 @@ def test_lipschitz_linear_zero_case_and_sign_check():
             row_lipschitz(*args)
 
 
+def test_row_lipschitz_refuses_non_finite_bounds():
+    # max(l1, nan) is l1: a NaN slope would leave only the state-box branch
+    args = (1.0, 1.0, 0.01, 0.5, 0.5, 0.025, 0.5, 0.02)
+    for k in range(8):
+        for bad in (math.nan, math.inf, -math.inf):
+            given = list(args)
+            given[k] = bad
+            with pytest.raises(ValueError, match="must be finite"):
+                row_lipschitz(*given)
+    for bounds in ({"j_f": math.nan, "j_x": 0.9, "j_d": 0.1},
+                   {"j_f": 0.0, "j_x": math.inf, "j_d": 0.1}):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            NonlinearLipschitz(**bounds)
+    for safety in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            DataLipschitz(safety=safety)
+
+
 def test_linear_slopes_refuse_matrices_of_the_wrong_shape():
     sys = linear_system()  # one state, input and disturbance coordinate
     for matrices in ({"a": [[0.9, 0.1]]}, {"a": [[0.9]], "b": [[1.0, 2.0]]},
@@ -413,6 +431,20 @@ def test_sample_dynamics_matches_per_pair_draws_bit_for_bit():
             assert (redraws > 0) == (sys is tiny_sys)
     with pytest.raises(SolverError):
         _sample_dynamics(tiny_sys, 64, 7, retry_cap=0)
+
+
+@pytest.mark.parametrize("reply", [math.nan, math.inf])
+def test_sample_dynamics_refuses_a_non_finite_reply(reply):
+    # max(slope, nan) keeps slope, so a NaN reply would drop its input's
+    # slopes; an infinite reply has no finite slope to estimate
+    sys = linear_system()
+    odd = BlackBoxSystem(signature=sys.signature, oracle=lambda x, nu, d: np.where(
+        x > 0.9, reply, 0.8 * x + nu + 0.1 * d))
+    assert _sample_dynamics(sys, 64, 3)[0] > 0  # the same draws, all finite
+    with pytest.raises(DomainError, match="slope probe"):
+        _sample_dynamics(odd, 64, 3)
+    with pytest.raises(DomainError, match="slope probe"):
+        DataLipschitz(pairs=64, seed=3).bound(odd, sigma=0.05, mu=0.5, eta=0.01)
 
 
 # ---------------------------------------------------------------- SOP

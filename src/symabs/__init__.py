@@ -28,7 +28,7 @@ from .scenario import (ApbfCertificate, BasisSpec, DataLipschitz,
                        min_sample_size, quartic_difference_basis, solve_lp)
 from .simplex import SimplexResult, solve_simplex, solve_with_rows
 from .synthesize import (ClosedLoopLog, ControllerTable,
-                         FiniteTransitionSystem, RefinedController, Trajectory,
+                         FiniteTransitionSystem, RefinedController,
                          enumerate_abstraction, safety_synthesis,
                          simulate_closed_loop)
 
@@ -43,7 +43,7 @@ __all__ = [
     "NonlinearLipschitz", "OracleError", "PipelineConfig", "ProtocolError",
     "RefinedController", "RefinementError", "RoomNetworkParams", "SampleBatch",
     "ScalingVector", "SimplexResult", "SolverError", "SymabsError",
-    "SystemSignature", "Trajectory", "UnboundedError", "ClosedLoopLog",
+    "SystemSignature", "UnboundedError", "ClosedLoopLog",
     "UniformGrid", "VariableBoxes", "abstract_transition", "apbf_margin",
     "build_gain_matrix", "build_room_network", "certify_apbf",
     "check_circularity", "compose_abf", "convert_gains", "draw_samples",

@@ -31,6 +31,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number but not a bool, which YAML's true would pass as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def as_box(box) -> Array:
     """Normalize interval bounds to a float array of shape (k, 2), low < high."""
     b = np.asarray(box, dtype=float)
@@ -215,6 +220,16 @@ class RoomNetworkParams:
             raise ValueError("num_rooms must be an integer")
         if self.num_rooms < 2:
             raise ValueError("num_rooms must be at least 2")
+        temps = self.outside_temp
+        named = [(name, getattr(self, name)) for name in (
+            "conduction", "outside_coupling", "cooler_coupling", "cooler_temp",
+            "state_low", "state_high")]
+        named += [("outside_temp", t)
+                  for t in ((temps,) if np.isscalar(temps) else temps)]
+        named += [("input_levels", v) for v in self.input_levels]
+        for name, value in named:
+            if not (is_real(value) and np.isfinite(value)):
+                raise ValueError(f"{name}: {value!r} is not a finite number")
         if len(self.outside_temps) != self.num_rooms:
             raise ValueError("outside_temp must be scalar or one value per room")
         if min(self.conduction, self.outside_coupling, self.cooler_coupling) <= 0:

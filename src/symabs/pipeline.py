@@ -24,7 +24,7 @@ from . import scenario
 from .errors import ConfigError, RefinementError
 from .extoracle import ExternalOracle
 from .model import (InterconnectionTopology, RoomNetworkParams, SystemSignature,
-                    build_room_network, is_integer)
+                    build_room_network, is_integer, is_real)
 from .quantize import (DEFAULT_TABLE_CAP, TABLE_NAME, UniformGrid,
                        check_table_cap, make_grid, product_grid, trivial_grid)
 from .scenario import (ApbfCertificate, DataLipschitz, LinearLipschitz,
@@ -61,11 +61,6 @@ def _checked(context: str, build):
         return build()
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{context}: {exc}") from None
-
-
-def _real(value) -> bool:
-    """A real number other than a bool, which YAML's true would pass as 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _levels(name: str, value) -> tuple:
@@ -110,7 +105,7 @@ class SystemConfig:
     def __post_init__(self):
         if self.kind not in ("rooms", "external"):
             raise ConfigError("system.kind must be 'rooms' or 'external'")
-        if not (_real(self.timeout) and 0 < self.timeout < np.inf):
+        if not (is_real(self.timeout) and 0 < self.timeout < np.inf):
             raise ConfigError("system.timeout must be a positive number of seconds")
         for name in ("input_levels", "command", "state_box", "disturbance_box",
                      "input_set"):
@@ -215,14 +210,14 @@ class CertifyConfig:
                 isinstance(box, (list, tuple)) for box in self.boxes.values())):
             raise ConfigError("certify.boxes must map names to [low, high] pairs")
         object.__setattr__(self, "boxes", {k: tuple(v) for k, v in self.boxes.items()})
-        if not (_real(self.sigma) and self.sigma > 0):
+        if not (is_real(self.sigma) and self.sigma > 0):
             raise ConfigError("certify.sigma must be a positive number")
         if not (isinstance(self.psi, numbers.Real) and 0 < self.psi < 1):
             raise ConfigError("certify.psi must lie in (0, 1)")
-        if not (_real(self.lam) and self.lam > 0):
+        if not (is_real(self.lam) and self.lam > 0):
             raise ConfigError("certify.lam must be a positive number")
         xi = self.xi_target
-        if xi is not None and not (_real(xi) and np.isfinite(xi)):
+        if xi is not None and not (is_real(xi) and np.isfinite(xi)):
             raise ConfigError("certify.xi_target must be a finite number or null")
         if self.unknowns is not None and not (is_integer(self.unknowns)
                                               and self.unknowns >= 1):
@@ -904,6 +899,12 @@ def stage_simulate(config: PipelineConfig, out_dir: str, bundle=None) -> dict:
                         and log.safe.all())
         write_trajectories(os.path.join(out_dir, "trajectories.csv"), labels, log)
         payload = {"runs": len(log), "all_safe": all_safe, "horizon": horizon}
+        # why each truncated run stopped; absent when none did
+        if log.diagnostics:
+            payload["truncated"] = [
+                {"run": labels[r], "step": int(log.steps[r]), "subsystem": i,
+                 "message": message}
+                for r, (i, message) in sorted(log.diagnostics.items())]
         _write_json(os.path.join(out_dir, "simulation.json"), payload)
         return payload
 
@@ -993,6 +994,11 @@ def stage_report(config: PipelineConfig, out_dir: str) -> str:
             lines.append(f"simulation runs: {sim['runs']} "
                          f"horizon: {sim['horizon']}")
             lines.append(f"all trajectories safe: {sim['all_safe']}")
+            if sim.get("truncated"):
+                first = sim["truncated"][0]
+                lines.append(f"truncated runs: {len(sim['truncated'])}; first: "
+                             f"run {first['run']} subsystem {first['subsystem']} "
+                             f"step {first['step']}: {first['message']}")
             ok = certified and circ_ok and syn_ok and sim["all_safe"]
         lines.append(f"ok: {ok}")
     elif os.path.exists(os.path.join(out_dir, "certificates.json")):

@@ -20,7 +20,7 @@ from .model import BlackBoxSystem, as_box
 
 Array = np.ndarray
 
-DEFAULT_CELL_CAP = 100_000_000
+CELL_CAP = 100_000_000  # cells of one grid
 
 # The one cap on table-sized work, in entries: the abstract transition table
 # (cells x inputs x disturbance cells) and every array that certify or
@@ -148,8 +148,9 @@ class AbstractPoint:
     is_sink: bool = False
 
 
-def make_grid(box, target_sigma: float, cell_cap: int = DEFAULT_CELL_CAP) -> UniformGrid:
-    """Smallest per-coordinate cell counts with every half-width <= target_sigma."""
+def make_grid(box, target_sigma: float) -> UniformGrid:
+    """Smallest per-coordinate cell counts with every half-width <=
+    target_sigma; more than CELL_CAP cells are refused."""
     box = as_box(box)
     if box.shape[0] == 0:
         raise ValueError("cannot grid an empty box")
@@ -165,8 +166,8 @@ def make_grid(box, target_sigma: float, cell_cap: int = DEFAULT_CELL_CAP) -> Uni
     total = 1
     for k in counts:
         total *= k
-    if total > cell_cap:
-        raise CapacityError(f"{total} cells exceed the cap {cell_cap}")
+    if total > CELL_CAP:
+        raise CapacityError(f"{total} cells exceed the cap {CELL_CAP}")
     widths = (box[:, 1] - box[:, 0]) / np.asarray(counts, dtype=float)
     sigma = float(np.max(widths) / 2.0)
     return UniformGrid(box=box, cells_per_dim=tuple(counts), sigma=sigma)

@@ -299,8 +299,11 @@ def domain_bounds(signature: SystemSignature) -> tuple[float, float, float]:
     return _corner_norm(signature.state_box), w2, _corner_norm(signature.disturbance_box)
 
 
-def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
-                     retry_cap: int = 100) -> tuple[float, float]:
+# Redraws of one coincident point pair before the slope probe gives up.
+RETRY_CAP = 100
+
+
+def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int) -> tuple[float, float]:
     """Max observed slope ||f(a)-f(b)|| / ||a-b|| over random point pairs per
     input, and max observed ||f||."""
     sig = sys.signature
@@ -321,7 +324,7 @@ def _sample_dynamics(sys: BlackBoxSystem, pairs: int, seed: int,
             tries = 0
             while gaps[k] < 1e-12:
                 tries += 1
-                if tries > retry_cap:
+                if tries > RETRY_CAP:
                     raise SolverError("could not draw a non-coincident sample pair")
                 second[k] = rng.uniform(box[:, 0], box[:, 1])
                 gaps[k] = np.linalg.norm(first[k] - second[k])
@@ -359,6 +362,13 @@ class LinearLipschitz(_SlopeSource):
     b: object = None
     e: object = None
 
+    def __post_init__(self):
+        # a NaN or infinite entry has no spectral norm to bound a slope with
+        for name in ("a", "b", "e"):
+            mat = getattr(self, name)
+            if mat is not None and not np.isfinite(mat).all():
+                raise ValueError(f"{name} must hold finite numbers")
+
     def check(self, signature: SystemSignature) -> None:
         n = signature.state_dim
         for name, need in (("a", (n, n)), ("b", (n, signature.input_dim)),
@@ -394,17 +404,17 @@ class NonlinearLipschitz(_SlopeSource):
         return self.j_f, self.j_x, self.j_d
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DataLipschitz(_SlopeSource):
     """Slopes estimated from sampled queries, not proved: the largest
     observed slope times a safety factor serves as both j_x and j_d, and j_f
     is the larger of the observed maximum of ||f|| times the safety factor
-    and the state-box norm.  Slopes are cached per system object."""
+    and the state-box norm.  The probe is seeded, so each call draws the
+    same slopes."""
 
     pairs: int = 200
     seed: int = 0
     safety: float = 1.5
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not is_integer(self.pairs):
@@ -420,12 +430,10 @@ class DataLipschitz(_SlopeSource):
             raise ValueError("safety must be non-negative and finite")
 
     def slopes(self, sys: BlackBoxSystem) -> tuple[float, float, float]:
-        if sys not in self._cache:
-            slope, fmax = _sample_dynamics(sys, self.pairs, self.seed)
-            w1, _, _ = domain_bounds(sys.signature)
-            self._cache[sys] = (max(fmax * self.safety, w1),
-                                slope * self.safety, slope * self.safety)
-        return self._cache[sys]
+        slope, fmax = _sample_dynamics(sys, self.pairs, self.seed)
+        w1, _, _ = domain_bounds(sys.signature)
+        return (max(fmax * self.safety, w1), slope * self.safety,
+                slope * self.safety)
 
 
 # ----------------------------------------------------------------------------
@@ -542,9 +550,9 @@ class SopInstance:
     the sink); an entry outside [0, s) is refused.  `gather` builds the
     requested rows bit for bit as a dense matrix would hold them.
 
-    Once the scan sends it a floor, `residual_blocks` visits the H2 blocks
-    largest bound first and stops at the first whose rows cannot exceed the
-    floor, as branch and bound does.  Sample i's row (u, s, d) is summed in
+    `residual_blocks` visits the H2 blocks largest bound first and stops at
+    the first whose rows cannot exceed the floor the scan sent, as branch
+    and bound does.  Sample i's row (u, s, d) is summed in
     the order (succ[i, u, successor[u, s, d]] + by_state[i, s]) + by_dist[i,
     d], where succ[i, u, c] = coef_phi[i, u, c] @ phi.
     The block's bound is summed in the same order from the largest term of
@@ -655,15 +663,13 @@ class SopInstance:
         """Yield (start_row, A x - b over a block of rows): the H1 block,
         then one H2 block of u*s*d rows per sample.
 
-        A plain iteration sends None and gets every block in row order.  A
-        floor sent after the H1 block ranks the H2 blocks by their bound (see
-        the class docstring), largest first and NaN bounds ahead of all, and
-        the scan stops at the first block whose bound is at or below the
-        floor last sent; it and every later block are counted as pruned.
-        Floors sent into a plain iteration are ignored.  Each call fills one
-        buffer of its own and reuses it for every H2 block, so a block holds
-        its values only until the next one is drawn; copy what must outlive
-        that."""
+        The H2 blocks come ranked by their bound (see the class docstring),
+        largest first and NaN bounds ahead of all.  The scan stops at the
+        first block whose bound is at or below the floor last sent; it and
+        every later block are counted as pruned.  An iteration that sends no
+        floor gets every block.  Each call fills one buffer of its own and
+        reuses it for every H2 block, so a block holds its values only until
+        the next one is drawn; copy what must outlive that."""
         vec = np.asarray(vec, dtype=float)
         gamma, eta, theta = vec[0], vec[1], vec[2]
         phi, xi = vec[3:-1], vec[-1]
@@ -676,24 +682,20 @@ class SopInstance:
         floor = yield 0, h1.reshape(-1)
         succ = (self.coef_phi.reshape(-1, phi.size) @ phi).reshape(q, n_u * n_s)
         state_term = self.coef_theta * theta + self.const - xi - self.mu * cur
-        ranked = floor is not None
-        if ranked:
-            # summed in the block's own order; see the class docstring
-            top = succ[:, self._bound_columns[0]]
-            for columns in self._bound_columns[1:]:
-                np.maximum(top, succ[:, columns], out=top)
-            pairs = top.reshape(q, n_u, n_s)
-            pairs += state_term[:, None, :]
-            bound = top.max(axis=1) + self.dist_top(eta)
-            order = np.lexsort((-bound, ~np.isnan(bound)))
-        else:
-            order = range(q)
+        # summed in the block's own order; see the class docstring
+        top = succ[:, self._bound_columns[0]]
+        for columns in self._bound_columns[1:]:
+            np.maximum(top, succ[:, columns], out=top)
+        pairs = top.reshape(q, n_u, n_s)
+        pairs += state_term[:, None, :]
+        bound = top.max(axis=1) + self.dist_top(eta)
+        order = np.lexsort((-bound, ~np.isnan(bound)))
         by_state = state_term[:, None, :, None]
         succ = succ.reshape(q, n_u, n_s)
         block = np.empty((n_u, n_s, n_d))
         dist_term = np.empty(n_d)
         for done, i in enumerate(order):
-            if ranked and floor is not None and bound[i] <= floor:
+            if floor is not None and bound[i] <= floor:
                 self.blocks_pruned += q - done
                 return
             self.blocks_scanned += 1
@@ -704,8 +706,8 @@ class SopInstance:
             floor = yield st.h1_rows + i * block.size, block.reshape(-1)
 
     def residuals(self, vec: Array) -> Array:
-        """A x - b over all rows, in row order: the blocks of
-        `residual_blocks` laid end to end."""
+        """A x - b over all rows, in row order: each block of
+        `residual_blocks` placed at its start row."""
         out = np.empty(self.row_count)
         for start, block in self.residual_blocks(vec):
             out[start:start + block.size] = block
@@ -1001,10 +1003,6 @@ class ApbfCertificate:
                 and len(self.phi) != self.basis.z:
             raise ValueError(f"{len(self.phi)} score weights for a basis of "
                              f"{self.basis.z} features")
-
-    @property
-    def confidence(self) -> float:
-        return 1.0 - self.beta
 
     def value(self, x, xhat) -> Array:
         """Score S(x, xhat); needs the basis and coefficients."""

@@ -95,6 +95,13 @@ _PIVOT_TOL = 1e-9  # smallest pivot element a ratio test accepts
 # at sigma 0.005 (5 M-row blocks) a stage_certify took 413 ms with 2**14,
 # 477 ms with 2**12, 423 ms with 2**16 and 626 ms with whole blocks.
 SCAN_SLICE = 1 << 14
+TOL = 1e-9  # scaled row and multiplier tolerance of every simplex solve
+ACTIVE_TOL = 1e-8  # relative residual at which a row is reported active
+MAX_ITER = 200_000  # pivots one solve may take
+CUT_BATCH = 64  # rows a row-generation round adds
+VIOL_TOL = 1e-9  # residual a row must exceed to be added
+MAX_ROUNDS = 1000  # row-generation rounds before giving up
+MAX_MASTER = 512  # master rows past which slack working rows are dropped
 
 
 class _Constraints:
@@ -274,13 +281,12 @@ def _primal(lp: _Constraints, basis: Array, cost: Array, tol: float,
 
 
 def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
-                  maximize: bool = False, tol: float = 1e-9,
-                  active_tol: float = 1e-8, max_iter: int = 200_000,
-                  basis=None) -> SimplexResult:
+                  maximize: bool = False, basis=None) -> SimplexResult:
     """Solve min (or max) c.x s.t. a_ub x <= b_ub, lower <= x <= upper.
 
     lower/upper default to unbounded; use -inf/inf entries for one-sided
-    bounds.  active_rows reports the a_ub rows tight at the optimum.  A
+    bounds.  active_rows reports the a_ub rows tight at the optimum, to
+    ACTIVE_TOL; TOL and MAX_ITER set the tolerance and the pivot budget.  A
     `basis` from an earlier result on the same columns warm-starts the solve
     (rows may have been added since); a singular one is replaced by the cold
     start.
@@ -308,22 +314,22 @@ def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
     gb = lp.g[items]
     y = _solve(gb.T, -cost)
     pin = items >= lp.real
-    if np.any(np.where(pin, np.abs(y), -y) > tol):
+    if np.any(np.where(pin, np.abs(y), -y) > TOL):
         x = _solve(gb, lp.h[items])
-        if np.max(lp.g[:lp.real] @ x - lp.h[:lp.real], initial=-np.inf) > tol:
+        if np.max(lp.g[:lp.real] @ x - lp.h[:lp.real], initial=-np.inf) > TOL:
             # phase 1: shift the cost until this basis is dual feasible
             shifted = -gb.T @ np.where(pin, 0.0, np.maximum(y, 0.0))
-            status, it = _dual(lp, items, shifted, tol, max_iter)
+            status, it = _dual(lp, items, shifted, TOL, MAX_ITER)
             iterations += it
             if status == "infeasible":
                 return SimplexResult("infeasible", None, None, none, iterations)
-        status, it = _primal(lp, items, cost, tol, max_iter - iterations)
+        status, it = _primal(lp, items, cost, TOL, MAX_ITER - iterations)
         iterations += it
         if status == "unbounded":
             return SimplexResult("unbounded", None, None, none, iterations)
     # Restores any row the vertex breaks at the scaled tolerance; after the
     # primal loop this normally pivots nothing.
-    status, it = _dual(lp, items, cost, tol, max_iter - iterations)
+    status, it = _dual(lp, items, cost, TOL, MAX_ITER - iterations)
     iterations += it
     if status == "infeasible":
         return SimplexResult("infeasible", None, None, none, iterations)
@@ -331,26 +337,23 @@ def solve_simplex(c, a_ub=None, b_ub=None, lower=None, upper=None,
     x = _solve(lp.g[items], lp.h[items])
     objective = float(c @ x)
     resid = b_ub - a_ub @ x
-    active = np.flatnonzero(resid <= active_tol * np.maximum(1.0, np.abs(b_ub)))
+    active = np.flatnonzero(resid <= ACTIVE_TOL * np.maximum(1.0, np.abs(b_ub)))
     codes = np.where(items < lp.m, items, items - lp.m - 3 * n)
     return SimplexResult("optimal", x, objective, active, iterations, codes)
 
 
 def scan_above(blocks, floor):
-    """Iterate the (start_row, residuals) blocks of a row source, sending it
-    `floor()` before each block after the first.
+    """Iterate the (start_row, residuals) blocks of a row source, a
+    generator, sending it `floor()` before each block after the first.
 
     The source may skip any block whose rows are all at or below the floor it
     was last sent, so the consumer must ignore every row at or below its
-    floor.  A source that is not a generator gets no floor and yields every
-    block."""
-    it = iter(blocks)
-    send = getattr(it, "send", None)
+    floor."""
     try:
-        item = next(it)
+        item = next(blocks)
         while True:
             yield item
-            item = next(it) if send is None else send(floor())
+            item = blocks.send(floor())
     except StopIteration:
         return
 
@@ -408,22 +411,20 @@ def top_violators(blocks, skip: Array, k: int, viol_tol: float) -> Array:
 
 
 def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
-                    maximize: bool = False, start_rows=None, batch: int = 64,
-                    viol_tol: float = 1e-9, max_rounds: int = 1000,
-                    tol: float = 1e-9, max_master: int = 512,
+                    maximize: bool = False, start_rows=None,
                     context: str = "LP"):
     """Constraint generation over a large implicit row set.
 
     `source` exposes row_count, gather(indices) -> (A, b), and
     residual_blocks(x), which yields (start_row, A x - b over a block of
-    rows) covering every row once, in any block order; a block need only
-    stay valid until the next is drawn.  When the scan sends it a floor (see
-    `scan_above`), the source may skip blocks with no row above it and may
-    reorder the rest; a plain iteration sends None and gets every block.
-    Each round adds the `batch` most violated rows (ties to the lower index,
+    rows) covering every row once, in any block order.  It is a generator:
+    the scan sends it a floor before each block after the first (see
+    `scan_above`), and it may skip blocks with no row above that floor.  A
+    block need only stay valid until the next is drawn.  Each round adds the
+    CUT_BATCH rows most violated beyond VIOL_TOL (ties to the lower index,
     see `top_violators`) and re-solves the master from the previous round's
     optimal basis.  Extra rows are always kept in the master.  Once the
-    master would exceed max_master rows, working rows slack at the current
+    master would exceed MAX_MASTER rows, working rows slack at the current
     optimum are dropped (never a row of the basis); dropped rows rejoin
     through the violation scan if they ever bind again.
     Returns (SimplexResult, working row indices, active source row indices);
@@ -437,8 +438,6 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     extra_a = np.asarray(extra_a, dtype=float).reshape(-1, n)
     extra_b = np.asarray(extra_b, dtype=float).reshape(extra_a.shape[0])
 
-    if batch < 1:
-        raise ValueError("batch must be at least 1")
     count = source.row_count
     if start_rows is None or len(start_rows) == 0:
         working = np.zeros(1, dtype=int) if count else np.empty(0, dtype=int)
@@ -450,10 +449,10 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
     basis = None
     pivots = 0
     ga, gb = source.gather(working)  # carried across rounds, new cuts added
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         result = solve_simplex(c, np.vstack([ga, extra_a]),
                                np.concatenate([gb, extra_b]), lower, upper,
-                               maximize=maximize, tol=tol, basis=basis)
+                               maximize=maximize, basis=basis)
         pivots += result.iterations
         if result.status == "infeasible":
             raise InfeasibleError(f"{context}: master infeasible")
@@ -464,7 +463,7 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
             return total, working, np.empty(0, dtype=int)
         # the master already enforces the working rows
         worst = top_violators(source.residual_blocks(result.x), np.sort(working),
-                              batch, viol_tol)
+                              CUT_BATCH, VIOL_TOL)
         if worst.size == 0:
             act = result.active_rows
             return total, working, working[act[act < working.size]]
@@ -475,7 +474,7 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
         in_working = (basis >= 0) & (basis < working.size)
         extra = basis >= working.size
         keep = np.ones(working.size, dtype=bool)
-        if working.size + worst.size > max_master:
+        if working.size + worst.size > MAX_MASTER:
             working_resid = ga @ result.x - gb
             keep = working_resid >= -1e-6 * np.maximum(1.0, np.abs(gb))
             keep[basis[in_working]] = True
@@ -485,4 +484,4 @@ def solve_with_rows(c, source, lower, upper, extra_a=None, extra_b=None,
         ga, gb = np.vstack([ga[keep], new_a]), np.concatenate([gb[keep], new_b])
         working = np.concatenate([working[keep], worst])
     raise SolverError(f"{context}: row generation did not settle "
-                      f"within {max_rounds} rounds")
+                      f"within {MAX_ROUNDS} rounds")

@@ -21,7 +21,7 @@ from .model import BlackBoxSystem, InterconnectionTopology
 # bench/tracing.py wraps it by this module attribute.
 from .quantize import (DEFAULT_TABLE_CAP, TABLE_CHUNK_ROWS, TABLE_NAME,
                        UniformGrid, abstract_transition, check_table_cap,
-                       transition_table, trivial_grid)
+                       transition_table)
 
 Array = np.ndarray
 
@@ -83,22 +83,18 @@ class FiniteTransitionSystem(AbstractionHeader):
 
 
 def enumerate_abstraction(sys: BlackBoxSystem, state_grid: UniformGrid,
-                          dist_grid: UniformGrid | None = None, inputs=None,
+                          dist_grid: UniformGrid,
                           query_cap: int = DEFAULT_TABLE_CAP) -> FiniteTransitionSystem:
-    """Tabulate the abstract transition map with exactly one oracle query per
-    (cell, input, disturbance cell), refused before any query when the table
-    would exceed `query_cap` entries.  The table is built in table_dtype."""
+    """Tabulate the abstract transition map over the signature's inputs with
+    exactly one oracle query per (cell, input, disturbance cell), refused
+    before any query when the table would exceed `query_cap` entries.  A
+    disturbance-free system takes `trivial_grid()`.  Built in table_dtype."""
     sig = sys.signature
-    if dist_grid is None:
-        if sig.disturbance_dim != 0:
-            raise ValueError("disturbance grid required when disturbance_dim > 0")
-        dist_grid = trivial_grid()
     if dist_grid.dim != sig.disturbance_dim:
         raise ValueError("disturbance grid does not match the signature")
     if state_grid.dim != sig.state_dim:
         raise ValueError("state grid does not match the signature")
-    inputs = sig.input_array() if inputs is None else \
-        np.atleast_2d(np.asarray(inputs, dtype=float))
+    inputs = sig.input_array()
     shape = (state_grid.total_cells, inputs.shape[0], dist_grid.total_cells)
     check_table_cap(TABLE_NAME, shape[0] * shape[1] * shape[2], query_cap,
                     table_dtype(shape[0]).itemsize)
@@ -230,27 +226,14 @@ class RefinedController:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One subsystem in one run of a ClosedLoopLog: states and safety flags
-    (T+1 rows), inputs and their indices (T rows), truncation and diagnostic."""
-
-    subsystem: int
-    states: Array
-    inputs: Array
-    input_indices: Array
-    safe: Array
-    truncated_at: int | None = None
-    diagnostic: str | None = None
-
-
-@dataclass(frozen=True, eq=False)
 class ClosedLoopLog:
     """Every closed-loop run in the loop's arrays: `states` (horizon + 1,
     runs, state coordinates), subsystem i in columns offsets[i]:offsets[i+1];
     `input_indices` (horizon, runs, subsystems) into each subsystem's input
     table; `safe` (horizon + 1, runs, subsystems); the `steps` each run took
-    (fewer than the horizon when truncated) and its diagnostic per subsystem.
-    log[r] builds run r as one Trajectory view per subsystem."""
+    (fewer than the horizon when truncated); and `diagnostics`, which maps
+    each truncated run to the subsystem that reported its miss and the
+    message."""
 
     states: Array
     offsets: Array
@@ -258,7 +241,7 @@ class ClosedLoopLog:
     tables: list
     safe: Array
     steps: Array
-    diagnostics: list
+    diagnostics: dict
 
     @property
     def horizon(self) -> int:
@@ -266,13 +249,6 @@ class ClosedLoopLog:
 
     def __len__(self) -> int:
         return self.steps.shape[0]
-
-    def __getitem__(self, r: int) -> list:
-        t, off, u = int(self.steps[r]), self.offsets, self.input_indices
-        return [Trajectory(i, self.states[:t + 1, r, off[i]:off[i + 1]],
-                           tab[u[:t, r, i]], u[:t, r, i], self.safe[:t + 1, r, i],
-                           t if t < self.horizon else None, self.diagnostics[r][i])
-                for i, tab in enumerate(self.tables)]
 
 
 def _groups(objects) -> list:
@@ -360,7 +336,7 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
     states[0] = x0
     chosen = np.full((horizon, runs, m), -1, dtype=np.int64)
     steps = np.full(runs, horizon)  # steps taken; fewer when truncated
-    diagnostics = [[None] * m for _ in range(runs)]
+    diagnostics = {}
     alive = None  # every run, until the first miss; then the survivors
     for k in range(horizon if runs else 0):
         if alive is None:
@@ -382,8 +358,8 @@ def simulate_closed_loop(subsystems, topology: InterconnectionTopology,
             for j in np.flatnonzero(failed):
                 i = int(np.argmax(missed[j]))  # the lowest-index miss reports
                 g, p = place[i]
-                diagnostics[ids[j]][i] = str(controllers[i].miss(
-                    x[j, offsets[i]:offsets[i + 1]], least[g].reshape(n, -1)[j, p]))
+                diagnostics[int(ids[j])] = (i, str(controllers[i].miss(
+                    x[j, offsets[i]:offsets[i + 1]], least[g].reshape(n, -1)[j, p])))
                 steps[ids[j]] = k
             kept = ~failed
             alive = ids[kept]

@@ -625,31 +625,33 @@ def test_cli_names_a_malformed_artifact(mini_run, tmp_path, capsys, name,
     assert "Traceback" not in err
 
 
-def _write_trajectories_by_row(path, runs):
-    """The row-at-a-time writer that write_trajectories replaced; the
-    reference for its bytes.  runs: (label, list of Trajectory) pairs."""
+def _write_trajectories_by_row(path, labels, log):
+    """The row-at-a-time writer that write_trajectories replaced, reading
+    the log one run, room and step at a time; the reference for its bytes."""
+    off = log.offsets
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("run,time,subsystem,state,input_index,input,safe,truncated\n")
-        for label, trajs in runs:
-            for tr in trajs:
-                horizon = tr.inputs.shape[0]
-                for k in range(tr.states.shape[0]):
-                    state = ";".join(repr(float(v)) for v in tr.states[k])
-                    if k < horizon:
-                        idx = str(int(tr.input_indices[k]))
-                        nu = ";".join(repr(float(v)) for v in tr.inputs[k])
+        for r, label in enumerate(labels):
+            t = int(log.steps[r])
+            trunc = "1" if t < log.horizon else "0"
+            for i, table in enumerate(log.tables):
+                for k in range(t + 1):
+                    state = ";".join(repr(float(v))
+                                     for v in log.states[k, r, off[i]:off[i + 1]])
+                    if k < t:
+                        j = int(log.input_indices[k, r, i])
+                        idx, nu = str(j), ";".join(repr(float(v)) for v in table[j])
                     else:
                         idx, nu = "", ""
-                    trunc = "1" if tr.truncated_at is not None else "0"
-                    fh.write(f"{label},{k},{tr.subsystem},{state},{idx},{nu},"
-                             f"{int(bool(tr.safe[k]))},{trunc}\n")
+                    fh.write(f"{label},{k},{i},{state},{idx},{nu},"
+                             f"{int(bool(log.safe[k, r, i]))},{trunc}\n")
 
 
 def _matches_row_writer(tmp_path, labels, log):
-    """write_trajectories writes the row writer's bytes over log's views."""
+    """write_trajectories writes the row writer's bytes for log."""
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     pipeline.write_trajectories(got, labels, log)
-    _write_trajectories_by_row(want, list(zip(labels, log)))
+    _write_trajectories_by_row(want, labels, log)
     assert got.read_bytes() == want.read_bytes()
     return got.read_text()
 
@@ -667,7 +669,7 @@ def _random_log(rng, dims, tables, steps, horizon):
                                 for t in tables], axis=2),
         tables=list(tables), safe=rng.random((horizon + 1, runs, m)) < 0.7,
         steps=np.asarray(steps, dtype=np.int64),
-        diagnostics=[[None] * m for _ in range(runs)])
+        diagnostics={})
 
 
 def test_write_trajectories_matches_row_writer(tmp_path):
@@ -738,10 +740,12 @@ def test_write_trajectories_matches_row_writer_on_random_logs(tmp_path, data):
 
 
 def _all_safe_by_trajectory(log):
-    """all_safe as it was defined over the per-room trajectories."""
-    trajs = [tr for run in log for tr in run]
-    return bool(trajs) and all(tr.truncated_at is None for tr in trajs) \
-        and bool(np.concatenate([tr.safe for tr in trajs]).all())
+    """all_safe as it was defined over the per-room trajectories: some room
+    ran, no run was truncated, and each run's flags up to its last step
+    hold."""
+    return bool(log.safe.size) and all(
+        t == log.horizon and log.safe[:t + 1, r].all()
+        for r, t in enumerate(log.steps.tolist()))
 
 
 @pytest.mark.parametrize("case", ["as run", "one unsafe state", "truncated",
@@ -1377,6 +1381,39 @@ EXTERNAL = {"kind": "external", "command": ["oracle"],
      "certify.xi_target must be a finite number or null"),
     ("system", dict(EXTERNAL, timeout=True), [],
      "system.timeout must be a positive number of seconds"),
+    # a non-finite slope matrix has no spectral norm; refused before sample
+    # writes anything
+    ("certify", {"lipschitz": {"kind": "linear", "a": [[float("nan")]]}}, [],
+     "certify.lipschitz: a must hold finite numbers"),
+    ("certify", {"lipschitz": {"kind": "linear", "a": [[float("inf")]]}}, [],
+     "certify.lipschitz: a must hold finite numbers"),
+    ("certify", {"lipschitz": {"kind": "linear", "a": [[0.9]],
+                               "b": [[float("-inf")]]}}, [],
+     "certify.lipschitz: b must hold finite numbers"),
+    ("certify", {"lipschitz": {"kind": "linear", "a": [[0.9]],
+                               "e": [[0.005, float("nan")]]}}, [],
+     "certify.lipschitz: e must hold finite numbers"),
+    # room parameters: non-finite, or a boolean that would run as 1.0
+    ("system", {"state_high": float("inf")}, [],
+     "system: state_high: inf is not a finite number"),
+    ("system", {"state_low": float("-inf")}, [],
+     "system: state_low: -inf is not a finite number"),
+    ("system", {"outside_temp": float("nan")}, [],
+     "system: outside_temp: nan is not a finite number"),
+    ("system", {"cooler_temp": float("inf")}, [],
+     "system: cooler_temp: inf is not a finite number"),
+    ("system", {"cooler_temp": True}, [],
+     "system: cooler_temp: True is not a finite number"),
+    ("system", {"outside_temp": [-2, True, -1]}, [],
+     "system: outside_temp: True is not a finite number"),
+    ("system", {"conduction": float("nan")}, [],
+     "system: conduction: nan is not a finite number"),
+    ("system", {"outside_coupling": True}, [],
+     "system: outside_coupling: True is not a finite number"),
+    ("system", {"cooler_coupling": float("inf")}, [],
+     "system: cooler_coupling: inf is not a finite number"),
+    ("system", {"input_levels": [0.0, float("nan")]}, [],
+     "system: input_levels: nan is not a finite number"),
 ])
 def test_cli_rejects_bad_config_values(tmp_path, capsys, section, settings,
                                        extra, message):
@@ -1734,6 +1771,35 @@ def test_certificate_with_another_basis_is_refused(mini_run, tmp_path, capsys,
     assert rc == 2
     assert captured.err.startswith(f"error in stage {command}: {path}: ")
     assert "Traceback" not in captured.err
+
+
+def test_simulate_records_why_each_truncated_run_stopped(mini_run, tmp_path,
+                                                        capsys):
+    # the second start misses its relation in room 1 at step 0, the third in
+    # rooms 0 and 2, where the lower index reports
+    _, out, _ = mini_run
+    assert "truncated" not in json.loads((out / "simulation.json").read_text())
+    assert "truncated runs" not in (out / "summary.txt").read_text()
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    doc = yaml.safe_load(MINI_YAML)
+    doc["synthesize"]["initial"] = [[-0.2, -0.2, -0.2], [0.1, 3.0, 0.0],
+                                    [3.0, 0.1, 3.0]]
+    cfg = tmp_path / "truncated.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    for command, status in (("simulate", 1), ("report", 0)):
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(run)]) == status
+    capsys.readouterr()
+    records = json.loads((run / "simulation.json").read_text())["truncated"]
+    assert [(r["run"], r["step"], r["subsystem"]) for r in records] == \
+        [("x1", 0, 1), ("x2", 0, 0)]
+    for record in records:
+        assert record["message"].startswith(
+            "no winning cell is related to the state (min V = ")
+    summary = (run / "summary.txt").read_text()
+    assert f"\ntruncated runs: 2; first: run x1 subsystem 1 step 0: " \
+        f"{records[0]['message']}\n" in summary
 
 
 def test_simulate_without_runs_is_not_safe(mini_run, tmp_path, monkeypatch):

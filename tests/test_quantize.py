@@ -19,7 +19,7 @@ from symabs.quantize import (
 )
 
 
-def test_make_grid_counts_and_sigma():
+def test_make_grid_counts_and_sigma(monkeypatch):
     g = make_grid([(-0.5, 0.5)], 0.025)
     assert g.cells_per_dim == (20,)
     assert np.isclose(g.sigma, 0.025)
@@ -29,8 +29,10 @@ def test_make_grid_counts_and_sigma():
     assert g2.sigma <= 0.3 + 1e-15
     with pytest.raises(ValueError):
         make_grid([(0.0, 1.0)], 0.0)
+    monkeypatch.setattr(importlib.import_module("symabs.quantize"),
+                        "CELL_CAP", 10_000)
     with pytest.raises(CapacityError):
-        make_grid([(0.0, 1.0)] * 4, 1e-3, cell_cap=10_000)
+        make_grid([(0.0, 1.0)] * 4, 1e-3)
 
 
 def test_flat_and_multi_index_roundtrip():

@@ -248,8 +248,9 @@ def test_top_violators_is_exact_in_any_block_order(monkeypatch, slice_rows):
         assert np.array_equal(top_violators(
             pruning_blocks(resid, cuts, floors, order), skip, k, viol_tol), want)
         assert all(f >= viol_tol for f in floors)
+        # a generator expression takes the floors and drops them
         blind = ((int(lo), block) for lo, block in
-                 pruning_blocks(resid, cuts, [], order))  # sends it nothing
+                 pruning_blocks(resid, cuts, [], order))
         assert np.array_equal(top_violators(blind, skip, k, viol_tol), want)
     for resid, cuts, order, skip, k, want in [
         # the lowest-index tie at the k-th value arrives last
@@ -268,9 +269,6 @@ def test_top_violators_is_exact_in_any_block_order(monkeypatch, slice_rows):
 
 
 def test_scan_above_passes_plain_iterators_through():
-    blocks = [(0, np.array([1.0])), (1, np.array([-1.0, 2.0]))]
-    assert list(scan_above(iter(blocks), lambda: 5.0)) == blocks
-    assert list(scan_above(iter([]), lambda: 5.0)) == []
     # a generator that ignores the floor yields every block
     resid = np.array([3.0, -1.0, 0.5])
     got = [(start, block.copy()) for start, block in
@@ -279,7 +277,8 @@ def test_scan_above_passes_plain_iterators_through():
     assert np.array_equal(np.concatenate([b for _, b in got]), resid)
 
 
-def test_row_generation_matches_direct_solve():
+def test_row_generation_matches_direct_solve(monkeypatch):
+    monkeypatch.setattr(simplex_mod, "CUT_BATCH", 8)
     rng = np.random.default_rng(99)
     for _ in range(20):
         n = int(rng.integers(2, 5))
@@ -290,8 +289,7 @@ def test_row_generation_matches_direct_solve():
         lower = np.full(n, -10.0)
         upper = np.full(n, 10.0)
         direct = solve_simplex(c, a, b, lower, upper)
-        result, working, active = solve_with_rows(c, DenseRows(a, b), lower, upper,
-                                                  batch=8)
+        result, working, active = solve_with_rows(c, DenseRows(a, b), lower, upper)
         assert direct.status == result.status == "optimal"
         assert abs(direct.objective - result.objective) <= 1e-8
         assert np.all(a @ result.x - b <= 1e-8)
@@ -299,8 +297,10 @@ def test_row_generation_matches_direct_solve():
         assert np.all(np.isin(active, working))
 
 
-def test_row_generation_drop_path_keeps_answer():
-    # max_master far below the row count forces the dropping branch
+def test_row_generation_drop_path_keeps_answer(monkeypatch):
+    # MAX_MASTER far below the row count forces the dropping branch
+    monkeypatch.setattr(simplex_mod, "CUT_BATCH", 16)
+    monkeypatch.setattr(simplex_mod, "MAX_MASTER", 24)
     rng = np.random.default_rng(17)
     n = 3
     m = 400
@@ -310,8 +310,7 @@ def test_row_generation_drop_path_keeps_answer():
     lower = np.full(n, -10.0)
     upper = np.full(n, 10.0)
     direct = solve_simplex(c, a, b, lower, upper)
-    result, working, _ = solve_with_rows(c, DenseRows(a, b), lower, upper,
-                                         batch=16, max_master=24)
+    result, working, _ = solve_with_rows(c, DenseRows(a, b), lower, upper)
     assert abs(direct.objective - result.objective) <= 1e-8
     assert np.all(a @ result.x - b <= 1e-8)
 
@@ -324,8 +323,6 @@ def test_row_generation_with_extra_rows_and_infeasible_master():
     with pytest.raises(InfeasibleError):
         solve_with_rows([1.0], src, [-10.0], [10.0],
                         extra_a=[[1.0], [-1.0]], extra_b=[1.0, -3.0])
-    with pytest.raises(ValueError, match="batch"):
-        solve_with_rows([1.0], src, [-10.0], [10.0], batch=0)
 
 
 def test_result_reports_iterations():
@@ -558,6 +555,8 @@ def test_row_generation_carries_the_basis_between_rounds(monkeypatch):
         return result
 
     monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
+    monkeypatch.setattr(simplex_mod, "CUT_BATCH", 16)
+    monkeypatch.setattr(simplex_mod, "MAX_MASTER", 24)
     rng = np.random.default_rng(41)
     n, m = 4, 400
     a = rng.normal(size=(m, n))
@@ -566,8 +565,7 @@ def test_row_generation_carries_the_basis_between_rounds(monkeypatch):
     lower, upper = np.full(n, -10.0), np.full(n, 10.0)
     extra_a, extra_b = [[1.0, 1.0, 0.0, 0.0]], [0.5]
     result, _, _ = solve_with_rows(c, DenseRows(a, b), lower, upper,
-                                   extra_a=extra_a, extra_b=extra_b,
-                                   batch=16, max_master=24)
+                                   extra_a=extra_a, extra_b=extra_b)
     assert len(calls) == result.rounds >= 4
     assert result.iterations == sum(r.iterations for _, _, r in calls)
     assert calls[0][1] is None
@@ -584,7 +582,7 @@ def test_row_generation_gathers_only_new_cuts(monkeypatch, max_master):
     # Rows are carried from round to round, so after the first round only
     # the new cuts are gathered; each master must still get exactly the
     # rows a fresh gather of its working set gives, in working order, with
-    # the extra rows last.  max_master 12 makes rounds drop slack rows.
+    # the extra rows last.  MAX_MASTER 12 makes rounds drop slack rows.
     masters, gathered = [], []
     real = simplex_mod.solve_simplex
 
@@ -598,6 +596,8 @@ def test_row_generation_gathers_only_new_cuts(monkeypatch, max_master):
             return super().gather(idx)
 
     monkeypatch.setattr(simplex_mod, "solve_simplex", spy)
+    monkeypatch.setattr(simplex_mod, "CUT_BATCH", 6)
+    monkeypatch.setattr(simplex_mod, "MAX_MASTER", max_master)
     rng = np.random.default_rng(43)
     n, m = 4, 400
     a = rng.normal(size=(m, n))  # distinct rows, so a row names its index
@@ -605,8 +605,7 @@ def test_row_generation_gathers_only_new_cuts(monkeypatch, max_master):
     extra_a, extra_b = np.array([[1.0, 1.0, 0.0, 0.0]]), np.array([0.5])
     result, working, _ = solve_with_rows(
         rng.normal(size=n), Logged(a, b), np.full(n, -10.0), np.full(n, 10.0),
-        extra_a=extra_a, extra_b=extra_b, batch=6, max_master=max_master,
-        start_rows=[5, 3, 5])
+        extra_a=extra_a, extra_b=extra_b, start_rows=[5, 3, 5])
     index = {row.tobytes(): k for k, row in enumerate(a)}
     assert len(masters) == len(gathered) == result.rounds >= 4
     assert gathered[0].tolist() == [3, 5]

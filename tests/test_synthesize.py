@@ -187,7 +187,7 @@ def test_enumerate_abstraction_identity_and_counts():
     sys = BlackBoxSystem(signature=sig,
                          oracle=lambda x, nu, d: calls.append(len(x)) or x)
     g = make_grid([(-1.0, 1.0)], 0.1)
-    fts = enumerate_abstraction(sys, g)
+    fts = enumerate_abstraction(sys, g, trivial_grid())
     assert sum(calls) == g.total_cells * 2  # oracle rows, one per query
     assert fts.n_states == g.total_cells
     assert fts.n_dists == 1
@@ -195,7 +195,7 @@ def test_enumerate_abstraction_identity_and_counts():
         assert int(fts.table[s, 0, 0]) == s
         assert int(fts.table[s, 1, 0]) == s
     with pytest.raises(CapacityError):
-        enumerate_abstraction(sys, g, query_cap=10)
+        enumerate_abstraction(sys, g, trivial_grid(), query_cap=10)
 
 
 def test_enumerate_abstraction_room_spot_checks():
@@ -410,42 +410,51 @@ def build_controlled_rooms(num_rooms=3, theta=0.08):
     return rooms, topo, controllers
 
 
+def run_of(log, r):
+    """Run r of a ClosedLoopLog in the form closed_loop_room_by_room gives:
+    (states (t + 1, n), input indices (t, m), t, the room that reported a
+    miss and its message, or None, None)."""
+    t = int(log.steps[r])
+    room, message = log.diagnostics.get(r, (None, None))
+    return log.states[:t + 1, r], log.input_indices[:t, r], t, room, message
+
+
 def test_simulate_closed_loop_horizon_zero_and_logging():
     rooms, topo, controllers = build_controlled_rooms()
     x0 = np.zeros((1, 3))
-    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=0)
-    assert len(trajs) == 3
-    for tr in trajs:
-        assert tr.inputs.shape[0] == 0
-        assert tr.states.shape == (1, 1)
-        assert tr.inputs.shape == (0, 1)
-        assert tr.safe.shape == (1,)
-        assert tr.truncated_at is None
+    log = simulate_closed_loop(rooms, topo, controllers, x0, horizon=0)
+    assert len(log) == 1 and log.horizon == 0
+    assert log.states.shape == (1, 1, 3)
+    assert log.input_indices.shape == (0, 1, 3)
+    assert log.safe.shape == (1, 1, 3)
+    assert log.steps.tolist() == [0] and log.diagnostics == {}
 
 
 def test_simulate_closed_loop_runs_and_stays_in_band():
     rooms, topo, controllers = build_controlled_rooms()
     x0 = np.full((1, 3), -0.2)
-    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=40)
-    for tr in trajs:
-        assert tr.inputs.shape[0] == 40
-        assert tr.states.shape == (41, 1)
-        assert np.all(np.abs(tr.states) <= 0.5)
-        assert np.all(tr.safe)
-        # inputs recorded from the declared level list
-        assert set(np.round(tr.inputs[:, 0], 3)) <= {0.0, 0.05, 0.1, 0.15, 0.2}
+    log = simulate_closed_loop(rooms, topo, controllers, x0, horizon=40)
+    assert log.steps.tolist() == [40]
+    assert log.states.shape == (41, 1, 3)
+    assert np.all(np.abs(log.states) <= 0.5)
+    assert np.all(log.safe)
+    # inputs recorded from the declared level list
+    for i, table in enumerate(log.tables):
+        inputs = table[log.input_indices[:, 0, i]]
+        assert set(np.round(inputs[:, 0], 3)) <= {0.0, 0.05, 0.1, 0.15, 0.2}
 
 
 def test_simulate_closed_loop_truncates_on_refinement_miss():
     rooms, topo, controllers = build_controlled_rooms(theta=0.0001)
     # start far from every winning center: refinement fails at step 0
     x0 = np.full((1, 3), 0.49)
-    [trajs] = simulate_closed_loop(rooms, topo, controllers, x0, horizon=10)
-    assert all(tr.truncated_at == 0 for tr in trajs)
-    assert any(tr.diagnostic for tr in trajs)
-    for tr in trajs:
-        assert tr.states.shape == (1, 1)
-        assert tr.inputs.shape[0] == 0
+    log = simulate_closed_loop(rooms, topo, controllers, x0, horizon=10)
+    assert log.steps.tolist() == [0]
+    room, message = log.diagnostics[0]
+    assert room == 0 and message.startswith("no winning cell is related")
+    # nothing is taken or visited after the miss
+    assert np.all(log.input_indices == -1)
+    assert np.isnan(log.states[1:]).all()
 
 
 def test_simulate_validates_shapes():
@@ -477,20 +486,17 @@ def test_simulate_closed_loop_stack_matches_one_start_runs(
     starts = np.asarray(starts)
     stacked = simulate_closed_loop(rooms, topo, controllers, starts, horizon=12)
     assert len(stacked) == len(starts)
-    for r, trajs in enumerate(stacked):
-        [alone] = simulate_closed_loop(rooms, topo, controllers,
-                                       starts[r:r + 1], horizon=12)
-        assert [tr.truncated_at for tr in trajs] == [truncated[r]] * 3
-        assert [i for i, tr in enumerate(trajs) if tr.diagnostic] == \
-            ([] if failing[r] is None else [failing[r]])
-        for got, want in zip(trajs, alone):
-            assert got.subsystem == want.subsystem
-            assert got.states.tobytes() == want.states.tobytes()
-            assert got.inputs.tobytes() == want.inputs.tobytes()
-            assert np.array_equal(got.input_indices, want.input_indices)
-            assert np.array_equal(got.safe, want.safe)
-            assert got.truncated_at == want.truncated_at
-            assert got.diagnostic == want.diagnostic
+    for r in range(len(starts)):
+        alone = simulate_closed_loop(rooms, topo, controllers,
+                                     starts[r:r + 1], horizon=12)
+        states, indices, t, room, message = run_of(stacked, r)
+        want = run_of(alone, 0)
+        assert (t, room) == (12 if truncated[r] is None else truncated[r],
+                             failing[r])
+        assert states.tobytes() == want[0].tobytes()
+        assert np.array_equal(indices, want[1])
+        assert (t, room, message) == want[2:]
+        assert np.array_equal(stacked.safe[:t + 1, r], alone.safe[:t + 1, 0])
 
 
 @pytest.mark.parametrize("thetas, starts, truncated, failing", [
@@ -536,33 +542,30 @@ def test_simulate_closed_loop_shared_controller_matches_copies(
     steps = min(12, max(12 if t is None else t + 1 for t in truncated))
     assert len(calls) == len(one_per_theta) * steps
     want = simulate_closed_loop(rooms, topo, copies, starts, horizon=12)
-    for r, (trajs, ref) in enumerate(zip(got, want)):
-        assert [tr.truncated_at for tr in trajs] == [truncated[r]] * 3
-        assert [i for i, tr in enumerate(trajs) if tr.diagnostic] == \
-            ([] if failing[r] is None else [failing[r]])
-        for a, b in zip(trajs, ref):
-            assert a.states.tobytes() == b.states.tobytes()
-            assert a.inputs.tobytes() == b.inputs.tobytes()
-            assert np.array_equal(a.input_indices, b.input_indices)
-            assert np.array_equal(a.safe, b.safe)
-            assert (a.truncated_at, a.diagnostic) == (b.truncated_at, b.diagnostic)
+    assert np.array_equal(got.safe, want.safe)
+    for r in range(len(starts)):
+        a, b = run_of(got, r), run_of(want, r)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert np.array_equal(a[1], b[1])
+        assert a[2:] == b[2:]
         # and both match refining one room at a time with select()
         states, indices, t, room, message = closed_loop_room_by_room(
             rooms, topo.wiring, copies, starts[r], 12)
         assert (t, room) == (12 if truncated[r] is None else truncated[r],
                              failing[r])
-        for i, tr in enumerate(trajs):
-            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
-            assert np.array_equal(tr.input_indices, indices[:, i])
-            assert tr.diagnostic == (message if i == room else None)
+        assert a[0].tobytes() == states.tobytes()
+        assert np.array_equal(a[1], indices)
+        assert a[2:] == (t, room, message)
 
 
 def _room_table(room, sg, reverse=False):
     """The safety game of a room on the band |x| <= 0.3 + sigma, over its
     inputs in declared or in reversed order (so the first qualifying input,
     and the index that names it, differ)."""
-    inputs = room.signature.input_array()[::-1 if reverse else 1]
-    fts = enumerate_abstraction(room, sg, product_grid([sg, sg]), inputs=inputs)
+    if reverse:
+        room = dataclasses.replace(room, signature=dataclasses.replace(
+            room.signature, input_set=room.signature.input_set[::-1]))
+    fts = enumerate_abstraction(room, sg, product_grid([sg, sg]))
     return safety_synthesis(fts, safe=[
         s for s in range(sg.total_cells)
         if abs(sg.representative(s)[0]) <= 0.3 - 1e-12 + 0.025])
@@ -621,25 +624,22 @@ def test_simulate_closed_loop_shared_system_matches_copies(
     calls.clear()
     want = simulate_closed_loop(copies, topo, controllers, starts, horizon=12)
     # one step call per distinct system object per step taken
-    steps = max(tr.inputs.shape[0] for trajs in got for tr in trajs)
-    assert [trajs[0].truncated_at for trajs in got] == truncated
+    steps = int(got.steps.max())
+    assert [None if t == 12 else t for t in got.steps.tolist()] == truncated
     assert len(shared_calls) == len(objects) * steps
     assert len(calls) == 3 * steps
-    for r, (trajs, ref) in enumerate(zip(got, want)):
-        for a, b in zip(trajs, ref):
-            assert a.states.tobytes() == b.states.tobytes()
-            assert a.inputs.tobytes() == b.inputs.tobytes()
-            assert np.array_equal(a.input_indices, b.input_indices)
-            assert np.array_equal(a.safe, b.safe)
-            assert (a.truncated_at, a.diagnostic) == (b.truncated_at, b.diagnostic)
+    assert np.array_equal(got.safe, want.safe)
+    for r in range(len(starts)):
+        a, b = run_of(got, r), run_of(want, r)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert np.array_equal(a[1], b[1])
+        assert a[2:] == b[2:]
         # and both match stepping one room at a time
         states, indices, t, room, message = closed_loop_room_by_room(
             copies, topo.wiring, controllers, starts[r], 12)
-        for i, tr in enumerate(trajs):
-            assert tr.truncated_at == (None if room is None else t)
-            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
-            assert np.array_equal(tr.input_indices, indices[:, i])
-            assert tr.diagnostic == (message if i == room else None)
+        assert a[0].tobytes() == states.tobytes()
+        assert np.array_equal(a[1], indices)
+        assert a[2:] == (t, room, message)
 
 
 @pytest.mark.parametrize("refiners, objects", [
@@ -683,25 +683,23 @@ def test_simulate_closed_loop_five_room_groups_match_room_by_room(
     got = simulate_closed_loop(subsystems, topo, controllers, starts, horizon=12)
     # one refinement call per distinct controller and step, one oracle call
     # per distinct object and step with a survivor
-    taken = [12 if trajs[0].truncated_at is None else trajs[0].truncated_at
-             for trajs in got]
+    taken = got.steps.tolist()
     assert calls.count("select") == len(set(refiners)) * min(12, max(taken) + 1)
     assert calls.count("step") == len(set(objects)) * max(taken)
     monkeypatch.undo()
+    # each room's indices name inputs of its own controller's table
+    assert all(table is c.table.fts.inputs
+               for table, c in zip(got.tables, controllers))
     cuts = set()
-    for r, trajs in enumerate(got):
+    for r in range(len(starts)):
         states, indices, t, room, message = closed_loop_room_by_room(
             subsystems, topo.wiring, controllers, starts[r], 12)
         cuts.add(None if room is None else t)
-        for i, tr in enumerate(trajs):
-            assert tr.subsystem == i
-            assert tr.truncated_at == (None if room is None else t)
-            assert tr.diagnostic == (message if i == room else None)
-            assert tr.states.tobytes() == states[:, i:i + 1].tobytes()
-            assert np.array_equal(tr.input_indices, indices[:, i])
-            assert tr.inputs.tobytes() == \
-                controllers[i].table.fts.inputs[indices[:, i]].tobytes()
-            assert np.array_equal(tr.safe, np.abs(states[:, i]) <= 0.5)
+        got_states, got_indices, *rest = run_of(got, r)
+        assert rest == [t, room, message]
+        assert got_states.tobytes() == states.tobytes()
+        assert np.array_equal(got_indices, indices)
+        assert np.array_equal(got.safe[:t + 1, r], np.abs(states) <= 0.5)
     # the starts reach the horizon and miss at step 0 and at later steps
     assert None in cuts and 0 in cuts and len(cuts - {None, 0}) >= 2, cuts
     # with no runs, or no steps, no refinement or oracle call is made
@@ -713,7 +711,5 @@ def test_simulate_closed_loop_five_room_groups_match_room_by_room(
     still = simulate_closed_loop(subsystems, topo, controllers, starts,
                                  horizon=0)
     assert calls == []
-    for trajs, start in zip(still, starts):
-        for i, tr in enumerate(trajs):
-            assert tr.inputs.shape[0] == 0 and tr.truncated_at is None
-            assert tr.states.tobytes() == start[i:i + 1].tobytes()
+    assert still.input_indices.size == 0 and still.diagnostics == {}
+    assert still.states.tobytes() == starts.astype(float).tobytes()
